@@ -25,20 +25,12 @@ import numpy as np
 from .params import PlasmaParams, ShockEndstates
 
 
-def _side_v(params: PlasmaParams, side: str) -> float:
-    if side == "plus":
-        return params.v_plus
-    if side == "minus":
-        return params.v_minus
-    raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
-
-
 def symbol_matrix(params: PlasmaParams, end: ShockEndstates, side: str, xi):
     """Limiting symbol i*xi*A - xi^2*B + (i*xi^3/(v+eps^2 xi^2))*E.
 
     Vectorized over xi; returns shape (..., 2, 2) complex.
     """
-    v = _side_v(params, side)
+    v = params.side_v(side)
     T, nu, eps2, s = params.T, params.nu, params.eps**2, end.s
     xi = np.asarray(xi, dtype=float)
     M = np.zeros(xi.shape + (2, 2), dtype=complex)
@@ -58,7 +50,7 @@ def _discriminant(params: PlasmaParams, v: float, xi):
 
 def essential_eigenvalues(params: PlasmaParams, end: ShockEndstates, side: str, xi):
     """Closed-form eigenvalue curves (lam1, lam2) of the limiting symbol."""
-    v = _side_v(params, side)
+    v = params.side_v(side)
     nu, s = params.nu, end.s
     xi = np.asarray(xi, dtype=float)
     base = 1j * s * xi - nu * xi**2 / (2.0 * v)
@@ -70,7 +62,7 @@ def essential_eigenvalues(params: PlasmaParams, end: ShockEndstates, side: str, 
 
 def resonance_polynomial(params: PlasmaParams, side: str, eta):
     """Quadratic in eta = xi^2 whose positive root marks sign change of f."""
-    v = _side_v(params, side)
+    v = params.side_v(side)
     T, nu, eps2 = params.T, params.nu, params.eps**2
     return (eps2 * nu**2 * eta**2 + (nu**2 * v - 4.0 * eps2 * T) * eta
             - 4.0 * (T + 1.0) * v)
@@ -78,7 +70,7 @@ def resonance_polynomial(params: PlasmaParams, side: str, eta):
 
 def xi0_threshold(params: PlasmaParams, side: str):
     """(eta0, xi0): the positive root of the resonance quadratic and its sqrt."""
-    v = _side_v(params, side)
+    v = params.side_v(side)
     T, nu, eps2 = params.T, params.nu, params.eps**2
     a = eps2 * nu**2
     b = nu**2 * v - 4.0 * eps2 * T

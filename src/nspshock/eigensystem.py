@@ -29,14 +29,6 @@ from .jets import Jet
 from .params import PlasmaParams, ShockEndstates
 
 
-def _side_v(params: PlasmaParams, side: str) -> float:
-    if side == "plus":
-        return params.v_plus
-    if side == "minus":
-        return params.v_minus
-    raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
-
-
 def limit_matrix_coeffs(params: PlasmaParams, end: ShockEndstates, side: str):
     """Constant and linear lambda-coefficients of the far-field matrix.
 
@@ -44,7 +36,7 @@ def limit_matrix_coeffs(params: PlasmaParams, end: ShockEndstates, side: str):
     quadratic interior entry carries a factor b1, which vanishes in the
     limits).
     """
-    v = _side_v(params, side)
+    v = params.side_v(side)
     s = end.s
     T, nu, eps2 = params.T, params.nu, params.eps**2
     A0 = np.zeros((5, 5))
@@ -212,11 +204,6 @@ def interior_matrix_coeffs(tab: CoefficientTables):
     for i, row in enumerate(rows):
         A[:, :, i, :] = row
     return A[0], A[1], A[2]
-
-
-def assemble_interior(A0, A1, A2, lam):
-    """Evaluate A(x, lam) at one lam for all nodes: (n,5,5) complex."""
-    return A0 + lam * A1 + (lam * lam) * A2
 
 
 def background_wave(v_jet: Jet, phi_jet: Jet, psi_jet: Jet,

@@ -43,7 +43,7 @@ from .eigensystem import (
 )
 from .modes import analytic_eigenpairs, default_disk_radius, slow_expansion
 from .params import PlasmaParams, ShockEndstates, liu_majda_delta
-from .profile import default_half_length, solve_profile
+from .profile import ProfileGrid, default_half_length, solve_profile
 from .wedge import (
     lift2,
     lift3,
@@ -119,22 +119,33 @@ class EvansSystem:
         return A.reshape(5, 5)
 
 
-def build_evans_system(params: PlasmaParams, end: ShockEndstates,
-                       X: Optional[float] = None, n: Optional[int] = None,
-                       rtol: float = 1e-12, atol: float = 1e-14,
-                       gap_tol: float = 1e-8) -> EvansSystem:
-    """Solve the profile and tabulate the closure coefficients.
+def evans_grid(params: PlasmaParams, end: ShockEndstates,
+               X: Optional[float] = None,
+               n: Optional[int] = None) -> ProfileGrid:
+    """Solve the profile on the domain Evans work needs.
 
     The default half-length gives 35 decay lengths of the slow rate;
     anything much shorter leaves a boundary gap that pollutes D(0), and
-    the gap check below rejects it.
+    the gap check of build_evans_system rejects it.
     """
     if X is None:
         X = default_half_length(params, end, efolds=35.0)
     if n is None:
         n = 2 * int(round(X / 0.025)) + 1  # grid step about 0.025
-    grid = solve_profile(params, end, X=X, n=n)
-    vj, pj, sj = grid.state_jets(order=5)
+    return solve_profile(params, end, X=X, n=n)
+
+
+def build_evans_system(grid: ProfileGrid, rtol: float = 1e-12,
+                       atol: float = 1e-14,
+                       gap_tol: float = 1e-8) -> EvansSystem:
+    """Tabulate the closure coefficients on a solved profile grid.
+
+    Raises RuntimeError when the coefficients at the cut ends miss their
+    limits by more than gap_tol, i.e. when the domain is too short.
+    """
+    params, end = grid.params, grid.end
+    X, n = grid.X, grid.n
+    vj, pj, sj = grid.taylor_jets(5)
     tab = interior_coefficients(grid.x, vj, pj, sj, params, end)
     A0, A1, A2 = interior_matrix_coeffs(tab)
 

@@ -26,17 +26,9 @@ from .eigensystem import limit_matrix_coeffs
 from .params import PlasmaParams, ShockEndstates
 
 
-def _side_v(params: PlasmaParams, side: str) -> float:
-    if side == "plus":
-        return params.v_plus
-    if side == "minus":
-        return params.v_minus
-    raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
-
-
 def cubic_coefficients(params: PlasmaParams, end: ShockEndstates, side: str):
     """Monic cubic for the fast rates: g^3 + b g^2 + c g + d = 0."""
-    v = _side_v(params, side)
+    v = params.side_v(side)
     T, nu, eps2, s = params.T, params.nu, params.eps**2, end.s
     b = (s * s * v * v - T) / (s * nu * v)
     c = -v / eps2
@@ -115,7 +107,7 @@ class SlowData:
 
 
 def slow_expansion(params: PlasmaParams, end: ShockEndstates, side: str) -> SlowData:
-    v = _side_v(params, side)
+    v = params.side_v(side)
     s = end.s
     c = params.sound_speed(v)
     isq = 1.0 / np.sqrt(2.0)

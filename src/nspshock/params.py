@@ -45,6 +45,12 @@ class PlasmaParams:
         """Shock amplitude v+ - v-."""
         return self.v_plus - self.v_minus
 
+    def side_v(self, side: str) -> float:
+        """Specific volume of the endstate on `side` ("minus" or "plus")."""
+        if side not in ("minus", "plus"):
+            raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
+        return self.v_minus if side == "minus" else self.v_plus
+
     def sound_speed(self, v: float) -> float:
         """Characteristic speed sqrt(T+1)/v of the quasi-neutral Euler system."""
         return math.sqrt(self.T + 1.0) / v
@@ -102,21 +108,6 @@ def solve_rankine_hugoniot(
     )
 
 
-def rh_residuals(params: PlasmaParams, end: ShockEndstates) -> tuple[float, float]:
-    """Mass and momentum jump residuals of the quasi-neutral Euler shock.
-
-    mass:      u+ - u- + s (v+ - v-)
-    momentum:  -s (u+ - u-) + (T+1) (1/v+ - 1/v-)
-
-    Both vanish exactly at the Rankine-Hugoniot solution.
-    """
-    dv = params.v_plus - params.v_minus
-    du = end.u_plus - params.u_minus
-    mass = du + end.s * dv
-    momentum = -end.s * du + (params.T + 1.0) * (1.0 / params.v_plus - 1.0 / params.v_minus)
-    return mass, momentum
-
-
 def acoustic_speeds(params: PlasmaParams, side: str) -> tuple[float, float]:
     """Shifted characteristic speeds a_j = s + (-1)^j sqrt(T+1)/v at one endstate.
 
@@ -137,17 +128,3 @@ def liu_majda_delta(params: PlasmaParams, end: ShockEndstates) -> float:
     """
     c_minus = params.sound_speed(params.v_minus)
     return (params.v_plus - params.v_minus) / math.sqrt(2.0) * (c_minus + end.s)
-
-
-def liu_majda_delta_det(params: PlasmaParams, end: ShockEndstates) -> float:
-    """Liu-Majda determinant as the 2x2 determinant det(U+ - U-, r2-).
-
-    r2- is the outgoing acoustic right eigenvector (1, c-)/sqrt2 of the
-    quasi-neutral characteristic matrix [[s, 1], [c^2, s]] at the left state.
-    Cross-check route for :func:`liu_majda_delta`.
-    """
-    c_minus = params.sound_speed(params.v_minus)
-    dv = params.v_plus - params.v_minus
-    du = end.u_plus - params.u_minus
-    r2 = (1.0 / math.sqrt(2.0), c_minus / math.sqrt(2.0))
-    return dv * r2[1] - du * r2[0]

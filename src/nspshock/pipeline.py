@@ -8,15 +8,19 @@ value and the threshold it was held against.
 
 The report is deterministic for a fixed config: keys are sorted and
 wall-clock timings are quarantined under a single "timings" key, so
-two runs differ at most there.
+two runs differ at most there; non-finite numbers are written as null.
+A run solves at most two profile grids and derives each one's jets once:
+the profile task's grid, reused by transversality, and the longer Evans
+grid, shared by Evans and Poisson.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,14 +28,15 @@ import numpy as np
 from .dispersion import (default_xi_grid, dispersion_curve,
                          essential_eigenvalues, resonance_polynomial,
                          symbol_matrix, write_spectrum_csv, xi0_threshold)
-from .evans import build_evans_system, evans_report, write_evans_csv
+from .evans import (build_evans_system, evans_grid, evans_report,
+                    write_evans_csv)
 from .modes import fast_roots, slow_expansion
 from .params import PlasmaParams, params_from_dict, solve_rankine_hugoniot
 from .poisson import (constant_discretization, discretize_profile,
                       manufactured_convergence, smallest_symmetric_eigenvalue,
                       solve_linearized_poisson)
-from .profile import (default_half_length, profile_derivatives, solve_profile,
-                      verify_profile, write_profile_csv)
+from .profile import (profile_derivatives, solve_profile, verify_profile,
+                      write_profile_csv)
 from .transversality import (bounded_solution_dim, build_reduced_system,
                              limit_eigenvalues, reduced_limit_matrix,
                              reduced_wave_residual)
@@ -127,7 +132,7 @@ def config_hash(config: RunConfig) -> str:
 
 
 def _py(obj):
-    """Recursively coerce numpy scalars/arrays into JSON-fit values."""
+    """Recursively coerce numpy scalars/arrays into strict-JSON values."""
     if isinstance(obj, dict):
         return {k: _py(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -137,9 +142,9 @@ def _py(obj):
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        return float(obj)
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, (complex, np.complexfloating)):
-        return [float(obj.real), float(obj.imag)]
+        return _py([obj.real, obj.imag])
     if isinstance(obj, np.ndarray):
         return [_py(v) for v in obj.tolist()]
     return obj
@@ -232,9 +237,19 @@ def _mode_metrics(params, end):
     return out
 
 
+def _long_grid(config, end, ctx):
+    """The grid Evans and Poisson share, with jets of the order Evans
+    needs if it runs, else of the order Poisson needs."""
+    if "long_grid" not in ctx:
+        grid = evans_grid(config.params, end, X=config.evans_X,
+                          n=config.evans_n)
+        order = 5 if "evans" in config.tasks else 2
+        ctx["long_grid"] = replace(grid, jets=grid.state_jets(order))
+    return ctx["long_grid"]
+
+
 def _task_evans(config, end, ctx, outdir):
-    esys = build_evans_system(config.params, end, X=config.evans_X,
-                              n=config.evans_n)
+    esys = build_evans_system(_long_grid(config, end, ctx))
     rep = evans_report(esys, rho=config.rho, n_circle=config.n_circle)
     ctx["evans"] = rep
     write_evans_csv(rep.samples, outdir / "evans.csv")
@@ -298,13 +313,9 @@ def _task_poisson(config, end, ctx, outdir):
              for h in (0.1, 0.05, 0.025)]
     order, errors = manufactured_convergence(discs)
 
-    # consistency is truncation-limited, so the field solve gets a
-    # longer domain than the profile task default
-    X = default_half_length(params, end, efolds=22.0)
-    n = 2 * int(round(X / 0.015)) + 1
-    grid = solve_profile(params, end, X=X, n=n)
+    grid = _long_grid(config, end, ctx)
     disc = discretize_profile(grid)
-    vj, _, sj = grid.state_jets(order=2)
+    vj, _, sj = grid.taylor_jets(2)
     phi = solve_linearized_poisson(disc, vj.derivative(1), vj.derivative(2))
     rel = float(np.max(np.abs(phi - sj.value)) / np.max(np.abs(sj.value)))
 
@@ -315,8 +326,8 @@ def _task_poisson(config, end, ctx, outdir):
         "wave_consistency": _check(rel, 1e-6, rel <= 1e-6),
         "coercivity": _check(lam_min, 0.5 * bound, lam_min >= 0.5 * bound),
     }
-    metrics = {"manufactured_errors": errors, "consistency_X": X,
-               "consistency_n": n, "symmetric_eigenvalue": lam_min}
+    metrics = {"manufactured_errors": errors, "consistency_X": grid.X,
+               "consistency_n": grid.n, "symmetric_eigenvalue": lam_min}
     return checks, metrics
 
 
@@ -338,6 +349,8 @@ def run(config: RunConfig) -> dict:
     """
     try:
         end = solve_rankine_hugoniot(config.params)
+        for side in ("minus", "plus"):
+            fast_roots(config.params, end, side)  # regime admissibility
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -372,5 +385,5 @@ def run(config: RunConfig) -> dict:
 
 def write_report(report: dict, path) -> None:
     with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+        json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

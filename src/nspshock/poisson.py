@@ -77,7 +77,7 @@ def discretize_fields(x, vbar, dvbar, phibar, dphibar, d2phibar,
 
 
 def discretize_profile(grid: ProfileGrid) -> PoissonDiscretization:
-    vj, pj, sj = grid.state_jets(order=2)
+    vj, pj, sj = grid.taylor_jets(2)
     return discretize_fields(
         grid.x, vj.value, vj.derivative(1), pj.value, sj.value,
         sj.derivative(1), grid.params.eps)

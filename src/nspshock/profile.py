@@ -170,7 +170,8 @@ class ProfileGrid:
     None until profile_derivatives has been applied.  The interpolant
     is piecewise quintic (C^2), component order (v, u, phi, psi); psi
     gets its own component so that residual checks of the first-order
-    system never differentiate an interpolant twice.
+    system never differentiate an interpolant twice.  jets, once set,
+    holds state_jets output that every consumer of the grid reuses.
     """
 
     params: PlasmaParams
@@ -185,6 +186,7 @@ class ProfileGrid:
     du: Optional[np.ndarray] = None
     dphi: Optional[np.ndarray] = None
     interpolant: Optional[PPoly] = None
+    jets: Optional[tuple[Jet, Jet, Jet]] = None
 
     @property
     def n(self) -> int:
@@ -205,6 +207,13 @@ class ProfileGrid:
             pj = Jet(np.vstack([pj.coef, f2.coef[m] / (m + 1)]))
             sj = Jet(np.vstack([sj.coef, f3.coef[m] / (m + 1)]))
         return vj, pj, sj
+
+    def taylor_jets(self, order: int):
+        """Stored jets when they reach `order`, else fresh ones; stored
+        jets agree exactly with fresh ones in every shared coefficient."""
+        if self.jets is not None and self.jets[0].order >= order:
+            return self.jets
+        return self.state_jets(order)
 
     def evaluate(self, x_eval, deriv: int = 0) -> np.ndarray:
         """Interpolated (v, u, phi, psi) or a derivative, shape (m, 4)."""
@@ -276,7 +285,8 @@ def profile_derivatives(grid: ProfileGrid, order: int = 5) -> ProfileGrid:
     d1 = np.stack([dv[0], du[0], dphi[0], dphi[1]], axis=-1)
     d2 = np.stack([dv[1], du[1], dphi[1], dphi[2]], axis=-1)
     poly = _quintic_hermite(grid.x, values, d1, d2)
-    return replace(grid, dv=dv, du=du, dphi=dphi, interpolant=poly)
+    return replace(grid, dv=dv, du=du, dphi=dphi, interpolant=poly,
+                   jets=(vj, pj, sj))
 
 
 def _quintic_hermite(x, y, d1, d2) -> PPoly:

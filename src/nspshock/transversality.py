@@ -72,7 +72,7 @@ class ReducedSystem:
 def reduced_tables(grid: ProfileGrid) -> np.ndarray:
     """Eliminate v and the flux derivative from the lam = 0 system."""
     params, end = grid.params, grid.end
-    vj, pj, sj = grid.state_jets(order=5)
+    vj, pj, sj = grid.taylor_jets(5)
     tab = interior_coefficients(grid.x, vj, pj, sj, params, end)
     A0full, _, _ = interior_matrix_coeffs(tab)
     s = end.s
@@ -142,14 +142,14 @@ def reduced_matrix(system: ReducedSystem, x: float) -> np.ndarray:
 
 def wave_vector(grid: ProfileGrid) -> np.ndarray:
     """(ubar', phibar', phibar'') at the nodes, shape (n, 3)."""
-    vj, pj, sj = grid.state_jets(order=3)
+    vj, _, sj = grid.taylor_jets(3)
     return np.stack([-grid.end.s * vj.derivative(1), sj.value,
                      sj.derivative(1)], axis=-1)
 
 
 def reduced_wave_residual(system: ReducedSystem, grid: ProfileGrid) -> float:
     """Relative defect of the wave derivative in the reduced system."""
-    vj, pj, sj = grid.state_jets(order=3)
+    vj, _, sj = grid.taylor_jets(3)
     V = wave_vector(grid)
     dV = np.stack([-grid.end.s * vj.derivative(2), sj.derivative(1),
                    sj.derivative(2)], axis=-1)

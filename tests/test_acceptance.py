@@ -29,6 +29,7 @@ from nspshock.eigensystem import (
 )
 from nspshock.evans import (
     build_evans_system,
+    evans_grid,
     circle_contour,
     evans_report,
     gamma_transversality,
@@ -67,7 +68,7 @@ from conftest import make_params
 @pytest.fixture(scope="module")
 def production_evans(params_ref, end_ref):
     t0 = time.perf_counter()
-    system = build_evans_system(params_ref, end_ref)
+    system = build_evans_system(evans_grid(params_ref, end_ref))
     report = evans_report(system)
     return system, report, time.perf_counter() - t0
 
@@ -269,7 +270,8 @@ def test_criterion_08_transversality(params_ref, end_ref):
         e = solve_rankine_hugoniot(p)
         X = default_half_length(p, e, efolds=18.0)
         n = 2 * int(round(X / 0.05)) + 1
-        esys = build_evans_system(p, e, X=X, n=n, rtol=1e-10, atol=1e-13)
+        esys = build_evans_system(evans_grid(p, e, X=X, n=n), rtol=1e-10,
+                                  atol=1e-13)
         gammas.append(gamma_transversality(esys).Gamma)
     sigma_minus, sigma_zero, sigma_plus = limit_eigenvalues(params_ref)
     elapsed = time.perf_counter() - t0
@@ -311,13 +313,14 @@ def test_criterion_09_poisson(params_ref, end_ref):
 
 def test_criterion_10_robustness(params_ref, end_ref):
     t0 = time.perf_counter()
-    base = build_evans_system(params_ref, end_ref, n=5601,
+    base = build_evans_system(evans_grid(params_ref, end_ref, n=5601),
                               rtol=1e-10, atol=1e-13)
     variants = {
-        "2n": build_evans_system(params_ref, end_ref, n=11201,
+        "2n": build_evans_system(evans_grid(params_ref, end_ref, n=11201),
                                  rtol=1e-10, atol=1e-13),
-        "2X": build_evans_system(params_ref, end_ref, X=2.0 * base.X,
-                                 n=11201, rtol=1e-10, atol=1e-13),
+        "2X": build_evans_system(evans_grid(params_ref, end_ref,
+                                            X=2.0 * base.X, n=11201),
+                                 rtol=1e-10, atol=1e-13),
     }
     rho = 0.5 * base.disk_radius
     probes = rho * np.exp(2j * np.pi * np.arange(8) / 8)

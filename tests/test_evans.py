@@ -6,6 +6,7 @@ from nspshock.eigensystem import limit_matrix, limit_matrix_coeffs
 from nspshock.evans import (
     EvansSystem,
     build_evans_system,
+    evans_grid,
     circle_contour,
     d_contour,
     decaying_bases,
@@ -28,7 +29,7 @@ _ATOL = 1e-13
 
 @pytest.fixture(scope="module")
 def esys(params_ref, end_ref):
-    return build_evans_system(params_ref, end_ref, n=_N_TEST,
+    return build_evans_system(evans_grid(params_ref, end_ref, n=_N_TEST),
                               rtol=_RTOL, atol=_ATOL)
 
 
@@ -111,7 +112,7 @@ def test_frozen_coefficients_transport_eigenwedge(params_ref, end_ref):
 
 def test_boundary_gap_rejects_short_domain(params_ref, end_ref):
     with pytest.raises(RuntimeError, match="too short"):
-        build_evans_system(params_ref, end_ref, X=100.0, n=2001)
+        build_evans_system(evans_grid(params_ref, end_ref, X=100.0, n=2001))
 
 
 def test_value_at_origin_is_tiny(esys, report):
@@ -171,8 +172,9 @@ def test_nonzero_beyond_validated_disk(esys, params_ref, end_ref):
 
 
 def test_domain_doubling_leaves_bundles_fixed(esys, params_ref, end_ref):
-    big = build_evans_system(params_ref, end_ref, X=2.0 * esys.X,
-                             n=2 * _N_TEST - 1, rtol=_RTOL, atol=_ATOL)
+    big = build_evans_system(evans_grid(params_ref, end_ref, X=2.0 * esys.X,
+                                        n=2 * _N_TEST - 1),
+                             rtol=_RTOL, atol=_ATOL)
     w2a, _, w3a, _ = decaying_bases(esys, 0.0)
     w2b, _, w3b, _ = decaying_bases(big, 0.0)
     assert np.linalg.norm(w2a - w2b) < 1e-8

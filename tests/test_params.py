@@ -5,13 +5,42 @@ import pytest
 
 from nspshock.params import (
     PlasmaParams,
+    ShockEndstates,
     acoustic_speeds,
     liu_majda_delta,
-    liu_majda_delta_det,
     params_from_dict,
-    rh_residuals,
     solve_rankine_hugoniot,
 )
+
+
+# independent oracles for the closed forms in nspshock.params
+def rh_residuals(params: PlasmaParams, end: ShockEndstates) -> tuple[float, float]:
+    """Mass and momentum jump residuals of the quasi-neutral Euler shock.
+
+    mass:      u+ - u- + s (v+ - v-)
+    momentum:  -s (u+ - u-) + (T+1) (1/v+ - 1/v-)
+
+    Both vanish exactly at the Rankine-Hugoniot solution.
+    """
+    dv = params.v_plus - params.v_minus
+    du = end.u_plus - params.u_minus
+    mass = du + end.s * dv
+    momentum = -end.s * du + (params.T + 1.0) * (1.0 / params.v_plus - 1.0 / params.v_minus)
+    return mass, momentum
+
+
+def liu_majda_delta_det(params: PlasmaParams, end: ShockEndstates) -> float:
+    """Liu-Majda determinant as the 2x2 determinant det(U+ - U-, r2-).
+
+    r2- is the outgoing acoustic right eigenvector (1, c-)/sqrt2 of the
+    quasi-neutral characteristic matrix [[s, 1], [c^2, s]] at the left state.
+    Cross-check route for :func:`liu_majda_delta`.
+    """
+    c_minus = params.sound_speed(params.v_minus)
+    dv = params.v_plus - params.v_minus
+    du = end.u_plus - params.u_minus
+    r2 = (1.0 / math.sqrt(2.0), c_minus / math.sqrt(2.0))
+    return dv * r2[1] - du * r2[0]
 
 
 def test_reference_shock_speed(params_ref, end_ref):

@@ -7,8 +7,10 @@ import sys
 
 import pytest
 
+import nspshock
 from nspshock.cli import main
 from nspshock.pipeline import ConfigError, load_config
+from nspshock.profile import ProfileGrid
 
 REF_PARAMS = {"T": 1.0, "nu": 1.0, "eps": 1.0, "v_minus": 1.0,
               "u_minus": 0.0, "v_plus": 1.1}
@@ -117,19 +119,66 @@ def test_report_deterministic_modulo_timings(tmp_path):
 
 def test_transversality_reports_gamma_consistency(tmp_path):
     cfg = write_config(
-        tmp_path, tasks=["evans", "transversality"],
+        tmp_path, tasks=["evans", "transversality", "poisson"],
         numerics={"evans_n": 5601, "n_circle": 16})
     assert main(["run", "--config", str(cfg)]) == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     checks = report["tasks"]["transversality"]["checks"]
     assert checks["gamma_consistency"]["pass"] is True
     assert checks["gamma_consistency"]["value"] > 0.0
+    # Poisson runs on the grid Evans solved
+    poisson = report["tasks"]["poisson"]
+    assert poisson["passed"] is True
+    assert poisson["metrics"]["consistency_n"] == \
+        report["tasks"]["evans"]["metrics"]["n"]
+
+
+def test_each_grid_computes_its_jets_once(tmp_path, monkeypatch):
+    calls = []
+    original = ProfileGrid.state_jets
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.n)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(ProfileGrid, "state_jets", counting)
+    cfg = write_config(tmp_path, tasks=["profile", "transversality",
+                                        "poisson"])
+    assert main(["run", "--config", str(cfg)]) == 0
+    assert len(calls) == 2
+    assert len(set(calls)) == 2
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_report_is_strict_json(tmp_path):
+    # on this domain the tail fit of the decay exponent is undefined
+    cfg = write_config(tmp_path, numerics={"X": 600, "n": 12001})
+    main(["run", "--config", str(cfg), "--tasks", "profile"])
+    text = (tmp_path / "out" / "report.json").read_text()
+    report = json.loads(text, parse_constant=_reject_constant)
+    assert report["tasks"]["profile"]["metrics"]["decay_exponent"] is None
+
+
+@pytest.mark.parametrize("v_plus, status", [(1.19, 0), (1.2, 2)])
+def test_regime_guard_at_fast_root_boundary(tmp_path, capsys, v_plus, status):
+    # the fast rates turn complex at delta ~ 0.1969; delta = 0.2 evaluates
+    # to 0.19999999999999996, below the amplitude warning
+    cfg = write_config(tmp_path, params={**REF_PARAMS, "v_plus": v_plus})
+    assert main(["run", "--config", str(cfg), "--tasks", "dispersion"]) == status
+    assert ("config error" in capsys.readouterr().err) == (status == 2)
 
 
 def test_thread_env_var_seeds_blas_caps():
     code = ("import os; os.environ['NSPSHOCK_THREADS']='3'; "
             "import nspshock; print(os.environ['OMP_NUM_THREADS'])")
     env = {k: v for k, v in os.environ.items() if "THREAD" not in k}
+    # the child imports the same nspshock, installed or not
+    src = os.path.dirname(os.path.dirname(nspshock.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "3"
