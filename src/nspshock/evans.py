@@ -11,6 +11,16 @@ determinant of any column representatives; per-segment positive
 renormalization factors are returned to log scale and multiplied back,
 so the computed value stays the analytic determinant.
 
+Many lam are transported at once: the m wedges of a batch form one
+(m, 10) state, integrated by one DOP853 solve per segment, with one
+coefficient lookup per x for the whole batch and a norm and log scale
+per wedge.  The step control then bounds the RMS error over the batch
+instead of each wedge's own; the agreement test in tests/test_evans.py
+holds batched D to one-lam-at-a-time D within 1e-10 relative on the
+production grid.  A run evaluates its first-round samples (origin,
+both contours, the Cauchy and difference points) in one batch and each
+winding-refinement round in one more.
+
 Initial data at the cut ends come from the analytically continued
 eigenvectors of the limit matrices, so D inherits analyticity in lam
 and the winding counts are meaningful.  D(0) vanishes because the wave
@@ -27,8 +37,7 @@ meaningful, not their absolute scale.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -112,11 +121,16 @@ class EvansSystem:
     atol: float = 1e-14
     nseg: int = 14
     path_points: int = 12
+    # running totals of the wedge transports made with this system
+    work: dict = field(default_factory=lambda: dict.fromkeys(
+        ("transports", "rhs_calls", "steps"), 0), repr=False)
 
-    def coefficient_matrix(self, x: float, lam: complex) -> np.ndarray:
+    def coefficient_matrix(self, x: float, lam) -> np.ndarray:
+        """A(x, lam), shape (5, 5) or (m, 5, 5) for an array of m lam."""
         c = self.spline(x)
+        lam = np.asarray(lam)[..., None]
         A = c[:25] + lam * c[25:50] + lam * lam * c[50:75]
-        return A.reshape(5, 5)
+        return A.reshape(lam.shape[:-1] + (5, 5))
 
 
 def evans_grid(params: PlasmaParams, end: ShockEndstates,
@@ -176,67 +190,98 @@ def build_evans_system(grid: ProfileGrid, rtol: float = 1e-12,
         nseg=max(8, int(round(X / 20.0))))
 
 
-def _side_modes(sys: EvansSystem, side: str, lam: complex):
-    if lam == 0:
-        path = np.array([0.0], dtype=complex)
-    else:
-        path = np.linspace(0.0, lam, sys.path_points)
-    mp = analytic_eigenpairs(sys.params, sys.end, side, path)
-    return mp.mu[-1], mp.V[-1]
+def _side_modes(sys: EvansSystem, side: str, lams: np.ndarray):
+    """Continued eigenpairs at each lam: mu (m, 5) and V (m, 5, 5)."""
+    mus, Vs = [], []
+    for lam in lams:
+        if lam == 0:
+            path = np.array([0.0], dtype=complex)
+        else:
+            path = np.linspace(0.0, lam, sys.path_points)
+        mp = analytic_eigenpairs(sys.params, sys.end, side, path)
+        mus.append(mp.mu[-1])
+        Vs.append(mp.V[-1])
+    return np.array(mus), np.array(Vs)
 
 
-def integrate_wedge(sys: EvansSystem, lam: complex, which: str,
-                    y0: np.ndarray, shift: complex, x_from: float,
-                    x_to: float):
-    """Propagate a shifted wedge; returns (unit vector, log scale).
+def _lams_text(lams: np.ndarray) -> str:
+    shown = ", ".join(f"{complex(z):.6g}" for z in lams[:6])
+    more = f", ... ({lams.size} values)" if lams.size > 6 else ""
+    return f"lam = [{shown}{more}]"
 
+
+def integrate_wedge(sys: EvansSystem, lam, which: str, y0, shift,
+                    x_from: float, x_to: float):
+    """Propagate shifted wedges; returns (unit vectors, log scales).
+
+    lam is a scalar or an array of m values, with y0 of shape (m, 10)
+    and one shift per value; all m wedges travel as one DOP853 state,
+    so the step control is a shared RMS error over the batch.  Each
+    wedge is renormalized by its own norm at the segment ends and keeps
+    its own log scale; a scalar lam gives a (10,) vector and a float.
     which selects the Lambda^2 or Lambda^3 lift.  The renormalization
     factors are real and positive, so multiplying them back preserves
     analyticity of anything built from the result.
     """
     lifter = lift2 if which == "w2" else lift3
-    lam = complex(lam)
+    scalar = np.ndim(lam) == 0
+    lams = np.atleast_1d(np.asarray(lam, dtype=complex))
+    m = lams.size
+    shifts = np.broadcast_to(np.asarray(shift, dtype=complex), (m,))[:, None]
 
     def rhs(x, y):
-        L = lifter(sys.coefficient_matrix(x, lam))
-        return L @ y - shift * y
+        Y = y.reshape(m, -1)
+        L = lifter(sys.coefficient_matrix(x, lams))
+        return (np.einsum("mij,mj->mi", L, Y) - shifts * Y).ravel()
 
     xs = np.linspace(x_from, x_to, sys.nseg + 1)
-    y = np.asarray(y0, dtype=complex)
-    log_scale = 0.0
+    Y = np.asarray(y0, dtype=complex).reshape(m, -1)
+    log_scale = np.zeros(m)
+    sys.work["transports"] += 1
     for a, b in zip(xs[:-1], xs[1:]):
-        sol = solve_ivp(rhs, (a, b), y, method="DOP853",
+        sol = solve_ivp(rhs, (a, b), Y.ravel(), method="DOP853",
                         rtol=sys.rtol, atol=sys.atol)
+        sys.work["rhs_calls"] += sol.nfev
+        sys.work["steps"] += sol.t.size - 1
         if not sol.success:
-            raise RuntimeError(f"wedge integration failed on [{a}, {b}]: "
-                               + sol.message)
-        y = sol.y[:, -1]
-        norm = float(np.linalg.norm(y))
-        if not np.isfinite(norm) or norm == 0.0:
-            raise RuntimeError("wedge renormalization broke down "
-                               f"(norm {norm}) near x = {b}")
-        y = y / norm
+            raise RuntimeError(f"wedge integration failed on [{a}, {b}] "
+                               f"for {_lams_text(lams)}: " + sol.message)
+        Y = sol.y[:, -1].reshape(m, -1)
+        norm = np.linalg.norm(Y, axis=1)
+        bad = ~np.isfinite(norm) | (norm == 0.0)
+        if bad.any():
+            raise RuntimeError(
+                f"wedge renormalization broke down on [{a}, {b}] for "
+                f"{_lams_text(lams[bad])} (norms {norm[bad][:6]})")
+        Y = Y / norm[:, None]
         log_scale += np.log(norm)
-    return y, log_scale
+    if scalar:
+        return Y[0], float(log_scale[0])
+    return Y, log_scale
 
 
-def decaying_bases(sys: EvansSystem, lam: complex):
+def decaying_bases(sys: EvansSystem, lam):
     """Both decaying bundles transported to x = 0.
 
-    Returns (w2, log2, w3, log3): the unit 2-wedge of solutions decaying
-    at +inf, the unit 3-wedge decaying at -inf, and their log scales.
+    Returns (w2, log2, w3, log3): the unit 2-wedges of solutions
+    decaying at +inf, the unit 3-wedges decaying at -inf, and their log
+    scales; one batched transport per side for an array of lam.
     """
-    mu_p, V_p = _side_modes(sys, "plus", lam)
+    lams = np.atleast_1d(np.asarray(lam, dtype=complex))
+    mu_p, V_p = _side_modes(sys, "plus", lams)
     i, j = PLUS_PAIR
-    w2_init = wedge2(V_p[:, i], V_p[:, j])
-    w2, log2 = integrate_wedge(sys, lam, "w2", w2_init,
-                               mu_p[i] + mu_p[j], sys.X, 0.0)
+    w2_init = wedge2(V_p[:, :, i], V_p[:, :, j])
+    w2, log2 = integrate_wedge(sys, lams, "w2", w2_init,
+                               mu_p[:, i] + mu_p[:, j], sys.X, 0.0)
 
-    mu_m, V_m = _side_modes(sys, "minus", lam)
+    mu_m, V_m = _side_modes(sys, "minus", lams)
     i, j, k = MINUS_TRIPLE
-    w3_init = wedge3(V_m[:, i], V_m[:, j], V_m[:, k])
-    w3, log3 = integrate_wedge(sys, lam, "w3", w3_init,
-                               mu_m[i] + mu_m[j] + mu_m[k], -sys.X, 0.0)
+    w3_init = wedge3(V_m[:, :, i], V_m[:, :, j], V_m[:, :, k])
+    w3, log3 = integrate_wedge(sys, lams, "w3", w3_init,
+                               mu_m[:, i] + mu_m[:, j] + mu_m[:, k],
+                               -sys.X, 0.0)
+    if np.ndim(lam) == 0:
+        return w2[0], float(log2[0]), w3[0], float(log3[0])
     return w2, log2, w3, log3
 
 
@@ -247,75 +292,101 @@ class EvansSample:
     log_scale: float
 
 
-def evans_value(sys: EvansSystem, lam: complex) -> EvansSample:
-    w2, log2, w3, log3 = decaying_bases(sys, lam)
-    D = pairing(w2, w3) * np.exp(log2 + log3)
-    return EvansSample(complex(lam), complex(D), float(log2 + log3))
+def evans_value(sys: EvansSystem, lam):
+    """D at a scalar lam, or a list of samples for an array of lam."""
+    lams = np.atleast_1d(np.asarray(lam, dtype=complex))
+    w2, log2, w3, log3 = decaying_bases(sys, lams)
+    scale = log2 + log3
+    D = pairing(w2, w3) * np.exp(scale)
+    samples = [EvansSample(complex(z), complex(d), float(s))
+               for z, d, s in zip(lams, D, scale)]
+    return samples[0] if np.ndim(lam) == 0 else samples
 
 
 def make_evaluator(sys: EvansSystem):
-    """Caching D evaluator; returns (function, sample store)."""
+    """Caching D evaluator; returns (function, sample store).
+
+    The function takes a scalar or an array of lam; the points not yet
+    in the store are evaluated together in one batched transport.
+    """
     store: dict[complex, EvansSample] = {}
 
-    def evaluate(lam) -> complex:
-        key = complex(lam)
-        if key not in store:
-            store[key] = evans_value(sys, key)
-        return store[key].D
+    def evaluate(lam):
+        lams = np.asarray(lam, dtype=complex)
+        keys = [complex(z) for z in lams.ravel()]
+        new = [z for z in dict.fromkeys(keys) if z not in store]
+        if new:
+            for sample in evans_value(sys, np.array(new)):
+                store[sample.lam] = sample
+        D = np.array([store[z].D for z in keys]).reshape(lams.shape)
+        return complex(D) if lams.ndim == 0 else D
 
     return evaluate, store
 
 
-def winding_number(evaluate: Callable[[complex], complex], contour: Contour,
+def _values(evaluate, pts: np.ndarray) -> np.ndarray:
+    """evaluate on an array of points; a constant result is broadcast."""
+    return np.broadcast_to(np.asarray(evaluate(pts), dtype=complex),
+                           pts.shape)
+
+
+def winding_number(evaluate: Callable, contour: Contour,
                    phase_tol: float = 0.25 * np.pi, max_rounds: int = 14):
     """Winding of D over a closed contour, with adaptive refinement.
 
     Midpoints are inserted on any edge whose phase step reaches
     phase_tol until all steps resolve; the count is only then rounded.
+    evaluate is called on arrays: once on the contour points and once
+    per refinement round on that round's midpoints.
     Returns (winding, points, values).
     """
     if not contour.closed:
         raise ValueError("winding needs a closed contour")
-    pts = list(np.asarray(contour.points, dtype=complex))
-    vals = [evaluate(z) for z in pts]
+    pts = np.asarray(contour.points, dtype=complex)
+    vals = _values(evaluate, pts)
 
     for _ in range(max_rounds):
-        if any(v == 0.0 for v in vals):
+        if np.any(vals == 0.0):
             raise RuntimeError("contour passes through a zero of D")
-        steps = [np.angle(vals[(k + 1) % len(vals)] / vals[k])
-                 for k in range(len(vals))]
-        bad = [k for k, a in enumerate(steps) if abs(a) >= phase_tol]
-        if not bad:
-            total = sum(steps) / (2.0 * np.pi)
+        steps = np.angle(np.roll(vals, -1) / vals)
+        bad = np.flatnonzero(np.abs(steps) >= phase_tol)
+        if bad.size == 0:
+            total = np.sum(steps) / (2.0 * np.pi)
             w = int(round(total))
             if abs(total - w) > 0.01:
                 raise RuntimeError(
                     f"phase increments do not close up (sum {total:.3e}); "
                     "contour may pass near a zero")
-            return w, np.array(pts), np.array(vals)
-        for off, k in enumerate(bad):
-            mid = 0.5 * (pts[k + off] + pts[(k + off + 1) % len(pts)])
-            pts.insert(k + off + 1, mid)
-            vals.insert(k + off + 1, evaluate(mid))
+            return w, pts, vals
+        mids = 0.5 * (pts[bad] + pts[(bad + 1) % pts.size])
+        pts = np.insert(pts, bad + 1, mids)
+        vals = np.insert(vals, bad + 1, _values(evaluate, mids))
     raise RuntimeError("phase steps stayed above the resolution bound "
                        "after maximal refinement; shrink the contour")
 
 
-def evans_derivative_origin(evaluate: Callable[[complex], complex],
-                            rho: float, n_quad: int = 32):
+def derivative_points(rho: float, n_quad: int = 32) -> np.ndarray:
+    """The n_quad Cauchy nodes on |lam| = rho, then 2h, h, -h, -2h."""
+    h = rho / 10.0
+    nodes = rho * np.exp(2j * np.pi * np.arange(n_quad) / n_quad)
+    return np.concatenate([nodes, [2 * h, h, -h, -2 * h]])
+
+
+def evans_derivative_origin(evaluate: Callable, rho: float,
+                            n_quad: int = 32):
     """D'(0) by Cauchy quadrature on |lam| = rho and by differences.
 
     For analytic D with D(0) = 0 the trapezoid sum (1/n) sum D(l_k)/l_k
     over the n-th roots of unity scaled by rho converges spectrally;
     the five-point central difference at rho/10 is the independent
-    cross-check.
+    cross-check.  All points go to evaluate in one array.
     """
-    lams = rho * np.exp(2j * np.pi * np.arange(n_quad) / n_quad)
-    cauchy = sum(evaluate(l) / l for l in lams) / n_quad
-
+    pts = derivative_points(rho, n_quad)
+    vals = _values(evaluate, pts)
+    cauchy = complex(np.sum(vals[:n_quad] / pts[:n_quad]) / n_quad)
+    d2h, dh, dmh, dm2h = vals[n_quad:]
     h = rho / 10.0
-    fd = (-evaluate(2 * h) + 8 * evaluate(h)
-          - 8 * evaluate(-h) + evaluate(-2 * h)) / (12.0 * h)
+    fd = complex((-d2h + 8 * dh - 8 * dmh + dm2h) / (12.0 * h))
     return cauchy, fd
 
 
@@ -345,12 +416,12 @@ def gamma_transversality(sys: EvansSystem, factor_tol: float = 1e-6) -> GammaRes
     if sys.params.delta_s == 0.0:
         raise ValueError("zero-amplitude wave has no connection coefficient")
 
-    mu_m, V_m = _side_modes(sys, "minus", 0.0)
+    mu_m, V_m = _side_modes(sys, "minus", np.zeros(1))
     w2, log2, w3, log3 = decaying_bases(sys, 0.0)
     i, j = MINUS_FAST
-    wf_init = wedge2(V_m[:, i], V_m[:, j])
+    wf_init = wedge2(V_m[0, :, i], V_m[0, :, j])
     wf, logf = integrate_wedge(sys, 0.0, "w2", wf_init,
-                               mu_m[i] + mu_m[j], -sys.X, 0.0)
+                               mu_m[0, i] + mu_m[0, j], -sys.X, 0.0)
 
     W0 = sys.W0_mid
     phi2, res2 = solve_wedge_factor(W0, w2 * np.exp(log2))
@@ -403,6 +474,7 @@ class EvansReport:
     sign_match: bool
     gamma: GammaResult
     samples: tuple[EvansSample, ...]
+    work: dict
 
     def as_dict(self) -> dict:
         return {
@@ -419,6 +491,7 @@ class EvansReport:
             "Delta": self.Delta,
             "factorization_residual": self.factorization_residual,
             "sign_match": self.sign_match,
+            "work": self.work,
         }
 
 
@@ -429,11 +502,16 @@ def evans_report(sys: EvansSystem, rho: Optional[float] = None,
     if rho is None:
         rho = 0.5 * r
     evaluate, store = make_evaluator(sys)
+    work0 = dict(sys.work)
 
-    D0 = evaluate(0.0)
     circle = circle_contour(rho, n_circle)
+    dcont = d_contour(rho, r)
+    # every first-round point in one batched transport per side
+    evaluate(np.concatenate([[0.0], circle.points, dcont.points,
+                             derivative_points(rho, n_circle)]))
+    D0 = evaluate(0.0)
     w_circle, _, circle_vals = winding_number(evaluate, circle)
-    w_d, _, _ = winding_number(evaluate, d_contour(rho, r))
+    w_d, _, _ = winding_number(evaluate, dcont)
     dc, dfd = evans_derivative_origin(evaluate, rho, n_quad=n_circle)
     agree = abs(dc - dfd) / max(abs(dc), abs(dfd))
 
@@ -445,6 +523,8 @@ def evans_report(sys: EvansSystem, rho: Optional[float] = None,
 
     samples = tuple(store[k] for k in sorted(store, key=lambda z: (z.real,
                                                                    z.imag)))
+    work = {k: v - work0[k] for k, v in sys.work.items()}
+    work["samples"] = len(store)
     return EvansReport(
         radius=r, rho=rho, D0=D0,
         circle_max=float(np.max(np.abs(circle_vals))),
@@ -452,7 +532,7 @@ def evans_report(sys: EvansSystem, rho: Optional[float] = None,
         Dprime_cauchy=dc, Dprime_fd=dfd, derivative_agreement=float(agree),
         Gamma=gam.Gamma, Delta=delta,
         factorization_residual=float(fac_res), sign_match=sign_match,
-        gamma=gam, samples=samples)
+        gamma=gam, samples=samples, work=work)
 
 
 def write_evans_csv(samples, path) -> None:

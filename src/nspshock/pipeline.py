@@ -47,7 +47,7 @@ _DEPS = {
     "dispersion": (),
     "evans": ("profile",),
     "transversality": ("profile",),
-    "poisson": ("profile",),
+    "poisson": (),
 }
 
 

@@ -18,7 +18,10 @@ from nspshock.evans import (
     winding_number,
     write_evans_csv,
 )
+from nspshock.params import solve_rankine_hugoniot
 from nspshock.wedge import pairing, wedge2, wedge3
+
+from conftest import make_params
 
 # reduced resolution keeps the suite quick; the acceptance run uses the
 # production defaults
@@ -78,6 +81,24 @@ def test_winding_error_paths():
         winding_number(lambda z: z**3, circle_contour(1.0, 4), max_rounds=1)
 
 
+def test_winding_batches_each_refinement_round():
+    # z^3 on 8 points refines every edge twice (phase steps 3pi/4, then
+    # 3pi/8) before all steps drop below pi/4
+    sizes = []
+
+    def counting(z):
+        sizes.append(np.size(z))
+        return z**3
+
+    w, pts, _ = winding_number(counting, circle_contour(1.0, 8))
+    assert w == 3
+    assert sizes == [8, 8, 16]
+    assert len(pts) == sum(sizes)
+    # a constant evaluator returns a scalar for the whole array
+    w, _, _ = winding_number(lambda z: 2.7 + 0j, circle_contour(1.0, 8))
+    assert w == 0
+
+
 def test_derivative_origin_synthetic():
     dc, dfd = evans_derivative_origin(lambda z: z, 0.3)
     assert abs(dc - 1.0) < 1e-13
@@ -85,6 +106,18 @@ def test_derivative_origin_synthetic():
     dc, dfd = evans_derivative_origin(lambda z: z + z**3, 0.1)
     assert abs(dc - 1.0) < 1e-8
     assert abs(dfd - 1.0) < 1e-8
+
+
+def _frozen_minus_system(params, end):
+    """EvansSystem on [-40, 0] with the coefficients of the minus limit."""
+    A0c, A1c = limit_matrix_coeffs(params, end, "minus")
+    x = np.linspace(-40.0, 0.0, 81)
+    stacked = np.concatenate([A0c.ravel(), A1c.ravel(), np.zeros(25)])
+    return EvansSystem(
+        params=params, end=end, X=40.0, n=81,
+        spline=CubicSpline(x, np.tile(stacked, (81, 1)), axis=0),
+        W0_mid=np.zeros(5), b1_mid=0.0, b2_mid=0.0, disk_radius=1e-3,
+        boundary_gap=0.0, rtol=1e-12, atol=1e-14, nseg=4)
 
 
 def test_frozen_coefficients_transport_eigenwedge(params_ref, end_ref):
@@ -97,17 +130,29 @@ def test_frozen_coefficients_transport_eigenwedge(params_ref, end_ref):
     w3_init = wedge3(V[:, order[0]], V[:, order[1]], V[:, order[2]])
     shift = mu[order].sum()
 
-    x = np.linspace(-40.0, 0.0, 81)
-    stacked = np.concatenate([A0c.ravel(), A1c.ravel(), np.zeros(25)])
-    frozen = EvansSystem(
-        params=params_ref, end=end_ref, X=40.0, n=81,
-        spline=CubicSpline(x, np.tile(stacked, (81, 1)), axis=0),
-        W0_mid=np.zeros(5), b1_mid=0.0, b2_mid=0.0, disk_radius=1e-3,
-        boundary_gap=0.0, rtol=1e-12, atol=1e-14, nseg=4)
+    frozen = _frozen_minus_system(params_ref, end_ref)
     y, log_scale = integrate_wedge(frozen, lam, "w3", w3_init, shift,
                                    -40.0, 0.0)
     final = y * np.exp(log_scale)
     assert np.linalg.norm(final - w3_init) < 1e-9 * np.linalg.norm(w3_init)
+
+
+def test_transport_failures_name_segment_and_lambda(params_ref, end_ref):
+    frozen = _frozen_minus_system(params_ref, end_ref)
+    lams = np.array([1e-4, 2e-4j, 3e-4])
+    y0 = np.ones((3, 10), dtype=complex)
+    # a row with nothing to renormalize breaks down on the first segment
+    y0[2] = 0.0
+    with pytest.raises(RuntimeError, match=r"broke down on \[-40.0, -30.0\] "
+                       r"for lam = \[0\.0003\+0j\]"):
+        integrate_wedge(frozen, lams, "w3", y0, np.zeros(3), -40.0, 0.0)
+    # a non-finite coefficient table from x = -10 on stalls the solver
+    frozen.spline.c[:, 60:, 0] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(
+            RuntimeError, match=r"failed on \[-20.0, -10.0\] for lam = "
+            r"\[0\.0001\+0j, 0\+0\.0002j, 0\.0003\+0j\]"):
+        integrate_wedge(frozen, lams, "w3", np.ones((3, 10)), np.zeros(3),
+                        -40.0, 0.0)
 
 
 def test_boundary_gap_rejects_short_domain(params_ref, end_ref):
@@ -171,6 +216,33 @@ def test_nonzero_beyond_validated_disk(esys, params_ref, end_ref):
     assert abs(pairing(w2, w3)) > 1e-4
 
 
+@pytest.fixture(scope="module", params=[0.1, 0.17],
+                ids=["delta0.1", "delta0.17"])
+def agreement_system(request):
+    # the production grid and tolerances; see the test below
+    params = make_params(request.param)
+    end = solve_rankine_hugoniot(params)
+    return build_evans_system(evans_grid(params, end))
+
+
+def test_batched_transport_matches_one_at_a_time(agreement_system):
+    # DOP853 controls the RMS error of the whole batched state, so the
+    # step sizes are shared by all lam; this must cost nothing against
+    # one lam per integration.  On coarser grids (h = 0.1 as in the esys
+    # fixture, or 0.05) one-at-a-time D is itself off by 1e-11 to 1.5e-10
+    # from a tightly integrated value, so only the production grid
+    # (h about 0.025) makes a 1e-10 agreement a test of the batching
+    rho = 0.5 * agreement_system.disk_radius
+    lams = (rho * np.linspace(0.3, 1.9, 8)
+            * np.exp(2j * np.pi * (np.arange(8) + 0.3) / 8))
+    batched = evans_value(agreement_system, lams)
+    assert [s.lam for s in batched] == list(lams)
+    for sample, lam in zip(batched, lams):
+        single = evans_value(agreement_system, lam)
+        assert abs(sample.D - single.D) <= 1e-10 * abs(single.D)
+        assert abs(sample.log_scale - single.log_scale) <= 1e-9
+
+
 def test_domain_doubling_leaves_bundles_fixed(esys, params_ref, end_ref):
     big = build_evans_system(evans_grid(params_ref, end_ref, X=2.0 * esys.X,
                                         n=2 * _N_TEST - 1),
@@ -194,6 +266,15 @@ def test_zero_amplitude_rejected(esys):
         b2_mid=esys.b2_mid, disk_radius=esys.disk_radius, boundary_gap=0.0)
     with pytest.raises(ValueError, match="amplitude"):
         gamma_transversality(flat)
+
+
+def test_report_counts_its_transport_work(report):
+    work = report.work
+    assert work["samples"] == len(report.samples)
+    # one batched transport per side and round, three more for Gamma
+    assert work["transports"] >= 5 and work["transports"] % 2 == 1
+    assert work["rhs_calls"] > work["steps"] > 0
+    assert report.as_dict()["work"] == work
 
 
 def test_csv_roundtrip(report, tmp_path):

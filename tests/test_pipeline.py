@@ -85,6 +85,15 @@ def test_dependency_auto_enabled(tmp_path):
     assert (tmp_path / "out" / "profile.csv").exists()
 
 
+def test_poisson_alone_solves_no_profile_task(tmp_path):
+    cfg = write_config(tmp_path)
+    assert main(["run", "--config", str(cfg), "--tasks", "poisson"]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert list(report["tasks"]) == ["poisson"]
+    assert report["tasks"]["poisson"]["passed"] is True
+    assert not (tmp_path / "out" / "profile.csv").exists()
+
+
 def test_out_flag_overrides_config(tmp_path):
     cfg = write_config(tmp_path)
     other = tmp_path / "elsewhere"
