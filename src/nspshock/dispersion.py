@@ -129,13 +129,22 @@ def default_xi_grid(n: int = 10000, half_width: float = 50.0) -> np.ndarray:
     return np.linspace(-half_width, half_width, n)
 
 
+# rows formatted per block: Python floats format about twice as fast as
+# numpy scalars, and converting a whole 10000-row curve at once leaves
+# the process a few MB larger for the rest of the run
+_CSV_BLOCK = 256
+
+
 def write_spectrum_csv(curves, path) -> None:
     """CSV export, columns xi,re_l1,im_l1,re_l2,im_l2,margin,side."""
     with open(path, "w") as fh:
         fh.write("xi,re_l1,im_l1,re_l2,im_l2,margin,side\n")
         for c in curves:
-            for i in range(c.xi.shape[0]):
-                fh.write(f"{c.xi[i]:.16e},{c.lam1[i].real:.16e},"
-                         f"{c.lam1[i].imag:.16e},{c.lam2[i].real:.16e},"
-                         f"{c.lam2[i].imag:.16e},{c.margin[i]:.16e},"
-                         f"{c.side}\n")
+            table = (c.xi, c.lam1.real, c.lam1.imag, c.lam2.real,
+                     c.lam2.imag, c.margin)
+            for start in range(0, c.xi.shape[0], _CSV_BLOCK):
+                block = (col[start:start + _CSV_BLOCK].tolist()
+                         for col in table)
+                for xi, re1, im1, re2, im2, margin in zip(*block):
+                    fh.write(f"{xi:.16e},{re1:.16e},{im1:.16e},{re2:.16e},"
+                             f"{im2:.16e},{margin:.16e},{c.side}\n")

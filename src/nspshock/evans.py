@@ -12,14 +12,21 @@ renormalization factors are returned to log scale and multiplied back,
 so the computed value stays the analytic determinant.
 
 Many lam are transported at once: the m wedges of a batch form one
-(m, 10) state, integrated by one DOP853 solve per segment, with one
-coefficient lookup per x for the whole batch and a norm and log scale
-per wedge.  The step control then bounds the RMS error over the batch
-instead of each wedge's own; the agreement test in tests/test_evans.py
-holds batched D to one-lam-at-a-time D within 1e-10 relative on the
-production grid.  A run evaluates its first-round samples (origin,
-both contours, the Cauchy and difference points) in one batch and each
-winding-refinement round in one more.
+(m, 10) state, integrated by one DOP853 solve per segment, with a norm
+and log scale per wedge.  The step control then bounds the RMS error
+over the batch instead of each wedge's own; the agreement test in
+tests/test_evans.py holds batched D to one-lam-at-a-time D within 1e-10
+relative on the production grid.  A run evaluates its first-round
+samples (origin, both contours, the Cauchy and difference points) in
+one batch and each winding-refinement round in one more.
+
+Each right-hand-side call finds its cell of the uniform coefficient
+grid in O(1), evaluates the cell's cubic for the stacked A0, A1, A2 of
+A(x, lam) = A0 + lam A1 + lam^2 A2, lifts those three matrices once
+(lifting is linear) and applies them to all m wedges, combining the
+products per lam.  The starting eigenvectors of a batch are continued
+from lam = 0 in lockstep (modes.analytic_eigenpairs).  Gamma reuses the
+wedges of the lam = 0 sample and transports only the fast pair at -inf.
 
 Initial data at the cut ends come from the analytically continued
 eigenvectors of the limit matrices, so D inherits analyticity in lam
@@ -67,6 +74,7 @@ from .wedge import (
 PLUS_PAIR = (0, 1)        # gamma1+, gamma2+ decay as x -> +inf
 MINUS_TRIPLE = (0, 2, 4)  # gamma1-, gamma3-, slow branch decay as x -> -inf
 MINUS_FAST = (0, 2)       # the two fast columns of the minus bundle
+WORK_COUNTS = ("transports", "rhs_calls", "steps")
 
 
 @dataclass(frozen=True)
@@ -121,16 +129,35 @@ class EvansSystem:
     atol: float = 1e-14
     nseg: int = 14
     path_points: int = 12
-    # running totals of the wedge transports made with this system
-    work: dict = field(default_factory=lambda: dict.fromkeys(
-        ("transports", "rhs_calls", "steps"), 0), repr=False)
+    # running totals of the wedge transports made with this system, per
+    # wedge ("plus_w2", "minus_w3", "minus_w2"); see integrate_wedge
+    work: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        x = self.spline.x
+        self._x0 = x[0]
+        self._h = (x[-1] - x[0]) / (x.size - 1)
+        if not np.allclose(np.diff(x), self._h, rtol=1e-9, atol=0.0):
+            raise ValueError("coefficient spline needs a uniform grid")
+
+    def coefficients(self, x: float) -> np.ndarray:
+        """A0, A1, A2 at x as a (3, 5, 5) stack.
+
+        The cell of x on the uniform grid is found in O(1) and its cubic
+        is evaluated from the spline's coefficient table in place;
+        outside the grid the end cells extrapolate, as the spline does.
+        """
+        c = self.spline.c
+        i = min(max(int((x - self._x0) / self._h), 0), c.shape[1] - 1)
+        t = x - self.spline.x[i]
+        return (np.array([t * t * t, t * t, t, 1.0]) @ c[:, i]).reshape(
+            3, 5, 5)
 
     def coefficient_matrix(self, x: float, lam) -> np.ndarray:
         """A(x, lam), shape (5, 5) or (m, 5, 5) for an array of m lam."""
-        c = self.spline(x)
-        lam = np.asarray(lam)[..., None]
-        A = c[:25] + lam * c[25:50] + lam * lam * c[50:75]
-        return A.reshape(lam.shape[:-1] + (5, 5))
+        A0, A1, A2 = self.coefficients(x)
+        lam = np.asarray(lam)[..., None, None]
+        return A0 + lam * A1 + lam * lam * A2
 
 
 def evans_grid(params: PlasmaParams, end: ShockEndstates,
@@ -191,23 +218,41 @@ def build_evans_system(grid: ProfileGrid, rtol: float = 1e-12,
 
 
 def _side_modes(sys: EvansSystem, side: str, lams: np.ndarray):
-    """Continued eigenpairs at each lam: mu (m, 5) and V (m, 5, 5)."""
-    mus, Vs = [], []
-    for lam in lams:
-        if lam == 0:
-            path = np.array([0.0], dtype=complex)
-        else:
-            path = np.linspace(0.0, lam, sys.path_points)
-        mp = analytic_eigenpairs(sys.params, sys.end, side, path)
-        mus.append(mp.mu[-1])
-        Vs.append(mp.V[-1])
-    return np.array(mus), np.array(Vs)
+    """Continued eigenpairs at each lam: mu (m, 5) and V (m, 5, 5).
+
+    The straight paths from 0 to every lam are continued in lockstep.
+    """
+    path = np.linspace(0.0, lams, sys.path_points)
+    mp = analytic_eigenpairs(sys.params, sys.end, side, path)
+    return mp.mu[-1], mp.V[-1]
 
 
 def _lams_text(lams: np.ndarray) -> str:
     shown = ", ".join(f"{complex(z):.6g}" for z in lams[:6])
     more = f", ... ({lams.size} values)" if lams.size > 6 else ""
     return f"lam = [{shown}{more}]"
+
+
+def wedge_rhs(sys: EvansSystem, which: str, lams: np.ndarray,
+              shifts: np.ndarray):
+    """Right-hand side y' = lift(A(x, lam)) y - shift y of m stacked wedges.
+
+    The state is m wedges of length 10, one per lam and shift.  Since
+    A(x, lam) = A0 + lam A1 + lam^2 A2 and lifting is linear, each call
+    lifts the three coefficient matrices at x once, applies the lifts to
+    all m wedges and combines the products per lam by Horner's rule.
+    """
+    lifter = lift2 if which == "w2" else lift3
+    m = lams.size
+    lam = lams[:, None]
+    shift = shifts[:, None]
+
+    def rhs(x, y):
+        Y = y.reshape(m, -1)
+        Z0, Z1, Z2 = Y @ lifter(sys.coefficients(x)).transpose(0, 2, 1)
+        return (Z0 + lam * (Z1 + lam * Z2) - shift * Y).ravel()
+
+    return rhs
 
 
 def integrate_wedge(sys: EvansSystem, lam, which: str, y0, shift,
@@ -221,28 +266,28 @@ def integrate_wedge(sys: EvansSystem, lam, which: str, y0, shift,
     its own log scale; a scalar lam gives a (10,) vector and a float.
     which selects the Lambda^2 or Lambda^3 lift.  The renormalization
     factors are real and positive, so multiplying them back preserves
-    analyticity of anything built from the result.
+    analyticity of anything built from the result.  The work goes to
+    sys.work under the side the transport starts from and which, e.g.
+    "plus_w2".
     """
-    lifter = lift2 if which == "w2" else lift3
     scalar = np.ndim(lam) == 0
     lams = np.atleast_1d(np.asarray(lam, dtype=complex))
     m = lams.size
-    shifts = np.broadcast_to(np.asarray(shift, dtype=complex), (m,))[:, None]
-
-    def rhs(x, y):
-        Y = y.reshape(m, -1)
-        L = lifter(sys.coefficient_matrix(x, lams))
-        return (np.einsum("mij,mj->mi", L, Y) - shifts * Y).ravel()
+    rhs = wedge_rhs(sys, which, lams,
+                    np.broadcast_to(np.asarray(shift, dtype=complex), (m,)))
 
     xs = np.linspace(x_from, x_to, sys.nseg + 1)
     Y = np.asarray(y0, dtype=complex).reshape(m, -1)
     log_scale = np.zeros(m)
-    sys.work["transports"] += 1
+    work = sys.work.setdefault(
+        f"{'plus' if x_from > x_to else 'minus'}_{which}",
+        dict.fromkeys(WORK_COUNTS, 0))
+    work["transports"] += 1
     for a, b in zip(xs[:-1], xs[1:]):
         sol = solve_ivp(rhs, (a, b), Y.ravel(), method="DOP853",
                         rtol=sys.rtol, atol=sys.atol)
-        sys.work["rhs_calls"] += sol.nfev
-        sys.work["steps"] += sol.t.size - 1
+        work["rhs_calls"] += sol.nfev
+        work["steps"] += sol.t.size - 1
         if not sol.success:
             raise RuntimeError(f"wedge integration failed on [{a}, {b}] "
                                f"for {_lams_text(lams)}: " + sol.message)
@@ -287,9 +332,15 @@ def decaying_bases(sys: EvansSystem, lam):
 
 @dataclass(frozen=True)
 class EvansSample:
+    """D at lam, with the decaying bases it pairs (see decaying_bases)."""
+
     lam: complex
     D: complex
     log_scale: float
+    w2: np.ndarray = field(repr=False, compare=False)
+    log2: float = field(repr=False, compare=False)
+    w3: np.ndarray = field(repr=False, compare=False)
+    log3: float = field(repr=False, compare=False)
 
 
 def evans_value(sys: EvansSystem, lam):
@@ -298,8 +349,9 @@ def evans_value(sys: EvansSystem, lam):
     w2, log2, w3, log3 = decaying_bases(sys, lams)
     scale = log2 + log3
     D = pairing(w2, w3) * np.exp(scale)
-    samples = [EvansSample(complex(z), complex(d), float(s))
-               for z, d, s in zip(lams, D, scale)]
+    samples = [EvansSample(complex(z), complex(d), float(s),
+                           w2[k], float(log2[k]), w3[k], float(log3[k]))
+               for k, (z, d, s) in enumerate(zip(lams, D, scale))]
     return samples[0] if np.ndim(lam) == 0 else samples
 
 
@@ -402,8 +454,13 @@ class GammaResult:
     containment_minus: float
 
 
-def gamma_transversality(sys: EvansSystem, factor_tol: float = 1e-6) -> GammaResult:
+def gamma_transversality(sys: EvansSystem, origin: EvansSample,
+                         factor_tol: float = 1e-6) -> GammaResult:
     """Connection coefficient Gamma from the lam = 0 bundles.
+
+    origin is the sample of D at lam = 0, e.g. evans_value(sys, 0.0);
+    its bundles are reused, and only the fast pair at -inf is
+    transported here.
 
     The wave derivative W0 lies in both bundles; the least-squares
     factors phi2+ (completing W0 in the 2-plane decaying at +inf) and
@@ -415,9 +472,11 @@ def gamma_transversality(sys: EvansSystem, factor_tol: float = 1e-6) -> GammaRes
     """
     if sys.params.delta_s == 0.0:
         raise ValueError("zero-amplitude wave has no connection coefficient")
+    if origin.lam != 0:
+        raise ValueError(f"Gamma needs the sample at lam = 0, got {origin.lam}")
 
     mu_m, V_m = _side_modes(sys, "minus", np.zeros(1))
-    w2, log2, w3, log3 = decaying_bases(sys, 0.0)
+    w2, log2, w3 = origin.w2, origin.log2, origin.w3
     i, j = MINUS_FAST
     wf_init = wedge2(V_m[0, :, i], V_m[0, :, j])
     wf, logf = integrate_wedge(sys, 0.0, "w2", wf_init,
@@ -502,7 +561,7 @@ def evans_report(sys: EvansSystem, rho: Optional[float] = None,
     if rho is None:
         rho = 0.5 * r
     evaluate, store = make_evaluator(sys)
-    work0 = dict(sys.work)
+    work0 = {key: dict(counts) for key, counts in sys.work.items()}
 
     circle = circle_contour(rho, n_circle)
     dcont = d_contour(rho, r)
@@ -515,7 +574,7 @@ def evans_report(sys: EvansSystem, rho: Optional[float] = None,
     dc, dfd = evans_derivative_origin(evaluate, rho, n_quad=n_circle)
     agree = abs(dc - dfd) / max(abs(dc), abs(dfd))
 
-    gam = gamma_transversality(sys)
+    gam = gamma_transversality(sys, store[0j])
     delta = liu_majda_delta(sys.params, sys.end)
     prod = gam.Gamma * delta
     fac_res = abs(dc - prod) / abs(prod)
@@ -523,8 +582,12 @@ def evans_report(sys: EvansSystem, rho: Optional[float] = None,
 
     samples = tuple(store[k] for k in sorted(store, key=lambda z: (z.real,
                                                                    z.imag)))
-    work = {k: v - work0[k] for k, v in sys.work.items()}
+    by_wedge = {key: {k: n - work0.get(key, {}).get(k, 0)
+                      for k, n in counts.items()}
+                for key, counts in sys.work.items()}
+    work = {k: sum(c[k] for c in by_wedge.values()) for k in WORK_COUNTS}
     work["samples"] = len(store)
+    work["by_wedge"] = by_wedge
     return EvansReport(
         radius=r, rho=rho, D0=D0,
         circle_max=float(np.max(np.abs(circle_vals))),

@@ -5,8 +5,8 @@ of a cubic; two "slow" rates vanish linearly in lam with scalar
 convection-diffusion expansions mu = lam/a - lam^2 b/a^3 + O(lam^3).
 This module labels the fast roots, packages the slow data, and
 continues all five eigenpairs analytically in lam by path-marching
-with assignment matching (the matrix is nonnormal, so branches are
-tracked rather than sorted).
+with nearest-prediction matching (the matrix is nonnormal, so branches
+are tracked rather than sorted).
 
 Eigenvector normalization: the component of largest modulus of each
 base eigenvector at lam=0 is pinned to its base value along the whole
@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .eigensystem import limit_matrix_coeffs
 from .params import PlasmaParams, ShockEndstates
@@ -134,7 +133,8 @@ class ModePath:
 
     mu[k, j] and V[k, :, j] follow branch j: columns 0..2 are the fast
     branches (gamma1..3 at lam=0), columns 3..4 the slow branches
-    paired with a1, a2.
+    paired with a1, a2.  For m paths in lockstep, lam has shape (P, m)
+    and mu, V carry the path index i after the step: mu[k, i, j].
     """
 
     lam: np.ndarray
@@ -156,30 +156,39 @@ def _base_state(params, end, side):
 
 
 def _eig_step(A0c, A1c, lam, pred, pins, targets):
-    """Eigen-decompose at one lam and match branches to predictions.
+    """Eigen-decompose at k values of lam and match branches to predictions.
 
-    Returns (mu, V, ok): ok is False when the assignment margin is too
-    thin to trust the labeling at this step size.
+    lam has shape (k,) and pred (k, 5); one stacked eig serves all k.
+    Each eigenvalue takes the branch of its nearest prediction.  Returns
+    (mu, V, ok) of shapes (k, 5), (k, 5, 5) and (k,): ok is False where
+    the labeling is too thin to trust at this step size, i.e. where the
+    nearest predictions do not form a permutation, some eigenvalue is
+    not much closer to its own prediction than to any competing one, or
+    an eigenvector vanishes at its pinned component.  Wherever ok holds
+    the labels are the unique minimum-cost assignment.
     """
-    w, vec = np.linalg.eig(A0c + lam * A1c)
-    cost = np.abs(w[:, None] - pred[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    mu = np.empty(5, dtype=complex)
-    V = np.empty((5, 5), dtype=complex)
-    ok = True
-    for p, q in zip(rows, cols):
-        mu[q] = w[p]
-        col = vec[:, p]
-        piv = col[pins[q]]
-        if abs(piv) < 1e-12:
-            return mu, V, False
-        V[:, q] = col * (targets[q] / piv)
-        # the labeling is trustworthy when each eigenvalue is much
-        # closer to its own prediction than to any competing one
-        others = np.delete(cost[p], q)
-        rivals = np.delete(cost[:, q], p)
-        if cost[p, q] > 0.4 * min(others.min(), rivals.min()):
-            ok = False
+    w, vec = np.linalg.eig(A0c + lam[:, None, None] * A1c)
+    cost = np.abs(w[:, :, None] - pred[:, None, :])   # (k, eigenvalue, branch)
+    k = np.arange(lam.size)[:, None]
+    rows = np.arange(5)
+    label = np.argmin(cost, axis=2)                   # branch of each eigenvalue
+    matched = cost[k, rows, label]
+    rivals = cost.copy()
+    rivals[k, rows, label] = np.inf
+    nearest_rival = np.minimum(rivals.min(axis=2),
+                               rivals.min(axis=1)[k, label])
+    ok = (np.all(np.sort(label, axis=1) == rows, axis=1)
+          & np.all(matched <= 0.4 * nearest_rival, axis=1))
+
+    # eigenvalue p of column i goes to branch label[i, p]
+    mu = np.zeros_like(w)
+    mu[k, label] = w
+    V = np.zeros_like(vec)
+    V[k, :, label] = np.swapaxes(vec, 1, 2)
+    piv = V[k, pins, rows]
+    usable = np.abs(piv) >= 1e-12
+    ok &= np.all(usable, axis=1)
+    V *= (targets / np.where(usable, piv, 1.0))[:, None, :]
     return mu, V, ok
 
 
@@ -190,9 +199,10 @@ def _march(A0c, A1c, lam0, mu0, mu_prev_slope, lam1, pins, targets, depth):
     Returns list of (lam, mu, V) at interval endpoints visited (lam1 last).
     """
     pred = mu0 + mu_prev_slope * (lam1 - lam0)
-    mu1, V1, ok = _eig_step(A0c, A1c, lam1, pred, pins, targets)
-    if ok:
-        return [(lam1, mu1, V1)]
+    mu1, V1, ok = _eig_step(A0c, A1c, np.array([lam1]), pred[None], pins,
+                            targets)
+    if ok[0]:
+        return [(lam1, mu1[0], V1[0])]
     if depth <= 0:
         raise RuntimeError("eigenvalue branches could not be separated; "
                            "reduce the path radius")
@@ -212,41 +222,53 @@ def analytic_eigenpairs(params: PlasmaParams, end: ShockEndstates, side: str,
 
     lam_path must start at 0 (the base point, where the slow branches
     are seeded by their expansions lam/a_j and the limiting vectors).
+    A path of shape (P, m) holds m paths continued in lockstep: each
+    step makes one stacked eigen-decomposition for all m, and only the
+    paths whose labels are ambiguous at that step are bisected, one at a
+    time.  Each path gets the eigenpairs it would get on its own.
     """
     lam_path = np.asarray(lam_path, dtype=complex)
-    if lam_path.shape[0] == 0 or lam_path[0] != 0:
+    if lam_path.shape[0] == 0 or np.any(lam_path[0] != 0):
         raise ValueError("path must start at lam = 0")
+    paths = lam_path.reshape(lam_path.shape[0], -1)
 
     A0c, A1c = limit_matrix_coeffs(params, end, side)
     fr, slow, mu0, V0, pins, targets = _base_state(params, end, side)
 
     # slope at the base point: fast branches move at O(lam) rates we do
     # not know yet (use 0), slow branches at 1/a_j
-    slope = np.zeros(5, dtype=complex)
-    slope[3] = 1.0 / slow.a1
-    slope[4] = 1.0 / slow.a2
+    slope = np.zeros((paths.shape[1], 5), dtype=complex)
+    slope[:, 3] = 1.0 / slow.a1
+    slope[:, 4] = 1.0 / slow.a2
 
-    out_mu = [mu0]
-    out_V = [V0]
-    lam_cur, mu_cur, V_cur = lam_path[0], mu0, V0
-    slope_cur = slope
-    for lam_next in lam_path[1:]:
-        if lam_next == lam_cur:
-            out_mu.append(mu_cur)
-            out_V.append(V_cur)
+    mu = np.empty(paths.shape + (5,), dtype=complex)
+    V = np.empty(paths.shape + (5, 5), dtype=complex)
+    mu[0], V[0] = mu0, V0
+    for k in range(1, paths.shape[0]):
+        lam0, lam1 = paths[k - 1], paths[k]
+        mu[k], V[k] = mu[k - 1], V[k - 1]
+        moving = np.flatnonzero(lam1 != lam0)
+        if moving.size == 0:
             continue
-        visited = _march(A0c, A1c, lam_cur, mu_cur, slope_cur, lam_next,
-                         pins, targets, max_depth)
-        lam_new, mu_new, V_new = visited[-1]
-        if len(visited) >= 2:
-            lam_prev, mu_prev, _ = visited[-2]
-        else:
-            lam_prev, mu_prev = lam_cur, mu_cur
-        slope_cur = (mu_new - mu_prev) / (lam_new - lam_prev)
-        lam_cur, mu_cur, V_cur = lam_new, mu_new, V_new
-        out_mu.append(mu_cur)
-        out_V.append(V_cur)
-    return ModePath(lam=lam_path, mu=np.array(out_mu), V=np.array(out_V))
+        dlam = (lam1 - lam0)[moving, None]
+        mu1, V1, ok = _eig_step(A0c, A1c, lam1[moving],
+                                mu[k - 1, moving] + slope[moving] * dlam,
+                                pins, targets)
+        done = moving[ok]
+        mu[k, done], V[k, done] = mu1[ok], V1[ok]
+        slope[done] = (mu1[ok] - mu[k - 1, done]) / dlam[ok]
+        for i in moving[~ok]:
+            visited = _march(A0c, A1c, lam0[i], mu[k - 1, i], slope[i],
+                             lam1[i], pins, targets, max_depth)
+            lam_new, mu[k, i], V[k, i] = visited[-1]
+            if len(visited) >= 2:
+                lam_prev, mu_prev, _ = visited[-2]
+            else:
+                lam_prev, mu_prev = lam0[i], mu[k - 1, i]
+            slope[i] = (mu[k, i] - mu_prev) / (lam_new - lam_prev)
+    shape = lam_path.shape
+    return ModePath(lam=lam_path, mu=mu.reshape(shape + (5,)),
+                    V=V.reshape(shape + (5, 5)))
 
 
 def splitting_counts(params: PlasmaParams, end: ShockEndstates, side: str,

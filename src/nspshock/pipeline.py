@@ -45,7 +45,7 @@ TASKS = ("profile", "dispersion", "evans", "transversality", "poisson")
 _DEPS = {
     "profile": (),
     "dispersion": (),
-    "evans": ("profile",),
+    "evans": (),
     "transversality": ("profile",),
     "poisson": (),
 }

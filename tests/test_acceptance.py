@@ -32,6 +32,7 @@ from nspshock.evans import (
     evans_grid,
     circle_contour,
     evans_report,
+    evans_value,
     gamma_transversality,
     make_evaluator,
     winding_number,
@@ -272,7 +273,8 @@ def test_criterion_08_transversality(params_ref, end_ref):
         n = 2 * int(round(X / 0.05)) + 1
         esys = build_evans_system(evans_grid(p, e, X=X, n=n), rtol=1e-10,
                                   atol=1e-13)
-        gammas.append(gamma_transversality(esys).Gamma)
+        gammas.append(
+            gamma_transversality(esys, evans_value(esys, 0.0)).Gamma)
     sigma_minus, sigma_zero, sigma_plus = limit_eigenvalues(params_ref)
     elapsed = time.perf_counter() - t0
     print(f"[criterion 08] bounded-solution dimension {res.dimension} "
@@ -329,7 +331,8 @@ def test_criterion_10_robustness(params_ref, end_ref):
         evaluate, _ = make_evaluator(system)
         vals = np.array([evaluate(lam) for lam in probes])
         w, _, _ = winding_number(evaluate, circle_contour(rho, 16))
-        return vals, w, gamma_transversality(system).Gamma
+        gamma = gamma_transversality(system, evans_value(system, 0.0))
+        return vals, w, gamma.Gamma
 
     vals0, w0, g0 = summarize(base)
     worst_d = 0.0

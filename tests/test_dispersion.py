@@ -128,3 +128,21 @@ def test_curve_bundle_and_csv(params_ref, end_ref, tmp_path):
     assert lines[0] == "xi,re_l1,im_l1,re_l2,im_l2,margin,side"
     assert len(lines) == 1 + 2 * 11
     assert lines[1].endswith(",minus") and lines[-1].endswith(",plus")
+
+
+def test_spectrum_csv_matches_scalar_formatting(params_ref, end_ref, tmp_path):
+    # rows are written in blocks; 600 points span three of them.  The
+    # reference formats numpy scalars row by row
+    curves = [dispersion_curve(params_ref, end_ref, side,
+                               np.linspace(-50.0, 50.0, 600))
+              for side in ("minus", "plus")]
+    path = tmp_path / "spectrum.csv"
+    write_spectrum_csv(curves, path)
+    expected = ["xi,re_l1,im_l1,re_l2,im_l2,margin,side"]
+    for c in curves:
+        for i in range(c.xi.shape[0]):
+            expected.append(f"{c.xi[i]:.16e},{c.lam1[i].real:.16e},"
+                            f"{c.lam1[i].imag:.16e},{c.lam2[i].real:.16e},"
+                            f"{c.lam2[i].imag:.16e},{c.margin[i]:.16e},"
+                            f"{c.side}")
+    assert path.read_text() == "\n".join(expected) + "\n"

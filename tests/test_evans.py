@@ -13,13 +13,16 @@ from nspshock.evans import (
     evans_derivative_origin,
     evans_report,
     evans_value,
+    gamma_transversality,
     integrate_wedge,
     make_evaluator,
+    wedge_rhs,
     winding_number,
     write_evans_csv,
+    WORK_COUNTS,
 )
 from nspshock.params import solve_rankine_hugoniot
-from nspshock.wedge import pairing, wedge2, wedge3
+from nspshock.wedge import lift2, lift3, pairing, wedge2, wedge3
 
 from conftest import make_params
 
@@ -118,6 +121,44 @@ def _frozen_minus_system(params, end):
         spline=CubicSpline(x, np.tile(stacked, (81, 1)), axis=0),
         W0_mid=np.zeros(5), b1_mid=0.0, b2_mid=0.0, disk_radius=1e-3,
         boundary_gap=0.0, rtol=1e-12, atol=1e-14, nseg=4)
+
+
+def test_uniform_lookup_matches_spline(esys):
+    x = esys.spline.x
+    points = np.concatenate([x, 0.5 * (x[1:] + x[:-1]), [-esys.X, esys.X]])
+    assert x[0] == -esys.X and x[-1] == esys.X
+    worst = 0.0
+    for xi in points:
+        ref = esys.spline(xi)
+        got = esys.coefficients(xi).ravel()
+        worst = max(worst, np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+    assert worst <= 1e-14
+
+
+def test_lookup_rejects_nonuniform_grid(params_ref, end_ref):
+    x = np.linspace(-1.0, 1.0, 11) ** 3
+    with pytest.raises(ValueError, match="uniform"):
+        EvansSystem(params=params_ref, end=end_ref, X=1.0, n=11,
+                    spline=CubicSpline(x, np.zeros((11, 75)), axis=0),
+                    W0_mid=np.zeros(5), b1_mid=0.0, b2_mid=0.0,
+                    disk_radius=1e-3, boundary_gap=0.0)
+
+
+@pytest.mark.parametrize("m", [1, 5])
+def test_wedge_rhs_is_lifted_polynomial(esys, rng, m):
+    # the right-hand side lifts A0, A1, A2 once and combines per lam;
+    # the reference lifts A(x, lam) for each lam
+    lams = (0.5 * esys.disk_radius * rng.random(m)
+            * np.exp(2j * np.pi * rng.random(m)))
+    shifts = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    for which, lifter in (("w2", lift2), ("w3", lift3)):
+        rhs = wedge_rhs(esys, which, lams, shifts)
+        for x in (-esys.X, -3.7, 0.0, 12.05, esys.X):
+            Y = rng.standard_normal((m, 10)) + 1j * rng.standard_normal((m, 10))
+            L = lifter(esys.coefficient_matrix(x, lams))
+            ref = np.einsum("mij,mj->mi", L, Y) - shifts[:, None] * Y
+            got = rhs(x, Y.ravel()).reshape(m, 10)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_frozen_coefficients_transport_eigenwedge(params_ref, end_ref):
@@ -253,9 +294,8 @@ def test_domain_doubling_leaves_bundles_fixed(esys, params_ref, end_ref):
     assert np.linalg.norm(w3a - w3b) < 1e-8
 
 
-def test_zero_amplitude_rejected(esys):
+def test_zero_amplitude_rejected(esys, report):
     from nspshock.params import PlasmaParams, ShockEndstates
-    from nspshock.evans import gamma_transversality
     p0 = PlasmaParams(T=1.0, nu=1.0, eps=1.0, v_minus=1.0, u_minus=0.0,
                       v_plus=1.0)
     e0 = ShockEndstates(s=np.sqrt(2.0), u_plus=0.0, phi_minus=0.0,
@@ -264,17 +304,34 @@ def test_zero_amplitude_rejected(esys):
         params=p0, end=e0, X=esys.X, n=esys.n,
         spline=esys.spline, W0_mid=esys.W0_mid, b1_mid=esys.b1_mid,
         b2_mid=esys.b2_mid, disk_radius=esys.disk_radius, boundary_gap=0.0)
+    origin = next(s for s in report.samples if s.lam == 0)
     with pytest.raises(ValueError, match="amplitude"):
-        gamma_transversality(flat)
+        gamma_transversality(flat, origin)
 
 
 def test_report_counts_its_transport_work(report):
     work = report.work
     assert work["samples"] == len(report.samples)
-    # one batched transport per side and round, three more for Gamma
-    assert work["transports"] >= 5 and work["transports"] % 2 == 1
-    assert work["rhs_calls"] > work["steps"] > 0
+    # one batched transport per side and round, one more for Gamma's
+    # fast pair
+    by_wedge = work["by_wedge"]
+    rounds = by_wedge["plus_w2"]["transports"]
+    assert rounds >= 1 and by_wedge["minus_w3"]["transports"] == rounds
+    assert by_wedge["minus_w2"]["transports"] == 1
+    assert work["transports"] == 2 * rounds + 1
+    for key in WORK_COUNTS:
+        assert work[key] == sum(c[key] for c in by_wedge.values())
+    for counts in by_wedge.values():
+        assert counts["rhs_calls"] > counts["steps"] > 0
     assert report.as_dict()["work"] == work
+
+
+def test_gamma_reuses_the_origin_sample(esys, report):
+    standalone = gamma_transversality(esys, evans_value(esys, 0.0))
+    assert abs(report.gamma.Gamma - standalone.Gamma) \
+        <= 1e-10 * abs(standalone.Gamma)
+    with pytest.raises(ValueError, match="lam = 0"):
+        gamma_transversality(esys, report.samples[-1])
 
 
 def test_csv_roundtrip(report, tmp_path):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from nspshock import modes
 from nspshock.eigensystem import limit_matrix
+from nspshock.evans import circle_contour, d_contour, derivative_points
 from nspshock.modes import (
     analytic_eigenpairs,
     cubic_coefficients,
@@ -145,6 +147,58 @@ def test_no_monodromy_around_circle(params_ref, end_ref):
         start, stop = mp.mu[5], mp.mu[-1]
         assert np.max(np.abs(stop - start)) < 1e-9
         assert np.max(np.abs(mp.V[5] - mp.V[-1])) < 1e-8
+
+
+@pytest.fixture(scope="module")
+def first_round_lams(params_ref, end_ref):
+    # the points a reference Evans report evaluates in its first batch
+    r = default_disk_radius(params_ref, end_ref)
+    rho = 0.5 * r
+    return np.concatenate([[0.0], circle_contour(rho, 32).points,
+                           d_contour(rho, r).points,
+                           derivative_points(rho, 32)])
+
+
+def _straight(lams):
+    return np.linspace(0.0, lams, 12)
+
+
+def _triangle(lams):
+    # out to lam, then once around the origin in three steps: too coarse
+    # for some labels, so those paths go through _march and bisect
+    turn = np.exp(2j * np.pi / 3)
+    return np.stack([0.0 * lams, lams, turn * lams, turn**2 * lams, lams])
+
+
+@pytest.mark.parametrize("make_path", [_straight, _triangle])
+def test_lockstep_matches_one_lam_at_a_time(params_ref, end_ref, monkeypatch,
+                                            first_round_lams, make_path):
+    bisections = []
+    march = modes._march
+
+    def counting(*args):
+        # a depth below analytic_eigenpairs' max_depth of 24 marks a
+        # call made by bisection
+        bisections.append(args[-1] < 24)
+        return march(*args)
+
+    monkeypatch.setattr(modes, "_march", counting)
+    lams = first_round_lams
+    path = make_path(lams)
+    for side in ("minus", "plus"):
+        lockstep = analytic_eigenpairs(params_ref, end_ref, side, path)
+        assert lockstep.mu.shape == path.shape + (5,)
+        for i in range(lams.size):
+            single = analytic_eigenpairs(params_ref, end_ref, side, path[:, i])
+            assert np.max(np.abs(lockstep.mu[:, i] - single.mu)) <= 1e-13
+            assert np.max(np.abs(lockstep.V[:, i] - single.V)) <= 1e-13
+        # the labels at lam do not depend on the path taken inside the disk
+        fine = analytic_eigenpairs(params_ref, end_ref, side,
+                                   np.linspace(0.0, lams, 48))
+        assert np.max(np.abs(lockstep.mu[-1] - fine.mu[-1])) <= 1e-13
+        assert np.max(np.abs(lockstep.V[-1] - fine.V[-1])) <= 1e-13
+    if make_path is _triangle:
+        assert any(bisections)
 
 
 def test_conjugate_symmetry(params_ref, end_ref):

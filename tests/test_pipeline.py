@@ -94,6 +94,16 @@ def test_poisson_alone_solves_no_profile_task(tmp_path):
     assert not (tmp_path / "out" / "profile.csv").exists()
 
 
+def test_evans_alone_solves_no_profile_task(tmp_path):
+    cfg = write_config(tmp_path, numerics={"evans_n": 5601, "n_circle": 16})
+    assert main(["run", "--config", str(cfg), "--tasks", "evans"]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert list(report["tasks"]) == ["evans"]
+    assert report["tasks"]["evans"]["passed"] is True
+    assert (tmp_path / "out" / "evans.csv").exists()
+    assert not (tmp_path / "out" / "profile.csv").exists()
+
+
 def test_out_flag_overrides_config(tmp_path):
     cfg = write_config(tmp_path)
     other = tmp_path / "elsewhere"
