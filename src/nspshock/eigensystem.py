@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 
 from .jets import Jet
 from .params import PlasmaParams, ShockEndstates
@@ -241,3 +242,27 @@ def wave_residual(A0, W0, dW0) -> float:
     """Relative max-norm defect of W0 in W' = A(x,0) W."""
     defect = dW0 - np.einsum("nij,nj->ni", A0, W0)
     return float(np.max(np.abs(defect)) / np.max(np.abs(dW0)))
+
+
+def uniform_reader(spline: CubicSpline, shape: tuple):
+    """O(1) reader x -> spline(x).reshape(shape) of a uniform-grid spline.
+
+    The cell of x is int((x - x0) / h), clipped to the grid, and its cubic
+    is evaluated from spline.c in place, with no copy of the table; the
+    end cells extrapolate, as the spline does.  Raises ValueError when
+    the grid is not uniform.
+    """
+    x = spline.x
+    x0 = x[0]
+    h = (x[-1] - x[0]) / (x.size - 1)
+    if not np.allclose(np.diff(x), h, rtol=1e-9, atol=0.0):
+        raise ValueError("coefficient spline needs a uniform grid")
+    last = x.size - 2
+
+    def read(xi: float) -> np.ndarray:
+        i = min(max(int((xi - x0) / h), 0), last)
+        t = xi - x[i]
+        return (np.array([t * t * t, t * t, t, 1.0])
+                @ spline.c[:, i]).reshape(shape)
+
+    return read

@@ -11,14 +11,16 @@ determinant of any column representatives; per-segment positive
 renormalization factors are returned to log scale and multiplied back,
 so the computed value stays the analytic determinant.
 
-Many lam are transported at once: the m wedges of a batch form one
-(m, 10) state, integrated by one DOP853 solve per segment, with a norm
-and log scale per wedge.  The step control then bounds the RMS error
-over the batch instead of each wedge's own; the agreement test in
-tests/test_evans.py holds batched D to one-lam-at-a-time D within 1e-10
-relative on the production grid.  A run evaluates its first-round
-samples (origin, both contours, the Cauchy and difference points) in
-one batch and each winding-refinement round in one more.
+Many lam are transported at once: the m wedges of a batch are the rows
+of one (m, 10) state carried by `transport`, the package's one ODE
+transport (transversality.py carries its plane normals with it): one
+DOP853 solve per segment, with a norm and log scale per row.  The step
+control then bounds the RMS error over the batch instead of each
+wedge's own; the agreement test in tests/test_evans.py holds batched D
+to one-lam-at-a-time D within 1e-10 relative on the production grid.
+A run evaluates its first-round samples (origin, both contours, the
+Cauchy and difference points) in one batch and each winding-refinement
+round in one more.
 
 Each right-hand-side call finds its cell of the uniform coefficient
 grid in O(1), evaluates the cell's cubic for the stacked A0, A1, A2 of
@@ -56,6 +58,7 @@ from .eigensystem import (
     interior_coefficients,
     interior_matrix_coeffs,
     limit_matrix_coeffs,
+    uniform_reader,
 )
 from .modes import analytic_eigenpairs, default_disk_radius, slow_expansion
 from .params import PlasmaParams, ShockEndstates, liu_majda_delta
@@ -134,24 +137,8 @@ class EvansSystem:
     work: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        x = self.spline.x
-        self._x0 = x[0]
-        self._h = (x[-1] - x[0]) / (x.size - 1)
-        if not np.allclose(np.diff(x), self._h, rtol=1e-9, atol=0.0):
-            raise ValueError("coefficient spline needs a uniform grid")
-
-    def coefficients(self, x: float) -> np.ndarray:
-        """A0, A1, A2 at x as a (3, 5, 5) stack.
-
-        The cell of x on the uniform grid is found in O(1) and its cubic
-        is evaluated from the spline's coefficient table in place;
-        outside the grid the end cells extrapolate, as the spline does.
-        """
-        c = self.spline.c
-        i = min(max(int((x - self._x0) / self._h), 0), c.shape[1] - 1)
-        t = x - self.spline.x[i]
-        return (np.array([t * t * t, t * t, t, 1.0]) @ c[:, i]).reshape(
-            3, 5, 5)
+        # coefficients(x): A0, A1, A2 at x as a (3, 5, 5) stack
+        self.coefficients = uniform_reader(self.spline, (3, 5, 5))
 
     def coefficient_matrix(self, x: float, lam) -> np.ndarray:
         """A(x, lam), shape (5, 5) or (m, 5, 5) for an array of m lam."""
@@ -214,7 +201,7 @@ def build_evans_system(grid: ProfileGrid, rtol: float = 1e-12,
         b2_mid=float(tab.b2[mid]),
         disk_radius=default_disk_radius(params, end),
         boundary_gap=float(gap), rtol=rtol, atol=atol,
-        nseg=max(8, int(round(X / 20.0))))
+        nseg=segment_count(X))
 
 
 def _side_modes(sys: EvansSystem, side: str, lams: np.ndarray):
@@ -255,51 +242,69 @@ def wedge_rhs(sys: EvansSystem, which: str, lams: np.ndarray,
     return rhs
 
 
+def segment_count(X: float) -> int:
+    """Renormalization segments of a transport over a half-line of length X."""
+    return max(8, int(round(X / 20.0)))
+
+
+def transport(rhs, y0, x_from: float, x_to: float, nseg: int, rtol: float,
+              atol: float, work: dict, rows_text: Callable):
+    """Carry the rows of y0 from x_from to x_to; returns (rows, log scales).
+
+    The (m, k) rows travel as one DOP853 state under rhs(x, y) on nseg
+    equal segments; at each segment end every row is divided by its norm,
+    whose log goes to that row's scale.  The transport, its right-hand-side
+    calls and its steps are added to work.  A failure names the segment
+    and, through rows_text(indices), the rows concerned.
+    """
+    Y = np.asarray(y0)
+    m = Y.shape[0]
+    log_scale = np.zeros(m)
+    xs = np.linspace(x_from, x_to, nseg + 1)
+    work["transports"] += 1
+    for a, b in zip(xs[:-1], xs[1:]):
+        sol = solve_ivp(rhs, (a, b), Y.ravel(), method="DOP853",
+                        rtol=rtol, atol=atol)
+        work["rhs_calls"] += sol.nfev
+        work["steps"] += sol.t.size - 1
+        if not sol.success:
+            raise RuntimeError(f"integration failed on [{a}, {b}] for "
+                               f"{rows_text(np.arange(m))}: " + sol.message)
+        Y = sol.y[:, -1].reshape(m, -1)
+        norm = np.linalg.norm(Y, axis=1)
+        bad = ~np.isfinite(norm) | (norm == 0.0)
+        if bad.any():
+            raise RuntimeError(
+                f"renormalization broke down on [{a}, {b}] for "
+                f"{rows_text(np.flatnonzero(bad))} (norms {norm[bad][:6]})")
+        Y = Y / norm[:, None]
+        log_scale += np.log(norm)
+    return Y, log_scale
+
+
 def integrate_wedge(sys: EvansSystem, lam, which: str, y0, shift,
                     x_from: float, x_to: float):
     """Propagate shifted wedges; returns (unit vectors, log scales).
 
     lam is a scalar or an array of m values, with y0 of shape (m, 10)
-    and one shift per value; all m wedges travel as one DOP853 state,
-    so the step control is a shared RMS error over the batch.  Each
-    wedge is renormalized by its own norm at the segment ends and keeps
-    its own log scale; a scalar lam gives a (10,) vector and a float.
-    which selects the Lambda^2 or Lambda^3 lift.  The renormalization
-    factors are real and positive, so multiplying them back preserves
-    analyticity of anything built from the result.  The work goes to
-    sys.work under the side the transport starts from and which, e.g.
-    "plus_w2".
+    and one shift per value; the m wedges are the rows of one transport.
+    A scalar lam gives a (10,) vector and a float.  which selects the
+    Lambda^2 or Lambda^3 lift.  The renormalization factors are real and
+    positive, so multiplying them back preserves analyticity of anything
+    built from the result.  The work goes to sys.work under the side the
+    transport starts from and which, e.g. "plus_w2".
     """
     scalar = np.ndim(lam) == 0
     lams = np.atleast_1d(np.asarray(lam, dtype=complex))
     m = lams.size
     rhs = wedge_rhs(sys, which, lams,
                     np.broadcast_to(np.asarray(shift, dtype=complex), (m,)))
-
-    xs = np.linspace(x_from, x_to, sys.nseg + 1)
-    Y = np.asarray(y0, dtype=complex).reshape(m, -1)
-    log_scale = np.zeros(m)
     work = sys.work.setdefault(
         f"{'plus' if x_from > x_to else 'minus'}_{which}",
         dict.fromkeys(WORK_COUNTS, 0))
-    work["transports"] += 1
-    for a, b in zip(xs[:-1], xs[1:]):
-        sol = solve_ivp(rhs, (a, b), Y.ravel(), method="DOP853",
-                        rtol=sys.rtol, atol=sys.atol)
-        work["rhs_calls"] += sol.nfev
-        work["steps"] += sol.t.size - 1
-        if not sol.success:
-            raise RuntimeError(f"wedge integration failed on [{a}, {b}] "
-                               f"for {_lams_text(lams)}: " + sol.message)
-        Y = sol.y[:, -1].reshape(m, -1)
-        norm = np.linalg.norm(Y, axis=1)
-        bad = ~np.isfinite(norm) | (norm == 0.0)
-        if bad.any():
-            raise RuntimeError(
-                f"wedge renormalization broke down on [{a}, {b}] for "
-                f"{_lams_text(lams[bad])} (norms {norm[bad][:6]})")
-        Y = Y / norm[:, None]
-        log_scale += np.log(norm)
+    Y, log_scale = transport(
+        rhs, np.asarray(y0, dtype=complex).reshape(m, -1), x_from, x_to,
+        sys.nseg, sys.rtol, sys.atol, work, lambda k: _lams_text(lams[k]))
     if scalar:
         return Y[0], float(log_scale[0])
     return Y, log_scale

@@ -108,18 +108,6 @@ def solve_rankine_hugoniot(
     )
 
 
-def acoustic_speeds(params: PlasmaParams, side: str) -> tuple[float, float]:
-    """Shifted characteristic speeds a_j = s + (-1)^j sqrt(T+1)/v at one endstate.
-
-    a_1 = s - c, a_2 = s + c with c the quasi-neutral sound speed.  For a Lax
-    2-shock a_1- < 0 < a_1+ and a_2+- > 0.
-    """
-    v = params.v_minus if side == "-" else params.v_plus
-    end = solve_rankine_hugoniot(params)
-    c = params.sound_speed(v)
-    return end.s - c, end.s + c
-
-
 def liu_majda_delta(params: PlasmaParams, end: ShockEndstates) -> float:
     """Liu-Majda determinant of the quasi-neutral Euler 2-shock (closed form).
 

@@ -303,6 +303,7 @@ def _task_transversality(config, end, ctx, outdir):
         "deviation_sup": rsys.deviation_sup(),
         "singular_values": result.singular_values,
         "intersection_vector": result.vector,
+        "work": result.work,
     }
     return checks, metrics
 

@@ -11,8 +11,10 @@ The count is computed by subspace propagation: the plane of solutions
 bounded as x -> +inf (center-stable directions of the matrix at +X,
 integrated backward) is intersected at x = 0 with the plane bounded as
 x -> -inf (center-unstable directions at -X, integrated forward), via
-a rank-revealing SVD.  No diagonalizing change of variables is needed;
-per-segment QR keeps the transported frames well conditioned.
+a rank-revealing SVD.  Each plane is carried by its normal, which
+moves under the adjoint equation y' = -Atilde^T y through
+evans.transport; no diagonalizing change of variables or QR frame is
+needed, and at x = 0 the plane is the normal's orthogonal complement.
 """
 
 from __future__ import annotations
@@ -20,10 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+# unused here; kept so that WRAPS in perfbench/tracer.py can patch it
+from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.interpolate import CubicSpline
 
-from .eigensystem import interior_coefficients, interior_matrix_coeffs
+from .eigensystem import (interior_coefficients, interior_matrix_coeffs,
+                          uniform_reader)
+from .evans import WORK_COUNTS, segment_count, transport
 from .params import PlasmaParams, ShockEndstates
 from .profile import ProfileGrid
 
@@ -49,7 +54,7 @@ def limit_eigenvalues(params: PlasmaParams) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class ReducedSystem:
-    """Tabulated reduced matrix with its spline evaluator."""
+    """Tabulated reduced matrix with its cubic spline (see uniform_reader)."""
 
     params: PlasmaParams
     end: ShockEndstates
@@ -120,26 +125,6 @@ def build_reduced_system(grid: ProfileGrid) -> ReducedSystem:
         sigma=limit_eigenvalues(grid.params))
 
 
-def constant_reduced_system(params: PlasmaParams, X: float = 40.0,
-                            n: int = 401) -> ReducedSystem:
-    """Degenerate zero-amplitude system: Atilde frozen at A0."""
-    A0 = reduced_limit_matrix(params)
-    x = np.linspace(-X, X, n)
-    tables = np.broadcast_to(A0, (n, 3, 3)).copy()
-    end = ShockEndstates(s=np.sqrt(params.T + 1.0) / params.v_minus,
-                         u_plus=params.u_minus,
-                         phi_minus=-np.log(params.v_minus),
-                         phi_plus=-np.log(params.v_minus))
-    return ReducedSystem(
-        params=params, end=end, x=x, tables=tables,
-        spline=CubicSpline(x, tables.reshape(n, 9), axis=0),
-        A0=A0, sigma=limit_eigenvalues(params))
-
-
-def reduced_matrix(system: ReducedSystem, x: float) -> np.ndarray:
-    return system.spline(x).reshape(3, 3)
-
-
 def wave_vector(grid: ProfileGrid) -> np.ndarray:
     """(ubar', phibar', phibar'') at the nodes, shape (n, 3)."""
     vj, _, sj = grid.taylor_jets(3)
@@ -157,43 +142,39 @@ def reduced_wave_residual(system: ReducedSystem, grid: ProfileGrid) -> float:
     return float(np.max(np.abs(defect)) / np.max(np.abs(dV)))
 
 
-def _propagate_plane(system: ReducedSystem, basis: np.ndarray, x_from: float,
-                     x_to: float, rtol: float, atol: float,
-                     nseg: int) -> np.ndarray:
-    """Transport span(basis) and return an orthonormal frame at x_to."""
-    Q, _ = np.linalg.qr(basis)
+def _propagate_plane(read, normal: np.ndarray, x_from: float, x_to: float,
+                     rtol: float, atol: float, nseg: int,
+                     work: dict) -> np.ndarray:
+    """Transport the plane with this normal; orthonormal (3, 2) frame at x_to.
 
+    The normal follows y' = -Atilde(x)^T y, with Atilde from read(x).
+    """
     def rhs(x, y):
-        return (system.spline(x).reshape(3, 3) @ y.reshape(3, 2)).ravel()
+        return -(y @ read(x))
 
-    for a, b in zip(np.linspace(x_from, x_to, nseg + 1)[:-1],
-                    np.linspace(x_from, x_to, nseg + 1)[1:]):
-        sol = solve_ivp(rhs, (a, b), Q.ravel(), method="DOP853",
-                        rtol=rtol, atol=atol)
-        if not sol.success:
-            raise RuntimeError("plane transport failed: " + sol.message)
-        Q, _ = np.linalg.qr(sol.y[:, -1].reshape(3, 2))
-    return Q
+    y, _ = transport(rhs, normal[None, :], x_from, x_to, nseg, rtol, atol,
+                     work, lambda k: f"the plane normal from x = {x_from}")
+    return np.linalg.svd(y)[2][1:].T
 
 
-def _split_directions(M: np.ndarray, center_tol: float = 1e-10):
-    """Eigendirections of M sorted into (stable+center, center+unstable).
+def _end_normal(M: np.ndarray, side: str, center_tol: float = 1e-10):
+    """Unit normal of the plane of M bounded at side "+" or "-" inf.
 
-    Each entry comes with the spread of rates inside the selected pair,
-    which sets how often the transported frame must be re-orthonormalized:
-    a segment of length ell mixes the pair at condition exp(spread*ell),
-    and every QR step loses the subdominant direction to roughly machine
-    epsilon times that factor.
+    At "+" that is the center-stable plane (rates <= center_tol), at "-"
+    the center-unstable one (rates >= -center_tol).  The normal is the
+    left eigenvector of the one rate outside the plane.
     """
     w, V = np.linalg.eig(M)
     if np.max(np.abs(w.imag)) > 1e-10:
         raise RuntimeError("end matrix of the reduced system has complex "
                            "rates; cannot classify directions")
-    w, V = w.real, V.real
-    cs = w <= center_tol
-    cu = w >= -center_tol
-    return ((V[:, cs], float(np.ptp(w[cs])) if np.any(cs) else 0.0),
-            (V[:, cu], float(np.ptp(w[cu])) if np.any(cu) else 0.0))
+    outside = np.flatnonzero((1.0 if side == "+" else -1.0) * w.real
+                             > center_tol)
+    if outside.size != 1:
+        raise RuntimeError("unexpected direction counts at the cut ends: "
+                           f"{3 - outside.size} bounded at {side}inf")
+    left = np.linalg.inv(V.real)[outside[0]]
+    return left / np.linalg.norm(left)
 
 
 @dataclass(frozen=True)
@@ -203,6 +184,7 @@ class TransversalityResult:
     angle_to_wave: float         # radians, against (ubar',phibar',phibar'')(0)
     singular_values: np.ndarray
     threshold: float
+    work: dict                   # transports, rhs_calls, steps
 
 
 def bounded_solution_dim(system: ReducedSystem, grid: ProfileGrid | None = None,
@@ -212,7 +194,8 @@ def bounded_solution_dim(system: ReducedSystem, grid: ProfileGrid | None = None,
 
     The plane bounded at +inf is spanned by the center-stable
     directions at +X and transported backward; the plane bounded at
-    -inf by the center-unstable directions at -X transported forward.
+    -inf by the center-unstable directions at -X transported forward;
+    both travel as normals (see _propagate_plane).
     (Away from zero amplitude the end matrices have no neutral rate,
     so center-stable means the genuinely decaying pair; for constant
     coefficients it keeps the neutral direction, whose solution is
@@ -225,16 +208,13 @@ def bounded_solution_dim(system: ReducedSystem, grid: ProfileGrid | None = None,
     Without a grid the angle against the wave derivative is NaN.
     """
     X = system.X
-    (cs, spread_s), _ = _split_directions(system.tables[-1])
-    _, (cu, spread_u) = _split_directions(system.tables[0])
-    if cs.shape[1] != 2 or cu.shape[1] != 2:
-        raise RuntimeError("unexpected direction counts at the cut ends: "
-                           f"{cs.shape[1]} bounded at +inf, "
-                           f"{cu.shape[1]} bounded at -inf")
-    nseg_s = max(4, int(np.ceil(X * spread_s / 12.0)))
-    nseg_u = max(4, int(np.ceil(X * spread_u / 12.0)))
-    S = _propagate_plane(system, cs, X, 0.0, rtol, atol, nseg_s)
-    U = _propagate_plane(system, cu, -X, 0.0, rtol, atol, nseg_u)
+    read = uniform_reader(system.spline, (3, 3))
+    nseg = segment_count(X)
+    work = dict.fromkeys(WORK_COUNTS, 0)
+    S = _propagate_plane(read, _end_normal(system.tables[-1], "+"), X,
+                         0.0, rtol, atol, nseg, work)
+    U = _propagate_plane(read, _end_normal(system.tables[0], "-"), -X,
+                         0.0, rtol, atol, nseg, work)
 
     M = np.concatenate([S, U], axis=1)          # 3 x 4
     sv = np.linalg.svd(M, compute_uv=False)
@@ -250,10 +230,10 @@ def bounded_solution_dim(system: ReducedSystem, grid: ProfileGrid | None = None,
 
     if grid is not None:
         Vbar = wave_vector(grid)[grid.n // 2]
-        cosang = abs(vec @ Vbar) / np.linalg.norm(Vbar)
-        angle = float(np.arccos(min(1.0, cosang)))
+        angle = float(np.arctan2(np.linalg.norm(np.cross(vec, Vbar)),
+                                 abs(vec @ Vbar)))
     else:
         angle = float("nan")
     return TransversalityResult(dimension=dim, vector=vec,
                                 angle_to_wave=angle, singular_values=sv,
-                                threshold=threshold)
+                                threshold=threshold, work=work)

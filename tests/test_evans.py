@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from nspshock.eigensystem import limit_matrix, limit_matrix_coeffs
+from nspshock.eigensystem import (limit_matrix, limit_matrix_coeffs,
+                                  uniform_reader)
 from nspshock.evans import (
     EvansSystem,
     build_evans_system,
@@ -22,6 +23,8 @@ from nspshock.evans import (
     WORK_COUNTS,
 )
 from nspshock.params import solve_rankine_hugoniot
+from nspshock.profile import solve_profile
+from nspshock.transversality import build_reduced_system
 from nspshock.wedge import lift2, lift3, pairing, wedge2, wedge3
 
 from conftest import make_params
@@ -123,16 +126,21 @@ def _frozen_minus_system(params, end):
         boundary_gap=0.0, rtol=1e-12, atol=1e-14, nseg=4)
 
 
-def test_uniform_lookup_matches_spline(esys):
-    x = esys.spline.x
-    points = np.concatenate([x, 0.5 * (x[1:] + x[:-1]), [-esys.X, esys.X]])
-    assert x[0] == -esys.X and x[-1] == esys.X
-    worst = 0.0
-    for xi in points:
-        ref = esys.spline(xi)
-        got = esys.coefficients(xi).ravel()
-        worst = max(worst, np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
-    assert worst <= 1e-14
+def test_uniform_lookup_matches_spline(esys, params_ref, end_ref):
+    # the Evans system and the reduced system read through one lookup
+    rsys = build_reduced_system(solve_profile(params_ref, end_ref, n=3001))
+    read_reduced = uniform_reader(rsys.spline, (3, 3))
+    for spline, read, X in ((esys.spline, esys.coefficients, esys.X),
+                            (rsys.spline, read_reduced, rsys.X)):
+        x = spline.x
+        points = np.concatenate([x, 0.5 * (x[1:] + x[:-1]), [-X, X]])
+        assert x[0] == -X and x[-1] == X
+        worst = 0.0
+        for xi in points:
+            ref = spline(xi)
+            got = read(xi).ravel()
+            worst = max(worst, np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+        assert worst <= 1e-14
 
 
 def test_lookup_rejects_nonuniform_grid(params_ref, end_ref):

@@ -83,6 +83,8 @@ def test_dependency_auto_enabled(tmp_path):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert list(report["tasks"]) == ["profile", "transversality"]
     assert (tmp_path / "out" / "profile.csv").exists()
+    work = report["tasks"]["transversality"]["metrics"]["work"]
+    assert work["transports"] == 2 and work["rhs_calls"] > work["steps"] > 0
 
 
 def test_poisson_alone_solves_no_profile_task(tmp_path):

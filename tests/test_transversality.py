@@ -2,21 +2,77 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
+from scipy.interpolate import CubicSpline
 
-from nspshock.params import PlasmaParams, solve_rankine_hugoniot
+from nspshock.eigensystem import uniform_reader
+from nspshock.params import PlasmaParams, ShockEndstates, solve_rankine_hugoniot
 from nspshock.profile import solve_profile
 from nspshock.transversality import (
+    ReducedSystem,
+    _end_normal,
     bounded_solution_dim,
     build_reduced_system,
-    constant_reduced_system,
     limit_eigenvalues,
     reduced_limit_matrix,
-    reduced_matrix,
     reduced_wave_residual,
     wave_vector,
 )
 
 from conftest import make_params
+
+
+def constant_reduced_system(params: PlasmaParams, X: float = 40.0,
+                            n: int = 401) -> ReducedSystem:
+    """Degenerate zero-amplitude system: Atilde frozen at A0."""
+    A0 = reduced_limit_matrix(params)
+    x = np.linspace(-X, X, n)
+    tables = np.broadcast_to(A0, (n, 3, 3)).copy()
+    end = ShockEndstates(s=np.sqrt(params.T + 1.0) / params.v_minus,
+                         u_plus=params.u_minus,
+                         phi_minus=-np.log(params.v_minus),
+                         phi_plus=-np.log(params.v_minus))
+    return ReducedSystem(
+        params=params, end=end, x=x, tables=tables,
+        spline=CubicSpline(x, tables.reshape(n, 9), axis=0),
+        A0=A0, sigma=limit_eigenvalues(params))
+
+
+# independent oracle: the planes carried as QR-orthonormalized frames
+# under V' = Atilde V, read with CubicSpline.__call__, on segments sized
+# by the spread of the rates inside each plane
+def _qr_frame(system, basis, x_from, x_to, rtol, atol, nseg):
+    Q, _ = np.linalg.qr(basis)
+
+    def rhs(x, y):
+        return (system.spline(x).reshape(3, 3) @ y.reshape(3, 2)).ravel()
+
+    xs = np.linspace(x_from, x_to, nseg + 1)
+    for a, b in zip(xs[:-1], xs[1:]):
+        sol = solve_ivp(rhs, (a, b), Q.ravel(), method="DOP853",
+                        rtol=rtol, atol=atol)
+        assert sol.success
+        Q, _ = np.linalg.qr(sol.y[:, -1].reshape(3, 2))
+    return Q
+
+
+def qr_frame_intersection(system, rtol=1e-11, atol=1e-13, threshold=1e-7):
+    """(dimension, singular values, unit intersection vector)."""
+    frames = []
+    ends = ((system.tables[-1], system.X, lambda w: w <= 1e-10),
+            (system.tables[0], -system.X, lambda w: w >= -1e-10))
+    for M, x_from, keep in ends:
+        w, V = np.linalg.eig(M)
+        w, V = w.real, V.real
+        spread = float(np.ptp(w[keep(w)]))
+        nseg = max(4, int(np.ceil(system.X * spread / 12.0)))
+        frames.append(_qr_frame(system, V[:, keep(w)], x_from, 0.0, rtol,
+                                atol, nseg))
+    S, U = frames
+    sv = np.linalg.svd(np.concatenate([S, U], axis=1), compute_uv=False)
+    dim = 4 - int(np.sum(sv > threshold * sv[0]))
+    vec = S @ np.linalg.svd((np.eye(3) - U @ U.T) @ S)[2][-1]
+    return dim, sv, vec / np.linalg.norm(vec)
 
 
 @pytest.fixture(scope="module")
@@ -65,9 +121,10 @@ def test_wave_solves_reduced_system(systems):
 
 def test_reduced_matrix_matches_tables(systems):
     grid, sys_ = systems[0.1]
+    read = uniform_reader(sys_.spline, (3, 3))
     for idx in (0, grid.n // 2, grid.n - 1):
         assert np.allclose(
-            reduced_matrix(sys_, float(grid.x[idx])), sys_.tables[idx],
+            read(float(grid.x[idx])), sys_.tables[idx],
             rtol=0.0, atol=1e-12)
 
 
@@ -77,8 +134,9 @@ def test_zero_amplitude_matrix_is_constant_reference():
     A0 = reduced_limit_matrix(params)
     assert sys0.end.s == np.sqrt(params.T + 1.0) / params.v_minus
     assert np.max(np.abs(sys0.tables - A0)) == 0.0
+    read = uniform_reader(sys0.spline, (3, 3))
     for x in (-17.3, 0.0, 22.1):
-        assert np.max(np.abs(reduced_matrix(sys0, x) - A0)) < 1e-13
+        assert np.max(np.abs(read(x) - A0)) < 1e-13
     assert sys0.deviation_sup() == 0.0
 
 
@@ -101,6 +159,46 @@ def test_bounded_solution_dim_small_amplitude(systems):
     res = bounded_solution_dim(sys_, grid)
     assert res.dimension == 1
     assert res.angle_to_wave <= 1e-5
+
+
+@pytest.mark.parametrize("delta", [0.02, 0.1])
+def test_normals_match_qr_frames(systems, delta):
+    grid, sys_ = systems[delta]
+    res = bounded_solution_dim(sys_, grid)
+    dim, sv, vec = qr_frame_intersection(sys_)
+    assert res.dimension == dim == 1
+    assert np.max(np.abs(res.singular_values - sv) / sv) <= 1e-9
+    assert min(np.max(np.abs(res.vector - vec)),
+               np.max(np.abs(res.vector + vec))) <= 1e-9
+
+
+def test_end_normal_annihilates_its_plane():
+    A0 = reduced_limit_matrix(make_params(0.1))
+    w, V = np.linalg.eig(A0)
+    for side, inside in (("+", w.real <= 1e-10), ("-", w.real >= -1e-10)):
+        normal = _end_normal(A0, side)
+        assert abs(np.linalg.norm(normal) - 1.0) < 1e-15
+        assert np.max(np.abs(normal @ V[:, inside].real)) < 1e-14
+
+
+def test_end_normal_rejects_bad_ends():
+    with pytest.raises(RuntimeError, match="direction counts"):
+        _end_normal(np.diag([1.0, 2.0, -1.0]), "+")
+    with pytest.raises(RuntimeError, match="complex rates"):
+        _end_normal(np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0],
+                              [0.0, 0.0, 1.0]]), "+")
+
+
+def test_angle_to_wave_resolves_tiny_angles(systems):
+    # arccos of the cosine reads 0 below about 1.5e-8; the chord between
+    # the unit vectors resolves the angle itself
+    grid, sys_ = systems[0.1]
+    res = bounded_solution_dim(sys_, grid)
+    Vbar = wave_vector(grid)[grid.n // 2]
+    Vbar = np.sign(res.vector @ Vbar) * Vbar / np.linalg.norm(Vbar)
+    chord = np.linalg.norm(res.vector - Vbar)
+    assert 0.0 < res.angle_to_wave < 1e-8
+    assert abs(res.angle_to_wave - chord) <= 1e-3 * chord
 
 
 def test_intersection_vector_tracks_wave(systems):
