@@ -59,6 +59,7 @@ from .eigensystem import (
     interior_matrix_coeffs,
     limit_matrix_coeffs,
     uniform_reader,
+    wave_residual,
 )
 from .modes import analytic_eigenpairs, default_disk_radius, slow_expansion
 from .params import PlasmaParams, ShockEndstates, liu_majda_delta
@@ -128,6 +129,9 @@ class EvansSystem:
     b2_mid: float
     disk_radius: float
     boundary_gap: float
+    # relative defect of W0 in W0' = A(x, 0) W0 on the table (guarantee
+    # 5); NaN, which fails the check, on a system not built from a grid
+    closure_residual: float = float("nan")
     rtol: float = 1e-12
     atol: float = 1e-14
     nseg: int = 14
@@ -193,14 +197,15 @@ def build_evans_system(grid: ProfileGrid, rtol: float = 1e-12,
         [A0.reshape(n, 25), A1.reshape(n, 25), A2.reshape(n, 25)], axis=1)
     spline = CubicSpline(grid.x, stacked, axis=0)
 
-    W0, _ = background_wave(vj, pj, sj, params, end)
+    W0, dW0 = background_wave(vj, pj, sj, params, end)
     mid = grid.n // 2
     return EvansSystem(
         params=params, end=end, X=X, n=n, spline=spline,
         W0_mid=W0[mid].copy(), b1_mid=float(tab.b1[mid]),
         b2_mid=float(tab.b2[mid]),
         disk_radius=default_disk_radius(params, end),
-        boundary_gap=float(gap), rtol=rtol, atol=atol,
+        boundary_gap=float(gap),
+        closure_residual=wave_residual(A0, W0, dW0), rtol=rtol, atol=atol,
         nseg=segment_count(X))
 
 

@@ -2,10 +2,10 @@
 
 A jet of order ``m`` at a point stores the scaled derivatives
 ``c[k] = y_k / k!`` for ``k = 0 .. m``.  Sums, products, quotients and
-exponentials of jets propagate derivatives exactly, which is how the
-profile solver builds high-order derivative tables without finite
-differencing, and how the linearized-operator assembly differentiates
-coefficient functions of the background wave.
+exponentials of jets propagate derivatives exactly, which is how every
+derivative of the profile is read without finite differencing, and how
+the linearized-operator assembly differentiates coefficient functions
+of the background wave.
 
 The leading axis of the coefficient array is the Taylor order; any
 remaining axes ride along elementwise, so one Jet can carry expansions

@@ -1,6 +1,6 @@
 """Config-driven end-to-end runs with machine-readable reports.
 
-A run loads a JSON config, executes the selected tasks in dependency
+A run loads a JSON config, executes the selected tasks in canonical
 order (profile, dispersion, evans, transversality, poisson), writes
 the per-task curve files (profile.csv, spectrum.csv, evans.csv) next
 to a report.json, and reports pass/fail per check with the measured
@@ -9,9 +9,11 @@ value and the threshold it was held against.
 The report is deterministic for a fixed config: keys are sorted and
 wall-clock timings are quarantined under a single "timings" key, so
 two runs differ at most there; non-finite numbers are written as null.
-A run solves at most two profile grids and derives each one's jets once:
-the profile task's grid, reused by transversality, and the longer Evans
-grid, shared by Evans and Poisson.
+Tasks get profile grids from two lazy providers, so each task runs
+alone: _profile_grid, which the profile task and transversality share,
+and _long_grid, the longer Evans grid that Evans and Poisson share.
+Each provider solves its grid on first use and derives its jets once,
+so a run solves at most two grids.
 """
 
 from __future__ import annotations
@@ -35,20 +37,12 @@ from .params import PlasmaParams, params_from_dict, solve_rankine_hugoniot
 from .poisson import (constant_discretization, discretize_profile,
                       manufactured_convergence, smallest_symmetric_eigenvalue,
                       solve_linearized_poisson)
-from .profile import (profile_derivatives, solve_profile, verify_profile,
-                      write_profile_csv)
+from .profile import solve_profile, verify_profile, write_profile_csv
 from .transversality import (bounded_solution_dim, build_reduced_system,
                              limit_eigenvalues, reduced_limit_matrix,
                              reduced_wave_residual)
 
 TASKS = ("profile", "dispersion", "evans", "transversality", "poisson")
-_DEPS = {
-    "profile": (),
-    "dispersion": (),
-    "evans": (),
-    "transversality": ("profile",),
-    "poisson": (),
-}
 
 
 class ConfigError(ValueError):
@@ -69,10 +63,23 @@ class RunConfig:
     raw: dict | None = None
 
 
-def _require_positive(numerics: dict, key: str) -> None:
-    value = numerics[key]
-    if value is not None and not value > 0:
-        raise ConfigError(f"numerics.{key} must be positive, got {value}")
+# the kind of value each numerics key takes; null leaves the default
+_NUMERIC_KINDS = {"X": "number", "n": "odd integer", "evans_X": "number",
+                  "evans_n": "odd integer", "rho": "number",
+                  "n_circle": "integer"}
+
+
+def _numeric(key: str, value):
+    """numerics.key checked against its kind: a finite number > 0, also
+    integral for the counts and odd for the node counts."""
+    kind = _NUMERIC_KINDS[key]
+    if not (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and 0 < value < math.inf
+            and (kind == "number" or value % 1 == 0)
+            and (kind != "odd integer" or value % 2 == 1)):
+        raise ConfigError(f"numerics.{key} must be a positive {kind}, "
+                          f"got {value!r}")
+    return value if kind == "number" else int(value)
 
 
 def load_config(path, tasks=None, out_dir=None) -> RunConfig:
@@ -92,38 +99,29 @@ def load_config(path, tasks=None, out_dir=None) -> RunConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad params block: {exc}") from exc
 
-    numerics = {"X": None, "n": None, "evans_X": None, "evans_n": None,
-                "rho": None, "n_circle": 32}
     extra = raw.get("numerics", {})
-    unknown = set(extra) - set(numerics)
+    if not isinstance(extra, dict):
+        raise ConfigError(f"numerics must be an object, got {extra!r}")
+    unknown = set(extra) - set(_NUMERIC_KINDS)
     if unknown:
         raise ConfigError(f"unknown numerics keys: {sorted(unknown)}")
-    numerics.update(extra)
-    for key in numerics:
-        _require_positive(numerics, key)
+    # RunConfig holds the defaults
+    numerics = {k: _numeric(k, v) for k, v in extra.items() if v is not None}
 
     chosen = tasks if tasks is not None else raw.get("tasks", list(TASKS))
     if isinstance(chosen, str):
         chosen = [t for t in chosen.split(",") if t]
+    if not isinstance(chosen, (list, tuple)) or not chosen:
+        raise ConfigError(f"tasks must be a non-empty list of task names, "
+                          f"got {chosen!r}; valid: {', '.join(TASKS)}")
     bad = [t for t in chosen if t not in TASKS]
     if bad:
         raise ConfigError(f"unknown tasks {bad}; valid: {', '.join(TASKS)}")
-    # dependency closure, kept in canonical order
-    wanted = set(chosen)
-    for t in chosen:
-        wanted.update(_DEPS[t])
-    ordered = tuple(t for t in TASKS if t in wanted)
 
     out = out_dir if out_dir is not None else raw.get("out", "out")
-    return RunConfig(params=params, tasks=ordered, out_dir=str(out),
-                     X=numerics["X"],
-                     n=None if numerics["n"] is None else int(numerics["n"]),
-                     evans_X=numerics["evans_X"],
-                     evans_n=(None if numerics["evans_n"] is None
-                              else int(numerics["evans_n"])),
-                     rho=numerics["rho"],
-                     n_circle=int(numerics["n_circle"]),
-                     raw=raw)
+    return RunConfig(params=params,
+                     tasks=tuple(t for t in TASKS if t in chosen),
+                     out_dir=str(out), raw=raw, **numerics)
 
 
 def config_hash(config: RunConfig) -> str:
@@ -156,23 +154,20 @@ def _check(value, threshold, passed) -> dict:
 
 
 def _task_profile(config, end, ctx, outdir):
-    n = config.n if config.n is not None else 4001
-    grid = profile_derivatives(
-        solve_profile(config.params, end, X=config.X, n=n))
-    ctx["grid"] = grid
+    grid = _profile_grid(config, end, ctx)
     rep = verify_profile(grid)
     res = float(np.max(rep.max_residual))
     mid = float(grid.v[grid.n // 2])
     target = 0.5 * (config.params.v_minus + config.params.v_plus)
     write_profile_csv(grid, outdir / "profile.csv")
     checks = {
-        "ode_residual": _check(res, rep.residual_tol, res <= rep.residual_tol),
+        "ode_residual": _check(res, 1e-8, res <= 1e-8),
         "monotone": _check(rep.monotonicity_margin, 0.0,
                            rep.monotonicity_margin > 0.0),
         "midpoint_pinned": _check(abs(mid - target), 1e-12,
                                   abs(mid - target) <= 1e-12),
-        "boundary_mismatch": _check(rep.boundary_mismatch, rep.boundary_tol,
-                                    rep.boundary_mismatch <= rep.boundary_tol),
+        "boundary_mismatch": _check(rep.boundary_mismatch, 1e-6,
+                                    rep.boundary_mismatch <= 1e-6),
     }
     metrics = {
         "X": grid.X, "n": grid.n, "v_mid": mid,
@@ -237,6 +232,15 @@ def _mode_metrics(params, end):
     return out
 
 
+def _profile_grid(config, end, ctx):
+    """The grid the profile task and transversality share, with the
+    order-5 jets transversality needs."""
+    if "grid" not in ctx:
+        grid = solve_profile(config.params, end, X=config.X, n=config.n)
+        ctx["grid"] = replace(grid, jets=grid.state_jets(5))
+    return ctx["grid"]
+
+
 def _long_grid(config, end, ctx):
     """The grid Evans and Poisson share, with jets of the order Evans
     needs if it runs, else of the order Poisson needs."""
@@ -267,6 +271,8 @@ def _task_evans(config, end, ctx, outdir):
                                          rep.factorization_residual <= 0.01),
         "factorization_sign": _check(rep.sign_match, True, rep.sign_match),
         "gamma_nonzero": _check(abs(rep.Gamma), 0.0, abs(rep.Gamma) > 0.0),
+        "closure_residual": _check(esys.closure_residual, 1e-6,
+                                   esys.closure_residual <= 1e-6),
     }
     metrics = rep.as_dict()
     metrics.update({
@@ -279,7 +285,7 @@ def _task_evans(config, end, ctx, outdir):
 
 
 def _task_transversality(config, end, ctx, outdir):
-    grid = ctx["grid"]
+    grid = _profile_grid(config, end, ctx)
     rsys = build_reduced_system(grid)
     wave_res = reduced_wave_residual(rsys, grid)
     result = bounded_solution_dim(rsys, grid)

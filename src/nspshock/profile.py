@@ -14,10 +14,11 @@ conditions clamp v at both ends; the phase condition pins
 v(0) = (v_minus + v_plus)/2 at the central node, so the node count
 must be odd.
 
-Derivative tables of order 1..4 come from Taylor jets of the right
-hand side, never from differencing the computed solution, and feed a
-piecewise-quintic Hermite interpolant (value, first and second
-derivative matched at the nodes).
+A solved grid is its nodes plus, optionally, the Taylor jets it
+carries.  Every derivative of the profile is read from jets of the
+right-hand side (`ProfileGrid.taylor_jets`), never from differencing
+the computed solution; the residual check builds its piecewise-quintic
+Hermite interpolant from them.
 """
 
 from __future__ import annotations
@@ -164,14 +165,10 @@ def _jacobian(y, h, mid_idx, params, end):
 
 @dataclass(frozen=True)
 class ProfileGrid:
-    """Converged profile with optional derivative tables.
+    """Converged profile at the nodes, with optional stored jets.
 
-    dv, du, dphi hold derivatives of order 1..4 in rows 0..3; they are
-    None until profile_derivatives has been applied.  The interpolant
-    is piecewise quintic (C^2), component order (v, u, phi, psi); psi
-    gets its own component so that residual checks of the first-order
-    system never differentiate an interpolant twice.  jets, once set,
-    holds state_jets output that every consumer of the grid reuses.
+    jets, once set, holds state_jets output that every consumer of the
+    grid reuses; without it, taylor_jets derives fresh ones.
     """
 
     params: PlasmaParams
@@ -182,10 +179,6 @@ class ProfileGrid:
     u: np.ndarray
     phi: np.ndarray
     psi: np.ndarray
-    dv: Optional[np.ndarray] = None
-    du: Optional[np.ndarray] = None
-    dphi: Optional[np.ndarray] = None
-    interpolant: Optional[PPoly] = None
     jets: Optional[tuple[Jet, Jet, Jet]] = None
 
     @property
@@ -215,19 +208,13 @@ class ProfileGrid:
             return self.jets
         return self.state_jets(order)
 
-    def evaluate(self, x_eval, deriv: int = 0) -> np.ndarray:
-        """Interpolated (v, u, phi, psi) or a derivative, shape (m, 4)."""
-        if self.interpolant is None:
-            raise ValueError("derivative tables not filled; run profile_derivatives")
-        p = self.interpolant.derivative(deriv) if deriv else self.interpolant
-        return p(np.asarray(x_eval))
-
 
 def solve_profile(params: PlasmaParams, end: ShockEndstates,
                   X: Optional[float] = None, n: Optional[int] = None,
                   tol: float = 1e-12, max_iter: int = 30) -> ProfileGrid:
     """Solve the truncated profile boundary-value problem.
 
+    X defaults to 18 decay lengths of the slow rate.
     Raises RuntimeError with the final defect when Newton stalls, and
     RuntimeError when the converged solution is not monotone (bad
     truncation or amplitude outside the perturbative regime).
@@ -235,7 +222,7 @@ def solve_profile(params: PlasmaParams, end: ShockEndstates,
     if X is None:
         X = default_half_length(params, end)
     if n is None:
-        n = 2 * int(round(X / 0.2)) + 1
+        n = 4001
     if n % 2 == 0:
         raise ValueError("node count n must be odd so that x=0 is a node")
     x = np.linspace(-X, X, n)
@@ -274,21 +261,6 @@ def solve_profile(params: PlasmaParams, end: ShockEndstates,
                        v=v, u=u, phi=phi, psi=psi)
 
 
-def profile_derivatives(grid: ProfileGrid, order: int = 5) -> ProfileGrid:
-    """Fill derivative tables (orders 1..4) and the quintic interpolant."""
-    vj, pj, sj = grid.state_jets(order)
-    s = grid.end.s
-    dv = np.stack([vj.derivative(k) for k in range(1, 5)])
-    dphi = np.stack([pj.derivative(k) for k in range(1, 5)])
-    du = -s * dv
-    values = np.stack([grid.v, grid.u, grid.phi, grid.psi], axis=-1)
-    d1 = np.stack([dv[0], du[0], dphi[0], dphi[1]], axis=-1)
-    d2 = np.stack([dv[1], du[1], dphi[1], dphi[2]], axis=-1)
-    poly = _quintic_hermite(grid.x, values, d1, d2)
-    return replace(grid, dv=dv, du=du, dphi=dphi, interpolant=poly,
-                   jets=(vj, pj, sj))
-
-
 def _quintic_hermite(x, y, d1, d2) -> PPoly:
     """Piecewise quintic matching value and two derivatives at the nodes."""
     h = np.diff(x)[:, None]
@@ -306,6 +278,22 @@ def _quintic_hermite(x, y, d1, d2) -> PPoly:
     return PPoly(coef, x, extrapolate=False)
 
 
+def profile_interpolant(grid: ProfileGrid) -> PPoly:
+    """Piecewise quintic (C^2) through the nodes, from order-3 jets.
+
+    Components are (v, u, phi, psi); psi gets its own component so that
+    residual checks of the first-order system never differentiate an
+    interpolant twice.
+    """
+    vj, pj, _ = grid.taylor_jets(3)
+    s = grid.end.s
+    dv1, dv2 = vj.derivative(1), vj.derivative(2)
+    values = np.stack([grid.v, grid.u, grid.phi, grid.psi], axis=-1)
+    d1 = np.stack([dv1, -s * dv1, pj.derivative(1), pj.derivative(2)], axis=-1)
+    d2 = np.stack([dv2, -s * dv2, pj.derivative(2), pj.derivative(3)], axis=-1)
+    return _quintic_hermite(grid.x, values, d1, d2)
+
+
 def profile_residual(grid: ProfileGrid, refine: int = 4) -> np.ndarray:
     """Max |y' - F(y)| of the interpolant per equation on a refined grid."""
     n = grid.n
@@ -313,8 +301,9 @@ def profile_residual(grid: ProfileGrid, refine: int = 4) -> np.ndarray:
     # clip the exact endpoints to stay inside the interpolation range
     xs[0] += 1e-12 * grid.h
     xs[-1] -= 1e-12 * grid.h
-    vals = grid.evaluate(xs)
-    derivs = grid.evaluate(xs, deriv=1)
+    poly = profile_interpolant(grid)
+    vals = poly(xs)
+    derivs = poly.derivative(1)(xs)
     v, phi, psi = vals[:, 0], vals[:, 2], vals[:, 3]
     dv, du, dpsi = derivs[:, 0], derivs[:, 1], derivs[:, 3]
     s = grid.end.s
@@ -336,21 +325,18 @@ class ProfileResidualReport:
     ratio_high: float             # fitted C-bar
     decay_exponent: float         # fitted slope of log|vbar - v_plus|
     boundary_mismatch: float
-    residual_tol: float
-    boundary_tol: float
-    passed: bool
 
 
-def verify_profile(grid: ProfileGrid, residual_tol: float = 1e-8,
-                   boundary_tol: float = 1e-6) -> ProfileResidualReport:
-    if grid.dv is None:
-        raise ValueError("derivative tables not filled; run profile_derivatives")
+def verify_profile(grid: ProfileGrid) -> ProfileResidualReport:
+    # derive the jets once for the residual and the margins
+    grid = replace(grid, jets=grid.taylor_jets(3))
     res = profile_residual(grid)
+    vj, pj, _ = grid.jets
     s = grid.end.s
-    sdv = s * grid.dv[0]
-    margin = float(np.min(sdv))
+    dv = vj.derivative(1)
+    margin = float(np.min(s * dv))
 
-    dub, dpb = grid.du[0], grid.dphi[0]
+    dub, dpb = -s * dv, pj.derivative(1)
     mask = np.abs(dub) > 1e-3 * np.max(np.abs(dub))
     if np.any(mask):
         ratios = dpb[mask] / dub[mask]
@@ -368,20 +354,16 @@ def verify_profile(grid: ProfileGrid, residual_tol: float = 1e-8,
     mism = max(abs(grid.phi[0] - end.phi_minus), abs(grid.phi[-1] - end.phi_plus),
                abs(grid.psi[0]), abs(grid.psi[-1]),
                abs(grid.u[0] - grid.params.u_minus), abs(grid.u[-1] - end.u_plus))
-
-    passed = bool(np.max(res) <= residual_tol and margin > 0.0
-                  and mism <= boundary_tol)
     return ProfileResidualReport(max_residual=res, monotonicity_margin=margin,
                                  ratio_low=ratio_low, ratio_high=ratio_high,
-                                 decay_exponent=slope, boundary_mismatch=mism,
-                                 residual_tol=residual_tol,
-                                 boundary_tol=boundary_tol, passed=passed)
+                                 decay_exponent=slope, boundary_mismatch=mism)
 
 
 def write_profile_csv(grid: ProfileGrid, path) -> None:
-    if grid.dv is None:
-        raise ValueError("derivative tables not filled; run profile_derivatives")
+    vj, pj, _ = grid.taylor_jets(2)
+    dv = vj.derivative(1)
     data = np.column_stack([grid.x, grid.v, grid.u, grid.phi,
-                            grid.dv[0], grid.du[0], grid.dphi[0], grid.dphi[1]])
+                            dv, -grid.end.s * dv, pj.derivative(1),
+                            pj.derivative(2)])
     np.savetxt(path, data, delimiter=",",
                header="x,v,u,phi,dv,du,dphi,d2phi", comments="")

@@ -52,7 +52,6 @@ from nspshock.poisson import (
 )
 from nspshock.profile import (
     default_half_length,
-    profile_derivatives,
     profile_residual,
     solve_profile,
     verify_profile,
@@ -135,18 +134,18 @@ def test_criterion_02_origin_and_resonance(params_ref, end_ref):
 
 def test_criterion_03_profile(params_ref, end_ref):
     t0 = time.perf_counter()
-    grid = profile_derivatives(solve_profile(params_ref, end_ref,
-                                             X=200.0, n=4001))
+    grid = solve_profile(params_ref, end_ref, X=200.0, n=4001)
     rep = verify_profile(grid)
     residual = float(np.max(rep.max_residual))
     s = end_ref.s
-    assert np.all(s * grid.dv[0] + grid.du[0] == 0.0)
+    vj = grid.taylor_jets(1)[0]
+    uj = params_ref.u_minus - s * (vj - params_ref.v_minus)
+    assert np.all(s * vj.derivative(1) + uj.derivative(1) == 0.0)
     mid = (grid.n - 1) // 2
     assert grid.x[mid] == 0.0 and grid.v[mid] == 1.05
     res = []
     for n in (501, 1001):
-        g = profile_derivatives(solve_profile(params_ref, end_ref,
-                                              X=200.0, n=n))
+        g = solve_profile(params_ref, end_ref, X=200.0, n=n)
         res.append(np.max(profile_residual(g)))
     order = float(np.log2(res[0] / res[1]))
     elapsed = time.perf_counter() - t0
@@ -207,8 +206,7 @@ def test_criterion_04_fast_slow_structure(params_ref, end_ref):
 
 def test_criterion_05_closure_guard(params_ref, end_ref):
     t0 = time.perf_counter()
-    grid = profile_derivatives(solve_profile(params_ref, end_ref,
-                                             X=200.0, n=2001))
+    grid = solve_profile(params_ref, end_ref, X=200.0, n=2001)
     vj, pj, sj = grid.state_jets(5)
     tab = interior_coefficients(grid.x, vj, pj, sj, params_ref, end_ref)
     A0, _, _ = interior_matrix_coeffs(tab)
@@ -262,7 +260,7 @@ def test_criterion_07_derivative_factorization(production_evans):
 
 def test_criterion_08_transversality(params_ref, end_ref):
     t0 = time.perf_counter()
-    grid = profile_derivatives(solve_profile(params_ref, end_ref, n=3001))
+    grid = solve_profile(params_ref, end_ref, n=3001)
     system = build_reduced_system(grid)
     res = bounded_solution_dim(system, grid)
     gammas = []

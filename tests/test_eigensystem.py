@@ -11,7 +11,7 @@ from nspshock.eigensystem import (
 )
 from nspshock.jets import Jet
 from nspshock.params import PlasmaParams, solve_rankine_hugoniot
-from nspshock.profile import profile_derivatives, solve_profile
+from nspshock.profile import solve_profile
 
 
 @pytest.fixture(scope="module")
@@ -19,7 +19,7 @@ def setup():
     p = PlasmaParams(T=1.0, nu=1.0, eps=1.0, v_minus=1.0, u_minus=0.0,
                      v_plus=1.1)
     end = solve_rankine_hugoniot(p)
-    grid = profile_derivatives(solve_profile(p, end, X=200.0, n=2001))
+    grid = solve_profile(p, end, X=200.0, n=2001)
     vj, pj, sj = grid.state_jets(5)
     tab = interior_coefficients(grid.x, vj, pj, sj, p, end)
     A0, A1, A2 = interior_matrix_coeffs(tab)

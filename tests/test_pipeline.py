@@ -77,12 +77,39 @@ def test_dispersion_only_writes_only_spectrum(tmp_path):
     assert list(report["tasks"]) == ["dispersion"]
 
 
-def test_dependency_auto_enabled(tmp_path):
+@pytest.mark.parametrize("numerics, key", [
+    ({"X": "a"}, "numerics.X"),
+    ({"evans_X": True}, "numerics.evans_X"),
+    ({"rho": float("inf")}, "numerics.rho"),
+    ({"n": True}, "numerics.n"),
+    ({"n": 4000}, "numerics.n"),
+    ({"evans_n": 5600}, "numerics.evans_n"),
+    ({"n_circle": 2.5}, "numerics.n_circle"),
+    ([32], "numerics"),
+])
+def test_bad_numeric_exits_2(tmp_path, capsys, numerics, key):
+    cfg = write_config(tmp_path, numerics=numerics)
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+
+
+@pytest.mark.parametrize("overrides, flags", [({}, ["--tasks", ""]),
+                                              ({"tasks": []}, [])])
+def test_empty_task_list_exits_2(tmp_path, capsys, overrides, flags):
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["run", "--config", str(cfg)] + flags) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "tasks" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_transversality_alone_solves_no_profile_task(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["run", "--config", str(cfg), "--tasks", "transversality"]) == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert list(report["tasks"]) == ["profile", "transversality"]
-    assert (tmp_path / "out" / "profile.csv").exists()
+    assert list(report["tasks"]) == ["transversality"]
+    assert not (tmp_path / "out" / "profile.csv").exists()
     work = report["tasks"]["transversality"]["metrics"]["work"]
     assert work["transports"] == 2 and work["rhs_calls"] > work["steps"] > 0
 
@@ -152,6 +179,15 @@ def test_transversality_reports_gamma_consistency(tmp_path):
     assert poisson["passed"] is True
     assert poisson["metrics"]["consistency_n"] == \
         report["tasks"]["evans"]["metrics"]["n"]
+
+
+def test_reference_run_reports_closure_residual(tmp_path):
+    cfg = write_config(tmp_path)
+    assert main(["run", "--config", str(cfg)]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    check = report["tasks"]["evans"]["checks"]["closure_residual"]
+    assert check["pass"] is True and check["threshold"] == 1e-6
+    assert check["value"] < 1e-10
 
 
 def test_each_grid_computes_its_jets_once(tmp_path, monkeypatch):
