@@ -17,6 +17,10 @@ W0 = (vbar', ubar', (b1 vbar' + b2 ubar')', phibar', phibar'') solves
 W0' = A(x, 0) W0, and `wave_residual` measures how well the assembled
 matrix reproduces that identity using exact Taylor-jet derivatives of
 the profile (no finite differencing).
+
+The assembly runs in jet arithmetic too, so A0, A1 and A2 come with
+their exact x-derivatives, from which `hermite_table` builds local
+cubic cells for the O(1) `uniform_reader`.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .jets import Jet
 from .params import PlasmaParams, ShockEndstates
@@ -62,94 +65,56 @@ def limit_matrix(params: PlasmaParams, end: ShockEndstates, side: str, lam):
 
 @dataclass(frozen=True)
 class CoefficientTables:
-    """Interior coefficient functions of the closure, tabulated on the grid.
-
-    Naming: a leading d means one x-derivative, d2 means two.  All
-    derivatives come from Taylor jets of the profile, so they satisfy
-    the profile ODE exactly at the nodes.
-    """
+    """Interior coefficient functions of the closure, as jets on the grid:
+    their x-derivatives satisfy the profile ODE exactly at the nodes."""
 
     x: np.ndarray
     s: float
-    b1: np.ndarray
-    db1: np.ndarray
-    d2b1: np.ndarray
-    b2: np.ndarray
-    db2: np.ndarray
-    d2b2: np.ndarray
-    A21: np.ndarray
-    dA21: np.ndarray
-    D21: np.ndarray
-    dD21: np.ndarray
-    E21: np.ndarray
-    dE21: np.ndarray
-    c1: np.ndarray
-    dc1: np.ndarray
-    c3: np.ndarray
-    dc3: np.ndarray
-    r1: np.ndarray
-    dr1: np.ndarray
-    r2: np.ndarray
-    dr2: np.ndarray
-    P: np.ndarray
+    b1: Jet
+    b2: Jet
+    A21: Jet
+    D21: Jet
+    E21: Jet
+    c1: Jet
+    c3: Jet
+    r1: Jet
+    r2: Jet
+
+    @property
+    def P(self) -> Jet:
+        """Pivot s b2 - b1 of the (v', u') solve."""
+        return self.s * self.b2 - self.b1
 
 
 def interior_coefficients(x, v_jet: Jet, phi_jet: Jet, psi_jet: Jet,
                           params: PlasmaParams, end: ShockEndstates) -> CoefficientTables:
-    """Build the coefficient tables from profile jets (order >= 4).
+    """Build the coefficient jets from profile jets (order >= 3).
 
     v_jet, phi_jet, psi_jet are jets of (vbar, phibar, phibar') with the
-    grid as base axis.
+    grid as base axis.  Only their order-3 part is used: it is what the
+    matrix coefficients and their first x-derivative need.
     """
     T, nu, eps2, s = params.T, params.nu, params.eps**2, end.s
-    v, phi, psi = v_jet, phi_jet, psi_jet
+    v, phi, psi = (Jet(j.coef[:4]) for j in (v_jet, phi_jet, psi_jet))
     iv = v**-1
     ephi = phi.exp()
     dv = v.deriv()          # jet of vbar'
     dpsi = psi.deriv()      # jet of phibar''
 
-    b1 = eps2 * psi * iv**3
-    b2 = nu * iv
-    A21 = (T * iv**2 + ephi * iv + s * nu * dv * iv**2
-           + eps2 * dpsi * iv**3 - 2.0 * eps2 * psi * dv * iv**4
-           - eps2 * psi**2 * iv**3)
-    D21 = eps2 * (dv * iv**3 + psi * iv**2)
-    E21 = -eps2 * iv**2
-    c1 = (1.0 / eps2) * v * ephi + dpsi * iv - 2.0 * dv * psi * iv**2
-    c3 = (1.0 / eps2) * v**2 * ephi
-    r1 = psi * iv
-    r2 = dv * iv
-
     return CoefficientTables(
         x=np.asarray(x), s=s,
-        b1=b1.value, db1=b1.derivative(1), d2b1=b1.derivative(2),
-        b2=b2.value, db2=b2.derivative(1), d2b2=b2.derivative(2),
-        A21=A21.value, dA21=A21.derivative(1),
-        D21=D21.value, dD21=D21.derivative(1),
-        E21=E21.value, dE21=E21.derivative(1),
-        c1=c1.value, dc1=c1.derivative(1),
-        c3=c3.value, dc3=c3.derivative(1),
-        r1=r1.value, dr1=r1.derivative(1),
-        r2=r2.value, dr2=r2.derivative(1),
-        P=s * b2.value - b1.value,
+        b1=eps2 * psi * iv**3,
+        b2=nu * iv,
+        A21=(T * iv**2 + ephi * iv + s * nu * dv * iv**2
+             + eps2 * dpsi * iv**3 - 2.0 * eps2 * psi * dv * iv**4
+             - eps2 * psi**2 * iv**3),
+        D21=eps2 * (dv * iv**3 + psi * iv**2),
+        E21=-eps2 * iv**2,
+        c1=(1.0 / eps2) * v * ephi + dpsi * iv - 2.0 * dv * psi * iv**2,
+        c3=(1.0 / eps2) * v**2 * ephi,
+        r1=psi * iv,
+        r2=dv * iv,
     )
-
-
-def _unit_row(idx: int, n: int) -> np.ndarray:
-    row = np.zeros((3, n, 5))
-    row[0, :, idx] = 1.0
-    return row
-
-
-def _scale(coef: np.ndarray, row: np.ndarray) -> np.ndarray:
-    # scalar grid function times a lambda-polynomial row vector
-    return coef[None, :, None] * row
-
-
-def _lam_shift(row: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(row)
-    out[1:] = row[:2]
-    return out
 
 
 def interior_matrix_coeffs(tab: CoefficientTables):
@@ -162,49 +127,53 @@ def interior_matrix_coeffs(tab: CoefficientTables):
       row 4:    the linearized field equation solved for phi'';
       row 2:    w'' after eliminating phi'', phi''' and (v'', u''),
                 which injects the single lam^2 entry (b1 b2)/(s P).
+
+    Each row is a jet of lambda-polynomial row vectors, shaped (n, 3, 5),
+    so the three matrices come back as order-1 jets of shape (n, 5, 5):
+    the values and their exact x-derivatives.
     """
-    n = tab.x.shape[0]
     s = tab.s
-    e0, e1, e3, e4 = (_unit_row(i, n) for i in (0, 1, 3, 4))
 
-    row1 = np.zeros((3, n, 5))
-    row1[0, :, 0] = tab.db1 / tab.P
-    row1[0, :, 1] = tab.db2 / tab.P
-    row1[0, :, 2] = -1.0 / tab.P
-    row1[1, :, 0] = tab.b2 / tab.P
+    def g(f: Jet, k: int = 0) -> Jet:
+        # order-1 part of the k-th derivative, shaped to scale the rows
+        for _ in range(k):
+            f = f.deriv()
+        return Jet(f.coef[:2, :, None, None])
 
-    row2 = np.zeros((3, n, 5))
-    row2[0, :, 0] = -s * tab.db1 / tab.P
-    row2[0, :, 1] = -s * tab.db2 / tab.P
-    row2[0, :, 2] = s / tab.P
-    row2[1, :, 0] = -tab.b1 / tab.P
+    # unit[k, i]: lam**k times the i-th unit row vector, shaped (3, 5)
+    unit = np.eye(15).reshape(3, 5, 3, 5)
+    e0, e1, e2, e3, e4 = unit[0]
+    P, b1, b2 = g(tab.P), g(tab.b1), g(tab.b2)
+    db1, db2 = g(tab.b1, 1), g(tab.b2, 1)
+    d2b1, d2b2 = g(tab.b1, 2), g(tab.b2, 2)
+    c1, c3, r1, r2 = g(tab.c1), g(tab.c3), g(tab.r1), g(tab.r2)
 
-    row5 = _scale(tab.c1, e0) + _scale(tab.c3, e3) + _scale(tab.r2, e4) \
-        + _scale(tab.r1, row1)
+    flux = db1 * e0 + db2 * e1 - e2
+    row1 = (flux + b2 * unit[1, 0]) / P
+    row2 = (-s * flux - b1 * unit[1, 0]) / P
 
-    ell = _scale(tab.d2b1, e0) + _scale(tab.d2b2, e1) \
-        + _scale(2.0 * tab.db1, row1) + _scale(2.0 * tab.db2, row2)
+    row5 = c1 * e0 + c3 * e3 + r2 * e4 + r1 * row1
 
-    bracket = _scale(tab.dc1, e0) + _scale(tab.dc3, e3) \
-        + _scale(tab.c3 + tab.dr2, e4) + _scale(tab.c1 + tab.dr1, row1) \
-        + _scale(tab.r2, row5)
+    ell = d2b1 * e0 + d2b2 * e1 + 2.0 * db1 * row1 + 2.0 * db2 * row2
 
-    S = (_scale(tab.d2b1 - tab.dA21, e0) + _scale(tab.d2b2, e1)
-         + _lam_shift(e1)
-         + _scale(tab.db1 - tab.A21, row1) + _scale(tab.db2 - s, row2)
-         - _scale(tab.dD21, e4) - _scale(tab.D21 + tab.dE21, row5)
-         - _scale(tab.E21, bracket))
+    bracket = g(tab.c1, 1) * e0 + g(tab.c3, 1) * e3 \
+        + (c3 + g(tab.r2, 1)) * e4 + (c1 + g(tab.r1, 1)) * row1 + r2 * row5
 
-    row3 = _scale(tab.P / (s * tab.b2), S) \
-        + _scale(tab.b1 / (s * tab.b2),
-                 _scale(tab.b2, _lam_shift(row1)) + ell)
+    S = ((d2b1 - g(tab.A21, 1)) * e0 + d2b2 * e1 + unit[1, 1]
+         + (db1 - g(tab.A21)) * row1 + (db2 - s) * row2
+         - g(tab.D21, 1) * e4 - (g(tab.D21) + g(tab.E21, 1)) * row5
+         - g(tab.E21) * bracket)
 
-    rows = [row1, row2, row3, _unit_row(4, n), row5]
+    # lam row1: row1 has no lam^2 part, so a roll shifts it
+    lam_row1 = Jet(np.roll(row1.coef, 1, axis=2))
+    row3 = P / (s * b2) * S + b1 / (s * b2) * (b2 * lam_row1 + ell)
 
-    A = np.zeros((3, n, 5, 5))
-    for i, row in enumerate(rows):
-        A[:, :, i, :] = row
-    return A[0], A[1], A[2]
+    # (order, node, lam power, row, column): A0, A1 and A2 are views
+    A = np.zeros((2, tab.x.shape[0], 3, 5, 5))
+    for i, row in ((0, row1), (1, row2), (2, row3), (4, row5)):
+        A[:, :, :, i, :] = row.coef
+    A[0, :, 0, 3, 4] = 1.0
+    return tuple(Jet(A[:, :, k]) for k in range(3))
 
 
 def background_wave(v_jet: Jet, phi_jet: Jet, psi_jet: Jet,
@@ -244,25 +213,41 @@ def wave_residual(A0, W0, dW0) -> float:
     return float(np.max(np.abs(defect)) / np.max(np.abs(dW0)))
 
 
-def uniform_reader(spline: CubicSpline, shape: tuple):
-    """O(1) reader x -> spline(x).reshape(shape) of a uniform-grid spline.
+def hermite_table(x: np.ndarray, values: np.ndarray,
+                  slopes: np.ndarray) -> np.ndarray:
+    """Local cubic-Hermite cells through (n, k) values and slopes at x.
 
-    The cell of x is int((x - x0) / h), clipped to the grid, and its cubic
-    is evaluated from spline.c in place, with no copy of the table; the
-    end cells extrapolate, as the spline does.  Raises ValueError when
-    the grid is not uniform.
+    Returns (4, n - 1, k) coefficients in the layout of PPoly.c (powers
+    3, 2, 1, 0 of x - x[i] in cell i); no system is solved.  Raises
+    ValueError unless x is uniform on [-X, X], as uniform_reader assumes.
     """
-    x = spline.x
-    x0 = x[0]
     h = (x[-1] - x[0]) / (x.size - 1)
-    if not np.allclose(np.diff(x), h, rtol=1e-9, atol=0.0):
-        raise ValueError("coefficient spline needs a uniform grid")
-    last = x.size - 2
+    if x[0] != -x[-1] or not np.allclose(np.diff(x), h, rtol=1e-9, atol=0):
+        raise ValueError("coefficient table needs a uniform grid on [-X, X]")
+    secant = (values[1:] - values[:-1]) / h
+    bend = (slopes[:-1] + slopes[1:] - 2.0 * secant) / h
+    cells = np.empty((4,) + secant.shape)
+    cells[0] = bend / h
+    cells[1] = (secant - slopes[:-1]) / h - bend
+    cells[2] = slopes[:-1]
+    cells[3] = values[:-1]
+    return cells
+
+
+def uniform_reader(X: float, table: np.ndarray, shape: tuple):
+    """O(1) reader x -> hermite_table cells on [-X, X] evaluated at x.
+
+    The cell of x is int((x + X) / h), clipped to the grid, and its cubic
+    is evaluated in place, with no copy of the table; the end cells
+    extrapolate.  The result has the given shape.
+    """
+    last = table.shape[1] - 1
+    h = 2.0 * X / (last + 1)
 
     def read(xi: float) -> np.ndarray:
-        i = min(max(int((xi - x0) / h), 0), last)
-        t = xi - x[i]
+        i = min(max(int((xi + X) / h), 0), last)
+        t = xi - (i * h - X)
         return (np.array([t * t * t, t * t, t, 1.0])
-                @ spline.c[:, i]).reshape(shape)
+                @ table[:, i]).reshape(shape)
 
     return read

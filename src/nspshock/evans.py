@@ -23,12 +23,13 @@ Cauchy and difference points) in one batch and each winding-refinement
 round in one more.
 
 Each right-hand-side call finds its cell of the uniform coefficient
-grid in O(1), evaluates the cell's cubic for the stacked A0, A1, A2 of
-A(x, lam) = A0 + lam A1 + lam^2 A2, lifts those three matrices once
-(lifting is linear) and applies them to all m wedges, combining the
-products per lam.  The starting eigenvectors of a batch are continued
-from lam = 0 in lockstep (modes.analytic_eigenpairs).  Gamma reuses the
-wedges of the lam = 0 sample and transports only the fast pair at -inf.
+grid in O(1) and evaluates the cell's cubic, a Hermite cell through the
+jet values and slopes of A0, A1, A2 in A(x, lam) = A0 + lam A1 +
+lam^2 A2.  It lifts those three matrices once (lifting is linear),
+applies them to all m wedges and combines the products per lam.  The
+starting eigenvectors of a batch are continued from lam = 0 in lockstep
+(modes.analytic_eigenpairs).  Gamma reuses the wedges of the lam = 0
+sample and transports only the fast pair at -inf.
 
 Initial data at the cut ends come from the analytically continued
 eigenvectors of the limit matrices, so D inherits analyticity in lam
@@ -51,10 +52,10 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 
 from .eigensystem import (
     background_wave,
+    hermite_table,
     interior_coefficients,
     interior_matrix_coeffs,
     limit_matrix_coeffs,
@@ -117,13 +118,13 @@ def d_contour(rho: float, radius: float, n_arc: int = 24, n_inner: int = 16,
 
 @dataclass
 class EvansSystem:
-    """Profile, coefficient splines and mode data bundled for evaluation."""
+    """Profile, coefficient table and mode data bundled for evaluation."""
 
     params: PlasmaParams
     end: ShockEndstates
     X: float
     n: int
-    spline: CubicSpline          # x -> 75 stacked entries of A0, A1, A2
+    table: np.ndarray            # hermite_table cells of A0, A1, A2
     W0_mid: np.ndarray           # wave-derivative state at x = 0
     b1_mid: float
     b2_mid: float
@@ -142,7 +143,7 @@ class EvansSystem:
 
     def __post_init__(self):
         # coefficients(x): A0, A1, A2 at x as a (3, 5, 5) stack
-        self.coefficients = uniform_reader(self.spline, (3, 5, 5))
+        self.coefficients = uniform_reader(self.X, self.table, (3, 5, 5))
 
     def coefficient_matrix(self, x: float, lam) -> np.ndarray:
         """A(x, lam), shape (5, 5) or (m, 5, 5) for an array of m lam."""
@@ -177,36 +178,35 @@ def build_evans_system(grid: ProfileGrid, rtol: float = 1e-12,
     """
     params, end = grid.params, grid.end
     X, n = grid.X, grid.n
-    vj, pj, sj = grid.taylor_jets(5)
+    vj, pj, sj = grid.taylor_jets(3)
     tab = interior_coefficients(grid.x, vj, pj, sj, params, end)
-    A0, A1, A2 = interior_matrix_coeffs(tab)
+    # A[0, i, k] is the coefficient of lam**k at node i, A[1] its slope
+    A = np.stack([a.coef for a in interior_matrix_coeffs(tab)], axis=2)
 
     gap = 0.0
     for idx, side in ((0, "minus"), (-1, "plus")):
         L0, L1 = limit_matrix_coeffs(params, end, side)
         gap = max(gap,
-                  np.max(np.abs(A0[idx] - L0)),
-                  np.max(np.abs(A1[idx] - L1)),
-                  np.max(np.abs(A2[idx])))
+                  np.max(np.abs(A[0, idx, 0] - L0)),
+                  np.max(np.abs(A[0, idx, 1] - L1)),
+                  np.max(np.abs(A[0, idx, 2])))
     if gap > gap_tol:
         raise RuntimeError(
             f"coefficients at the cut ends miss their limits by {gap:.3e}; "
             "the domain is too short for Evans work")
 
-    stacked = np.concatenate(
-        [A0.reshape(n, 25), A1.reshape(n, 25), A2.reshape(n, 25)], axis=1)
-    spline = CubicSpline(grid.x, stacked, axis=0)
-
     W0, dW0 = background_wave(vj, pj, sj, params, end)
     mid = grid.n // 2
     return EvansSystem(
-        params=params, end=end, X=X, n=n, spline=spline,
-        W0_mid=W0[mid].copy(), b1_mid=float(tab.b1[mid]),
-        b2_mid=float(tab.b2[mid]),
+        params=params, end=end, X=X, n=n,
+        table=hermite_table(grid.x, A[0].reshape(n, 75),
+                            A[1].reshape(n, 75)),
+        W0_mid=W0[mid].copy(), b1_mid=float(tab.b1.value[mid]),
+        b2_mid=float(tab.b2.value[mid]),
         disk_radius=default_disk_radius(params, end),
         boundary_gap=float(gap),
-        closure_residual=wave_residual(A0, W0, dW0), rtol=rtol, atol=atol,
-        nseg=segment_count(X))
+        closure_residual=wave_residual(A[0, :, 0], W0, dW0), rtol=rtol,
+        atol=atol, nseg=segment_count(X))
 
 
 def _side_modes(sys: EvansSystem, side: str, lams: np.ndarray):

@@ -19,6 +19,8 @@ import numpy as np
 
 class Jet:
     __slots__ = ("coef",)
+    # an ndarray on the left defers to the reflected operators below
+    __array_ufunc__ = None
 
     def __init__(self, coef):
         coef = np.asarray(coef)

@@ -66,13 +66,23 @@ class ShockEndstates:
     phi_plus: float
 
 
+def finite_number(value) -> bool:
+    """A finite int or float, not a bool: a number in a JSON config."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def params_from_dict(d: dict) -> PlasmaParams:
     """Build PlasmaParams from a config mapping with keys
-    T, nu, eps, v_minus, u_minus, v_plus."""
+    T, nu, eps, v_minus, u_minus, v_plus, each a finite number."""
     keys = ("T", "nu", "eps", "v_minus", "u_minus", "v_plus")
     missing = [k for k in keys if k not in d]
     if missing:
         raise ValueError(f"missing parameter keys: {missing}")
+    for k in keys:
+        if not finite_number(d[k]):
+            raise ValueError(f"params.{k} must be a finite number, "
+                             f"got {d[k]!r}")
     return PlasmaParams(**{k: float(d[k]) for k in keys})
 
 

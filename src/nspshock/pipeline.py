@@ -13,7 +13,8 @@ Tasks get profile grids from two lazy providers, so each task runs
 alone: _profile_grid, which the profile task and transversality share,
 and _long_grid, the longer Evans grid that Evans and Poisson share.
 Each provider solves its grid on first use and derives its jets once,
-so a run solves at most two grids.
+to order 3, the highest order any task reads; so a run solves at most
+two grids.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from .dispersion import (default_xi_grid, dispersion_curve,
 from .evans import (build_evans_system, evans_grid, evans_report,
                     write_evans_csv)
 from .modes import fast_roots, slow_expansion
-from .params import PlasmaParams, params_from_dict, solve_rankine_hugoniot
+from .params import (PlasmaParams, finite_number, params_from_dict,
+                     solve_rankine_hugoniot)
 from .poisson import (constant_discretization, discretize_profile,
                       manufactured_convergence, smallest_symmetric_eigenvalue,
                       solve_linearized_poisson)
@@ -73,8 +75,7 @@ def _numeric(key: str, value):
     """numerics.key checked against its kind: a finite number > 0, also
     integral for the counts and odd for the node counts."""
     kind = _NUMERIC_KINDS[key]
-    if not (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and 0 < value < math.inf
+    if not (finite_number(value) and value > 0
             and (kind == "number" or value % 1 == 0)
             and (kind != "odd integer" or value % 2 == 1)):
         raise ConfigError(f"numerics.{key} must be a positive {kind}, "
@@ -233,22 +234,19 @@ def _mode_metrics(params, end):
 
 
 def _profile_grid(config, end, ctx):
-    """The grid the profile task and transversality share, with the
-    order-5 jets transversality needs."""
+    """The grid the profile task and transversality share."""
     if "grid" not in ctx:
         grid = solve_profile(config.params, end, X=config.X, n=config.n)
-        ctx["grid"] = replace(grid, jets=grid.state_jets(5))
+        ctx["grid"] = replace(grid, jets=grid.state_jets(3))
     return ctx["grid"]
 
 
 def _long_grid(config, end, ctx):
-    """The grid Evans and Poisson share, with jets of the order Evans
-    needs if it runs, else of the order Poisson needs."""
+    """The grid Evans and Poisson share."""
     if "long_grid" not in ctx:
         grid = evans_grid(config.params, end, X=config.evans_X,
                           n=config.evans_n)
-        order = 5 if "evans" in config.tasks else 2
-        ctx["long_grid"] = replace(grid, jets=grid.state_jets(order))
+        ctx["long_grid"] = replace(grid, jets=grid.state_jets(3))
     return ctx["long_grid"]
 
 

@@ -15,6 +15,8 @@ a rank-revealing SVD.  Each plane is carried by its normal, which
 moves under the adjoint equation y' = -Atilde^T y through
 evans.transport; no diagonalizing change of variables or QR frame is
 needed, and at x = 0 the plane is the normal's orthogonal complement.
+Atilde is eliminated on jets, so it comes with its exact x-derivative,
+and is read from cubic-Hermite cells (eigensystem.hermite_table).
 """
 
 from __future__ import annotations
@@ -24,11 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 # unused here; kept so that WRAPS in perfbench/tracer.py can patch it
 from scipy.integrate import solve_ivp  # noqa: F401
-from scipy.interpolate import CubicSpline
 
-from .eigensystem import (interior_coefficients, interior_matrix_coeffs,
-                          uniform_reader)
+from .eigensystem import (hermite_table, interior_coefficients,
+                          interior_matrix_coeffs, uniform_reader)
 from .evans import WORK_COUNTS, segment_count, transport
+from .jets import Jet
 from .params import PlasmaParams, ShockEndstates
 from .profile import ProfileGrid
 
@@ -54,13 +56,13 @@ def limit_eigenvalues(params: PlasmaParams) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class ReducedSystem:
-    """Tabulated reduced matrix with its cubic spline (see uniform_reader)."""
+    """Tabulated reduced matrix with its hermite_table cells."""
 
     params: PlasmaParams
     end: ShockEndstates
     x: np.ndarray
     tables: np.ndarray           # (n, 3, 3)
-    spline: CubicSpline
+    table: np.ndarray            # hermite_table cells of tables
     A0: np.ndarray               # zero-amplitude reference matrix
     sigma: tuple[float, float, float]
 
@@ -74,21 +76,23 @@ class ReducedSystem:
                                            axis=(1, 2))))
 
 
-def reduced_tables(grid: ProfileGrid) -> np.ndarray:
-    """Eliminate v and the flux derivative from the lam = 0 system."""
-    params, end = grid.params, grid.end
-    vj, pj, sj = grid.taylor_jets(5)
-    tab = interior_coefficients(grid.x, vj, pj, sj, params, end)
-    A0full, _, _ = interior_matrix_coeffs(tab)
-    s = end.s
-    n = grid.n
+def reduced_tables(grid: ProfileGrid) -> Jet:
+    """Eliminate v and the flux derivative from the lam = 0 system;
+    Atilde comes back as an order-1 jet of shape (n, 3, 3)."""
+    vj, pj, sj = grid.taylor_jets(3)
+    tab = interior_coefficients(grid.x, vj, pj, sj, grid.params, grid.end)
+    A0 = interior_matrix_coeffs(tab)[0]
+    s = grid.end.s
 
-    # columns express W = (v, u, w', phi, phi') through V = (u, phi, phi')
-    E = np.zeros((n, 5, 3))
-    E[:, 0, 0] = -1.0 / s
-    E[:, 1, 0] = 1.0
-    E[:, 3, 1] = 1.0
-    E[:, 4, 2] = 1.0
+    def col(f: Jet) -> Jet:
+        # order-1 part of a grid function, shaped to scale 3-vectors
+        return Jet(f.coef[:2, ..., None])
+
+    # rows expressing W = (v, u, w', phi, phi') through V = (u, phi, phi');
+    # the row of w' is solved for below
+    E = np.array([[-1.0 / s, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0],
+                  [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    a = [col(Jet(A0.coef[:, :, 4, j])) for j in range(5)]
 
     # The integrated flux relation and the field row form a linear pair
     #   w'   = (b1'-A21) v + (b2'-s) u - D21 phi' - E21 phi''
@@ -96,31 +100,30 @@ def reduced_tables(grid: ProfileGrid) -> np.ndarray:
     # (a_j the entries of the lam = 0 field row, which picks up a w'
     # term from the v' substitution).  Its determinant 1 + E21 a2
     # equals s b2 / P > 0, so the pair is always solvable.
-    a = A0full[:, 4, :]
-    rhs_w = ((tab.db1 - tab.A21)[:, None] * E[:, 0, :]
-             + (tab.db2 - s)[:, None] * E[:, 1, :]
-             - tab.D21[:, None] * E[:, 4, :])
-    rhs_f = (a[:, 0, None] * E[:, 0, :] + a[:, 1, None] * E[:, 1, :]
-             + a[:, 3, None] * E[:, 3, :] + a[:, 4, None] * E[:, 4, :])
-    den = 1.0 + tab.E21 * a[:, 2]
-    if np.min(den) < 1e-8:
+    E21 = col(tab.E21)
+    rhs_w = (col(tab.b1.deriv() - tab.A21) * E[0]
+             + (col(tab.b2.deriv()) - s) * E[1] - col(tab.D21) * E[4])
+    rhs_f = a[0] * E[0] + a[1] * E[1] + a[3] * E[3] + a[4] * E[4]
+    den = 1.0 + E21 * a[2]
+    if np.min(den.value) < 1e-8:
         raise RuntimeError("constraint pair degenerates: min determinant "
-                           f"{np.min(den):.2e}")
-    E[:, 2, :] = (rhs_w - tab.E21[:, None] * rhs_f) / den[:, None]
-    phi2_row = rhs_f + a[:, 2, None] * E[:, 2, :]
+                           f"{np.min(den.value):.2e}")
+    rows = [E[0], E[1], (rhs_w - E21 * rhs_f) / den, E[3], E[4]]
 
-    out = np.empty((n, 3, 3))
-    out[:, 0, :] = np.einsum("nj,njk->nk", A0full[:, 1, :], E)
-    out[:, 1, :] = np.array([0.0, 0.0, 1.0])
-    out[:, 2, :] = phi2_row
-    return out
+    out = np.zeros((2, grid.n, 3, 3))
+    out[:, :, 0] = sum(col(Jet(A0.coef[:, :, 1, j])) * row
+                       for j, row in enumerate(rows)).coef
+    out[0, :, 1, 2] = 1.0
+    out[:, :, 2] = (rhs_f + a[2] * rows[2]).coef
+    return Jet(out)
 
 
 def build_reduced_system(grid: ProfileGrid) -> ReducedSystem:
-    tables = reduced_tables(grid)
+    At = reduced_tables(grid)
     return ReducedSystem(
-        params=grid.params, end=grid.end, x=grid.x, tables=tables,
-        spline=CubicSpline(grid.x, tables.reshape(grid.n, 9), axis=0),
+        params=grid.params, end=grid.end, x=grid.x, tables=At.value,
+        table=hermite_table(grid.x, At.value.reshape(grid.n, 9),
+                            At.derivative(1).reshape(grid.n, 9)),
         A0=reduced_limit_matrix(grid.params),
         sigma=limit_eigenvalues(grid.params))
 
@@ -208,7 +211,7 @@ def bounded_solution_dim(system: ReducedSystem, grid: ProfileGrid | None = None,
     Without a grid the angle against the wave derivative is NaN.
     """
     X = system.X
-    read = uniform_reader(system.spline, (3, 3))
+    read = uniform_reader(X, system.table, (3, 3))
     nseg = segment_count(X)
     work = dict.fromkeys(WORK_COUNTS, 0)
     S = _propagate_plane(read, _end_normal(system.tables[-1], "+"), X,

@@ -209,7 +209,7 @@ def test_criterion_05_closure_guard(params_ref, end_ref):
     grid = solve_profile(params_ref, end_ref, X=200.0, n=2001)
     vj, pj, sj = grid.state_jets(5)
     tab = interior_coefficients(grid.x, vj, pj, sj, params_ref, end_ref)
-    A0, _, _ = interior_matrix_coeffs(tab)
+    A0 = interior_matrix_coeffs(tab)[0].value
     W0, dW0 = background_wave(vj, pj, sj, params_ref, end_ref)
     base = wave_residual(A0, W0, dW0)
     weakest = np.inf

@@ -22,7 +22,7 @@ def setup():
     grid = solve_profile(p, end, X=200.0, n=2001)
     vj, pj, sj = grid.state_jets(5)
     tab = interior_coefficients(grid.x, vj, pj, sj, p, end)
-    A0, A1, A2 = interior_matrix_coeffs(tab)
+    A0, A1, A2 = (a.value for a in interior_matrix_coeffs(tab))
     return p, end, grid, (vj, pj, sj), tab, (A0, A1, A2)
 
 
@@ -43,7 +43,7 @@ def test_interior_assembly_freezes_to_limit(side):
     m = 4
     vj, pj, sj = _constant_jets(v, phi, m)
     tab = interior_coefficients(np.zeros(m), vj, pj, sj, p, end)
-    A0, A1, A2 = interior_matrix_coeffs(tab)
+    A0, A1, A2 = (a.value for a in interior_matrix_coeffs(tab))
     L0, L1 = limit_matrix_coeffs(p, end, side)
     assert np.max(np.abs(A0 - L0)) < 1e-13
     assert np.max(np.abs(A1 - L1)) < 1e-13
@@ -78,14 +78,15 @@ def test_quadratic_term_only_couples_density_to_flux_row(setup):
     mask = np.zeros((5, 5), dtype=bool)
     mask[2, 0] = True
     assert np.max(np.abs(A2[:, ~mask])) == 0.0
-    expected = tab.b1 * tab.b2 / (tab.s * tab.P)
+    expected = tab.b1.value * tab.b2.value / (tab.s * tab.P.value)
     assert np.allclose(A2[:, 2, 0], expected, rtol=1e-12)
 
 
 def test_pivot_positive_on_grid(setup):
     p, end, grid, jets, tab, A = setup
-    assert np.all(tab.P > 0.0)
-    assert np.allclose(tab.P, tab.s * tab.b2 - tab.b1, rtol=1e-14)
+    assert np.all(tab.P.value > 0.0)
+    assert np.allclose(tab.P.value, tab.s * tab.b2.value - tab.b1.value,
+                       rtol=1e-14)
 
 
 def test_limit_matrix_affine_in_lambda():

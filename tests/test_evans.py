@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from nspshock.eigensystem import (limit_matrix, limit_matrix_coeffs,
-                                  uniform_reader)
+from nspshock.eigensystem import (hermite_table, interior_coefficients,
+                                  interior_matrix_coeffs, limit_matrix,
+                                  limit_matrix_coeffs, uniform_reader)
 from nspshock.evans import (
     EvansSystem,
     build_evans_system,
@@ -24,7 +25,7 @@ from nspshock.evans import (
 )
 from nspshock.params import solve_rankine_hugoniot
 from nspshock.profile import solve_profile
-from nspshock.transversality import build_reduced_system
+from nspshock.transversality import build_reduced_system, reduced_tables
 from nspshock.wedge import lift2, lift3, pairing, wedge2, wedge3
 
 from conftest import make_params
@@ -37,9 +38,13 @@ _ATOL = 1e-13
 
 
 @pytest.fixture(scope="module")
-def esys(params_ref, end_ref):
-    return build_evans_system(evans_grid(params_ref, end_ref, n=_N_TEST),
-                              rtol=_RTOL, atol=_ATOL)
+def long_grid(params_ref, end_ref):
+    return evans_grid(params_ref, end_ref, n=_N_TEST)
+
+
+@pytest.fixture(scope="module")
+def esys(long_grid):
+    return build_evans_system(long_grid, rtol=_RTOL, atol=_ATOL)
 
 
 @pytest.fixture(scope="module")
@@ -115,41 +120,67 @@ def test_derivative_origin_synthetic():
 
 
 def _frozen_minus_system(params, end):
-    """EvansSystem on [-40, 0] with the coefficients of the minus limit."""
+    """EvansSystem on [-40, 40] with the coefficients of the minus limit."""
     A0c, A1c = limit_matrix_coeffs(params, end, "minus")
-    x = np.linspace(-40.0, 0.0, 81)
-    stacked = np.concatenate([A0c.ravel(), A1c.ravel(), np.zeros(25)])
+    x = np.linspace(-40.0, 40.0, 161)
+    stacked = np.tile(np.concatenate([A0c.ravel(), A1c.ravel(),
+                                      np.zeros(25)]), (161, 1))
     return EvansSystem(
-        params=params, end=end, X=40.0, n=81,
-        spline=CubicSpline(x, np.tile(stacked, (81, 1)), axis=0),
+        params=params, end=end, X=40.0, n=161,
+        table=hermite_table(x, stacked, np.zeros_like(stacked)),
         W0_mid=np.zeros(5), b1_mid=0.0, b2_mid=0.0, disk_radius=1e-3,
         boundary_gap=0.0, rtol=1e-12, atol=1e-14, nseg=4)
 
 
-def test_uniform_lookup_matches_spline(esys, params_ref, end_ref):
-    # the Evans system and the reduced system read through one lookup
-    rsys = build_reduced_system(solve_profile(params_ref, end_ref, n=3001))
-    read_reduced = uniform_reader(rsys.spline, (3, 3))
-    for spline, read, X in ((esys.spline, esys.coefficients, esys.X),
-                            (rsys.spline, read_reduced, rsys.X)):
-        x = spline.x
-        points = np.concatenate([x, 0.5 * (x[1:] + x[:-1]), [-X, X]])
-        assert x[0] == -X and x[-1] == X
+def _tabulated_systems(long_grid, esys):
+    """(x, values, slopes, reader) of the Evans and the reduced system;
+    values and slopes are the jets the tables are built from."""
+    params, end = long_grid.params, long_grid.end
+    vj, pj, sj = long_grid.taylor_jets(3)
+    A = interior_matrix_coeffs(interior_coefficients(long_grid.x, vj, pj,
+                                                     sj, params, end))
+    coef = np.stack([a.coef for a in A], axis=2).reshape(2, long_grid.n, 75)
+    grid = solve_profile(params, end, n=3001)
+    At = reduced_tables(grid)
+    rsys = build_reduced_system(grid)
+    return ((long_grid.x, coef[0], coef[1], esys.coefficients),
+            (grid.x, At.value.reshape(grid.n, 9),
+             At.derivative(1).reshape(grid.n, 9),
+             uniform_reader(rsys.X, rsys.table, (3, 3))))
+
+
+def test_table_slopes_match_spline_derivative(long_grid, esys):
+    # the jet slopes of A0, A1, A2 and of Atilde are the derivatives of
+    # the tabulated functions: a wrong slope leaves every node value,
+    # and so the closure residual, unchanged
+    for x, values, slopes, _ in _tabulated_systems(long_grid, esys):
+        ref = CubicSpline(x, values, axis=0).derivative()(x)
+        assert np.max(np.abs(slopes - ref)) <= 1e-8 * np.max(np.abs(slopes))
+
+
+def test_uniform_lookup_matches_spline(long_grid, esys):
+    # the Evans system and the reduced system read through one lookup:
+    # node values to round-off (a node whose cell index rounds down is
+    # read at the right end of the cell before it), and the spline
+    # through them between nodes
+    for x, values, _, read in _tabulated_systems(long_grid, esys):
+        for xi, value in zip(x, values):
+            got = read(xi).ravel()
+            assert np.max(np.abs(got - value)) <= 1e-15 * np.max(np.abs(value))
+        spline = CubicSpline(x, values, axis=0)
         worst = 0.0
-        for xi in points:
+        for xi in 0.5 * (x[1:] + x[:-1]):
             ref = spline(xi)
             got = read(xi).ravel()
             worst = max(worst, np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
-        assert worst <= 1e-14
+        assert worst <= 1e-12
 
 
-def test_lookup_rejects_nonuniform_grid(params_ref, end_ref):
-    x = np.linspace(-1.0, 1.0, 11) ** 3
-    with pytest.raises(ValueError, match="uniform"):
-        EvansSystem(params=params_ref, end=end_ref, X=1.0, n=11,
-                    spline=CubicSpline(x, np.zeros((11, 75)), axis=0),
-                    W0_mid=np.zeros(5), b1_mid=0.0, b2_mid=0.0,
-                    disk_radius=1e-3, boundary_gap=0.0)
+def test_lookup_rejects_nonuniform_grid():
+    # the readers assume a uniform grid on [-X, X]
+    for x in (np.linspace(-1.0, 1.0, 11) ** 3, np.linspace(-1.0, 0.0, 11)):
+        with pytest.raises(ValueError, match="uniform"):
+            hermite_table(x, np.zeros((11, 75)), np.zeros((11, 75)))
 
 
 @pytest.mark.parametrize("m", [1, 5])
@@ -196,7 +227,7 @@ def test_transport_failures_name_segment_and_lambda(params_ref, end_ref):
                        r"for lam = \[0\.0003\+0j\]"):
         integrate_wedge(frozen, lams, "w3", y0, np.zeros(3), -40.0, 0.0)
     # a non-finite coefficient table from x = -10 on stalls the solver
-    frozen.spline.c[:, 60:, 0] = np.nan
+    frozen.table[:, 60:, 0] = np.nan
     with np.errstate(invalid="ignore"), pytest.raises(
             RuntimeError, match=r"failed on \[-20.0, -10.0\] for lam = "
             r"\[0\.0001\+0j, 0\+0\.0002j, 0\.0003\+0j\]"):
@@ -310,7 +341,7 @@ def test_zero_amplitude_rejected(esys, report):
                         phi_plus=0.0)
     flat = EvansSystem(
         params=p0, end=e0, X=esys.X, n=esys.n,
-        spline=esys.spline, W0_mid=esys.W0_mid, b1_mid=esys.b1_mid,
+        table=esys.table, W0_mid=esys.W0_mid, b1_mid=esys.b1_mid,
         b2_mid=esys.b2_mid, disk_radius=esys.disk_radius, boundary_gap=0.0)
     origin = next(s for s in report.samples if s.lam == 0)
     with pytest.raises(ValueError, match="amplitude"):

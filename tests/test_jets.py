@@ -94,3 +94,11 @@ def test_eval_horner():
     x = Jet.variable(np.array(0.5), 10)
     f = x.exp()
     assert np.isclose(f.eval(0.2), np.exp(0.7), rtol=1e-10)
+
+
+def test_ndarray_on_the_left_defers_to_the_jet():
+    jet = Jet(np.arange(6.0).reshape(2, 3))
+    arr = np.array([1.5, -2.0, 3.0])
+    for left, right in ((arr * jet, jet * arr), (arr + jet, jet + arr)):
+        assert isinstance(left, Jet)
+        assert np.array_equal(left.coef, right.coef)

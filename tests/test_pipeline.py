@@ -94,6 +94,16 @@ def test_bad_numeric_exits_2(tmp_path, capsys, numerics, key):
     assert "config error" in err and key in err
 
 
+@pytest.mark.parametrize("key, value", [("T", True), ("T", "1"),
+                                        ("u_minus", float("nan"))])
+def test_bad_param_exits_2(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path, params={**REF_PARAMS, key: value},
+                       tasks=["dispersion"])
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"params.{key}" in err
+
+
 @pytest.mark.parametrize("overrides, flags", [({}, ["--tasks", ""]),
                                               ({"tasks": []}, [])])
 def test_empty_task_list_exits_2(tmp_path, capsys, overrides, flags):

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
-from nspshock.eigensystem import uniform_reader
+from nspshock.eigensystem import hermite_table, uniform_reader
 from nspshock.params import PlasmaParams, ShockEndstates, solve_rankine_hugoniot
 from nspshock.profile import solve_profile
 from nspshock.transversality import (
@@ -34,18 +34,18 @@ def constant_reduced_system(params: PlasmaParams, X: float = 40.0,
                          phi_plus=-np.log(params.v_minus))
     return ReducedSystem(
         params=params, end=end, x=x, tables=tables,
-        spline=CubicSpline(x, tables.reshape(n, 9), axis=0),
+        table=hermite_table(x, tables.reshape(n, 9), np.zeros((n, 9))),
         A0=A0, sigma=limit_eigenvalues(params))
 
 
 # independent oracle: the planes carried as QR-orthonormalized frames
-# under V' = Atilde V, read with CubicSpline.__call__, on segments sized
-# by the spread of the rates inside each plane
-def _qr_frame(system, basis, x_from, x_to, rtol, atol, nseg):
+# under V' = Atilde V, read from a CubicSpline through the tables, on
+# segments sized by the spread of the rates inside each plane
+def _qr_frame(spline, basis, x_from, x_to, rtol, atol, nseg):
     Q, _ = np.linalg.qr(basis)
 
     def rhs(x, y):
-        return (system.spline(x).reshape(3, 3) @ y.reshape(3, 2)).ravel()
+        return (spline(x).reshape(3, 3) @ y.reshape(3, 2)).ravel()
 
     xs = np.linspace(x_from, x_to, nseg + 1)
     for a, b in zip(xs[:-1], xs[1:]):
@@ -59,6 +59,7 @@ def _qr_frame(system, basis, x_from, x_to, rtol, atol, nseg):
 def qr_frame_intersection(system, rtol=1e-11, atol=1e-13, threshold=1e-7):
     """(dimension, singular values, unit intersection vector)."""
     frames = []
+    spline = CubicSpline(system.x, system.tables.reshape(-1, 9), axis=0)
     ends = ((system.tables[-1], system.X, lambda w: w <= 1e-10),
             (system.tables[0], -system.X, lambda w: w >= -1e-10))
     for M, x_from, keep in ends:
@@ -66,7 +67,7 @@ def qr_frame_intersection(system, rtol=1e-11, atol=1e-13, threshold=1e-7):
         w, V = w.real, V.real
         spread = float(np.ptp(w[keep(w)]))
         nseg = max(4, int(np.ceil(system.X * spread / 12.0)))
-        frames.append(_qr_frame(system, V[:, keep(w)], x_from, 0.0, rtol,
+        frames.append(_qr_frame(spline, V[:, keep(w)], x_from, 0.0, rtol,
                                 atol, nseg))
     S, U = frames
     sv = np.linalg.svd(np.concatenate([S, U], axis=1), compute_uv=False)
@@ -121,7 +122,7 @@ def test_wave_solves_reduced_system(systems):
 
 def test_reduced_matrix_matches_tables(systems):
     grid, sys_ = systems[0.1]
-    read = uniform_reader(sys_.spline, (3, 3))
+    read = uniform_reader(sys_.X, sys_.table, (3, 3))
     for idx in (0, grid.n // 2, grid.n - 1):
         assert np.allclose(
             read(float(grid.x[idx])), sys_.tables[idx],
@@ -134,7 +135,7 @@ def test_zero_amplitude_matrix_is_constant_reference():
     A0 = reduced_limit_matrix(params)
     assert sys0.end.s == np.sqrt(params.T + 1.0) / params.v_minus
     assert np.max(np.abs(sys0.tables - A0)) == 0.0
-    read = uniform_reader(sys0.spline, (3, 3))
+    read = uniform_reader(sys0.X, sys0.table, (3, 3))
     for x in (-17.3, 0.0, 22.1):
         assert np.max(np.abs(read(x) - A0)) < 1e-13
     assert sys0.deviation_sup() == 0.0
