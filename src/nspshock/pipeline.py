@@ -14,7 +14,8 @@ alone: _profile_grid, which the profile task and transversality share,
 and _long_grid, the longer Evans grid that Evans and Poisson share.
 Each provider solves its grid on first use and derives its jets once,
 to order 3, the highest order any task reads; so a run solves at most
-two grids.
+two grids.  Every task that reads a grid reports the Newton work of its
+solve as metrics.newton.
 """
 
 from __future__ import annotations
@@ -154,6 +155,12 @@ def _check(value, threshold, passed) -> dict:
             "pass": bool(passed)}
 
 
+def _newton(grid) -> dict:
+    """The Newton work and final defect of the solve behind a grid."""
+    return {"iterations": grid.newton_iterations,
+            "defect": grid.newton_defect}
+
+
 def _task_profile(config, end, ctx, outdir):
     grid = _profile_grid(config, end, ctx)
     rep = verify_profile(grid)
@@ -175,6 +182,7 @@ def _task_profile(config, end, ctx, outdir):
         "residual_per_equation": rep.max_residual,
         "decay_exponent": rep.decay_exponent,
         "ratio_bounds": [rep.ratio_low, rep.ratio_high],
+        "newton": _newton(grid),
     }
     return checks, metrics
 
@@ -251,7 +259,8 @@ def _long_grid(config, end, ctx):
 
 
 def _task_evans(config, end, ctx, outdir):
-    esys = build_evans_system(_long_grid(config, end, ctx))
+    grid = _long_grid(config, end, ctx)
+    esys = build_evans_system(grid)
     rep = evans_report(esys, rho=config.rho, n_circle=config.n_circle)
     ctx["evans"] = rep
     write_evans_csv(rep.samples, outdir / "evans.csv")
@@ -278,6 +287,7 @@ def _task_evans(config, end, ctx, outdir):
         "det_R0": rep.gamma.det_R0, "a2_minus": rep.gamma.a2_minus,
         "containment_minus": rep.gamma.containment_minus,
         "modes": _mode_metrics(config.params, end),
+        "newton": _newton(grid),
     })
     return checks, metrics
 
@@ -308,6 +318,7 @@ def _task_transversality(config, end, ctx, outdir):
         "singular_values": result.singular_values,
         "intersection_vector": result.vector,
         "work": result.work,
+        "newton": _newton(grid),
     }
     return checks, metrics
 
@@ -332,7 +343,8 @@ def _task_poisson(config, end, ctx, outdir):
         "coercivity": _check(lam_min, 0.5 * bound, lam_min >= 0.5 * bound),
     }
     metrics = {"manufactured_errors": errors, "consistency_X": grid.X,
-               "consistency_n": grid.n, "symmetric_eigenvalue": lam_min}
+               "consistency_n": grid.n, "symmetric_eigenvalue": lam_min,
+               "newton": _newton(grid)}
     return checks, metrics
 
 

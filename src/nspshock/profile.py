@@ -9,10 +9,13 @@ makes s vbar' + ubar' = 0 exact at the nodes.
 
 Discretization: a mono-implicit Runge-Kutta scheme of order 4 on a
 fixed mesh (Simpson rule with cubic-Hermite midpoint values), solved
-by damped Newton iteration with an analytic sparse Jacobian.  Boundary
+by damped Newton iteration with an analytic Jacobian.  Boundary
 conditions clamp v at both ends; the phase condition pins
 v(0) = (v_minus + v_plus)/2 at the central node, so the node count
-must be odd.
+must be odd.  Ordering the rows as left clamp, cells left of the
+pinned node, phase condition, remaining cells, right clamp makes the
+Newton matrix a band matrix with four sub- and four super-diagonals;
+each step is one LAPACK band solve (`scipy.linalg.solve_banded`).
 
 A solved grid is its nodes plus, optionally, the Taylor jets it
 carries.  Every derivative of the profile is read from jets of the
@@ -28,8 +31,9 @@ from typing import Optional
 
 import numpy as np
 from scipy.interpolate import PPoly
-from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import splu
+from scipy.linalg import LinAlgError, solve_banded
+# unused here; kept so that WRAPS in perfbench/tracer.py can patch it
+from scipy.sparse.linalg import splu  # noqa: F401
 
 from .jets import Jet
 from .modes import fast_roots
@@ -120,47 +124,68 @@ def initial_guess(x: np.ndarray, params: PlasmaParams, end: ShockEndstates) -> n
 
 
 def _collocation_residual(y, h, params, end):
+    """Cell residuals, plus f at the nodes and the midpoint states."""
     f = rhs_array(y, params, end)
     ym = 0.5 * (y[:-1] + y[1:]) - (h / 8.0) * (f[1:] - f[:-1])
     fm = rhs_array(ym, params, end)
     res = y[1:] - y[:-1] - (h / 6.0) * (f[:-1] + 4.0 * fm + f[1:])
-    return res, ym
+    return res, f, ym
+
+
+def _boundary_rows(y, mid_idx, params):
+    """Left clamp, phase condition, right clamp."""
+    vm, vp = params.v_minus, params.v_plus
+    return (y[0, 0] - vm, y[mid_idx, 0] - 0.5 * (vm + vp), y[-1, 0] - vp)
 
 
 def _residual_vector(y, h, mid_idx, params, end):
-    res, _ = _collocation_residual(y, h, params, end)
-    vm, vp = params.v_minus, params.v_plus
-    bc = np.array([y[0, 0] - vm,
-                   y[-1, 0] - vp,
-                   y[mid_idx, 0] - 0.5 * (vm + vp)])
-    return np.concatenate([res.ravel(), bc])
+    """Residual with the cell rows first and the three boundary rows last."""
+    res, _, _ = _collocation_residual(y, h, params, end)
+    left, phase, right = _boundary_rows(y, mid_idx, params)
+    return np.concatenate([res.ravel(), [left, right, phase]])
 
 
-def _jacobian(y, h, mid_idx, params, end):
+# Row order of the banded Newton system: the left clamp, the cells left of
+# the pinned node, the phase condition, the remaining cells, the right
+# clamp.  Cell k couples unknowns 3k .. 3k+5; its three rows start at
+# 3k + 1 + shift, with shift 0 left of mid_idx and 1 from it on, so every
+# entry lies within BANDS = 4 diagonals of the main one.
+BANDS = 4
+
+
+def _banded_system(y, h, mid_idx, params, end):
+    """Newton matrix in LAPACK band storage, shape (9, 3n), and the
+    residual F in the same row order.
+
+    Entry (row, col) of the matrix sits at ab[BANDS + row - col, col].
+    """
     n = y.shape[0]
-    f = rhs_array(y, params, end)
+    res, f, ym = _collocation_residual(y, h, params, end)
     J = rhs_jacobian(y, params, end)
-    ym = 0.5 * (y[:-1] + y[1:]) - (h / 8.0) * (f[1:] - f[:-1])
     Jm = rhs_jacobian(ym, params, end)
     eye = np.eye(3)
     dym_dl = 0.5 * eye + (h / 8.0) * J[:-1]
     dym_dr = 0.5 * eye - (h / 8.0) * J[1:]
-    L = -eye - (h / 6.0) * (J[:-1] + 4.0 * np.einsum("nij,njk->nik", Jm, dym_dl))
-    R = eye - (h / 6.0) * (J[1:] + 4.0 * np.einsum("nij,njk->nik", Jm, dym_dr))
+    L = -eye - (h / 6.0) * (J[:-1] + 4.0 * (Jm @ dym_dl))
+    R = eye - (h / 6.0) * (J[1:] + 4.0 * (Jm @ dym_dr))
 
-    cells = n - 1
-    block_rows = (3 * np.arange(cells)[:, None, None]
-                  + np.arange(3)[None, :, None] + np.zeros((1, 1, 3), dtype=int))
-    l_cols = 3 * np.arange(cells)[:, None, None] + np.arange(3)[None, None, :] \
-        + np.zeros((1, 3, 1), dtype=int)
-    r_cols = l_cols + 3
+    # ab3[d, node, c] is ab[d, 3 node + c]
+    ab3 = np.zeros((2 * BANDS + 1, n, 3))
+    for cells, shift in ((slice(0, mid_idx), 0), (slice(mid_idx, n - 1), 1)):
+        nodes = slice(cells.start + 1, cells.stop + 1)
+        for c in range(3):
+            # row 3k + 1 + shift + i, column 3k + c (L) or 3k + 3 + c (R)
+            d = BANDS + 1 + shift - c
+            ab3[d:d + 3, cells, c] = L[cells, :, c].T
+            ab3[d - 3:d, nodes, c] = R[cells, :, c].T
+    ab3[BANDS, 0, 0] = 1.0              # left clamp: row 0, column 0
+    ab3[BANDS + 1, mid_idx, 0] = 1.0    # phase: row 3 mid + 1, column 3 mid
+    ab3[BANDS + 2, n - 1, 0] = 1.0      # right clamp: row 3n - 1, column 3n - 3
 
-    rows = np.concatenate([block_rows.ravel(), block_rows.ravel(),
-                           [3 * cells, 3 * cells + 1, 3 * cells + 2]])
-    cols = np.concatenate([l_cols.ravel(), r_cols.ravel(),
-                           [0, 3 * (n - 1), 3 * mid_idx]])
-    data = np.concatenate([L.ravel(), R.ravel(), [1.0, 1.0, 1.0]])
-    return csc_matrix((data, (rows, cols)), shape=(3 * n, 3 * n))
+    left, phase, right = _boundary_rows(y, mid_idx, params)
+    F = np.concatenate([[left], res[:mid_idx].ravel(), [phase],
+                        res[mid_idx:].ravel(), [right]])
+    return ab3.reshape(2 * BANDS + 1, 3 * n), F
 
 
 @dataclass(frozen=True)
@@ -169,6 +194,8 @@ class ProfileGrid:
 
     jets, once set, holds state_jets output that every consumer of the
     grid reuses; without it, taylor_jets derives fresh ones.
+    newton_iterations and newton_defect are the Newton steps the solve
+    took and the max-norm residual it stopped at.
     """
 
     params: PlasmaParams
@@ -180,6 +207,8 @@ class ProfileGrid:
     phi: np.ndarray
     psi: np.ndarray
     jets: Optional[tuple[Jet, Jet, Jet]] = None
+    newton_iterations: int = 0
+    newton_defect: float = 0.0
 
     @property
     def n(self) -> int:
@@ -215,9 +244,11 @@ def solve_profile(params: PlasmaParams, end: ShockEndstates,
     """Solve the truncated profile boundary-value problem.
 
     X defaults to 18 decay lengths of the slow rate.
-    Raises RuntimeError with the final defect when Newton stalls, and
-    RuntimeError when the converged solution is not monotone (bad
-    truncation or amplitude outside the perturbative regime).
+    Raises RuntimeError with the final defect when Newton stalls,
+    RuntimeError naming the step, n, X and the defect when a Newton
+    matrix is singular or not finite, and RuntimeError when the
+    converged solution is not monotone (bad truncation or amplitude
+    outside the perturbative regime).
     """
     if X is None:
         X = default_half_length(params, end)
@@ -231,22 +262,28 @@ def solve_profile(params: PlasmaParams, end: ShockEndstates,
 
     y = initial_guess(x, params, end)
     norm = np.max(np.abs(_residual_vector(y, h, mid_idx, params, end)))
-    for _ in range(max_iter):
-        if norm <= tol:
-            break
-        J = _jacobian(y, h, mid_idx, params, end)
-        F = _residual_vector(y, h, mid_idx, params, end)
-        step = splu(J).solve(-F).reshape(n, 3)
+    iterations = 0
+    while norm > tol and iterations < max_iter:
+        ab, F = _banded_system(y, h, mid_idx, params, end)
+        iterations += 1
+        try:
+            step = solve_banded((BANDS, BANDS), ab, -F).reshape(n, 3)
+        except (LinAlgError, ValueError) as exc:
+            raise RuntimeError(
+                f"profile Newton: step {iterations} failed on n={n}, "
+                f"X={X:.6g} with defect {norm:.3e}: {exc}") from exc
         t = 1.0
         while t > 1e-6:
             trial = y + t * step
             trial_norm = np.max(np.abs(_residual_vector(trial, h, mid_idx,
                                                         params, end)))
             if trial_norm < norm * (1.0 - 0.25 * t) or trial_norm < tol:
+                y, norm = trial, trial_norm
                 break
             t *= 0.5
-        y = y + t * step
-        norm = np.max(np.abs(_residual_vector(y, h, mid_idx, params, end)))
+        else:
+            y = y + t * step
+            norm = np.max(np.abs(_residual_vector(y, h, mid_idx, params, end)))
     if norm > tol:
         raise RuntimeError(f"profile solver did not converge; final defect {norm:.3e}")
 
@@ -258,7 +295,8 @@ def solve_profile(params: PlasmaParams, end: ShockEndstates,
                            "or reduce the amplitude")
     u = params.u_minus - end.s * (v - params.v_minus)
     return ProfileGrid(params=params, end=end, X=float(X), x=x,
-                       v=v, u=u, phi=phi, psi=psi)
+                       v=v, u=u, phi=phi, psi=psi, newton_iterations=iterations,
+                       newton_defect=float(norm))
 
 
 def _quintic_hermite(x, y, d1, d2) -> PPoly:

@@ -183,7 +183,8 @@ def _end_normal(M: np.ndarray, side: str, center_tol: float = 1e-10):
 @dataclass(frozen=True)
 class TransversalityResult:
     dimension: int
-    vector: np.ndarray           # unit intersection vector at x = 0
+    vector: np.ndarray           # unit intersection vector at x = 0,
+                                 # largest entry positive
     angle_to_wave: float         # radians, against (ubar',phibar',phibar'')(0)
     singular_values: np.ndarray
     threshold: float
@@ -229,7 +230,9 @@ def bounded_solution_dim(system: ReducedSystem, grid: ProfileGrid | None = None,
     _, svs, Vt = np.linalg.svd(proj @ S)
     coeff = Vt[-1]
     vec = S @ coeff
-    vec = vec / np.linalg.norm(vec)
+    # the SVD fixes the vector only up to sign; make its largest entry
+    # positive so that a rounding-level change cannot flip it
+    vec = vec / (np.linalg.norm(vec) * np.sign(vec[np.argmax(np.abs(vec))]))
 
     if grid is not None:
         Vbar = wave_vector(grid)[grid.n // 2]

@@ -5,9 +5,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import nspshock
+import nspshock.profile as profile_module
 from nspshock.cli import main
 from nspshock.pipeline import ConfigError, load_config
 from nspshock.profile import ProfileGrid
@@ -191,13 +193,43 @@ def test_transversality_reports_gamma_consistency(tmp_path):
         report["tasks"]["evans"]["metrics"]["n"]
 
 
-def test_reference_run_reports_closure_residual(tmp_path):
+@pytest.fixture(scope="module")
+def reference_report(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("reference")
     cfg = write_config(tmp_path)
     assert main(["run", "--config", str(cfg)]) == 0
-    report = json.loads((tmp_path / "out" / "report.json").read_text())
-    check = report["tasks"]["evans"]["checks"]["closure_residual"]
+    return json.loads((tmp_path / "out" / "report.json").read_text())
+
+
+def test_reference_run_reports_closure_residual(reference_report):
+    check = reference_report["tasks"]["evans"]["checks"]["closure_residual"]
     assert check["pass"] is True and check["threshold"] == 1e-6
     assert check["value"] < 1e-10
+
+
+def test_reference_run_reports_newton_work(reference_report):
+    tasks = reference_report["tasks"]
+    newton = {name: tasks[name]["metrics"]["newton"]
+              for name in ("profile", "evans", "transversality", "poisson")}
+    for entry in newton.values():
+        assert isinstance(entry["iterations"], int)
+        assert entry["iterations"] > 0
+        assert 0.0 <= entry["defect"] <= 1e-12
+    # two grids: the short one and the long Evans one
+    assert newton["transversality"] == newton["profile"]
+    assert newton["poisson"] == newton["evans"]
+
+
+def test_newton_failure_is_the_task_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(profile_module, "rhs_jacobian",
+                        lambda y, params, end: np.full(y.shape + (3,), np.nan))
+    cfg = write_config(tmp_path)
+    assert main(["run", "--config", str(cfg), "--tasks", "profile"]) == 1
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    error = report["tasks"]["profile"]["error"]
+    assert error.startswith("RuntimeError: profile Newton: step 1 failed "
+                            "on n=4001, X=")
+    assert "defect" in error
 
 
 def test_each_grid_computes_its_jets_once(tmp_path, monkeypatch):

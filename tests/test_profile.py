@@ -5,8 +5,13 @@ import pytest
 
 from nspshock.modes import fast_roots
 from nspshock.params import PlasmaParams, ShockEndstates, solve_rankine_hugoniot
+import nspshock.profile as profile_module
 from nspshock.profile import (
+    BANDS,
+    _banded_system,
+    _residual_vector,
     default_half_length,
+    initial_guess,
     profile_interpolant,
     profile_residual,
     solve_profile,
@@ -181,3 +186,75 @@ def test_bare_grid_gives_stored_jet_results(grid_ref, tmp_path):
     write_profile_csv(stored, tmp_path / "stored.csv")
     assert ((tmp_path / "bare.csv").read_bytes()
             == (tmp_path / "stored.csv").read_bytes())
+
+
+def _dense_from_band(ab, upper):
+    """Dense matrix with a[row, col] = ab[upper + row - col, col]."""
+    size = ab.shape[1]
+    dense = np.zeros((size, size))
+    cols = np.arange(size)
+    for d in range(ab.shape[0]):
+        rows = cols + d - upper
+        inside = (rows >= 0) & (rows < size)
+        dense[rows[inside], cols[inside]] = ab[d, inside]
+    return dense
+
+
+@pytest.fixture(scope="module")
+def small_system():
+    p = PlasmaParams(T=1.0, nu=1.0, eps=1.0, v_minus=1.0, u_minus=0.0,
+                     v_plus=1.1)
+    end = solve_rankine_hugoniot(p)
+    n, X = 21, 10.0
+    x = np.linspace(-X, X, n)
+    return p, end, initial_guess(x, p, end), x[1] - x[0], (n - 1) // 2
+
+
+def test_band_matrix_is_the_jacobian_of_its_residual(small_system):
+    # oracle: central differences of the banded residual itself
+    p, end, y, h, mid = small_system
+    ab, F = _banded_system(y, h, mid, p, end)
+    assert ab.shape == (2 * BANDS + 1, F.size)
+    dense = _dense_from_band(ab, BANDS)
+
+    def residual(flat):
+        return _banded_system(flat.reshape(y.shape), h, mid, p, end)[1]
+
+    step = 1e-6
+    fd = np.empty_like(dense)
+    for k in range(F.size):
+        e = np.zeros(F.size)
+        e[k] = step
+        fd[:, k] = (residual(y.ravel() + e) - residual(y.ravel() - e)) / (2 * step)
+    assert np.max(np.abs(dense - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+def test_band_residual_is_a_row_permutation(small_system):
+    # banded rows: left clamp, cells left of mid, phase, other cells,
+    # right clamp; _residual_vector: all cells, left, right, phase
+    p, end, y, h, mid = small_system
+    _, F = _banded_system(y, h, mid, p, end)
+    size = F.size
+    phase = 3 * mid + 1
+    natural = np.concatenate([F[1:phase], F[phase + 1:size - 1],
+                              [F[0], F[size - 1], F[phase]]])
+    assert np.array_equal(natural, _residual_vector(y, h, mid, p, end))
+
+
+def test_newton_work_recorded_on_grid(grid_ref):
+    assert isinstance(grid_ref.newton_iterations, int)
+    assert grid_ref.newton_iterations > 0
+    assert 0.0 <= grid_ref.newton_defect <= 1e-12
+
+
+def test_non_finite_newton_matrix_is_a_typed_failure(monkeypatch):
+    p = PlasmaParams(T=1.0, nu=1.0, eps=1.0, v_minus=1.0, u_minus=0.0,
+                     v_plus=1.1)
+    end = solve_rankine_hugoniot(p)
+    monkeypatch.setattr(profile_module, "rhs_jacobian",
+                        lambda y, params, end: np.full(y.shape + (3,), np.nan))
+    with pytest.raises(RuntimeError) as info:
+        solve_profile(p, end, X=100.0, n=201)
+    msg = str(info.value)
+    assert msg.startswith("profile Newton: step 1 failed on n=201, X=100")
+    assert "defect" in msg

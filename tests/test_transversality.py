@@ -208,6 +208,8 @@ def test_intersection_vector_tracks_wave(systems):
     Vbar = wave_vector(grid)[grid.n // 2]
     Vbar = Vbar / np.linalg.norm(Vbar)
     assert abs(abs(res.vector @ Vbar) - 1.0) < 1e-9
+    # the sign is fixed: the largest entry is positive
+    assert res.vector[np.argmax(np.abs(res.vector))] > 0.0
 
 
 def test_constant_coefficients_give_neutral_direction():
