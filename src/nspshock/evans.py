@@ -12,9 +12,8 @@ renormalization factors are returned to log scale and multiplied back,
 so the computed value stays the analytic determinant.
 
 Many lam are transported at once: the m wedges of a batch are the rows
-of one (m, 10) state carried by `transport`, the package's one ODE
-transport (transversality.py carries its plane normals with it): one
-DOP853 solve per segment, with a norm and log scale per row.  The step
+of one (m, 10) state carried by `transport`: one DOP853 solve per
+segment, with a norm and log scale per row.  The step
 control then bounds the RMS error over the batch instead of each
 wedge's own; the agreement test in tests/test_evans.py holds batched D
 to one-lam-at-a-time D within 1e-10 relative on the production grid.
@@ -261,6 +260,9 @@ def transport(rhs, y0, x_from: float, x_to: float, nseg: int, rtol: float,
     whose log goes to that row's scale.  The transport, its right-hand-side
     calls and its steps are added to work.  A failure names the segment
     and, through rows_text(indices), the rows concerned.
+
+    Only the Evans wedges travel here; the lam-free transversality normals
+    are carried by Magnus propagator products (transversality.propagator).
     """
     Y = np.asarray(y0)
     m = Y.shape[0]

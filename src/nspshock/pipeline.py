@@ -307,6 +307,8 @@ def _task_transversality(config, end, ctx, outdir):
                              result.angle_to_wave <= 1e-5),
         "wave_residual": _check(wave_res, 1e-6, wave_res <= 1e-6),
         "limit_rates_closed_form": _check(sig_err, 1e-10, sig_err <= 1e-10),
+        "transport_error": _check(result.transport_error, 1e-8,
+                                  result.transport_error <= 1e-8),
     }
     if "evans" in ctx:
         gamma = ctx["evans"].Gamma
@@ -317,6 +319,7 @@ def _task_transversality(config, end, ctx, outdir):
         "deviation_sup": rsys.deviation_sup(),
         "singular_values": result.singular_values,
         "intersection_vector": result.vector,
+        "transport_error": result.transport_error,
         "work": result.work,
         "newton": _newton(grid),
     }

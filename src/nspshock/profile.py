@@ -138,9 +138,12 @@ def _boundary_rows(y, mid_idx, params):
     return (y[0, 0] - vm, y[mid_idx, 0] - 0.5 * (vm + vp), y[-1, 0] - vp)
 
 
-def _residual_vector(y, h, mid_idx, params, end):
-    """Residual with the cell rows first and the three boundary rows last."""
-    res, _, _ = _collocation_residual(y, h, params, end)
+def _residual_vector(y, h, mid_idx, params, end, colloc=None):
+    """Residual with the cell rows first and the three boundary rows last.
+
+    colloc is _collocation_residual(y, ...) when the caller already has it.
+    """
+    res, _, _ = colloc or _collocation_residual(y, h, params, end)
     left, phase, right = _boundary_rows(y, mid_idx, params)
     return np.concatenate([res.ravel(), [left, right, phase]])
 
@@ -153,14 +156,15 @@ def _residual_vector(y, h, mid_idx, params, end):
 BANDS = 4
 
 
-def _banded_system(y, h, mid_idx, params, end):
+def _banded_system(y, h, mid_idx, params, end, colloc=None):
     """Newton matrix in LAPACK band storage, shape (9, 3n), and the
     residual F in the same row order.
 
     Entry (row, col) of the matrix sits at ab[BANDS + row - col, col].
+    colloc is _collocation_residual(y, ...) when the caller already has it.
     """
     n = y.shape[0]
-    res, f, ym = _collocation_residual(y, h, params, end)
+    res, f, ym = colloc or _collocation_residual(y, h, params, end)
     J = rhs_jacobian(y, params, end)
     Jm = rhs_jacobian(ym, params, end)
     eye = np.eye(3)
@@ -260,11 +264,18 @@ def solve_profile(params: PlasmaParams, end: ShockEndstates,
     h = x[1] - x[0]
     mid_idx = (n - 1) // 2
 
+    def defect(y):
+        # max-norm residual, with the collocation parts that produced it
+        colloc = _collocation_residual(y, h, params, end)
+        return np.max(np.abs(_residual_vector(y, h, mid_idx, params, end,
+                                              colloc))), colloc
+
     y = initial_guess(x, params, end)
-    norm = np.max(np.abs(_residual_vector(y, h, mid_idx, params, end)))
+    norm, colloc = defect(y)
     iterations = 0
     while norm > tol and iterations < max_iter:
-        ab, F = _banded_system(y, h, mid_idx, params, end)
+        ab, F = _banded_system(y, h, mid_idx, params, end, colloc)
+        del colloc      # its (n, 3) arrays need not live through the solve
         iterations += 1
         try:
             step = solve_banded((BANDS, BANDS), ab, -F).reshape(n, 3)
@@ -275,15 +286,14 @@ def solve_profile(params: PlasmaParams, end: ShockEndstates,
         t = 1.0
         while t > 1e-6:
             trial = y + t * step
-            trial_norm = np.max(np.abs(_residual_vector(trial, h, mid_idx,
-                                                        params, end)))
+            trial_norm, trial_colloc = defect(trial)
             if trial_norm < norm * (1.0 - 0.25 * t) or trial_norm < tol:
-                y, norm = trial, trial_norm
+                y, norm, colloc = trial, trial_norm, trial_colloc
                 break
             t *= 0.5
         else:
             y = y + t * step
-            norm = np.max(np.abs(_residual_vector(y, h, mid_idx, params, end)))
+            norm, colloc = defect(y)
     if norm > tol:
         raise RuntimeError(f"profile solver did not converge; final defect {norm:.3e}")
 

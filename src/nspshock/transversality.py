@@ -12,11 +12,23 @@ bounded as x -> +inf (center-stable directions of the matrix at +X,
 integrated backward) is intersected at x = 0 with the plane bounded as
 x -> -inf (center-unstable directions at -X, integrated forward), via
 a rank-revealing SVD.  Each plane is carried by its normal, which
-moves under the adjoint equation y' = -Atilde^T y through
-evans.transport; no diagonalizing change of variables or QR frame is
-needed, and at x = 0 the plane is the normal's orthogonal complement.
-Atilde is eliminated on jets, so it comes with its exact x-derivative,
-and is read from cubic-Hermite cells (eigensystem.hermite_table).
+moves under the adjoint equation y' = -Atilde^T y; no diagonalizing
+change of variables or QR frame is needed, and at x = 0 the plane is
+the normal's orthogonal complement.  Atilde is eliminated on jets, so
+it comes with its exact x-derivative, and is stored as cubic-Hermite
+cells (eigensystem.hermite_table).
+
+The adjoint equation is linear and free of lam, and Atilde is a cubic
+in every cell, so the normals are not integrated step by step: each
+cell is cut into SUBSTEPS equal steps, each step's propagator is the
+order-4 Magnus exponential exp(Omega) with B = -Atilde^T read from the
+cell at the step's two Gauss points (Iserles & Norsett 1999; Blanes,
+Casas, Oteo & Ros 2009), all steps are exponentiated at once (Taylor
+with scaling and squaring), and a pairwise tree multiplies them,
+rescaled at every level.  The same product with CHECK_SUBSTEPS steps
+per cell gives the reported transport error, the max-abs gap of the two
+unit normals at x = 0; for an order-4 scheme it is about 15 times the
+error of the SUBSTEPS result.
 """
 
 from __future__ import annotations
@@ -24,12 +36,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-# unused here; kept so that WRAPS in perfbench/tracer.py can patch it
+# never called here: imported only so that the WRAPS table of
+# perfbench/tracer.py, which patches transversality.solve_ivp, finds it
 from scipy.integrate import solve_ivp  # noqa: F401
 
 from .eigensystem import (hermite_table, interior_coefficients,
-                          interior_matrix_coeffs, uniform_reader)
-from .evans import WORK_COUNTS, segment_count, transport
+                          interior_matrix_coeffs)
 from .jets import Jet
 from .params import PlasmaParams, ShockEndstates
 from .profile import ProfileGrid
@@ -145,19 +157,105 @@ def reduced_wave_residual(system: ReducedSystem, grid: ProfileGrid) -> float:
     return float(np.max(np.abs(defect)) / np.max(np.abs(dV)))
 
 
-def _propagate_plane(read, normal: np.ndarray, x_from: float, x_to: float,
-                     rtol: float, atol: float, nseg: int,
-                     work: dict) -> np.ndarray:
-    """Transport the plane with this normal; orthonormal (3, 2) frame at x_to.
+# Magnus steps per hermite_table cell, and the coarser count whose result
+# checks them (order 4: halving the step cuts the error about 16x)
+SUBSTEPS = 4
+CHECK_SUBSTEPS = 2
+# Gauss-Legendre nodes of one step, as fractions of the step
+_GAUSS = np.array([0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0])
 
-    The normal follows y' = -Atilde(x)^T y, with Atilde from read(x).
+
+def _magnus_exponents(cells: np.ndarray, h: float,
+                      substeps: int) -> np.ndarray:
+    """Order-4 Magnus exponents of y' = B y, B = -Atilde^T, in x order.
+
+    cells are hermite_table cells of Atilde, shape (4, m, 9), of width h;
+    each is cut into `substeps` equal steps.  A step of length k with B1,
+    B2 at its two Gauss points has Omega = (k/2)(B1 + B2)
+    + (sqrt(3)/12) k^2 [B2, B1]; the result has shape (m substeps, 3, 3).
     """
-    def rhs(x, y):
-        return -(y @ read(x))
+    k = h / substeps
+    offsets = k * (np.arange(substeps)[:, None] + _GAUSS)
+    powers = offsets[..., None] ** np.arange(3, -1, -1)
+    A = np.einsum("sgp,pmc->msgc", powers, cells).reshape(-1, 2, 3, 3)
+    B1 = -A[:, 0].transpose(0, 2, 1)
+    B2 = -A[:, 1].transpose(0, 2, 1)
+    return (0.5 * k) * (B1 + B2) + (np.sqrt(3.0) / 12.0 * k * k) * (
+        B2 @ B1 - B1 @ B2)
 
-    y, _ = transport(rhs, normal[None, :], x_from, x_to, nseg, rtol, atol,
-                     work, lambda k: f"the plane normal from x = {x_from}")
-    return np.linalg.svd(y)[2][1:].T
+
+# 1/k! for k = 0 .. 15: the Taylor polynomial of _expm_stack
+_TAYLOR = 1.0 / np.cumprod(np.r_[1.0, np.arange(1.0, 16.0)])
+
+
+def _expm_stack(omega: np.ndarray) -> np.ndarray:
+    """exp of every matrix of an (m, 3, 3) stack.
+
+    Scaling and squaring around the degree-15 Taylor polynomial: the
+    stack is scaled by 2^-s so that every infinity norm is at most 1/2,
+    where the remainder is below 1e-18; the polynomial is evaluated in
+    blocks of four terms (Paterson-Stockmeyer: six matrix products),
+    and the result is squared s times.
+    """
+    norm = float(np.max(np.sum(np.abs(omega), axis=-1)))
+    squarings = int(np.ceil(np.log2(norm / 0.5))) if norm > 0.5 else 0
+    Z = omega / 2.0**squarings
+    Z2 = Z @ Z
+    powers = np.stack([np.broadcast_to(np.eye(3), Z.shape), Z, Z2, Z2 @ Z])
+    # blocks[j] = sum_i Z^i / (4j + i)!, and exp(Z) = sum_j Z^4j blocks[j]
+    blocks = np.tensordot(_TAYLOR.reshape(4, 4), powers, axes=1)
+    Z4 = Z2 @ Z2
+    E = blocks[3]
+    for B in blocks[2::-1]:
+        E = B + Z4 @ E
+    for _ in range(squarings):
+        E = E @ E
+    return E
+
+
+def _ordered_product(E: np.ndarray) -> np.ndarray:
+    """E[-1] @ ... @ E[0] up to a positive factor, by a pairwise tree.
+
+    Every level is divided by its own max-abs entry, so the growth of a
+    long transport never overflows.
+    """
+    while E.shape[0] > 1:
+        if E.shape[0] % 2:
+            E = np.concatenate([E, np.eye(3)[None]])
+        E = E[1::2] @ E[0::2]
+        E /= np.max(np.abs(E), axis=(1, 2), keepdims=True)
+    return E[0]
+
+
+def propagator(cells: np.ndarray, h: float, substeps: int,
+               backward: bool = False) -> np.ndarray:
+    """Propagator of y' = -Atilde^T y across hermite_table cells of width h,
+    divided by its max-abs entry.
+
+    Forward it maps y at the left end of the cells to the right end, as a
+    product of the step propagators exp(Omega) in x order; backward it
+    maps the right end to the left, as the product of exp(-Omega) (each
+    step taken from its right end to its left) from the right down.
+    """
+    omega = _magnus_exponents(cells, h, substeps)
+    return _ordered_product(_expm_stack(-omega[::-1] if backward
+                                        else omega))
+
+
+def _propagate_plane(cells: np.ndarray, h: float, normal: np.ndarray,
+                     backward: bool) -> tuple[np.ndarray, float]:
+    """Transport the plane with this normal across cells that end or
+    start at x = 0; (orthonormal (3, 2) frame at x = 0, transport error).
+
+    The normal takes SUBSTEPS Magnus steps per cell; the error is the
+    max-abs distance of its unit vector from the CHECK_SUBSTEPS one.
+    """
+    normals = []
+    for substeps in (SUBSTEPS, CHECK_SUBSTEPS):
+        y = propagator(cells, h, substeps, backward) @ normal
+        normals.append(y / np.linalg.norm(y))
+    frame = np.linalg.svd(normals[0][None])[2][1:].T
+    return frame, float(np.max(np.abs(normals[0] - normals[1])))
 
 
 def _end_normal(M: np.ndarray, side: str, center_tol: float = 1e-10):
@@ -188,12 +286,13 @@ class TransversalityResult:
     angle_to_wave: float         # radians, against (ubar',phibar',phibar'')(0)
     singular_values: np.ndarray
     threshold: float
-    work: dict                   # transports, rhs_calls, steps
+    transport_error: float       # max-abs gap of the unit normals at x = 0
+                                 # between SUBSTEPS and CHECK_SUBSTEPS
+    work: dict                   # transports, cells, substeps
 
 
 def bounded_solution_dim(system: ReducedSystem, grid: ProfileGrid | None = None,
-                         threshold: float = 1e-7, rtol: float = 1e-11,
-                         atol: float = 1e-13) -> TransversalityResult:
+                         threshold: float = 1e-7) -> TransversalityResult:
     """Dimension of the space of solutions bounded on the whole line.
 
     The plane bounded at +inf is spanned by the center-stable
@@ -211,14 +310,14 @@ def bounded_solution_dim(system: ReducedSystem, grid: ProfileGrid | None = None,
 
     Without a grid the angle against the wave derivative is NaN.
     """
-    X = system.X
-    read = uniform_reader(X, system.table, (3, 3))
-    nseg = segment_count(X)
-    work = dict.fromkeys(WORK_COUNTS, 0)
-    S = _propagate_plane(read, _end_normal(system.tables[-1], "+"), X,
-                         0.0, rtol, atol, nseg, work)
-    U = _propagate_plane(read, _end_normal(system.tables[0], "-"), -X,
-                         0.0, rtol, atol, nseg, work)
+    mid = (system.x.size - 1) // 2
+    h = 2.0 * system.X / (system.x.size - 1)
+    S, plus_err = _propagate_plane(
+        system.table[:, mid:], h, _end_normal(system.tables[-1], "+"), True)
+    U, minus_err = _propagate_plane(
+        system.table[:, :mid], h, _end_normal(system.tables[0], "-"), False)
+    work = {"transports": 2, "cells": system.table.shape[1],
+            "substeps": SUBSTEPS}
 
     M = np.concatenate([S, U], axis=1)          # 3 x 4
     sv = np.linalg.svd(M, compute_uv=False)
@@ -242,4 +341,6 @@ def bounded_solution_dim(system: ReducedSystem, grid: ProfileGrid | None = None,
         angle = float("nan")
     return TransversalityResult(dimension=dim, vector=vec,
                                 angle_to_wave=angle, singular_values=sv,
-                                threshold=threshold, work=work)
+                                threshold=threshold,
+                                transport_error=max(plus_err, minus_err),
+                                work=work)

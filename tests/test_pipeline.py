@@ -122,8 +122,11 @@ def test_transversality_alone_solves_no_profile_task(tmp_path):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert list(report["tasks"]) == ["transversality"]
     assert not (tmp_path / "out" / "profile.csv").exists()
-    work = report["tasks"]["transversality"]["metrics"]["work"]
-    assert work["transports"] == 2 and work["rhs_calls"] > work["steps"] > 0
+    metrics = report["tasks"]["transversality"]["metrics"]
+    n = 4001                          # nodes of the default profile grid
+    assert metrics["work"] == {"transports": 2, "cells": n - 1,
+                               "substeps": 4}
+    assert 0.0 < metrics["transport_error"] <= 1e-8
 
 
 def test_poisson_alone_solves_no_profile_task(tmp_path):

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
+from scipy.linalg import expm
 
 from nspshock.eigensystem import hermite_table, uniform_reader
 from nspshock.params import PlasmaParams, ShockEndstates, solve_rankine_hugoniot
@@ -14,6 +17,7 @@ from nspshock.transversality import (
     bounded_solution_dim,
     build_reduced_system,
     limit_eigenvalues,
+    propagator,
     reduced_limit_matrix,
     reduced_wave_residual,
     wave_vector,
@@ -225,3 +229,59 @@ def test_constant_coefficients_give_neutral_direction():
     assert abs(abs(res.vector @ r0) - 1.0) < 1e-8
     # it is the constant solution: annihilated by the matrix
     assert np.linalg.norm(A0 @ res.vector) < 1e-8
+
+
+@pytest.mark.parametrize("backward", [False, True])
+def test_constant_coefficient_propagator_is_the_exponential(backward):
+    # across [-X, 0] the propagator of y' = -A0^T y is exp(-A0^T X)
+    # forward and exp(A0^T X) backward; both are compared after scaling
+    # by the max-abs entry, as propagator returns them
+    params = make_params(0.1)
+    A0 = reduced_limit_matrix(params)
+    sys0 = constant_reduced_system(params, X=4.0, n=41)
+    P = propagator(sys0.table[:, :20], 0.2, 4, backward)
+    exact = expm((1.0 if backward else -1.0) * A0.T * 4.0)
+    assert np.max(np.abs(P - exact / np.max(np.abs(exact)))) <= 1e-13
+
+
+@pytest.mark.parametrize("backward", [False, True])
+def test_propagator_converges_at_order_four(backward):
+    # smooth variable coefficients in hermite_table cells of width 0.4;
+    # oracle: DOP853 through the same cells
+    rng = np.random.default_rng(7)
+    C, D = 0.5 * rng.standard_normal((2, 3, 3))
+    x = np.linspace(-4.0, 4.0, 21)
+    t = x[:, None, None]
+    values = reduced_limit_matrix(make_params(0.1)) + np.sin(t) * C \
+        + np.cos(2.0 * t) * D
+    slopes = np.cos(t) * C - 2.0 * np.sin(2.0 * t) * D
+    cells = hermite_table(x, values.reshape(-1, 9), slopes.reshape(-1, 9))
+    read = uniform_reader(4.0, cells, (3, 3))
+    span = (4.0, -4.0) if backward else (-4.0, 4.0)
+    sol = solve_ivp(lambda t, y: (-read(t).T @ y.reshape(3, 3)).ravel(),
+                    span, np.eye(3).ravel(), method="DOP853", rtol=1e-13,
+                    atol=1e-16)
+    exact = sol.y[:, -1].reshape(3, 3)
+    exact = exact / np.max(np.abs(exact))
+    errors = [np.max(np.abs(propagator(cells, 0.4, k, backward) - exact))
+              for k in (1, 2, 4)]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 12.0 <= coarse / fine <= 20.0
+
+
+# each example solves a profile and a DOP853 oracle (up to 1.5 s), so a
+# failure is reported as found rather than shrunk
+@settings(max_examples=4, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(delta=st.floats(min_value=0.02, max_value=0.19))
+def test_normals_match_qr_frames_at_random_amplitudes(delta):
+    # default numerics: the pipeline's short grid
+    params = make_params(delta)
+    grid = solve_profile(params, solve_rankine_hugoniot(params))
+    sys_ = build_reduced_system(grid)
+    res = bounded_solution_dim(sys_, grid)
+    dim, sv, vec = qr_frame_intersection(sys_)
+    assert res.dimension == dim == 1
+    assert np.max(np.abs(res.singular_values - sv) / sv) <= 1e-9
+    assert min(np.max(np.abs(res.vector - vec)),
+               np.max(np.abs(res.vector + vec))) <= 1e-9
