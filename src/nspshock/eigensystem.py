@@ -19,13 +19,18 @@ matrix reproduces that identity using exact Taylor-jet derivatives of
 the profile (no finite differencing).
 
 The assembly runs in jet arithmetic too, so A0, A1 and A2 come with
-their exact x-derivatives, from which `hermite_table` builds local
-cubic cells for the O(1) `uniform_reader`.
+their exact x-derivatives.  From values and slopes `hermite_table`
+builds local cubic (C^1) cells, and from values, slopes and second
+derivatives local quintic (C^2) cells; the O(1) `uniform_reader` reads
+either.  The Evans table is quintic on every k-th node of its grid
+(evans.build_evans_system), the transversality table cubic on every
+node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -58,11 +63,6 @@ def limit_matrix_coeffs(params: PlasmaParams, end: ShockEndstates, side: str):
     return A0, A1
 
 
-def limit_matrix(params: PlasmaParams, end: ShockEndstates, side: str, lam):
-    A0, A1 = limit_matrix_coeffs(params, end, side)
-    return A0 + lam * A1
-
-
 @dataclass(frozen=True)
 class CoefficientTables:
     """Interior coefficient functions of the closure, as jets on the grid:
@@ -87,15 +87,17 @@ class CoefficientTables:
 
 
 def interior_coefficients(x, v_jet: Jet, phi_jet: Jet, psi_jet: Jet,
-                          params: PlasmaParams, end: ShockEndstates) -> CoefficientTables:
-    """Build the coefficient jets from profile jets (order >= 3).
+                          params: PlasmaParams, end: ShockEndstates,
+                          order: int = 3) -> CoefficientTables:
+    """Build the coefficient jets from profile jets (order >= `order`).
 
     v_jet, phi_jet, psi_jet are jets of (vbar, phibar, phibar') with the
-    grid as base axis.  Only their order-3 part is used: it is what the
-    matrix coefficients and their first x-derivative need.
+    grid as base axis.  Only their part up to `order` is used: order 3
+    gives the matrix coefficients with their first x-derivative, order 4
+    with their second too (see interior_matrix_coeffs).
     """
     T, nu, eps2, s = params.T, params.nu, params.eps**2, end.s
-    v, phi, psi = (Jet(j.coef[:4]) for j in (v_jet, phi_jet, psi_jet))
+    v, phi, psi = (Jet(j.coef[:order + 1]) for j in (v_jet, phi_jet, psi_jet))
     iv = v**-1
     ephi = phi.exp()
     dv = v.deriv()          # jet of vbar'
@@ -129,16 +131,19 @@ def interior_matrix_coeffs(tab: CoefficientTables):
                 which injects the single lam^2 entry (b1 b2)/(s P).
 
     Each row is a jet of lambda-polynomial row vectors, shaped (n, 3, 5),
-    so the three matrices come back as order-1 jets of shape (n, 5, 5):
-    the values and their exact x-derivatives.
+    so the three matrices come back as jets of shape (n, 5, 5): the
+    values and their exact x-derivatives, two orders below the profile
+    jets the tables were built from (order 1 from interior_coefficients'
+    default order 3, order 2 from order 4).
     """
     s = tab.s
+    order = tab.b1.order - 2
 
     def g(f: Jet, k: int = 0) -> Jet:
-        # order-1 part of the k-th derivative, shaped to scale the rows
+        # the k-th derivative up to `order`, shaped to scale the rows
         for _ in range(k):
             f = f.deriv()
-        return Jet(f.coef[:2, :, None, None])
+        return Jet(f.coef[:order + 1, :, None, None])
 
     # unit[k, i]: lam**k times the i-th unit row vector, shaped (3, 5)
     unit = np.eye(15).reshape(3, 5, 3, 5)
@@ -169,7 +174,7 @@ def interior_matrix_coeffs(tab: CoefficientTables):
     row3 = P / (s * b2) * S + b1 / (s * b2) * (b2 * lam_row1 + ell)
 
     # (order, node, lam power, row, column): A0, A1 and A2 are views
-    A = np.zeros((2, tab.x.shape[0], 3, 5, 5))
+    A = np.zeros((order + 1, tab.x.shape[0], 3, 5, 5))
     for i, row in ((0, row1), (1, row2), (2, row3), (4, row5)):
         A[:, :, :, i, :] = row.coef
     A[0, :, 0, 3, 4] = 1.0
@@ -213,41 +218,51 @@ def wave_residual(A0, W0, dW0) -> float:
     return float(np.max(np.abs(defect)) / np.max(np.abs(dW0)))
 
 
-def hermite_table(x: np.ndarray, values: np.ndarray,
-                  slopes: np.ndarray) -> np.ndarray:
-    """Local cubic-Hermite cells through (n, k) values and slopes at x.
+def hermite_table(x: np.ndarray, values: np.ndarray, slopes: np.ndarray,
+                  curvatures: Optional[np.ndarray] = None) -> np.ndarray:
+    """Local Hermite cells through (n, k) values and slopes at x.
 
-    Returns (4, n - 1, k) coefficients in the layout of PPoly.c (powers
-    3, 2, 1, 0 of x - x[i] in cell i); no system is solved.  Raises
+    Without curvatures the cells are cubic (C^1); with the (n, k) second
+    derivatives they are quintic (C^2).  Returns (4, n - 1, k) or
+    (6, n - 1, k) coefficients in the layout of PPoly.c (descending
+    powers of x - x[i] in cell i); no system is solved.  Raises
     ValueError unless x is uniform on [-X, X], as uniform_reader assumes.
     """
     h = (x[-1] - x[0]) / (x.size - 1)
     if x[0] != -x[-1] or not np.allclose(np.diff(x), h, rtol=1e-9, atol=0):
         raise ValueError("coefficient table needs a uniform grid on [-X, X]")
-    secant = (values[1:] - values[:-1]) / h
-    bend = (slopes[:-1] + slopes[1:] - 2.0 * secant) / h
-    cells = np.empty((4,) + secant.shape)
-    cells[0] = bend / h
-    cells[1] = (secant - slopes[:-1]) / h - bend
-    cells[2] = slopes[:-1]
-    cells[3] = values[:-1]
-    return cells
+    y0, m0, m1 = values[:-1], slopes[:-1], slopes[1:]
+    if curvatures is None:
+        secant = (values[1:] - y0) / h
+        bend = (m0 + m1 - 2.0 * secant) / h
+        return np.stack([bend / h, (secant - m0) / h - bend, m0, y0])
+    s0, s1 = curvatures[:-1], curvatures[1:]
+    # the defects of the order-2 Taylor polynomial of the left node at the
+    # right node, in value, h * slope and h^2 * curvature
+    R0 = values[1:] - y0 - m0 * h - 0.5 * s0 * h**2
+    R1 = (m1 - m0 - s0 * h) * h
+    R2 = (s1 - s0) * h**2
+    return np.stack([(6.0 * R0 - 3.0 * R1 + 0.5 * R2) / h**5,
+                     (-15.0 * R0 + 7.0 * R1 - R2) / h**4,
+                     (10.0 * R0 - 4.0 * R1 + 0.5 * R2) / h**3,
+                     0.5 * s0, m0, y0])
 
 
 def uniform_reader(X: float, table: np.ndarray, shape: tuple):
     """O(1) reader x -> hermite_table cells on [-X, X] evaluated at x.
 
-    The cell of x is int((x + X) / h), clipped to the grid, and its cubic
-    is evaluated in place, with no copy of the table; the end cells
-    extrapolate.  The result has the given shape.
+    The cells may be cubic or quintic.  The cell of x is int((x + X) / h),
+    clipped to the grid, and its polynomial is evaluated in place, with no
+    copy of the table; the end cells extrapolate.  The result has the
+    given shape.
     """
     last = table.shape[1] - 1
     h = 2.0 * X / (last + 1)
+    powers = np.arange(table.shape[0] - 1, -1, -1)
 
     def read(xi: float) -> np.ndarray:
         i = min(max(int((xi + X) / h), 0), last)
         t = xi - (i * h - X)
-        return (np.array([t * t * t, t * t, t, 1.0])
-                @ table[:, i]).reshape(shape)
+        return ((t ** powers) @ table[:, i]).reshape(shape)
 
     return read

@@ -21,10 +21,21 @@ A run evaluates its first-round samples (origin, both contours, the
 Cauchy and difference points) in one batch and each winding-refinement
 round in one more.
 
+The coefficient table keeps every k-th node of the profile grid, k the
+largest divisor of (n - 1)/2 with cells no wider than TABLE_STEP, so the
+kept nodes include both ends and x = 0.  Each cell is the quintic (C^2)
+Hermite interpolant of the values, slopes and second derivatives of A0,
+A1, A2 in A(x, lam) = A0 + lam A1 + lam^2 A2 at its two end nodes, read
+from order-4 profile jets derived at the kept nodes alone.  The
+smoothness matters: C^1 cubic cells of the same width put kinks at the
+cell ends that spoil DOP853's error control at rtol 1e-12, and batched D
+then misses one-lam-at-a-time D by up to 2e-9.  The table's error is
+measured on every build (table_error): the gap between the table and the
+exact closure at the skipped node in the middle of every cell.
+
 Each right-hand-side call finds its cell of the uniform coefficient
-grid in O(1) and evaluates the cell's cubic, a Hermite cell through the
-jet values and slopes of A0, A1, A2 in A(x, lam) = A0 + lam A1 +
-lam^2 A2.  It lifts those three matrices once (lifting is linear),
+table in O(1) and evaluates the cell's quintic for A0, A1 and A2.  It
+lifts those three matrices once (lifting is linear),
 applies them to all m wedges and combines the products per lam.  The
 starting eigenvectors of a batch are continued from lam = 0 in lockstep
 (modes.analytic_eigenpairs).  Gamma reuses the wedges of the lam = 0
@@ -79,6 +90,9 @@ PLUS_PAIR = (0, 1)        # gamma1+, gamma2+ decay as x -> +inf
 MINUS_TRIPLE = (0, 2, 4)  # gamma1-, gamma3-, slow branch decay as x -> -inf
 MINUS_FAST = (0, 2)       # the two fast columns of the minus bundle
 WORK_COUNTS = ("transports", "rhs_calls", "steps")
+# widest cell of the Evans coefficient table (see table_stride); the
+# default evans_grid step is TABLE_STEP / 20
+TABLE_STEP = 0.5
 
 
 @dataclass(frozen=True)
@@ -122,7 +136,7 @@ class EvansSystem:
     params: PlasmaParams
     end: ShockEndstates
     X: float
-    n: int
+    n: int                       # nodes of the profile grid
     table: np.ndarray            # hermite_table cells of A0, A1, A2
     W0_mid: np.ndarray           # wave-derivative state at x = 0
     b1_mid: float
@@ -132,6 +146,11 @@ class EvansSystem:
     # relative defect of W0 in W0' = A(x, 0) W0 on the table (guarantee
     # 5); NaN, which fails the check, on a system not built from a grid
     closure_residual: float = float("nan")
+    # the table keeps every stride-th grid node; table_error is the
+    # relative gap to the exact closure between them (see table_error),
+    # NaN on a system not built from a grid
+    stride: int = 1
+    table_error: float = float("nan")
     rtol: float = 1e-12
     atol: float = 1e-14
     nseg: int = 14
@@ -143,6 +162,13 @@ class EvansSystem:
     def __post_init__(self):
         # coefficients(x): A0, A1, A2 at x as a (3, 5, 5) stack
         self.coefficients = uniform_reader(self.X, self.table, (3, 5, 5))
+
+    @property
+    def table_shape(self) -> dict:
+        """The table's stride, node count and cell width."""
+        cells = self.table.shape[1]
+        return {"stride": self.stride, "nodes": cells + 1,
+                "step": 2.0 * self.X / cells}
 
     def coefficient_matrix(self, x: float, lam) -> np.ndarray:
         """A(x, lam), shape (5, 5) or (m, 5, 5) for an array of m lam."""
@@ -158,13 +184,60 @@ def evans_grid(params: PlasmaParams, end: ShockEndstates,
 
     The default half-length gives 35 decay lengths of the slow rate;
     anything much shorter leaves a boundary gap that pollutes D(0), and
-    the gap check of build_evans_system rejects it.
+    the gap check of build_evans_system rejects it.  The default node
+    count makes (n - 1)/2 a multiple of 20 with step at most
+    TABLE_STEP / 20 = 0.025, so the table keeps every 20th node.
     """
     if X is None:
         X = default_half_length(params, end, efolds=35.0)
     if n is None:
-        n = 2 * int(round(X / 0.025)) + 1  # grid step about 0.025
+        n = 2 * 20 * int(np.ceil(X / TABLE_STEP)) + 1
     return solve_profile(params, end, X=X, n=n)
+
+
+def table_stride(n: int, X: float) -> int:
+    """Largest divisor k of (n - 1)/2 with k h <= TABLE_STEP, h = 2X/(n - 1).
+
+    Every k-th node of the grid then includes both ends and x = 0.
+    """
+    half = (n - 1) // 2
+    # k h <= TABLE_STEP is k X <= TABLE_STEP half, exact for integer half
+    for k in range(int(TABLE_STEP * half / X), 1, -1):
+        if half % k == 0 and k * X <= TABLE_STEP * half:
+            return k
+    return 1
+
+
+def _closure(grid: ProfileGrid, nodes, order: int):
+    """A0, A1, A2 at the grid nodes `nodes`, as Taylor coefficients up to
+    `order`; also returns the profile jets and the coefficient tables.
+
+    A[d, i, p] is the d-th Taylor coefficient of the lam**p matrix at
+    the i-th selected node.  Profile jets of order + 2 are derived at
+    those nodes only.
+    """
+    vj, pj, sj = grid.state_jets(order + 2, nodes)
+    tab = interior_coefficients(grid.x[nodes], vj, pj, sj, grid.params,
+                                grid.end, order=order + 2)
+    A = np.stack([a.coef for a in interior_matrix_coeffs(tab)], axis=2)
+    return A, (vj, pj, sj), tab
+
+
+def table_error(grid: ProfileGrid, stride: int, read) -> float:
+    """Relative max gap between a table reader and the exact closure.
+
+    The probes are the nodes k // 2 + j k of the grid, k = stride: the
+    midpoint of every cell when k is even, else the skipped node next to
+    it.  read(x) is a (3, 5, 5) stack of A0, A1, A2, as uniform_reader
+    gives; the gap is divided by the largest exact coefficient.  A table
+    on every node (k = 1) skips nothing and reads 0.
+    """
+    if stride == 1:
+        return 0.0
+    probes = slice(stride // 2, grid.n - 1, stride)
+    A, _, _ = _closure(grid, probes, 0)
+    got = np.array([read(xi) for xi in grid.x[probes]])
+    return float(np.max(np.abs(got - A[0])) / np.max(np.abs(A[0])))
 
 
 def build_evans_system(grid: ProfileGrid, rtol: float = 1e-12,
@@ -172,15 +245,25 @@ def build_evans_system(grid: ProfileGrid, rtol: float = 1e-12,
                        gap_tol: float = 1e-8) -> EvansSystem:
     """Tabulate the closure coefficients on a solved profile grid.
 
-    Raises RuntimeError when the coefficients at the cut ends miss their
-    limits by more than gap_tol, i.e. when the domain is too short.
+    The table keeps every k-th node, k = table_stride(n, X).  Raises
+    RuntimeError naming the Evans build when the kept nodes miss an end
+    of the grid or x = 0, and RuntimeError when the coefficients at the
+    cut ends miss their limits by more than gap_tol, i.e. when the
+    domain is too short.
     """
     params, end = grid.params, grid.end
     X, n = grid.X, grid.n
-    vj, pj, sj = grid.taylor_jets(3)
-    tab = interior_coefficients(grid.x, vj, pj, sj, params, end)
-    # A[0, i, k] is the coefficient of lam**k at node i, A[1] its slope
-    A = np.stack([a.coef for a in interior_matrix_coeffs(tab)], axis=2)
+    k = table_stride(n, X)
+    kept = slice(None, None, k)
+    x = grid.x[kept]
+    mid = x.size // 2
+    if x[-1] != grid.x[-1]:
+        raise RuntimeError(f"Evans build: table stride {k} on {n} nodes "
+                           f"misses the end x = {X}")
+    if abs(x[mid]) > 1e-9 * grid.h:
+        raise RuntimeError(f"Evans build: table stride {k} on {n} nodes "
+                           f"misses x = 0 (middle node at {x[mid]:.6g})")
+    A, (vj, pj, sj), tab = _closure(grid, kept, 2)
 
     gap = 0.0
     for idx, side in ((0, "minus"), (-1, "plus")):
@@ -194,18 +277,20 @@ def build_evans_system(grid: ProfileGrid, rtol: float = 1e-12,
             f"coefficients at the cut ends miss their limits by {gap:.3e}; "
             "the domain is too short for Evans work")
 
+    # Taylor coefficients to derivatives: slope A[1], curvature 2 A[2]
+    m = x.size
+    table = hermite_table(x, A[0].reshape(m, 75), A[1].reshape(m, 75),
+                          2.0 * A[2].reshape(m, 75))
     W0, dW0 = background_wave(vj, pj, sj, params, end)
-    mid = grid.n // 2
     return EvansSystem(
-        params=params, end=end, X=X, n=n,
-        table=hermite_table(grid.x, A[0].reshape(n, 75),
-                            A[1].reshape(n, 75)),
+        params=params, end=end, X=X, n=n, table=table,
         W0_mid=W0[mid].copy(), b1_mid=float(tab.b1.value[mid]),
         b2_mid=float(tab.b2.value[mid]),
         disk_radius=default_disk_radius(params, end),
         boundary_gap=float(gap),
-        closure_residual=wave_residual(A[0, :, 0], W0, dW0), rtol=rtol,
-        atol=atol, nseg=segment_count(X))
+        closure_residual=wave_residual(A[0, :, 0], W0, dW0), stride=k,
+        table_error=table_error(grid, k, uniform_reader(X, table, (3, 5, 5))),
+        rtol=rtol, atol=atol, nseg=segment_count(X))
 
 
 def _side_modes(sys: EvansSystem, side: str, lams: np.ndarray):

@@ -36,14 +36,6 @@ class Jet:
         coef[0] = value
         return cls(coef)
 
-    @classmethod
-    def variable(cls, value, order: int) -> "Jet":
-        """Jet of the identity map expanded at ``value``."""
-        jet = cls.constant(value, order)
-        if order >= 1:
-            jet.coef[1] = 1.0
-        return jet
-
     @property
     def order(self) -> int:
         return self.coef.shape[0] - 1
@@ -65,13 +57,6 @@ class Jet:
         k = np.arange(1, self.order + 1)
         shape = (self.coef.ndim - 1) * (1,)
         return Jet(self.coef[1:] * k.reshape((-1,) + shape))
-
-    def eval(self, dx):
-        """Evaluate the truncated series at an offset dx (Horner)."""
-        out = self.coef[-1] * np.ones_like(np.asarray(dx, dtype=float))
-        for c in self.coef[-2::-1]:
-            out = out * dx + c
-        return out
 
     def _coerce(self, other) -> "Jet":
         if isinstance(other, Jet):

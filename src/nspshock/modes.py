@@ -120,13 +120,6 @@ def slow_expansion(params: PlasmaParams, end: ShockEndstates, side: str) -> Slow
     return SlowData(a1, a2, beta, beta, l, r, rt)
 
 
-def slow_mu_quadratic(slow: SlowData, j: int, lam):
-    """Two-term expansion lam/a - lam^2 beta/a^3 for slow branch j in {1,2}."""
-    a = slow.a1 if j == 1 else slow.a2
-    beta = slow.beta1 if j == 1 else slow.beta2
-    return lam / a - lam * lam * beta / a**3
-
-
 @dataclass
 class ModePath:
     """Eigenpairs continued along a lam path.
@@ -269,15 +262,6 @@ def analytic_eigenpairs(params: PlasmaParams, end: ShockEndstates, side: str,
     shape = lam_path.shape
     return ModePath(lam=lam_path, mu=mu.reshape(shape + (5,)),
                     V=V.reshape(shape + (5, 5)))
-
-
-def splitting_counts(params: PlasmaParams, end: ShockEndstates, side: str,
-                     lam) -> tuple[int, int, float]:
-    """(stable count, unstable count, min |Re|) of the frozen matrix at lam."""
-    A0c, A1c = limit_matrix_coeffs(params, end, side)
-    w = np.linalg.eigvals(A0c + lam * A1c)
-    re = w.real
-    return int(np.sum(re < 0)), int(np.sum(re > 0)), float(np.min(np.abs(re)))
 
 
 def default_disk_radius(params: PlasmaParams, end: ShockEndstates,

@@ -13,9 +13,10 @@ Tasks get profile grids from two lazy providers, so each task runs
 alone: _profile_grid, which the profile task and transversality share,
 and _long_grid, the longer Evans grid that Evans and Poisson share.
 Each provider solves its grid on first use and derives its jets once,
-to order 3, the highest order any task reads; so a run solves at most
-two grids.  Every task that reads a grid reports the Newton work of its
-solve as metrics.newton.
+to the highest order any task reads on every node (3 for the profile
+grid, 2 for the long grid; the Evans table derives its own jets at the
+nodes it keeps); so a run solves at most two grids.  Every task that
+reads a grid reports the Newton work of its solve as metrics.newton.
 """
 
 from __future__ import annotations
@@ -254,7 +255,7 @@ def _long_grid(config, end, ctx):
     if "long_grid" not in ctx:
         grid = evans_grid(config.params, end, X=config.evans_X,
                           n=config.evans_n)
-        ctx["long_grid"] = replace(grid, jets=grid.state_jets(3))
+        ctx["long_grid"] = replace(grid, jets=grid.state_jets(2))
     return ctx["long_grid"]
 
 
@@ -280,10 +281,12 @@ def _task_evans(config, end, ctx, outdir):
         "gamma_nonzero": _check(abs(rep.Gamma), 0.0, abs(rep.Gamma) > 0.0),
         "closure_residual": _check(esys.closure_residual, 1e-6,
                                    esys.closure_residual <= 1e-6),
+        "table_error": _check(esys.table_error, 1e-8,
+                              esys.table_error <= 1e-8),
     }
     metrics = rep.as_dict()
     metrics.update({
-        "X": esys.X, "n": esys.n,
+        "X": esys.X, "n": esys.n, "table": esys.table_shape,
         "det_R0": rep.gamma.det_R0, "a2_minus": rep.gamma.a2_minus,
         "containment_minus": rep.gamma.containment_minus,
         "modes": _mode_metrics(config.params, end),

@@ -122,15 +122,6 @@ def solve_linearized_poisson(disc: PoissonDiscretization, v,
     return solve_with_rhs(disc, rhs_from_velocity(disc, v, dv))
 
 
-def discrete_h1(disc: PoissonDiscretization, phi) -> float:
-    dphi = np.gradient(phi, disc.h, edge_order=2)
-    return float(np.sqrt(np.trapezoid(phi**2 + dphi**2, dx=disc.h)))
-
-
-def discrete_l2(disc: PoissonDiscretization, v) -> float:
-    return float(np.sqrt(np.trapezoid(np.asarray(v)**2, dx=disc.h)))
-
-
 def smallest_symmetric_eigenvalue(disc: PoissonDiscretization) -> float:
     """Lowest eigenvalue of the symmetric part of the interior operator.
 

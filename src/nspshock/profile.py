@@ -21,7 +21,7 @@ A solved grid is its nodes plus, optionally, the Taylor jets it
 carries.  Every derivative of the profile is read from jets of the
 right-hand side (`ProfileGrid.taylor_jets`), never from differencing
 the computed solution; the residual check builds its piecewise-quintic
-Hermite interpolant from them.
+Hermite interpolant from them (eigensystem.hermite_table).
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from scipy.linalg import LinAlgError, solve_banded
 # unused here; kept so that WRAPS in perfbench/tracer.py can patch it
 from scipy.sparse.linalg import splu  # noqa: F401
 
+from .eigensystem import hermite_table
 from .jets import Jet
 from .modes import fast_roots
 from .params import PlasmaParams, ShockEndstates
@@ -222,11 +223,13 @@ class ProfileGrid:
     def h(self) -> float:
         return float(self.x[1] - self.x[0])
 
-    def state_jets(self, order: int = 5):
-        """Taylor jets of (v, phi, psi) at every node, extended through the ODE."""
-        vj = Jet(self.v[None, :].copy())
-        pj = Jet(self.phi[None, :].copy())
-        sj = Jet(self.psi[None, :].copy())
+    def state_jets(self, order: int = 5, nodes=slice(None)):
+        """Taylor jets of (v, phi, psi), extended through the ODE, at the
+        nodes selected by the index `nodes` (all of them by default); each
+        node's jet depends on that node alone."""
+        vj = Jet(self.v[None, nodes].copy())
+        pj = Jet(self.phi[None, nodes].copy())
+        sj = Jet(self.psi[None, nodes].copy())
         for m in range(order):
             f1, f2, f3 = profile_rhs(vj, pj, sj, self.params, self.end)
             vj = Jet(np.vstack([vj.coef, f1.coef[m] / (m + 1)]))
@@ -309,23 +312,6 @@ def solve_profile(params: PlasmaParams, end: ShockEndstates,
                        newton_defect=float(norm))
 
 
-def _quintic_hermite(x, y, d1, d2) -> PPoly:
-    """Piecewise quintic matching value and two derivatives at the nodes."""
-    h = np.diff(x)[:, None]
-    y0, y1 = y[:-1], y[1:]
-    m0, m1 = d1[:-1], d1[1:]
-    s0, s1 = d2[:-1], d2[1:]
-    R0 = y1 - y0 - m0 * h - 0.5 * s0 * h**2
-    R1 = (m1 - m0 - s0 * h) * h
-    R2 = (s1 - s0) * h**2
-    gamma = 6.0 * R0 - 3.0 * R1 + 0.5 * R2
-    beta = -15.0 * R0 + 7.0 * R1 - R2
-    alpha = 10.0 * R0 - 4.0 * R1 + 0.5 * R2
-    coef = np.stack([gamma / h**5, beta / h**4, alpha / h**3,
-                     0.5 * s0, m0, y0])
-    return PPoly(coef, x, extrapolate=False)
-
-
 def profile_interpolant(grid: ProfileGrid) -> PPoly:
     """Piecewise quintic (C^2) through the nodes, from order-3 jets.
 
@@ -339,7 +325,8 @@ def profile_interpolant(grid: ProfileGrid) -> PPoly:
     values = np.stack([grid.v, grid.u, grid.phi, grid.psi], axis=-1)
     d1 = np.stack([dv1, -s * dv1, pj.derivative(1), pj.derivative(2)], axis=-1)
     d2 = np.stack([dv2, -s * dv2, pj.derivative(2), pj.derivative(3)], axis=-1)
-    return _quintic_hermite(grid.x, values, d1, d2)
+    return PPoly(hermite_table(grid.x, values, d1, d2), grid.x,
+                 extrapolate=False)
 
 
 def profile_residual(grid: ProfileGrid, refine: int = 4) -> np.ndarray:

@@ -121,17 +121,10 @@ def _build_vee(src_combs, src_index, dst_combs, dst_index):
     return T
 
 
-_VEE23 = _build_vee(PAIRS, _PAIR_INDEX, TRIPLES, _TRIPLE_INDEX)
-
 # Lambda^4 basis indexed by the omitted coordinate, in increasing order
 _QUADS = tuple(itertools.combinations(range(DIM), 4))
 _QUAD_INDEX = {c: k for k, c in enumerate(_QUADS)}
 _VEE34 = _build_vee(TRIPLES, _TRIPLE_INDEX, _QUADS, _QUAD_INDEX)
-
-
-def wedge_vector_2(a, w2):
-    """a ^ w2 in Lambda^3 coordinates; zero iff a lies in the 2-plane."""
-    return np.einsum("piq,...i,...q->...p", _VEE23, np.asarray(a), np.asarray(w2))
 
 
 def wedge_vector_3(a, w3):

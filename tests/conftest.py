@@ -8,7 +8,22 @@ budgets.
 import numpy as np
 import pytest
 
+from nspshock.eigensystem import limit_matrix_coeffs
 from nspshock.params import PlasmaParams, solve_rankine_hugoniot
+
+
+def limit_matrix(params, end, side, lam):
+    """The far-field matrix A0 + lam A1 of one side."""
+    A0, A1 = limit_matrix_coeffs(params, end, side)
+    return A0 + lam * A1
+
+
+def slow_mu_quadratic(slow, j, lam):
+    """Two-term expansion lam/a - lam^2 beta/a^3 of slow branch j in {1, 2}
+    (slow is modes.slow_expansion of one side)."""
+    a = slow.a1 if j == 1 else slow.a2
+    beta = slow.beta1 if j == 1 else slow.beta2
+    return lam / a - lam * lam * beta / a**3
 
 
 def make_params(delta: float, v_minus: float = 1.0) -> PlasmaParams:

@@ -42,7 +42,6 @@ from nspshock.modes import (
     cubic_coefficients,
     fast_roots,
     slow_expansion,
-    slow_mu_quadratic,
 )
 from nspshock.params import solve_rankine_hugoniot
 from nspshock.poisson import (
@@ -62,7 +61,7 @@ from nspshock.transversality import (
     limit_eigenvalues,
 )
 
-from conftest import make_params
+from conftest import make_params, slow_mu_quadratic
 
 
 @pytest.fixture(scope="module")

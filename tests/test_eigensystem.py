@@ -5,13 +5,14 @@ from nspshock.eigensystem import (
     background_wave,
     interior_coefficients,
     interior_matrix_coeffs,
-    limit_matrix,
     limit_matrix_coeffs,
     wave_residual,
 )
 from nspshock.jets import Jet
 from nspshock.params import PlasmaParams, solve_rankine_hugoniot
 from nspshock.profile import solve_profile
+
+from conftest import limit_matrix
 
 
 @pytest.fixture(scope="module")

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import BPoly, CubicSpline
 
 from nspshock.eigensystem import (hermite_table, interior_coefficients,
-                                  interior_matrix_coeffs, limit_matrix,
+                                  interior_matrix_coeffs,
                                   limit_matrix_coeffs, uniform_reader)
 from nspshock.evans import (
     EvansSystem,
@@ -18,17 +18,20 @@ from nspshock.evans import (
     gamma_transversality,
     integrate_wedge,
     make_evaluator,
+    table_error,
+    table_stride,
     wedge_rhs,
     winding_number,
     write_evans_csv,
     WORK_COUNTS,
 )
+from nspshock import evans as evans_module
 from nspshock.params import solve_rankine_hugoniot
 from nspshock.profile import solve_profile
 from nspshock.transversality import build_reduced_system, reduced_tables
 from nspshock.wedge import lift2, lift3, pairing, wedge2, wedge3
 
-from conftest import make_params
+from conftest import limit_matrix, make_params
 
 # reduced resolution keeps the suite quick; the acceptance run uses the
 # production defaults
@@ -132,48 +135,99 @@ def _frozen_minus_system(params, end):
         boundary_gap=0.0, rtol=1e-12, atol=1e-14, nseg=4)
 
 
-def _tabulated_systems(long_grid, esys):
-    """(x, values, slopes, reader) of the Evans and the reduced system;
-    values and slopes are the jets the tables are built from."""
+def _tabulated_systems(long_grid, esys, stride):
+    """(x, derivatives, reader) of the Evans and the reduced system: the
+    values, slopes and, for Evans, second derivatives the tables are built
+    from, on every stride-th node of the Evans grid and on every node of
+    the reduced grid."""
     params, end = long_grid.params, long_grid.end
-    vj, pj, sj = long_grid.taylor_jets(3)
-    A = interior_matrix_coeffs(interior_coefficients(long_grid.x, vj, pj,
-                                                     sj, params, end))
-    coef = np.stack([a.coef for a in A], axis=2).reshape(2, long_grid.n, 75)
+    kept = slice(None, None, stride)
+    vj, pj, sj = long_grid.taylor_jets(4)
+    A = interior_matrix_coeffs(interior_coefficients(
+        long_grid.x, vj, pj, sj, params, end, order=4))
+    coef = np.stack([a.coef for a in A], axis=2).reshape(3, long_grid.n, 75)
     grid = solve_profile(params, end, n=3001)
     At = reduced_tables(grid)
     rsys = build_reduced_system(grid)
-    return ((long_grid.x, coef[0], coef[1], esys.coefficients),
-            (grid.x, At.value.reshape(grid.n, 9),
-             At.derivative(1).reshape(grid.n, 9),
+    return ((long_grid.x[kept],
+             [coef[0, kept], coef[1, kept], 2.0 * coef[2, kept]],
+             esys.coefficients),
+            (grid.x, [At.value.reshape(grid.n, 9),
+                      At.derivative(1).reshape(grid.n, 9)],
              uniform_reader(rsys.X, rsys.table, (3, 3))))
 
 
 def test_table_slopes_match_spline_derivative(long_grid, esys):
     # the jet slopes of A0, A1, A2 and of Atilde are the derivatives of
     # the tabulated functions: a wrong slope leaves every node value,
-    # and so the closure residual, unchanged
-    for x, values, slopes, _ in _tabulated_systems(long_grid, esys):
+    # and so the closure residual, unchanged.  A spline derivative is only
+    # accurate enough on the fine grid, so every grid node is used
+    for x, (values, slopes, *_), _ in _tabulated_systems(long_grid, esys, 1):
         ref = CubicSpline(x, values, axis=0).derivative()(x)
         assert np.max(np.abs(slopes - ref)) <= 1e-8 * np.max(np.abs(slopes))
 
 
 def test_uniform_lookup_matches_spline(long_grid, esys):
-    # the Evans system and the reduced system read through one lookup:
+    # the Evans system (quintic cells on every esys.stride-th node) and the
+    # reduced system (cubic cells on every node) read through one lookup:
     # node values to round-off (a node whose cell index rounds down is
-    # read at the right end of the cell before it), and the spline
-    # through them between nodes
-    for x, values, _, read in _tabulated_systems(long_grid, esys):
-        for xi, value in zip(x, values):
+    # read at the right end of the cell before it), and between the nodes
+    # scipy's Hermite interpolant of the same node derivatives
+    assert esys.stride > 1
+    for x, derivs, read in _tabulated_systems(long_grid, esys, esys.stride):
+        for xi, value in zip(x, derivs[0]):
             got = read(xi).ravel()
             assert np.max(np.abs(got - value)) <= 1e-15 * np.max(np.abs(value))
-        spline = CubicSpline(x, values, axis=0)
+        hermite = BPoly.from_derivatives(x, np.stack(derivs, axis=1))
         worst = 0.0
         for xi in 0.5 * (x[1:] + x[:-1]):
-            ref = spline(xi)
+            ref = hermite(xi)
             got = read(xi).ravel()
             worst = max(worst, np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
         assert worst <= 1e-12
+
+
+def test_table_error_detects_wrong_curvature(long_grid, esys):
+    # the reported error of the table against the exact closure between
+    # its nodes; a table built with half the second derivatives keeps
+    # every node value and slope, and only this check sees it
+    (x, (values, slopes, curvatures), _), _ = _tabulated_systems(
+        long_grid, esys, esys.stride)
+    assert 0.0 < esys.table_error <= 1e-8
+    for factor, fails in ((1.0, False), (0.5, True)):
+        table = hermite_table(x, values, slopes, factor * curvatures)
+        err = table_error(long_grid, esys.stride,
+                          uniform_reader(esys.X, table, (3, 5, 5)))
+        assert (err > 1e-8) == fails
+
+
+def test_thinned_table_keeps_gamma(long_grid, esys, monkeypatch):
+    # quintic cells on every stride-th node against cells on every node,
+    # at the production tolerances
+    def gamma(system):
+        return gamma_transversality(system, evans_value(system, 0.0)).Gamma
+
+    thin = build_evans_system(long_grid)
+    monkeypatch.setattr(evans_module, "TABLE_STEP", 0.0)
+    full = build_evans_system(long_grid)
+    assert full.table_shape["nodes"] == long_grid.n and full.table_error == 0
+    assert thin.table_shape["stride"] == esys.stride > 1
+    assert abs(gamma(thin) - gamma(full)) <= 1e-10 * abs(gamma(full))
+
+
+def test_table_stride_keeps_ends_and_origin(long_grid, monkeypatch):
+    # the largest divisor of (n - 1)/2 with cells at most TABLE_STEP wide
+    assert table_stride(2 * 7220 + 1, 180.4) == 20
+    # 7207 has no divisor from 2 to 20
+    assert table_stride(2 * 7207 + 1, 180.2) == 1
+    assert table_stride(2 * 2800 + 1, 2800 * 0.6) == 1
+    # a stride that misses an end or x = 0 (long_grid has n = 5601) is a
+    # typed build error
+    for stride, where in ((3, "end"), (32, "x = 0")):
+        monkeypatch.setattr(evans_module, "table_stride",
+                            lambda n, X: stride)
+        with pytest.raises(RuntimeError, match=f"Evans build: .*{where}"):
+            build_evans_system(long_grid)
 
 
 def test_lookup_rejects_nonuniform_grid():
@@ -303,6 +357,20 @@ def agreement_system(request):
     params = make_params(request.param)
     end = solve_rankine_hugoniot(params)
     return build_evans_system(evans_grid(params, end))
+
+
+def test_production_table_is_thinned(agreement_system):
+    # the default grid keeps x = 0 and every 20th node: (n - 1)/2 is a
+    # multiple of 20 and h <= 0.025, so cells are at most 0.5 wide; the
+    # quintic table takes at most a tenth of the bytes of cubic cells on
+    # every node
+    n, X = agreement_system.n, agreement_system.X
+    assert (n - 1) // 2 % 20 == 0 and 2.0 * X / (n - 1) <= 0.025
+    assert agreement_system.table_shape == {
+        "stride": 20, "nodes": (n - 1) // 20 + 1,
+        "step": pytest.approx(40.0 * X / (n - 1), rel=1e-14)}
+    assert agreement_system.table.nbytes <= 0.1 * 4 * (n - 1) * 75 * 8
+    assert agreement_system.table_error <= 1e-8
 
 
 def test_batched_transport_matches_one_at_a_time(agreement_system):

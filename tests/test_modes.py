@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from nspshock import modes
-from nspshock.eigensystem import limit_matrix
 from nspshock.evans import circle_contour, d_contour, derivative_points
 from nspshock.modes import (
     analytic_eigenpairs,
@@ -10,12 +9,16 @@ from nspshock.modes import (
     default_disk_radius,
     fast_roots,
     slow_expansion,
-    slow_mu_quadratic,
-    splitting_counts,
 )
 from nspshock.params import PlasmaParams, ShockEndstates
 
-from conftest import make_params
+from conftest import limit_matrix, make_params, slow_mu_quadratic
+
+
+def splitting_counts(params, end, side, lam):
+    """(stable count, unstable count, min |Re|) of the frozen matrix at lam."""
+    re = np.linalg.eigvals(limit_matrix(params, end, side, lam)).real
+    return int(np.sum(re < 0)), int(np.sum(re > 0)), float(np.min(np.abs(re)))
 
 
 def make_endstates_equal(v=1.0):

@@ -210,6 +210,21 @@ def test_reference_run_reports_closure_residual(reference_report):
     assert check["value"] < 1e-10
 
 
+def test_reference_run_reports_its_table(reference_report):
+    evans = reference_report["tasks"]["evans"]
+    check = evans["checks"]["table_error"]
+    assert check["pass"] is True and check["threshold"] == 1e-8
+    assert 0.0 < check["value"] < 1e-10
+    # the table keeps every 20th node of the grid; metrics.n stays the
+    # grid's node count
+    metrics = evans["metrics"]
+    table = metrics["table"]
+    assert table["stride"] == 20
+    assert table["nodes"] == (metrics["n"] - 1) // 20 + 1
+    assert table["step"] == pytest.approx(
+        2.0 * metrics["X"] / (table["nodes"] - 1), rel=1e-14)
+
+
 def test_reference_run_reports_newton_work(reference_report):
     tasks = reference_report["tasks"]
     newton = {name: tasks[name]["metrics"]["newton"]

@@ -11,9 +11,17 @@ from nspshock.wedge import (
     solve_wedge_factor,
     wedge2,
     wedge3,
-    wedge_vector_2,
     wedge_vector_3,
 )
+
+
+def wedge_vector_2(a, w2):
+    """a ^ w2 in Lambda^3 coordinates, from the definition
+    (a ^ w)_ijk = a_i w_jk - a_j w_ik + a_k w_ij; zero iff a lies in the
+    2-plane."""
+    w = {pair: w2[n] for n, pair in enumerate(PAIRS)}
+    return np.array([a[i] * w[j, k] - a[j] * w[i, k] + a[k] * w[i, j]
+                     for i, j, k in TRIPLES])
 
 
 @pytest.fixture()
