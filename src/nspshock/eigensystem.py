@@ -22,13 +22,16 @@ The assembly runs in jet arithmetic too, so A0, A1 and A2 come with
 their exact x-derivatives.  From values and slopes `hermite_table`
 builds local cubic (C^1) cells, and from values, slopes and second
 derivatives local quintic (C^2) cells; the O(1) `uniform_reader` reads
-either.  The Evans table is quintic on every k-th node of its grid
+either at one point, `uniform_evaluator` at an array of points.  The
+Evans table is quintic on every k-th node of its grid
 (evans.build_evans_system), the transversality table cubic on every
-node.
+node, and the profile interpolant quintic on every node
+(profile.profile_interpolant).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -264,5 +267,30 @@ def uniform_reader(X: float, table: np.ndarray, shape: tuple):
         i = min(max(int((xi + X) / h), 0), last)
         t = xi - (i * h - X)
         return ((t ** powers) @ table[:, i]).reshape(shape)
+
+    return read
+
+
+def uniform_evaluator(X: float, table: np.ndarray):
+    """Vectorised uniform_reader: (xs, nu=0) -> nu-th derivative at xs.
+
+    Each point of xs is read from its cell of the hermite_table cells on
+    [-X, X], chosen as uniform_reader chooses it (the end cells
+    extrapolate), and the cell polynomial, or its nu-th derivative, is
+    evaluated by Horner's rule in the table's descending powers.  The
+    result has shape (xs.size, k).
+    """
+    last = table.shape[1] - 1
+    h = 2.0 * X / (last + 1)
+    degree = table.shape[0] - 1
+
+    def read(xs, nu: int = 0) -> np.ndarray:
+        xs = np.asarray(xs, dtype=float)
+        i = np.clip(((xs + X) / h).astype(np.intp), 0, last)
+        t = (xs - (i * h - X))[:, None]
+        out = np.zeros((xs.size, table.shape[2]))
+        for p in range(degree, nu - 1, -1):
+            out = out * t + math.perm(p, nu) * table[degree - p, i]
+        return out
 
     return read

@@ -21,21 +21,22 @@ A solved grid is its nodes plus, optionally, the Taylor jets it
 carries.  Every derivative of the profile is read from jets of the
 right-hand side (`ProfileGrid.taylor_jets`), never from differencing
 the computed solution; the residual check builds its piecewise-quintic
-Hermite interpolant from them (eigensystem.hermite_table).
+Hermite interpolant from them (eigensystem.hermite_table) and reads
+values and slopes straight from its cells on the uniform grid
+(eigensystem.uniform_evaluator).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import PPoly
 from scipy.linalg import LinAlgError, solve_banded
 # unused here; kept so that WRAPS in perfbench/tracer.py can patch it
 from scipy.sparse.linalg import splu  # noqa: F401
 
-from .eigensystem import hermite_table
+from .eigensystem import hermite_table, uniform_evaluator
 from .jets import Jet
 from .modes import fast_roots
 from .params import PlasmaParams, ShockEndstates
@@ -312,12 +313,15 @@ def solve_profile(params: PlasmaParams, end: ShockEndstates,
                        newton_defect=float(norm))
 
 
-def profile_interpolant(grid: ProfileGrid) -> PPoly:
+def profile_interpolant(grid: ProfileGrid) -> Callable:
     """Piecewise quintic (C^2) through the nodes, from order-3 jets.
 
-    Components are (v, u, phi, psi); psi gets its own component so that
-    residual checks of the first-order system never differentiate an
-    interpolant twice.
+    Returns read(xs, nu=0): the nu-th derivative at the points xs, shape
+    (xs.size, 4), read from the hermite_table cells by
+    eigensystem.uniform_evaluator; the end cells extrapolate.  Components
+    are (v, u, phi, psi); psi gets its own component so that residual
+    checks of the first-order system never differentiate an interpolant
+    twice.
     """
     vj, pj, _ = grid.taylor_jets(3)
     s = grid.end.s
@@ -325,20 +329,14 @@ def profile_interpolant(grid: ProfileGrid) -> PPoly:
     values = np.stack([grid.v, grid.u, grid.phi, grid.psi], axis=-1)
     d1 = np.stack([dv1, -s * dv1, pj.derivative(1), pj.derivative(2)], axis=-1)
     d2 = np.stack([dv2, -s * dv2, pj.derivative(2), pj.derivative(3)], axis=-1)
-    return PPoly(hermite_table(grid.x, values, d1, d2), grid.x,
-                 extrapolate=False)
+    return uniform_evaluator(grid.X, hermite_table(grid.x, values, d1, d2))
 
 
 def profile_residual(grid: ProfileGrid, refine: int = 4) -> np.ndarray:
     """Max |y' - F(y)| of the interpolant per equation on a refined grid."""
-    n = grid.n
-    xs = np.linspace(grid.x[0], grid.x[-1], refine * (n - 1) + 1)
-    # clip the exact endpoints to stay inside the interpolation range
-    xs[0] += 1e-12 * grid.h
-    xs[-1] -= 1e-12 * grid.h
-    poly = profile_interpolant(grid)
-    vals = poly(xs)
-    derivs = poly.derivative(1)(xs)
+    xs = np.linspace(grid.x[0], grid.x[-1], refine * (grid.n - 1) + 1)
+    read = profile_interpolant(grid)
+    vals, derivs = read(xs), read(xs, 1)
     v, phi, psi = vals[:, 0], vals[:, 2], vals[:, 3]
     dv, du, dpsi = derivs[:, 0], derivs[:, 1], derivs[:, 3]
     s = grid.end.s

@@ -36,12 +36,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-# never called here: imported only so that the WRAPS table of
-# perfbench/tracer.py, which patches transversality.solve_ivp, finds it
-from scipy.integrate import solve_ivp  # noqa: F401
 
 from .eigensystem import (hermite_table, interior_coefficients,
                           interior_matrix_coeffs)
+# never called here: re-exported only so that the WRAPS table of
+# perfbench/tracer.py, which patches transversality.solve_ivp, finds it
+from .evans import solve_ivp  # noqa: F401
 from .jets import Jet
 from .params import PlasmaParams, ShockEndstates
 from .profile import ProfileGrid

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp as scipy_solve_ivp
 from scipy.interpolate import BPoly, CubicSpline
 
 from nspshock.eigensystem import (hermite_table, interior_coefficients,
@@ -18,8 +19,10 @@ from nspshock.evans import (
     gamma_transversality,
     integrate_wedge,
     make_evaluator,
+    solve_ivp,
     table_error,
     table_stride,
+    transport,
     wedge_rhs,
     winding_number,
     write_evans_csv,
@@ -287,6 +290,47 @@ def test_transport_failures_name_segment_and_lambda(params_ref, end_ref):
             r"\[0\.0001\+0j, 0\+0\.0002j, 0\.0003\+0j\]"):
         integrate_wedge(frozen, lams, "w3", np.ones((3, 10)), np.zeros(3),
                         -40.0, 0.0)
+
+
+@pytest.mark.parametrize("t_span", [(0.0, 3.0), (2.5, -1.5)])
+def test_dop853_matches_scipy(rng, t_span):
+    # a batch of m complex linear systems y' = (B(t) + lam) y with one lam
+    # per row, as the wedges travel; forward and backward in t
+    m, k = 6, 5
+    B = (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) / 2
+    lams = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+
+    def rhs(t, y):
+        Y = y.reshape(m, k)
+        return (Y @ (np.cos(t) * B).T + lams[:, None] * Y).ravel()
+
+    y0 = (rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k)))
+    ref = scipy_solve_ivp(rhs, t_span, y0.ravel(), method="DOP853",
+                          rtol=1e-12, atol=1e-14)
+    got = solve_ivp(rhs, t_span, y0.ravel(), rtol=1e-12, atol=1e-14)
+    assert got.success and ref.success
+    assert got.nfev == ref.nfev
+    assert got.t.size == ref.t.size > 10
+    assert np.max(np.abs(got.y[:, -1] - ref.y[:, -1])) <= (
+        1e-15 * np.max(np.abs(ref.y[:, -1])))
+
+
+def test_transport_failure_at_finite_time_blow_up():
+    # y' = lam y / (0.8 - x)^2 blows up at x = 0.8, inside the second of
+    # four segments of [0, 2]
+    lams = np.array([1.0, 2.0])
+
+    def rhs(x, y):
+        return (lams[:, None] * y.reshape(2, -1) / (0.8 - x) ** 2).ravel()
+
+    work = dict.fromkeys(WORK_COUNTS, 0)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            RuntimeError, match=r"failed on \[0\.5, 1\.0\] for lam = "
+            r"\[1\+0j, 2\+0j\]: Required step size"):
+        transport(rhs, np.ones((2, 3), dtype=complex), 0.0, 2.0, 4,
+                  1e-12, 1e-14, work,
+                  lambda rows: evans_module._lams_text(lams[rows]))
+    assert work["transports"] == 1 and work["steps"] > 0
 
 
 def test_boundary_gap_rejects_short_domain(params_ref, end_ref):

@@ -299,3 +299,19 @@ def test_thread_env_var_seeds_blas_caps():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "3"
+
+
+def test_package_imports_no_scipy_solver_modules():
+    # numpy and scipy.linalg are the whole runtime stack; the heavy scipy
+    # subpackages must not load with the pipeline or the command line
+    heavy = ("scipy.integrate", "scipy.interpolate", "scipy.special",
+             "scipy.optimize")
+    code = ("import sys; import nspshock.pipeline, nspshock.cli; "
+            f"print([m for m in {heavy!r} if m in sys.modules])")
+    src = os.path.dirname(os.path.dirname(nspshock.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
