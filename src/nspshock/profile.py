@@ -14,8 +14,12 @@ conditions clamp v at both ends; the phase condition pins
 v(0) = (v_minus + v_plus)/2 at the central node, so the node count
 must be odd.  Ordering the rows as left clamp, cells left of the
 pinned node, phase condition, remaining cells, right clamp makes the
-Newton matrix a band matrix with four sub- and four super-diagonals;
-each step is one LAPACK band solve (`scipy.linalg.solve_banded`).
+Newton matrix a band matrix with four sub- and four super-diagonals.
+Each step assembles it in blocks of BLOCK_CELLS cells straight into
+LAPACK gbsv's band storage, a (13, 3n) Fortran-order array whose top
+four rows are room for the fill-in of the LU factors, and factors and
+solves it in place with one gbsv call; a step holds that one band
+array, never a copy of it.
 
 A solved grid is its nodes plus, optionally, the Taylor jets it
 carries.  Every derivative of the profile is read from jets of the
@@ -32,10 +36,11 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve_banded
+from scipy.linalg import LinAlgError, get_lapack_funcs
 # unused here; kept so that WRAPS in perfbench/tracer.py can patch it
 from scipy.sparse.linalg import splu  # noqa: F401
 
+from .dispersion import write_rows
 from .eigensystem import hermite_table, uniform_evaluator
 from .jets import Jet
 from .modes import fast_roots
@@ -156,42 +161,68 @@ def _residual_vector(y, h, mid_idx, params, end, colloc=None):
 # 3k + 1 + shift, with shift 0 left of mid_idx and 1 from it on, so every
 # entry lies within BANDS = 4 diagonals of the main one.
 BANDS = 4
+# Cells per block of the Newton matrix assembly; a block's (cells, 3, 3)
+# temporaries are then small next to the band array.
+BLOCK_CELLS = 4096
 
 
 def _banded_system(y, h, mid_idx, params, end, colloc=None):
-    """Newton matrix in LAPACK band storage, shape (9, 3n), and the
-    residual F in the same row order.
+    """Newton matrix in gbsv's band storage, shape (3 BANDS + 1, 3n) in
+    Fortran order, and the residual F in the same row order.
 
-    Entry (row, col) of the matrix sits at ab[BANDS + row - col, col].
+    Entry (row, col) of the matrix sits at ab[2 BANDS + row - col, col];
+    the top BANDS rows are zero, room for the fill-in of the LU factors.
+    The cells are assembled BLOCK_CELLS at a time, each block on one side
+    of the phase row.
     colloc is _collocation_residual(y, ...) when the caller already has it.
     """
     n = y.shape[0]
-    res, f, ym = colloc or _collocation_residual(y, h, params, end)
-    J = rhs_jacobian(y, params, end)
-    Jm = rhs_jacobian(ym, params, end)
+    res, _, ym = colloc or _collocation_residual(y, h, params, end)
     eye = np.eye(3)
-    dym_dl = 0.5 * eye + (h / 8.0) * J[:-1]
-    dym_dr = 0.5 * eye - (h / 8.0) * J[1:]
-    L = -eye - (h / 6.0) * (J[:-1] + 4.0 * (Jm @ dym_dl))
-    R = eye - (h / 6.0) * (J[1:] + 4.0 * (Jm @ dym_dr))
-
-    # ab3[d, node, c] is ab[d, 3 node + c]
-    ab3 = np.zeros((2 * BANDS + 1, n, 3))
-    for cells, shift in ((slice(0, mid_idx), 0), (slice(mid_idx, n - 1), 1)):
-        nodes = slice(cells.start + 1, cells.stop + 1)
-        for c in range(3):
-            # row 3k + 1 + shift + i, column 3k + c (L) or 3k + 3 + c (R)
-            d = BANDS + 1 + shift - c
-            ab3[d:d + 3, cells, c] = L[cells, :, c].T
-            ab3[d - 3:d, nodes, c] = R[cells, :, c].T
-    ab3[BANDS, 0, 0] = 1.0              # left clamp: row 0, column 0
-    ab3[BANDS + 1, mid_idx, 0] = 1.0    # phase: row 3 mid + 1, column 3 mid
-    ab3[BANDS + 2, n - 1, 0] = 1.0      # right clamp: row 3n - 1, column 3n - 3
+    # band[node, c, d] is ab[d, 3 node + c]
+    band = np.zeros((n, 3, 3 * BANDS + 1))
+    for first, stop, shift in ((0, mid_idx, 0), (mid_idx, n - 1, 1)):
+        for a in range(first, stop, BLOCK_CELLS):
+            b = min(a + BLOCK_CELLS, stop)
+            J = rhs_jacobian(y[a:b + 1], params, end)
+            Jm = rhs_jacobian(ym[a:b], params, end)
+            dym_dl = 0.5 * eye + (h / 8.0) * J[:-1]
+            dym_dr = 0.5 * eye - (h / 8.0) * J[1:]
+            L = -eye - (h / 6.0) * (J[:-1] + 4.0 * (Jm @ dym_dl))
+            R = eye - (h / 6.0) * (J[1:] + 4.0 * (Jm @ dym_dr))
+            for c in range(3):
+                # row 3k + 1 + shift + i, column 3k + c (L) or 3k + 3 + c (R)
+                d = 2 * BANDS + 1 + shift - c
+                band[a:b, c, d:d + 3] = L[:, :, c]
+                band[a + 1:b + 1, c, d - 3:d] = R[:, :, c]
+    band[0, 0, 2 * BANDS] = 1.0              # left clamp: row 0, column 0
+    band[mid_idx, 0, 2 * BANDS + 1] = 1.0    # phase: row 3 mid + 1, column 3 mid
+    band[n - 1, 0, 2 * BANDS + 2] = 1.0      # right clamp: row 3n - 1, column 3n - 3
 
     left, phase, right = _boundary_rows(y, mid_idx, params)
     F = np.concatenate([[left], res[:mid_idx].ravel(), [phase],
                         res[mid_idx:].ravel(), [right]])
-    return ab3.reshape(2 * BANDS + 1, 3 * n), F
+    return band.reshape(3 * n, 3 * BANDS + 1).T, F
+
+
+def _band_solve(ab, rhs):
+    """Solve the band system of _banded_system in place with LAPACK gbsv.
+
+    ab is factored into and rhs overwritten by the solution, which is
+    returned.  Raises ValueError on a non-finite entry or an illegal
+    argument and LinAlgError on a singular matrix, as
+    scipy.linalg.solve_banded does.
+    """
+    if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    gbsv, = get_lapack_funcs(("gbsv",), (ab, rhs))
+    _, _, x, info = gbsv(BANDS, BANDS, ab, rhs,
+                         overwrite_ab=True, overwrite_b=True)
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gbsv")
+    return x
 
 
 @dataclass(frozen=True)
@@ -282,11 +313,12 @@ def solve_profile(params: PlasmaParams, end: ShockEndstates,
         del colloc      # its (n, 3) arrays need not live through the solve
         iterations += 1
         try:
-            step = solve_banded((BANDS, BANDS), ab, -F).reshape(n, 3)
+            step = _band_solve(ab, -F).reshape(n, 3)
         except (LinAlgError, ValueError) as exc:
             raise RuntimeError(
                 f"profile Newton: step {iterations} failed on n={n}, "
                 f"X={X:.6g} with defect {norm:.3e}: {exc}") from exc
+        del ab, F       # the factored band is not needed in the line search
         t = 1.0
         while t > 1e-6:
             trial = y + t * step
@@ -298,6 +330,8 @@ def solve_profile(params: PlasmaParams, end: ShockEndstates,
         else:
             y = y + t * step
             norm, colloc = defect(y)
+        # only y and colloc go on to the next step's band assembly
+        del step, trial, trial_colloc
     if norm > tol:
         raise RuntimeError(f"profile solver did not converge; final defect {norm:.3e}")
 
@@ -398,5 +432,6 @@ def write_profile_csv(grid: ProfileGrid, path) -> None:
     data = np.column_stack([grid.x, grid.v, grid.u, grid.phi,
                             dv, -grid.end.s * dv, pj.derivative(1),
                             pj.derivative(2)])
-    np.savetxt(path, data, delimiter=",",
-               header="x,v,u,phi,dv,du,dphi,d2phi", comments="")
+    with open(path, "w") as fh:
+        fh.write("x,v,u,phi,dv,du,dphi,d2phi\n")
+        write_rows(fh, data, ",".join(["%.18e"] * 8) + "\n")

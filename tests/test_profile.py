@@ -1,8 +1,11 @@
 from dataclasses import fields, replace
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.interpolate import PPoly
+from scipy.linalg import LinAlgError, solve_banded
 
 from nspshock.eigensystem import uniform_evaluator
 from nspshock.modes import fast_roots
@@ -10,6 +13,7 @@ from nspshock.params import PlasmaParams, ShockEndstates, solve_rankine_hugoniot
 import nspshock.profile as profile_module
 from nspshock.profile import (
     BANDS,
+    _band_solve,
     _banded_system,
     _residual_vector,
     default_half_length,
@@ -236,8 +240,9 @@ def test_band_matrix_is_the_jacobian_of_its_residual(small_system):
     # oracle: central differences of the banded residual itself
     p, end, y, h, mid = small_system
     ab, F = _banded_system(y, h, mid, p, end)
-    assert ab.shape == (2 * BANDS + 1, F.size)
-    dense = _dense_from_band(ab, BANDS)
+    assert ab.shape == (3 * BANDS + 1, F.size)
+    assert np.all(ab[:BANDS] == 0.0)
+    dense = _dense_from_band(ab[BANDS:], BANDS)
 
     def residual(flat):
         return _banded_system(flat.reshape(y.shape), h, mid, p, end)[1]
@@ -249,6 +254,48 @@ def test_band_matrix_is_the_jacobian_of_its_residual(small_system):
         e[k] = step
         fd[:, k] = (residual(y.ravel() + e) - residual(y.ravel() - e)) / (2 * step)
     assert np.max(np.abs(dense - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+def test_band_assembly_does_not_depend_on_the_block_size(small_system,
+                                                          monkeypatch):
+    # one block per side is the reference; smaller blocks, one that ends
+    # on the phase row included, must give the same floats
+    p, end, y, h, mid = small_system
+    ab, F = _banded_system(y, h, mid, p, end)
+    assert ab.flags.f_contiguous
+    for cells in (1, 2, 7, mid):
+        monkeypatch.setattr(profile_module, "BLOCK_CELLS", cells)
+        ab_blocks, F_blocks = _banded_system(y, h, mid, p, end)
+        assert np.array_equal(ab_blocks, ab)
+        assert np.array_equal(F_blocks, F)
+
+
+def test_band_solve_matches_solve_banded(small_system):
+    p, end, y, h, mid = small_system
+    ab, F = _banded_system(y, h, mid, p, end)
+    expected = solve_banded((BANDS, BANDS), ab[BANDS:], -F)
+    assert np.array_equal(_band_solve(ab, -F), expected)
+
+    ab, F = _banded_system(y, h, mid, p, end)
+    ab[:, 5] = 0.0
+    with pytest.raises(LinAlgError):
+        _band_solve(ab, -F)
+
+
+def test_newton_memory_is_within_twice_the_band_storage():
+    # tracemalloc counts numpy's buffers, so the bound does not depend on
+    # the host: one gbsv band array and a few (n, 3) arrays at a time
+    p = PlasmaParams(T=1.0, nu=1.0, eps=1.0, v_minus=1.0, u_minus=0.0,
+                     v_plus=1.1)
+    end = solve_rankine_hugoniot(p)
+    n = 20001
+    tracemalloc.start()
+    try:
+        solve_profile(p, end, X=250.0, n=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * (3 * BANDS + 1) * 3 * n
 
 
 def test_band_residual_is_a_row_permutation(small_system):
