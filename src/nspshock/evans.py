@@ -11,18 +11,27 @@ determinant of any column representatives; per-segment positive
 renormalization factors are returned to log scale and multiplied back,
 so the computed value stays the analytic determinant.
 
-Many lam are transported at once: the m wedges of a batch are the rows
-of one (m, 10) state carried by `transport`: one DOP853 solve per
-segment, with a norm and log scale per row.  The DOP853 step is this
-module's `solve_ivp`, a port of scipy.integrate's that takes the same
-steps and right-hand-side calls, so the package never imports
-scipy.integrate.  The step
-control then bounds the RMS error over the batch instead of each
-wedge's own; the agreement test in tests/test_evans.py holds batched D
-to one-lam-at-a-time D within 1e-10 relative on the production grid.
-A run evaluates its first-round samples (origin, both contours, the
-Cauchy and difference points) in one batch and each winding-refinement
-round in one more.
+One transport carries a whole batch of lam.  It runs over the
+pseudo-time t in [0, X]: the 2-wedges from +X sit at x = X - t (their
+right-hand side changes sign), the 3-wedges from -X at x = t - X, and
+on a batch that holds lam = 0 Gamma's fast pair at -inf rides along as
+one more 2-wedge row at x = t - X.  All rows are one (rows, 10) state
+carried by `transport`: one DOP853 solve per segment, with a norm and
+log scale per row, and each right-hand-side call reads the coefficient
+cell of both sides.  The DOP853 step is this module's `solve_ivp`, a
+port of scipy.integrate's that takes the same steps and right-hand-side
+calls, so the package never imports scipy.integrate.  The step control
+then bounds the RMS error over the batch instead of each wedge's own;
+the agreement test in tests/test_evans.py holds batched D to
+one-lam-at-a-time D within 1e-10 relative on the production grid.
+
+The linearized operator is real, so D(conj lam) = conj D(lam), and the
+contours are built symmetric about the real axis, each point below it
+the exact conj of one above.  The evaluator transports only the points
+with Im lam >= 0 and fills in each mirror with D and the bases
+conjugated and the log scales unchanged.  A run evaluates its
+first-round samples (origin, both contours, the Cauchy and difference
+points) in one batch and each winding-refinement round in one more.
 
 The coefficient table keeps every k-th node of the profile grid, k the
 largest divisor of (n - 1)/2 with cells no wider than TABLE_STEP, so the
@@ -36,13 +45,14 @@ then misses one-lam-at-a-time D by up to 2e-9.  The table's error is
 measured on every build (table_error): the gap between the table and the
 exact closure at the skipped node in the middle of every cell.
 
-Each right-hand-side call finds its cell of the uniform coefficient
-table in O(1) and evaluates the cell's quintic for A0, A1 and A2.  It
-lifts those three matrices once (lifting is linear),
-applies them to all m wedges and combines the products per lam.  The
-starting eigenvectors of a batch are continued from lam = 0 in lockstep
-(modes.analytic_eigenpairs).  Gamma reuses the wedges of the lam = 0
-sample and transports only the fast pair at -inf.
+Each right-hand-side call finds the cell of each side in the uniform
+coefficient table in O(1) and evaluates the cell's quintic for A0, A1
+and A2.  It lifts those three matrices once per block (lifting is
+linear), applies them to the real and imaginary parts of the block's
+rows in one real matrix product and combines the products of all rows
+per lam in one Horner pass.  The starting eigenvectors of a batch are continued from lam = 0 in
+lockstep (modes.analytic_eigenpairs).  Gamma reads the wedges and the
+fast pair of the lam = 0 sample and transports nothing of its own.
 
 Initial data at the cut ends come from the analytically continued
 eigenvectors of the limit matrices, so D inherits analyticity in lam
@@ -60,7 +70,7 @@ meaningful, not their absolute scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -91,7 +101,12 @@ from .wedge import (
 PLUS_PAIR = (0, 1)        # gamma1+, gamma2+ decay as x -> +inf
 MINUS_TRIPLE = (0, 2, 4)  # gamma1-, gamma3-, slow branch decay as x -> -inf
 MINUS_FAST = (0, 2)       # the two fast columns of the minus bundle
+# counters kept by transport; EvansSystem.work adds the evaluator rounds
+# and the lam they carried (see make_evaluator)
 WORK_COUNTS = ("transports", "rhs_calls", "steps")
+# the blocks of a transport: the end each starts from (-1: +X, at
+# x = X - t; +1: -X, at x = t - X) and its lift
+BLOCKS = {"plus": (-1, "w2"), "minus": (1, "w3"), "fast": (1, "w2")}
 # widest cell of the Evans coefficient table (see table_stride); the
 # default evans_grid step is TABLE_STEP / 20
 TABLE_STEP = 0.5
@@ -106,10 +121,25 @@ class Contour:
     tag: str
 
 
-def circle_contour(radius: float, n: int = 32, center: complex = 0.0,
+def _on_circle(radius: float, turns: np.ndarray) -> np.ndarray:
+    """radius exp(2 pi i turns), a negative turn the exact conj of its
+    opposite.
+
+    Each turn is an integer ratio, and a quotient of integers is rounded
+    correctly, so equal ratios on different contours give the same point.
+    Half a turn gives -radius exactly, a point that is its own mirror.
+    """
+    z = radius * np.exp(2j * np.pi * np.abs(turns))
+    z[np.abs(turns) == 0.5] = -radius
+    return np.where(turns < 0, np.conj(z), z)
+
+
+def circle_contour(radius: float, n: int = 32,
                    tag: str = "circle") -> Contour:
-    th = 2.0 * np.pi * np.arange(n) / n
-    return Contour(center + radius * np.exp(1j * th), True, tag)
+    """n points radius exp(2 pi i k/n), k = 0..n-1, mirrored exactly."""
+    k = np.arange(n)
+    return Contour(_on_circle(radius, np.where(2 * k > n, k - n, k) / n),
+                   True, tag)
 
 
 def d_contour(rho: float, radius: float, n_arc: int = 24, n_inner: int = 16,
@@ -117,17 +147,17 @@ def d_contour(rho: float, radius: float, n_arc: int = 24, n_inner: int = 16,
     """Boundary of {rho < |lam| < radius, Re lam > 0}, counterclockwise.
 
     The small arc detours into the open right half plane, so the origin
-    stays outside the enclosed region.
+    stays outside the enclosed region.  Each point below the real axis is
+    the exact conj of one above it.
     """
     if not 0.0 < rho < radius:
         raise ValueError("need 0 < rho < radius")
-    outer = radius * np.exp(1j * np.linspace(-0.5 * np.pi, 0.5 * np.pi,
-                                             n_arc + 1))
+    outer = _on_circle(radius, (2 * np.arange(n_arc + 1) - n_arc)
+                       / (4 * n_arc))
     down = 1j * np.linspace(radius, rho, n_seg + 2)[1:-1]
-    inner = rho * np.exp(1j * np.linspace(0.5 * np.pi, -0.5 * np.pi,
-                                          n_inner + 1))
-    back = 1j * np.linspace(-rho, -radius, n_seg + 2)[1:-1]
-    pts = np.concatenate([outer, down, inner, back])
+    inner = _on_circle(rho, (n_inner - 2 * np.arange(n_inner + 1))
+                       / (4 * n_inner))
+    pts = np.concatenate([outer, down, inner, np.conj(down[::-1])])
     return Contour(pts, True, "d-contour")
 
 
@@ -157,9 +187,10 @@ class EvansSystem:
     atol: float = 1e-14
     nseg: int = 14
     path_points: int = 12
-    # running totals of the wedge transports made with this system, per
-    # wedge ("plus_w2", "minus_w3", "minus_w2"); see integrate_wedge
-    work: dict = field(default_factory=dict, repr=False)
+    # running totals of the transports made with this system (WORK_COUNTS)
+    # and of the evaluator rounds and lam they carried
+    work: dict = field(default_factory=lambda: dict.fromkeys(
+        WORK_COUNTS + ("rounds", "transported"), 0), repr=False)
 
     def __post_init__(self):
         # coefficients(x): A0, A1, A2 at x as a (3, 5, 5) stack
@@ -311,24 +342,48 @@ def _lams_text(lams: np.ndarray) -> str:
     return f"lam = [{shown}{more}]"
 
 
-def wedge_rhs(sys: EvansSystem, which: str, lams: np.ndarray,
-              shifts: np.ndarray):
-    """Right-hand side y' = lift(A(x, lam)) y - shift y of m stacked wedges.
+def _side_x(d: int, t, X: float):
+    """x of pseudo-time t for a block starting from -d X (see BLOCKS)."""
+    return X - t if d < 0 else t - X
 
-    The state is m wedges of length 10, one per lam and shift.  Since
-    A(x, lam) = A0 + lam A1 + lam^2 A2 and lifting is linear, each call
-    lifts the three coefficient matrices at x once, applies the lifts to
-    all m wedges and combines the products per lam by Horner's rule.
+
+def wedge_rhs(sys: EvansSystem, blocks: dict):
+    """Right-hand side in the pseudo-time t of stacked wedge blocks.
+
+    blocks maps names of BLOCKS to (lams, shifts), one pair of m-arrays
+    per block, in the order of the rows.  A block from -d X sits at
+    x = d (t - X) and its rows follow y' = d (lift(A(x, lam)) y - shift y),
+    lifted to Lambda^2 or Lambda^3.  Since A(x, lam) = A0 + lam A1 +
+    lam^2 A2 and lifting is linear, each call reads the coefficients once
+    per side and lifts d A0, d A1, d A2 once per block.  The lifts act on
+    the real and imaginary parts of the block's rows in one real matrix
+    product, and the products of all rows are combined per lam by one
+    Horner evaluation.
     """
-    lifter = lift2 if which == "w2" else lift3
-    m = lams.size
-    lam = lams[:, None]
-    shift = shifts[:, None]
+    X = sys.X
+    terms, start = [], 0
+    for name, (lams, _) in blocks.items():
+        d, which = BLOCKS[name]
+        # the block's columns of the transposed state, viewed as reals
+        cols = slice(2 * start, 2 * (start + lams.size))
+        start += lams.size
+        terms.append((d, lift2 if which == "w2" else lift3, cols))
+    lam = np.concatenate([lams for lams, _ in blocks.values()])
+    shift = np.concatenate([BLOCKS[name][0] * shifts
+                            for name, (_, shifts) in blocks.items()])
+    sides = {d for d, *_ in terms}
+    # lifted d A0, d A1, d A2 applied to the transposed state (10, rows)
+    Z = np.empty((3, 10, start), dtype=complex)
+    Zf = Z.view(float).reshape(30, 2 * start)
 
-    def rhs(x, y):
-        Y = y.reshape(m, -1)
-        Z0, Z1, Z2 = Y @ lifter(sys.coefficients(x)).transpose(0, 2, 1)
-        return (Z0 + lam * (Z1 + lam * Z2) - shift * Y).ravel()
+    def rhs(t, y):
+        Y = y.reshape(start, -1).T.copy()
+        Yf = Y.view(float)
+        cells = {d: d * sys.coefficients(_side_x(d, t, X)) for d in sides}
+        for d, lifter, cols in terms:
+            np.matmul(lifter(cells[d]).reshape(30, -1), Yf[:, cols],
+                      out=Zf[:, cols])
+        return (Z[0] + lam * (Z[1] + lam * Z[2]) - shift * Y).T.ravel()
 
     return rhs
 
@@ -538,6 +593,23 @@ def segment_count(X: float) -> int:
     return max(8, int(round(X / 20.0)))
 
 
+class TransportError(RuntimeError):
+    """A transport that failed on one segment [a, b] of its variable.
+
+    reason is "integration failed" or "renormalization broke down", rows
+    the indices of the rows concerned and detail the solver message or the
+    offending norms.
+    """
+
+    def __init__(self, reason: str, segment: tuple, rows: np.ndarray,
+                 detail: str, rows_text: Callable):
+        a, b = segment
+        super().__init__(f"{reason} on [{a}, {b}] for {rows_text(rows)}: "
+                         f"{detail}")
+        self.reason, self.segment, self.rows = reason, segment, rows
+        self.detail = detail
+
+
 def transport(rhs, y0, x_from: float, x_to: float, nseg: int, rtol: float,
               atol: float, work: dict, rows_text: Callable):
     """Carry the rows of y0 from x_from to x_to; returns (rows, log scales).
@@ -545,8 +617,8 @@ def transport(rhs, y0, x_from: float, x_to: float, nseg: int, rtol: float,
     The (m, k) rows travel as one DOP853 state under rhs(x, y) on nseg
     equal segments; at each segment end every row is divided by its norm,
     whose log goes to that row's scale.  The transport, its right-hand-side
-    calls and its steps are added to work.  A failure names the segment
-    and, through rows_text(indices), the rows concerned.
+    calls and its steps are added to work.  A failure raises TransportError
+    naming the segment and, through rows_text(indices), the rows concerned.
 
     Only the Evans wedges travel here; the lam-free transversality normals
     are carried by Magnus propagator products (transversality.propagator).
@@ -561,76 +633,67 @@ def transport(rhs, y0, x_from: float, x_to: float, nseg: int, rtol: float,
         work["rhs_calls"] += sol.nfev
         work["steps"] += sol.t.size - 1
         if not sol.success:
-            raise RuntimeError(f"integration failed on [{a}, {b}] for "
-                               f"{rows_text(np.arange(m))}: " + sol.message)
+            raise TransportError("integration failed", (a, b), np.arange(m),
+                                 sol.message, rows_text)
         Y = sol.y[:, -1].reshape(m, -1)
         norm = np.linalg.norm(Y, axis=1)
         bad = ~np.isfinite(norm) | (norm == 0.0)
         if bad.any():
-            raise RuntimeError(
-                f"renormalization broke down on [{a}, {b}] for "
-                f"{rows_text(np.flatnonzero(bad))} (norms {norm[bad][:6]})")
+            raise TransportError("renormalization broke down", (a, b),
+                                 np.flatnonzero(bad), f"norms {norm[bad][:6]}",
+                                 rows_text)
         Y = Y / norm[:, None]
         log_scale += np.log(norm)
     return Y, log_scale
 
 
-def integrate_wedge(sys: EvansSystem, lam, which: str, y0, shift,
-                    x_from: float, x_to: float):
-    """Propagate shifted wedges; returns (unit vectors, log scales).
+def integrate_wedge(sys: EvansSystem, **blocks):
+    """Carry blocks of shifted wedges to x = 0 in one transport.
 
-    lam is a scalar or an array of m values, with y0 of shape (m, 10)
-    and one shift per value; the m wedges are the rows of one transport.
-    A scalar lam gives a (10,) vector and a float.  which selects the
-    Lambda^2 or Lambda^3 lift.  The renormalization factors are real and
-    positive, so multiplying them back preserves analyticity of anything
-    built from the result.  The work goes to sys.work under the side the
-    transport starts from and which, e.g. "plus_w2".
+    Each keyword names a block of BLOCKS ("plus": 2-wedges from +X,
+    "minus": 3-wedges from -X, "fast": 2-wedges from -X) and gives
+    (lams, y0, shifts): m values of lam, the (m, 10) wedges at the block's
+    end and one shift per lam.  All rows travel as one state over the
+    pseudo-time t in [0, X] (see wedge_rhs), whose nseg segments are the
+    same x breakpoints on either side.  Returns {name: (unit rows, log
+    scales)}.  The renormalization factors are real and positive, so
+    multiplying them back preserves analyticity of anything built from the
+    result.  The work goes to sys.work; a failure is a RuntimeError naming
+    each block concerned, its segment in x and the lam of its rows.
     """
-    scalar = np.ndim(lam) == 0
-    lams = np.atleast_1d(np.asarray(lam, dtype=complex))
-    m = lams.size
-    rhs = wedge_rhs(sys, which, lams,
-                    np.broadcast_to(np.asarray(shift, dtype=complex), (m,)))
-    work = sys.work.setdefault(
-        f"{'plus' if x_from > x_to else 'minus'}_{which}",
-        dict.fromkeys(WORK_COUNTS, 0))
-    Y, log_scale = transport(
-        rhs, np.asarray(y0, dtype=complex).reshape(m, -1), x_from, x_to,
-        sys.nseg, sys.rtol, sys.atol, work, lambda k: _lams_text(lams[k]))
-    if scalar:
-        return Y[0], float(log_scale[0])
-    return Y, log_scale
-
-
-def decaying_bases(sys: EvansSystem, lam):
-    """Both decaying bundles transported to x = 0.
-
-    Returns (w2, log2, w3, log3): the unit 2-wedges of solutions
-    decaying at +inf, the unit 3-wedges decaying at -inf, and their log
-    scales; one batched transport per side for an array of lam.
-    """
-    lams = np.atleast_1d(np.asarray(lam, dtype=complex))
-    mu_p, V_p = _side_modes(sys, "plus", lams)
-    i, j = PLUS_PAIR
-    w2_init = wedge2(V_p[:, :, i], V_p[:, :, j])
-    w2, log2 = integrate_wedge(sys, lams, "w2", w2_init,
-                               mu_p[:, i] + mu_p[:, j], sys.X, 0.0)
-
-    mu_m, V_m = _side_modes(sys, "minus", lams)
-    i, j, k = MINUS_TRIPLE
-    w3_init = wedge3(V_m[:, :, i], V_m[:, :, j], V_m[:, :, k])
-    w3, log3 = integrate_wedge(sys, lams, "w3", w3_init,
-                               mu_m[:, i] + mu_m[:, j] + mu_m[:, k],
-                               -sys.X, 0.0)
-    if np.ndim(lam) == 0:
-        return w2[0], float(log2[0]), w3[0], float(log3[0])
-    return w2, log2, w3, log3
+    parts, slices, start = {}, {}, 0
+    for name, (lam, y0, shift) in blocks.items():
+        lams = np.atleast_1d(np.asarray(lam, dtype=complex))
+        m = lams.size
+        parts[name] = (lams, np.asarray(y0, dtype=complex).reshape(m, -1),
+                       np.broadcast_to(np.asarray(shift, dtype=complex), (m,)))
+        slices[name] = slice(start, start + m)
+        start += m
+    lams = np.concatenate([p[0] for p in parts.values()])
+    rhs = wedge_rhs(sys, {name: (p[0], p[2]) for name, p in parts.items()})
+    try:
+        Y, log_scale = transport(
+            rhs, np.concatenate([p[1] for p in parts.values()]), 0.0, sys.X,
+            sys.nseg, sys.rtol, sys.atol, sys.work,
+            lambda k: _lams_text(lams[k]))
+    except TransportError as err:
+        a, b = err.segment
+        where = []
+        for name, rows in slices.items():
+            hit = err.rows[(err.rows >= rows.start) & (err.rows < rows.stop)]
+            if hit.size:
+                d = BLOCKS[name][0]
+                where.append(f"{err.reason} on [{_side_x(d, a, sys.X)}, "
+                             f"{_side_x(d, b, sys.X)}] for "
+                             f"{_lams_text(lams[hit])} ({name} block)")
+        raise RuntimeError("Evans transport: " + "; ".join(where)
+                           + f": {err.detail}") from err
+    return {name: (Y[rows], log_scale[rows]) for name, rows in slices.items()}
 
 
 @dataclass(frozen=True)
 class EvansSample:
-    """D at lam, with the decaying bases it pairs (see decaying_bases)."""
+    """D at lam, with the decaying bases it pairs (see evans_value)."""
 
     lam: complex
     D: complex
@@ -639,35 +702,78 @@ class EvansSample:
     log2: float = field(repr=False, compare=False)
     w3: np.ndarray = field(repr=False, compare=False)
     log3: float = field(repr=False, compare=False)
+    # Gamma's fast pair at -inf, carried only at lam = 0
+    wf: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    logf: Optional[float] = field(default=None, repr=False, compare=False)
 
 
 def evans_value(sys: EvansSystem, lam):
-    """D at a scalar lam, or a list of samples for an array of lam."""
+    """D at a scalar lam, or a list of samples for an array of lam.
+
+    The unit 2-wedges decaying at +inf, the unit 3-wedges decaying at
+    -inf and, at lam = 0, the fast pair at -inf are all carried to x = 0
+    in one transport (integrate_wedge); D pairs the first two.
+    """
     lams = np.atleast_1d(np.asarray(lam, dtype=complex))
-    w2, log2, w3, log3 = decaying_bases(sys, lams)
+    zero = np.flatnonzero(lams == 0)
+    mu_p, V_p = _side_modes(sys, "plus", lams)
+    mu_m, V_m = _side_modes(sys, "minus", lams)
+    i, j = PLUS_PAIR
+    blocks = {"plus": (lams, wedge2(V_p[:, :, i], V_p[:, :, j]),
+                       mu_p[:, i] + mu_p[:, j])}
+    i, j, k = MINUS_TRIPLE
+    blocks["minus"] = (lams, wedge3(V_m[:, :, i], V_m[:, :, j], V_m[:, :, k]),
+                       mu_m[:, i] + mu_m[:, j] + mu_m[:, k])
+    if zero.size:
+        i, j = MINUS_FAST
+        blocks["fast"] = (lams[zero],
+                          wedge2(V_m[zero, :, i], V_m[zero, :, j]),
+                          mu_m[zero, i] + mu_m[zero, j])
+    out = integrate_wedge(sys, **blocks)
+    (w2, log2), (w3, log3) = out["plus"], out["minus"]
+    fast = dict(zip(zero.tolist(), zip(*out["fast"]))) if zero.size else {}
     scale = log2 + log3
     D = pairing(w2, w3) * np.exp(scale)
-    samples = [EvansSample(complex(z), complex(d), float(s),
-                           w2[k], float(log2[k]), w3[k], float(log3[k]))
-               for k, (z, d, s) in enumerate(zip(lams, D, scale))]
+    samples = [EvansSample(complex(z), complex(D[k]), float(scale[k]), w2[k],
+                           float(log2[k]), w3[k], float(log3[k]),
+                           *fast.get(k, (None, None)))
+               for k, z in enumerate(lams)]
     return samples[0] if np.ndim(lam) == 0 else samples
+
+
+def _mirrored(sample: EvansSample) -> EvansSample:
+    """The sample at conj(lam): the operator is real, so D and the bases
+    conjugate and the log scales stay."""
+    return replace(sample, lam=sample.lam.conjugate(),
+                   D=sample.D.conjugate(), w2=sample.w2.conj(),
+                   w3=sample.w3.conj())
 
 
 def make_evaluator(sys: EvansSystem):
     """Caching D evaluator; returns (function, sample store).
 
-    The function takes a scalar or an array of lam; the points not yet
-    in the store are evaluated together in one batched transport.
+    The function takes a scalar or an array of lam.  Only points with
+    Im lam >= 0 are transported: those not yet in the store go to
+    evans_value together, one batch per call, which adds a round and its
+    lam to sys.work.  A point below the real axis is its mirror's sample
+    conjugated (_mirrored).
     """
     store: dict[complex, EvansSample] = {}
 
     def evaluate(lam):
         lams = np.asarray(lam, dtype=complex)
         keys = [complex(z) for z in lams.ravel()]
-        new = [z for z in dict.fromkeys(keys) if z not in store]
+        upper = dict.fromkeys(z if z.imag >= 0 else z.conjugate()
+                              for z in keys)
+        new = [z for z in upper if z not in store]
         if new:
+            sys.work["rounds"] += 1
+            sys.work["transported"] += len(new)
             for sample in evans_value(sys, np.array(new)):
                 store[sample.lam] = sample
+        for z in keys:
+            if z not in store:
+                store[z] = _mirrored(store[z.conjugate()])
         D = np.array([store[z].D for z in keys]).reshape(lams.shape)
         return complex(D) if lams.ndim == 0 else D
 
@@ -716,10 +822,11 @@ def winding_number(evaluate: Callable, contour: Contour,
 
 
 def derivative_points(rho: float, n_quad: int = 32) -> np.ndarray:
-    """The n_quad Cauchy nodes on |lam| = rho, then 2h, h, -h, -2h."""
+    """The n_quad Cauchy nodes on |lam| = rho (circle_contour's points),
+    then 2h, h, -h, -2h."""
     h = rho / 10.0
-    nodes = rho * np.exp(2j * np.pi * np.arange(n_quad) / n_quad)
-    return np.concatenate([nodes, [2 * h, h, -h, -2 * h]])
+    return np.concatenate([circle_contour(rho, n_quad).points,
+                           [2 * h, h, -h, -2 * h]])
 
 
 def evans_derivative_origin(evaluate: Callable, rho: float,
@@ -757,8 +864,8 @@ def gamma_transversality(sys: EvansSystem, origin: EvansSample,
     """Connection coefficient Gamma from the lam = 0 bundles.
 
     origin is the sample of D at lam = 0, e.g. evans_value(sys, 0.0);
-    its bundles are reused, and only the fast pair at -inf is
-    transported here.
+    its bundles and the fast pair at -inf that rode along in its
+    transport are reused, so nothing is transported here.
 
     The wave derivative W0 lies in both bundles; the least-squares
     factors phi2+ (completing W0 in the 2-plane decaying at +inf) and
@@ -773,12 +880,8 @@ def gamma_transversality(sys: EvansSystem, origin: EvansSample,
     if origin.lam != 0:
         raise ValueError(f"Gamma needs the sample at lam = 0, got {origin.lam}")
 
-    mu_m, V_m = _side_modes(sys, "minus", np.zeros(1))
     w2, log2, w3 = origin.w2, origin.log2, origin.w3
-    i, j = MINUS_FAST
-    wf_init = wedge2(V_m[0, :, i], V_m[0, :, j])
-    wf, logf = integrate_wedge(sys, 0.0, "w2", wf_init,
-                               mu_m[0, i] + mu_m[0, j], -sys.X, 0.0)
+    wf, logf = origin.wf, origin.logf
 
     W0 = sys.W0_mid
     phi2, res2 = solve_wedge_factor(W0, w2 * np.exp(log2))
@@ -832,6 +935,7 @@ class EvansReport:
     gamma: GammaResult
     samples: tuple[EvansSample, ...]
     work: dict
+    min_abs_D: dict
 
     def as_dict(self) -> dict:
         return {
@@ -849,6 +953,7 @@ class EvansReport:
             "factorization_residual": self.factorization_residual,
             "sign_match": self.sign_match,
             "work": self.work,
+            "min_abs_D": self.min_abs_D,
         }
 
 
@@ -859,16 +964,16 @@ def evans_report(sys: EvansSystem, rho: Optional[float] = None,
     if rho is None:
         rho = 0.5 * r
     evaluate, store = make_evaluator(sys)
-    work0 = {key: dict(counts) for key, counts in sys.work.items()}
+    work0 = dict(sys.work)
 
     circle = circle_contour(rho, n_circle)
     dcont = d_contour(rho, r)
-    # every first-round point in one batched transport per side
+    # every first-round point in one batched transport
     evaluate(np.concatenate([[0.0], circle.points, dcont.points,
                              derivative_points(rho, n_circle)]))
     D0 = evaluate(0.0)
     w_circle, _, circle_vals = winding_number(evaluate, circle)
-    w_d, _, _ = winding_number(evaluate, dcont)
+    w_d, _, d_vals = winding_number(evaluate, dcont)
     dc, dfd = evans_derivative_origin(evaluate, rho, n_quad=n_circle)
     agree = abs(dc - dfd) / max(abs(dc), abs(dfd))
 
@@ -880,12 +985,9 @@ def evans_report(sys: EvansSystem, rho: Optional[float] = None,
 
     samples = tuple(store[k] for k in sorted(store, key=lambda z: (z.real,
                                                                    z.imag)))
-    by_wedge = {key: {k: n - work0.get(key, {}).get(k, 0)
-                      for k, n in counts.items()}
-                for key, counts in sys.work.items()}
-    work = {k: sum(c[k] for c in by_wedge.values()) for k in WORK_COUNTS}
+    work = {k: sys.work[k] - work0[k] for k in WORK_COUNTS}
     work["samples"] = len(store)
-    work["by_wedge"] = by_wedge
+    work.update({k: sys.work[k] - work0[k] for k in ("rounds", "transported")})
     return EvansReport(
         radius=r, rho=rho, D0=D0,
         circle_max=float(np.max(np.abs(circle_vals))),
@@ -893,7 +995,9 @@ def evans_report(sys: EvansSystem, rho: Optional[float] = None,
         Dprime_cauchy=dc, Dprime_fd=dfd, derivative_agreement=float(agree),
         Gamma=gam.Gamma, Delta=delta,
         factorization_residual=float(fac_res), sign_match=sign_match,
-        gamma=gam, samples=samples, work=work)
+        gamma=gam, samples=samples, work=work,
+        min_abs_D={"circle": float(np.min(np.abs(circle_vals))),
+                   "d_contour": float(np.min(np.abs(d_vals)))})
 
 
 def write_evans_csv(samples, path) -> None:

@@ -7,12 +7,17 @@ from nspshock.eigensystem import (hermite_table, interior_coefficients,
                                   interior_matrix_coeffs,
                                   limit_matrix_coeffs, uniform_reader)
 from nspshock.evans import (
+    BLOCKS,
+    MINUS_FAST,
+    MINUS_TRIPLE,
+    PLUS_PAIR,
+    EvansSample,
     EvansSystem,
     build_evans_system,
     evans_grid,
     circle_contour,
     d_contour,
-    decaying_bases,
+    derivative_points,
     evans_derivative_origin,
     evans_report,
     evans_value,
@@ -242,19 +247,27 @@ def test_lookup_rejects_nonuniform_grid():
 
 @pytest.mark.parametrize("m", [1, 5])
 def test_wedge_rhs_is_lifted_polynomial(esys, rng, m):
-    # the right-hand side lifts A0, A1, A2 once and combines per lam;
-    # the reference lifts A(x, lam) for each lam
-    lams = (0.5 * esys.disk_radius * rng.random(m)
-            * np.exp(2j * np.pi * rng.random(m)))
-    shifts = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    for which, lifter in (("w2", lift2), ("w3", lift3)):
-        rhs = wedge_rhs(esys, which, lams, shifts)
-        for x in (-esys.X, -3.7, 0.0, 12.05, esys.X):
-            Y = rng.standard_normal((m, 10)) + 1j * rng.standard_normal((m, 10))
-            L = lifter(esys.coefficient_matrix(x, lams))
-            ref = np.einsum("mij,mj->mi", L, Y) - shifts[:, None] * Y
-            got = rhs(x, Y.ravel()).reshape(m, 10)
-            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # the fused right-hand side lifts A0, A1, A2 once per block and
+    # combines per lam; the reference lifts A(x, lam) for each lam at the
+    # block's x (X - t from +X, t - X from -X), with the sign of dx/dt
+    X = esys.X
+    blocks = {name: (0.5 * esys.disk_radius * rng.random(m)
+                     * np.exp(2j * np.pi * rng.random(m)),
+                     rng.standard_normal(m) + 1j * rng.standard_normal(m))
+              for name in BLOCKS}
+    rhs = wedge_rhs(esys, blocks)
+    for t in (0.0, 3.7, X - 12.05, X - 3.7, X):
+        Y = (rng.standard_normal((3 * m, 10))
+             + 1j * rng.standard_normal((3 * m, 10)))
+        got = rhs(t, Y.ravel()).reshape(3 * m, 10)
+        for b, (name, (lams, shifts)) in enumerate(blocks.items()):
+            d, which = BLOCKS[name]
+            lifter = lift2 if which == "w2" else lift3
+            L = lifter(esys.coefficient_matrix(d * (t - X), lams))
+            Yb = Y[b * m:(b + 1) * m]
+            ref = d * (np.einsum("mij,mj->mi", L, Yb) - shifts[:, None] * Yb)
+            gap = np.max(np.abs(got[b * m:(b + 1) * m] - ref))
+            assert gap <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_frozen_coefficients_transport_eigenwedge(params_ref, end_ref):
@@ -268,8 +281,8 @@ def test_frozen_coefficients_transport_eigenwedge(params_ref, end_ref):
     shift = mu[order].sum()
 
     frozen = _frozen_minus_system(params_ref, end_ref)
-    y, log_scale = integrate_wedge(frozen, lam, "w3", w3_init, shift,
-                                   -40.0, 0.0)
+    y, log_scale = integrate_wedge(frozen,
+                                   minus=(lam, w3_init, shift))["minus"]
     final = y * np.exp(log_scale)
     assert np.linalg.norm(final - w3_init) < 1e-9 * np.linalg.norm(w3_init)
 
@@ -282,14 +295,22 @@ def test_transport_failures_name_segment_and_lambda(params_ref, end_ref):
     y0[2] = 0.0
     with pytest.raises(RuntimeError, match=r"broke down on \[-40.0, -30.0\] "
                        r"for lam = \[0\.0003\+0j\]"):
-        integrate_wedge(frozen, lams, "w3", y0, np.zeros(3), -40.0, 0.0)
+        integrate_wedge(frozen, minus=(lams, y0, np.zeros(3)))
+    # zero rows in the plus and the fast block of one transport: each
+    # block is named with its segment in its own x and its lam
+    with pytest.raises(RuntimeError, match=(
+            r"broke down on \[40\.0, 30\.0\] for lam = \[0\.0003\+0j\] "
+            r"\(plus block\); renormalization broke down on \[-40\.0, "
+            r"-30\.0\] for lam = \[0\+0j\] \(fast block\)")):
+        integrate_wedge(frozen, plus=(lams, y0, np.zeros(3)),
+                        minus=(lams, np.ones((3, 10)), np.zeros(3)),
+                        fast=(0.0, np.zeros(10), 0.0))
     # a non-finite coefficient table from x = -10 on stalls the solver
     frozen.table[:, 60:, 0] = np.nan
     with np.errstate(invalid="ignore"), pytest.raises(
             RuntimeError, match=r"failed on \[-20.0, -10.0\] for lam = "
             r"\[0\.0001\+0j, 0\+0\.0002j, 0\.0003\+0j\]"):
-        integrate_wedge(frozen, lams, "w3", np.ones((3, 10)), np.zeros(3),
-                        -40.0, 0.0)
+        integrate_wedge(frozen, minus=(lams, np.ones((3, 10)), np.zeros(3)))
 
 
 @pytest.mark.parametrize("t_span", [(0.0, 3.0), (2.5, -1.5)])
@@ -368,12 +389,74 @@ def test_gamma_factor_residuals_small(report):
 
 
 def test_conjugate_symmetry(esys, rng):
-    ev, _ = make_evaluator(esys)
+    # evans_value transports z and conj z alike, in one batch or in two
     rho = 0.5 * esys.disk_radius
-    for _ in range(6):
-        z = rho * (0.2 + 0.8 * rng.random()) * np.exp(2j * np.pi * rng.random())
-        rel = abs(ev(np.conj(z)) - np.conj(ev(z))) / abs(ev(z))
-        assert rel < 1e-10
+    z = (rho * (0.2 + 0.8 * rng.random(6))
+         * np.exp(2j * np.pi * rng.random(6)))
+    batch = evans_value(esys, np.concatenate([z, np.conj(z)]))
+    for up, down in zip(batch[:6], batch[6:]):
+        assert abs(down.D - np.conj(up.D)) < 1e-10 * abs(up.D)
+    up, down = evans_value(esys, z[:1]), evans_value(esys, np.conj(z[:1]))
+    assert abs(down[0].D - np.conj(up[0].D)) < 1e-10 * abs(up[0].D)
+
+
+def _is_mirrored(points) -> bool:
+    """Every point below the real axis is the exact conj of one above."""
+    upper = {(z.real, z.imag) for z in points if z.imag >= 0}
+    return all((z.real, -z.imag) in upper for z in points if z.imag < 0)
+
+
+def test_contours_are_mirrored_exactly():
+    rho = 0.3
+    for n in (31, 32):
+        pts = circle_contour(rho, n).points
+        assert pts.size == n and np.allclose(
+            pts, rho * np.exp(2j * np.pi * np.arange(n) / n), rtol=0,
+            atol=1e-15)
+        assert _is_mirrored(pts)
+    # half a turn is on the real axis, so the midpoints next to it mirror
+    assert circle_contour(rho, 32).points[16] == -rho
+    assert _is_mirrored(d_contour(rho, 4 * rho).points)
+    assert _is_mirrored(derivative_points(rho))
+    # the inner arc of the d-contour lies on the circle's points
+    circle = {complex(z) for z in circle_contour(rho, 32).points}
+    assert set(complex(z) for z in d_contour(rho, 4 * rho).points
+               if abs(abs(z) - rho) < 1e-12 * rho) <= circle
+
+
+def test_evaluator_transports_only_the_upper_half_plane(esys, monkeypatch):
+    # a real polynomial stands in for D: the evaluator must pass
+    # evans_value only points with Im lam >= 0, once per winding round,
+    # and fill each point below the axis in by conjugation
+    calls = []
+
+    def fake_value(system, lams):
+        calls.append(np.array(lams))
+        return [EvansSample(complex(z), complex((z - 0.2) * (z * z + 0.5)),
+                            0.0, np.zeros(10), 0.0, np.zeros(10), 0.0)
+                for z in lams]
+
+    monkeypatch.setattr(evans_module, "evans_value", fake_value)
+    evaluate, store = make_evaluator(esys)
+    rounds = []
+
+    def counting(z):
+        rounds.append(np.size(z))
+        return evaluate(z)
+
+    before = dict(esys.work)
+    w, pts, vals = winding_number(counting, circle_contour(1.0, 8))
+    assert w == 3 and len(rounds) > 1
+    assert len(calls) == len(rounds)
+    assert all(np.all(c.imag >= 0) for c in calls)
+    assert esys.work["rounds"] - before["rounds"] == len(calls)
+    assert (esys.work["transported"] - before["transported"]
+            == sum(c.size for c in calls)
+            == sum(z.imag >= 0 for z in store))
+    assert len(store) == pts.size
+    for z, v in zip(pts, vals):
+        if z.imag < 0:
+            assert v == np.conj(store[complex(np.conj(z))].D)
 
 
 def test_nonzero_beyond_validated_disk(esys, params_ref, end_ref):
@@ -385,12 +468,11 @@ def test_nonzero_beyond_validated_disk(esys, params_ref, end_ref):
     sel_m = np.argsort(-mu_m.real)[:3]
     mu_p, V_p = np.linalg.eig(limit_matrix(params_ref, end_ref, "plus", lam))
     sel_p = np.argsort(mu_p.real)[:2]
-    w3, l3 = integrate_wedge(esys, lam, "w3",
-                             wedge3(*(V_m[:, k] for k in sel_m)),
-                             mu_m[sel_m].sum(), -esys.X, 0.0)
-    w2, l2 = integrate_wedge(esys, lam, "w2",
-                             wedge2(*(V_p[:, k] for k in sel_p)),
-                             mu_p[sel_p].sum(), esys.X, 0.0)
+    out = integrate_wedge(
+        esys,
+        plus=(lam, wedge2(*(V_p[:, k] for k in sel_p)), mu_p[sel_p].sum()),
+        minus=(lam, wedge3(*(V_m[:, k] for k in sel_m)), mu_m[sel_m].sum()))
+    (w2, l2), (w3, l3) = out["plus"], out["minus"]
     assert abs(pairing(w2, w3)) > 1e-4
 
 
@@ -435,14 +517,71 @@ def test_batched_transport_matches_one_at_a_time(agreement_system):
         assert abs(sample.log_scale - single.log_scale) <= 1e-9
 
 
+def _transport_alone(system, which, lams, y0, shifts, x_from):
+    """One block carried alone in x from x_from to 0 by its own transport."""
+    lifter = lift2 if which == "w2" else lift3
+    lam, shift = lams[:, None], shifts[:, None]
+
+    def rhs(x, y):
+        Y = y.reshape(lams.size, 10)
+        Z0, Z1, Z2 = Y @ lifter(system.coefficients(x)).transpose(0, 2, 1)
+        return (Z0 + lam * (Z1 + lam * Z2) - shift * Y).ravel()
+
+    return transport(rhs, y0, x_from, 0.0, system.nseg, system.rtol,
+                     system.atol, dict.fromkeys(WORK_COUNTS, 0), str)
+
+
+def _per_side_samples(system, lams):
+    """Evans samples from three separate transports: the plus 2-wedges
+    backward from +X, the minus 3-wedges and the fast pair at lam = 0
+    forward from -X."""
+    mu_p, V_p = evans_module._side_modes(system, "plus", lams)
+    mu_m, V_m = evans_module._side_modes(system, "minus", lams)
+    i, j = PLUS_PAIR
+    w2, log2 = _transport_alone(system, "w2", lams,
+                                wedge2(V_p[:, :, i], V_p[:, :, j]),
+                                mu_p[:, i] + mu_p[:, j], system.X)
+    i, j, k = MINUS_TRIPLE
+    w3, log3 = _transport_alone(
+        system, "w3", lams, wedge3(V_m[:, :, i], V_m[:, :, j], V_m[:, :, k]),
+        mu_m[:, i] + mu_m[:, j] + mu_m[:, k], -system.X)
+    i, j = MINUS_FAST
+    wf, logf = _transport_alone(system, "w2", lams[:1],
+                                wedge2(V_m[:1, :, i], V_m[:1, :, j]),
+                                mu_m[:1, i] + mu_m[:1, j], -system.X)
+    D = pairing(w2, w3) * np.exp(log2 + log3)
+    return [EvansSample(complex(z), complex(D[n]), float(log2[n] + log3[n]),
+                        w2[n], float(log2[n]), w3[n], float(log3[n]),
+                        wf[0] if n == 0 else None,
+                        float(logf[0]) if n == 0 else None)
+            for n, z in enumerate(lams)]
+
+
+def test_fused_transport_matches_per_side_transports(agreement_system):
+    # one transport over the pseudo-time carries the plus, minus and fast
+    # rows; each side carried by its own transport in x is the reference
+    rho = 0.5 * agreement_system.disk_radius
+    lams = np.concatenate([[0.0], rho * np.exp(2j * np.pi * np.arange(5) / 9)])
+    fused = evans_value(agreement_system, lams)
+    alone = _per_side_samples(agreement_system, lams)
+    for got, ref in zip(fused[1:], alone[1:]):
+        assert abs(got.D - ref.D) <= 1e-10 * abs(ref.D)
+    for got, ref in zip(fused, alone):
+        for a, b in ((got.log2, ref.log2), (got.log3, ref.log3)):
+            assert abs(a - b) <= 1e-10 * max(1.0, abs(b))
+    assert abs(fused[0].logf - alone[0].logf) <= 1e-10 * abs(alone[0].logf)
+    got = gamma_transversality(agreement_system, fused[0]).Gamma
+    ref = gamma_transversality(agreement_system, alone[0]).Gamma
+    assert abs(got - ref) <= 1e-10 * abs(ref)
+
+
 def test_domain_doubling_leaves_bundles_fixed(esys, params_ref, end_ref):
     big = build_evans_system(evans_grid(params_ref, end_ref, X=2.0 * esys.X,
                                         n=2 * _N_TEST - 1),
                              rtol=_RTOL, atol=_ATOL)
-    w2a, _, w3a, _ = decaying_bases(esys, 0.0)
-    w2b, _, w3b, _ = decaying_bases(big, 0.0)
-    assert np.linalg.norm(w2a - w2b) < 1e-8
-    assert np.linalg.norm(w3a - w3b) < 1e-8
+    a, b = evans_value(esys, 0.0), evans_value(big, 0.0)
+    assert np.linalg.norm(a.w2 - b.w2) < 1e-8
+    assert np.linalg.norm(a.w3 - b.w3) < 1e-8
 
 
 def test_zero_amplitude_rejected(esys, report):
@@ -462,19 +601,23 @@ def test_zero_amplitude_rejected(esys, report):
 
 def test_report_counts_its_transport_work(report):
     work = report.work
+    assert list(work) == ["transports", "rhs_calls", "steps", "samples",
+                          "rounds", "transported"]
     assert work["samples"] == len(report.samples)
-    # one batched transport per side and round, one more for Gamma's
-    # fast pair
-    by_wedge = work["by_wedge"]
-    rounds = by_wedge["plus_w2"]["transports"]
-    assert rounds >= 1 and by_wedge["minus_w3"]["transports"] == rounds
-    assert by_wedge["minus_w2"]["transports"] == 1
-    assert work["transports"] == 2 * rounds + 1
-    for key in WORK_COUNTS:
-        assert work[key] == sum(c[key] for c in by_wedge.values())
-    for counts in by_wedge.values():
-        assert counts["rhs_calls"] > counts["steps"] > 0
+    # one transport per evaluator round carries every row, Gamma's fast
+    # pair included, and only the points with Im lam >= 0 travel
+    assert work["transports"] == work["rounds"] >= 1
+    assert work["rhs_calls"] > work["steps"] > 0
+    assert work["transported"] == sum(s.lam.imag >= 0 for s in report.samples)
+    assert work["transported"] < work["samples"]
     assert report.as_dict()["work"] == work
+
+
+def test_report_gives_min_abs_D_per_contour(report):
+    low = report.as_dict()["min_abs_D"]
+    assert set(low) == {"circle", "d_contour"}
+    assert 0.0 < low["circle"] <= report.circle_max
+    assert low["d_contour"] > 0.0
 
 
 def test_gamma_reuses_the_origin_sample(esys, report):
