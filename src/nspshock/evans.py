@@ -50,9 +50,10 @@ coefficient table in O(1) and evaluates the cell's quintic for A0, A1
 and A2.  It lifts those three matrices once per block (lifting is
 linear), applies them to the real and imaginary parts of the block's
 rows in one real matrix product and combines the products of all rows
-per lam in one Horner pass.  The starting eigenvectors of a batch are continued from lam = 0 in
-lockstep (modes.analytic_eigenpairs).  Gamma reads the wedges and the
-fast pair of the lam = 0 sample and transports nothing of its own.
+per lam in one Horner pass.  The starting eigenvectors of a batch come
+from one stacked eigen-decomposition per side, labelled in one step
+from lam = 0 (modes.analytic_eigenpairs).  Gamma reads the wedges and
+the fast pair of the lam = 0 sample and transports nothing of its own.
 
 Initial data at the cut ends come from the analytically continued
 eigenvectors of the limit matrices, so D inherits analyticity in lam
@@ -84,7 +85,12 @@ from .eigensystem import (
     uniform_reader,
     wave_residual,
 )
-from .modes import analytic_eigenpairs, default_disk_radius, slow_expansion
+from .modes import (
+    analytic_eigenpairs,
+    default_disk_radius,
+    lams_text,
+    slow_expansion,
+)
 from .params import PlasmaParams, ShockEndstates, liu_majda_delta
 from .profile import ProfileGrid, default_half_length, solve_profile
 from .wedge import (
@@ -186,7 +192,6 @@ class EvansSystem:
     rtol: float = 1e-12
     atol: float = 1e-14
     nseg: int = 14
-    path_points: int = 12
     # running totals of the transports made with this system (WORK_COUNTS)
     # and of the evaluator rounds and lam they carried
     work: dict = field(default_factory=lambda: dict.fromkeys(
@@ -327,19 +332,11 @@ def build_evans_system(grid: ProfileGrid, rtol: float = 1e-12,
 
 
 def _side_modes(sys: EvansSystem, side: str, lams: np.ndarray):
-    """Continued eigenpairs at each lam: mu (m, 5) and V (m, 5, 5).
-
-    The straight paths from 0 to every lam are continued in lockstep.
-    """
-    path = np.linspace(0.0, lams, sys.path_points)
-    mp = analytic_eigenpairs(sys.params, sys.end, side, path)
+    """Eigenpairs at each lam, labelled in one step from lam = 0: mu (m, 5)
+    and V (m, 5, 5)."""
+    mp = analytic_eigenpairs(sys.params, sys.end, side,
+                             np.stack([0 * lams, lams]))
     return mp.mu[-1], mp.V[-1]
-
-
-def _lams_text(lams: np.ndarray) -> str:
-    shown = ", ".join(f"{complex(z):.6g}" for z in lams[:6])
-    more = f", ... ({lams.size} values)" if lams.size > 6 else ""
-    return f"lam = [{shown}{more}]"
 
 
 def _side_x(d: int, t, X: float):
@@ -675,7 +672,7 @@ def integrate_wedge(sys: EvansSystem, **blocks):
         Y, log_scale = transport(
             rhs, np.concatenate([p[1] for p in parts.values()]), 0.0, sys.X,
             sys.nseg, sys.rtol, sys.atol, sys.work,
-            lambda k: _lams_text(lams[k]))
+            lambda k: lams_text(lams[k]))
     except TransportError as err:
         a, b = err.segment
         where = []
@@ -685,7 +682,7 @@ def integrate_wedge(sys: EvansSystem, **blocks):
                 d = BLOCKS[name][0]
                 where.append(f"{err.reason} on [{_side_x(d, a, sys.X)}, "
                              f"{_side_x(d, b, sys.X)}] for "
-                             f"{_lams_text(lams[hit])} ({name} block)")
+                             f"{lams_text(lams[hit])} ({name} block)")
         raise RuntimeError("Evans transport: " + "; ".join(where)
                            + f": {err.detail}") from err
     return {name: (Y[rows], log_scale[rows]) for name, rows in slices.items()}

@@ -3,14 +3,16 @@
 Three "fast" spatial rates of the frozen matrix at lam=0 are the roots
 of a cubic; two "slow" rates vanish linearly in lam with scalar
 convection-diffusion expansions mu = lam/a - lam^2 b/a^3 + O(lam^3).
-This module labels the fast roots, packages the slow data, and
-continues all five eigenpairs analytically in lam by path-marching
-with nearest-prediction matching (the matrix is nonnormal, so branches
-are tracked rather than sorted).
+This module labels the fast roots, packages the slow data, and labels
+all five eigenpairs of A0 + lam A1 by nearest prediction from lam = 0:
+the slopes at 0 come from first-order perturbation theory, and on the
+lam-disk one step labels every lam (the matrix is nonnormal, so
+branches are matched to predictions rather than sorted).  A step whose
+labels are ambiguous raises instead of being refined.
 
 Eigenvector normalization: the component of largest modulus of each
-base eigenvector at lam=0 is pinned to its base value along the whole
-path.  That fixes the analytic section uniquely, and it is the same
+base eigenvector at lam=0 is pinned to its base value at every lam.
+That fixes the analytic section uniquely, and it is the same
 normalization the Evans-function initializations rely on, so wedge
 initializations built here and at lam=0 are mutually consistent.
 """
@@ -122,9 +124,9 @@ def slow_expansion(params: PlasmaParams, end: ShockEndstates, side: str) -> Slow
 
 @dataclass
 class ModePath:
-    """Eigenpairs continued along a lam path.
+    """Eigenpairs labelled along a lam path.
 
-    mu[k, j] and V[k, :, j] follow branch j: columns 0..2 are the fast
+    mu[k, j] and V[k, :, j] belong to branch j: columns 0..2 are the fast
     branches (gamma1..3 at lam=0), columns 3..4 the slow branches
     paired with a1, a2.  For m paths in lockstep, lam has shape (P, m)
     and mu, V carry the path index i after the step: mu[k, i, j].
@@ -145,7 +147,14 @@ def _base_state(params, end, side):
     V0[:, 4] = slow.rtilde[1]
     pins = np.argmax(np.abs(V0), axis=0)
     targets = V0[pins, np.arange(5)]
-    return fr, slow, mu0, V0, pins, targets
+    return mu0, V0, pins, targets
+
+
+def lams_text(lams: np.ndarray) -> str:
+    """Up to six lam of an array, for error messages."""
+    shown = ", ".join(f"{complex(z):.6g}" for z in lams[:6])
+    more = f", ... ({lams.size} values)" if lams.size > 6 else ""
+    return f"lam = [{shown}{more}]"
 
 
 def _eig_step(A0c, A1c, lam, pred, pins, targets):
@@ -154,10 +163,10 @@ def _eig_step(A0c, A1c, lam, pred, pins, targets):
     lam has shape (k,) and pred (k, 5); one stacked eig serves all k.
     Each eigenvalue takes the branch of its nearest prediction.  Returns
     (mu, V, ok) of shapes (k, 5), (k, 5, 5) and (k,): ok is False where
-    the labeling is too thin to trust at this step size, i.e. where the
-    nearest predictions do not form a permutation, some eigenvalue is
-    not much closer to its own prediction than to any competing one, or
-    an eigenvector vanishes at its pinned component.  Wherever ok holds
+    the labeling is too thin to trust, i.e. where the nearest
+    predictions do not form a permutation, some eigenvalue is not much
+    closer to its own prediction than to any competing one, or an
+    eigenvector vanishes at its pinned component.  Wherever ok holds
     the labels are the unique minimum-cost assignment.
     """
     w, vec = np.linalg.eig(A0c + lam[:, None, None] * A1c)
@@ -185,40 +194,19 @@ def _eig_step(A0c, A1c, lam, pred, pins, targets):
     return mu, V, ok
 
 
-def _march(A0c, A1c, lam0, mu0, mu_prev_slope, lam1, pins, targets, depth):
-    """March one interval, bisecting when branch labels become ambiguous.
-
-    mu_prev_slope holds d(mu)/d(lam) estimates used for prediction.
-    Returns list of (lam, mu, V) at interval endpoints visited (lam1 last).
-    """
-    pred = mu0 + mu_prev_slope * (lam1 - lam0)
-    mu1, V1, ok = _eig_step(A0c, A1c, np.array([lam1]), pred[None], pins,
-                            targets)
-    if ok[0]:
-        return [(lam1, mu1[0], V1[0])]
-    if depth <= 0:
-        raise RuntimeError("eigenvalue branches could not be separated; "
-                           "reduce the path radius")
-    lam_mid = 0.5 * (lam0 + lam1)
-    first = _march(A0c, A1c, lam0, mu0, mu_prev_slope, lam_mid, pins, targets,
-                   depth - 1)
-    lam_m, mu_m, _ = first[-1]
-    slope = (mu_m - mu0) / (lam_m - lam0)
-    second = _march(A0c, A1c, lam_m, mu_m, slope, lam1, pins, targets,
-                    depth - 1)
-    return first + second
-
-
 def analytic_eigenpairs(params: PlasmaParams, end: ShockEndstates, side: str,
-                        lam_path, max_depth: int = 24) -> ModePath:
-    """Continue the five eigenpairs from lam=0 along lam_path.
+                        lam_path) -> ModePath:
+    """Label the five eigenpairs along lam_path, one step per path point.
 
-    lam_path must start at 0 (the base point, where the slow branches
-    are seeded by their expansions lam/a_j and the limiting vectors).
-    A path of shape (P, m) holds m paths continued in lockstep: each
-    step makes one stacked eigen-decomposition for all m, and only the
-    paths whose labels are ambiguous at that step are bisected, one at a
-    time.  Each path gets the eigenpairs it would get on its own.
+    lam_path must start at 0, the base point.  There the slopes
+    d(mu)/d(lam) are diag(V0^-1 A1 V0) (first-order perturbation theory,
+    Kato II.2), which for the slow branches are 1/a_j; afterwards each
+    step predicts with the secant of the last one.  A path of shape
+    (P, m) holds m paths stepped in lockstep, one stacked
+    eigen-decomposition for all m per step, and each path gets the
+    eigenpairs it would get on its own.  The two-point path [0, lam]
+    labels every lam of the disk in one step.  A step whose labels fail
+    _eig_step's checks raises RuntimeError naming the side and its lam.
     """
     lam_path = np.asarray(lam_path, dtype=complex)
     if lam_path.shape[0] == 0 or np.any(lam_path[0] != 0):
@@ -226,13 +214,9 @@ def analytic_eigenpairs(params: PlasmaParams, end: ShockEndstates, side: str,
     paths = lam_path.reshape(lam_path.shape[0], -1)
 
     A0c, A1c = limit_matrix_coeffs(params, end, side)
-    fr, slow, mu0, V0, pins, targets = _base_state(params, end, side)
-
-    # slope at the base point: fast branches move at O(lam) rates we do
-    # not know yet (use 0), slow branches at 1/a_j
-    slope = np.zeros((paths.shape[1], 5), dtype=complex)
-    slope[:, 3] = 1.0 / slow.a1
-    slope[:, 4] = 1.0 / slow.a2
+    mu0, V0, pins, targets = _base_state(params, end, side)
+    slope = np.tile(np.diag(np.linalg.solve(V0, A1c @ V0)),
+                    (paths.shape[1], 1))
 
     mu = np.empty(paths.shape + (5,), dtype=complex)
     V = np.empty(paths.shape + (5, 5), dtype=complex)
@@ -247,31 +231,32 @@ def analytic_eigenpairs(params: PlasmaParams, end: ShockEndstates, side: str,
         mu1, V1, ok = _eig_step(A0c, A1c, lam1[moving],
                                 mu[k - 1, moving] + slope[moving] * dlam,
                                 pins, targets)
-        done = moving[ok]
-        mu[k, done], V[k, done] = mu1[ok], V1[ok]
-        slope[done] = (mu1[ok] - mu[k - 1, done]) / dlam[ok]
-        for i in moving[~ok]:
-            visited = _march(A0c, A1c, lam0[i], mu[k - 1, i], slope[i],
-                             lam1[i], pins, targets, max_depth)
-            lam_new, mu[k, i], V[k, i] = visited[-1]
-            if len(visited) >= 2:
-                lam_prev, mu_prev, _ = visited[-2]
-            else:
-                lam_prev, mu_prev = lam0[i], mu[k - 1, i]
-            slope[i] = (mu[k, i] - mu_prev) / (lam_new - lam_prev)
+        if not ok.all():
+            raise RuntimeError(
+                f"far-field modes, {side} side: the eigenvalue branches "
+                f"cannot be labelled at {lams_text(lam1[moving[~ok]])}")
+        mu[k, moving], V[k, moving] = mu1, V1
+        slope[moving] = (mu1 - mu[k - 1, moving]) / dlam
     shape = lam_path.shape
     return ModePath(lam=lam_path, mu=mu.reshape(shape + (5,)),
                     V=V.reshape(shape + (5, 5)))
 
 
-def default_disk_radius(params: PlasmaParams, end: ShockEndstates,
-                        samples: int = 48, max_shrink: int = 30) -> float:
+def _branch_gap(A0c, A1c, lams: np.ndarray) -> float:
+    """Smallest distance between two eigenvalues of A0c + lam A1c."""
+    w = np.linalg.eigvals(A0c + lams[:, None, None] * A1c)
+    d = np.abs(w[:, :, None] - w[:, None, :])
+    d[:, np.arange(5), np.arange(5)] = np.inf
+    return float(d.min())
+
+
+def default_disk_radius(params: PlasmaParams, end: ShockEndstates) -> float:
     """Radius of the lam-disk on which all five branches stay separated.
 
     Candidate: half the smallest branch-point scale a_j^2/(4 beta_j) of
     the slow expansions over both sides; validated by sampling the
-    eigenvalue gaps on the circle and shrinking until the slow pair
-    stays resolved.
+    eigenvalue gaps at 48 points of the circle and shrinking by 0.7 (at
+    most 30 times) until the slow pair stays resolved.
     """
     folds = []
     spread = []
@@ -283,20 +268,12 @@ def default_disk_radius(params: PlasmaParams, end: ShockEndstates,
     r = 0.5 * min(abs(f) for f in folds)
     gap_scale = min(spread)
 
-    theta = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-    for _ in range(max_shrink):
-        ok = True
-        for side in ("plus", "minus"):
-            A0c, A1c = limit_matrix_coeffs(params, end, side)
-            for t in theta:
-                w = np.linalg.eigvals(A0c + r * np.exp(1j * t) * A1c)
-                d = np.abs(w[:, None] - w[None, :]) + np.diag(np.full(5, np.inf))
-                if d.min() < 0.1 * r * gap_scale:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+    circle = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False))
+    coeffs = [limit_matrix_coeffs(params, end, side)
+              for side in ("plus", "minus")]
+    for _ in range(30):
+        if min(_branch_gap(A0c, A1c, r * circle)
+               for A0c, A1c in coeffs) >= 0.1 * r * gap_scale:
             return r
         r *= 0.7
     raise RuntimeError("could not validate a separation radius")

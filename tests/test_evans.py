@@ -350,7 +350,7 @@ def test_transport_failure_at_finite_time_blow_up():
             r"\[1\+0j, 2\+0j\]: Required step size"):
         transport(rhs, np.ones((2, 3), dtype=complex), 0.0, 2.0, 4,
                   1e-12, 1e-14, work,
-                  lambda rows: evans_module._lams_text(lams[rows]))
+                  lambda rows: evans_module.lams_text(lams[rows]))
     assert work["transports"] == 1 and work["steps"] > 0
 
 

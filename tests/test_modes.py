@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from nspshock import modes
 from nspshock.evans import circle_contour, d_contour, derivative_points
 from nspshock.modes import (
     analytic_eigenpairs,
@@ -10,7 +9,11 @@ from nspshock.modes import (
     fast_roots,
     slow_expansion,
 )
-from nspshock.params import PlasmaParams, ShockEndstates
+from nspshock.params import (
+    PlasmaParams,
+    ShockEndstates,
+    solve_rankine_hugoniot,
+)
 
 from conftest import limit_matrix, make_params, slow_mu_quadratic
 
@@ -152,56 +155,84 @@ def test_no_monodromy_around_circle(params_ref, end_ref):
         assert np.max(np.abs(mp.V[5] - mp.V[-1])) < 1e-8
 
 
-@pytest.fixture(scope="module")
-def first_round_lams(params_ref, end_ref):
-    # the points a reference Evans report evaluates in its first batch
-    r = default_disk_radius(params_ref, end_ref)
+def _first_round(params, end):
+    # the points an Evans report evaluates in its first batch
+    r = default_disk_radius(params, end)
     rho = 0.5 * r
     return np.concatenate([[0.0], circle_contour(rho, 32).points,
                            d_contour(rho, r).points,
                            derivative_points(rho, 32)])
 
 
-def _straight(lams):
-    return np.linspace(0.0, lams, 12)
+@pytest.fixture(scope="module")
+def first_round_lams(params_ref, end_ref):
+    return _first_round(params_ref, end_ref)
 
 
-def _triangle(lams):
-    # out to lam, then once around the origin in three steps: too coarse
-    # for some labels, so those paths go through _march and bisect
-    turn = np.exp(2j * np.pi / 3)
-    return np.stack([0.0 * lams, lams, turn * lams, turn**2 * lams, lams])
-
-
-@pytest.mark.parametrize("make_path", [_straight, _triangle])
-def test_lockstep_matches_one_lam_at_a_time(params_ref, end_ref, monkeypatch,
-                                            first_round_lams, make_path):
-    bisections = []
-    march = modes._march
-
-    def counting(*args):
-        # a depth below analytic_eigenpairs' max_depth of 24 marks a
-        # call made by bisection
-        bisections.append(args[-1] < 24)
-        return march(*args)
-
-    monkeypatch.setattr(modes, "_march", counting)
+def test_lockstep_matches_one_lam_at_a_time(params_ref, end_ref,
+                                            first_round_lams):
     lams = first_round_lams
-    path = make_path(lams)
     for side in ("minus", "plus"):
-        lockstep = analytic_eigenpairs(params_ref, end_ref, side, path)
-        assert lockstep.mu.shape == path.shape + (5,)
-        for i in range(lams.size):
-            single = analytic_eigenpairs(params_ref, end_ref, side, path[:, i])
-            assert np.max(np.abs(lockstep.mu[:, i] - single.mu)) <= 1e-13
-            assert np.max(np.abs(lockstep.V[:, i] - single.V)) <= 1e-13
+        at_lam = []
+        for points in (2, 12, 48):
+            path = np.linspace(0.0, lams, points)
+            lockstep = analytic_eigenpairs(params_ref, end_ref, side, path)
+            assert lockstep.mu.shape == path.shape + (5,)
+            if points < 48:
+                for i in range(lams.size):
+                    single = analytic_eigenpairs(params_ref, end_ref, side,
+                                                 path[:, i])
+                    assert np.array_equal(lockstep.mu[:, i], single.mu)
+                    assert np.array_equal(lockstep.V[:, i], single.V)
+            at_lam.append((lockstep.mu[-1], lockstep.V[-1]))
         # the labels at lam do not depend on the path taken inside the disk
-        fine = analytic_eigenpairs(params_ref, end_ref, side,
+        for mu, V in at_lam[1:]:
+            assert np.array_equal(mu, at_lam[0][0])
+            assert np.array_equal(V, at_lam[0][1])
+
+
+def test_coarse_path_raises_with_side_and_lam(params_ref, end_ref,
+                                              first_round_lams):
+    # out to lam, then once around the origin in three steps: too coarse
+    # for some labels, and an ambiguous step is not refined
+    lams = first_round_lams
+    turn = np.exp(2j * np.pi / 3)
+    path = np.stack([0.0 * lams, lams, turn * lams, turn**2 * lams, lams])
+    for side in ("minus", "plus"):
+        with pytest.raises(RuntimeError, match=f"{side} side.* lam = "):
+            analytic_eigenpairs(params_ref, end_ref, side, path)
+
+
+@pytest.mark.parametrize("delta", [0.02, 0.1, 0.18])
+def test_one_step_labels_cover_the_disk(delta):
+    # winding refinement puts midpoints anywhere in the closed disk, so
+    # one step from 0 must label every lam there as a fine path does
+    params = make_params(delta)
+    end = solve_rankine_hugoniot(params)
+    r = default_disk_radius(params, end)
+    radii = np.linspace(0.0, r, 9)[1:, None]
+    lams = (radii * np.exp(2j * np.pi * np.arange(24) / 24)).ravel()
+    for side in ("minus", "plus"):
+        one = analytic_eigenpairs(params, end, side,
+                                  np.stack([0 * lams, lams]))
+        fine = analytic_eigenpairs(params, end, side,
                                    np.linspace(0.0, lams, 48))
-        assert np.max(np.abs(lockstep.mu[-1] - fine.mu[-1])) <= 1e-13
-        assert np.max(np.abs(lockstep.V[-1] - fine.V[-1])) <= 1e-13
-    if make_path is _triangle:
-        assert any(bisections)
+        assert np.array_equal(one.mu[-1], fine.mu[-1])
+        assert np.array_equal(one.V[-1], fine.V[-1])
+
+
+def test_labels_fail_typed_at_delta_019():
+    # at v+ = 1.19 two fast minus roots collide inside the disk; the
+    # failure names its stage, side and lam, while the plus side labels
+    params = make_params(0.19)
+    end = solve_rankine_hugoniot(params)
+    lams = _first_round(params, end)
+    path = np.stack([0 * lams, lams])
+    with pytest.raises(RuntimeError,
+                       match=r"^far-field modes, minus side: .* lam = \[\S"):
+        analytic_eigenpairs(params, end, "minus", path)
+    plus = analytic_eigenpairs(params, end, "plus", path)
+    assert np.all(np.isfinite(plus.mu))
 
 
 def test_conjugate_symmetry(params_ref, end_ref):
