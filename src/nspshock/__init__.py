@@ -8,6 +8,7 @@ params          shock parameters, Rankine-Hugoniot endstates, Liu-Majda determin
 jets            Taylor-mode jet arithmetic (exact higher derivatives)
 profile         traveling-wave profile boundary value solver
 dispersion      essential-spectrum dispersion curves of the endstate symbols
+csvout          exact vectorised '%e' formatting of the CSV curve files
 eigensystem     first-order 5x5 eigenvalue ODE along the profile
 modes           fast/slow spatial modes of the limit matrices
 wedge           exterior-power (compound matrix) linear algebra

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvout import write_table
 from .params import PlasmaParams, ShockEndstates
 
 
@@ -129,26 +130,11 @@ def default_xi_grid(n: int = 10000, half_width: float = 50.0) -> np.ndarray:
     return np.linspace(-half_width, half_width, n)
 
 
-# rows formatted per block, with one %-template per block: Python floats
-# format about twice as fast as numpy scalars, and converting a whole
-# 10000-row curve at once leaves the process a few MB larger for the rest
-# of the run
-_CSV_BLOCK = 256
-
-
-def write_rows(fh, table: np.ndarray, row: str) -> None:
-    """Write each row of the 2-d float table to fh with the %-template row."""
-    for start in range(0, table.shape[0], _CSV_BLOCK):
-        block = table[start:start + _CSV_BLOCK]
-        fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
-
-
 def write_spectrum_csv(curves, path) -> None:
     """CSV export, columns xi,re_l1,im_l1,re_l2,im_l2,margin,side."""
-    with open(path, "w") as fh:
-        fh.write("xi,re_l1,im_l1,re_l2,im_l2,margin,side\n")
+    with open(path, "wb") as fh:
+        fh.write(b"xi,re_l1,im_l1,re_l2,im_l2,margin,side\n")
         for c in curves:
             table = np.column_stack([c.xi, c.lam1.real, c.lam1.imag,
                                      c.lam2.real, c.lam2.imag, c.margin])
-            write_rows(fh, table,
-                       "%.16e," * 6 + c.side.replace("%", "%%") + "\n")
+            write_table(fh, table, 16, f",{c.side}\n".encode())

@@ -76,6 +76,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .csvout import write_table
 from .eigensystem import (
     background_wave,
     hermite_table,
@@ -998,8 +999,8 @@ def evans_report(sys: EvansSystem, rho: Optional[float] = None,
 
 
 def write_evans_csv(samples, path) -> None:
-    with open(path, "w") as f:
-        f.write("re_lambda,im_lambda,re_D,im_D,log_scale\n")
-        for s in samples:
-            f.write(f"{s.lam.real:.16e},{s.lam.imag:.16e},"
-                    f"{s.D.real:.16e},{s.D.imag:.16e},{s.log_scale:.16e}\n")
+    table = np.array([(s.lam.real, s.lam.imag, s.D.real, s.D.imag,
+                       s.log_scale) for s in samples]).reshape(-1, 5)
+    with open(path, "wb") as fh:
+        fh.write(b"re_lambda,im_lambda,re_D,im_D,log_scale\n")
+        write_table(fh, table, 16)

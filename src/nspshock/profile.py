@@ -26,22 +26,22 @@ carries.  Every derivative of the profile is read from jets of the
 right-hand side (`ProfileGrid.taylor_jets`), never from differencing
 the computed solution; the residual check builds its piecewise-quintic
 Hermite interpolant from them (eigensystem.hermite_table) and reads
-values and slopes straight from its cells on the uniform grid
-(eigensystem.uniform_evaluator).
+values and slopes at fixed offsets in its cells
+(eigensystem.refined_values).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import LinAlgError, get_lapack_funcs
 # unused here; kept so that WRAPS in perfbench/tracer.py can patch it
 from scipy.sparse.linalg import splu  # noqa: F401
 
-from .dispersion import write_rows
-from .eigensystem import hermite_table, uniform_evaluator
+from .csvout import write_table
+from .eigensystem import hermite_table, refined_values
 from .jets import Jet
 from .modes import fast_roots
 from .params import PlasmaParams, ShockEndstates
@@ -347,15 +347,12 @@ def solve_profile(params: PlasmaParams, end: ShockEndstates,
                        newton_defect=float(norm))
 
 
-def profile_interpolant(grid: ProfileGrid) -> Callable:
+def profile_cells(grid: ProfileGrid) -> np.ndarray:
     """Piecewise quintic (C^2) through the nodes, from order-3 jets.
 
-    Returns read(xs, nu=0): the nu-th derivative at the points xs, shape
-    (xs.size, 4), read from the hermite_table cells by
-    eigensystem.uniform_evaluator; the end cells extrapolate.  Components
-    are (v, u, phi, psi); psi gets its own component so that residual
-    checks of the first-order system never differentiate an interpolant
-    twice.
+    Returns its hermite_table cells, shape (6, n - 1, 4).  Components are
+    (v, u, phi, psi); psi gets its own component so that residual checks
+    of the first-order system never differentiate an interpolant twice.
     """
     vj, pj, _ = grid.taylor_jets(3)
     s = grid.end.s
@@ -363,14 +360,13 @@ def profile_interpolant(grid: ProfileGrid) -> Callable:
     values = np.stack([grid.v, grid.u, grid.phi, grid.psi], axis=-1)
     d1 = np.stack([dv1, -s * dv1, pj.derivative(1), pj.derivative(2)], axis=-1)
     d2 = np.stack([dv2, -s * dv2, pj.derivative(2), pj.derivative(3)], axis=-1)
-    return uniform_evaluator(grid.X, hermite_table(grid.x, values, d1, d2))
+    return hermite_table(grid.x, values, d1, d2)
 
 
 def profile_residual(grid: ProfileGrid, refine: int = 4) -> np.ndarray:
     """Max |y' - F(y)| of the interpolant per equation on a refined grid."""
-    xs = np.linspace(grid.x[0], grid.x[-1], refine * (grid.n - 1) + 1)
-    read = profile_interpolant(grid)
-    vals, derivs = read(xs), read(xs, 1)
+    cells, h = profile_cells(grid), 2.0 * grid.X / (grid.n - 1)
+    vals, derivs = (refined_values(cells, h, refine, nu) for nu in (0, 1))
     v, phi, psi = vals[:, 0], vals[:, 2], vals[:, 3]
     dv, du, dpsi = derivs[:, 0], derivs[:, 1], derivs[:, 3]
     s = grid.end.s
@@ -432,6 +428,6 @@ def write_profile_csv(grid: ProfileGrid, path) -> None:
     data = np.column_stack([grid.x, grid.v, grid.u, grid.phi,
                             dv, -grid.end.s * dv, pj.derivative(1),
                             pj.derivative(2)])
-    with open(path, "w") as fh:
-        fh.write("x,v,u,phi,dv,du,dphi,d2phi\n")
-        write_rows(fh, data, ",".join(["%.18e"] * 8) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(b"x,v,u,phi,dv,du,dphi,d2phi\n")
+        write_table(fh, data, 18)

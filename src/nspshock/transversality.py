@@ -37,10 +37,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensystem import (hermite_table, interior_coefficients,
-                          interior_matrix_coeffs)
+from .eigensystem import closure_rows, hermite_table, interior_coefficients
 # never called here: re-exported only so that the WRAPS table of
-# perfbench/tracer.py, which patches transversality.solve_ivp, finds it
+# perfbench/tracer.py, which patches transversality.interior_matrix_coeffs
+# and transversality.solve_ivp, finds them
+from .eigensystem import interior_matrix_coeffs  # noqa: F401
 from .evans import solve_ivp  # noqa: F401
 from .jets import Jet
 from .params import PlasmaParams, ShockEndstates
@@ -93,7 +94,8 @@ def reduced_tables(grid: ProfileGrid) -> Jet:
     Atilde comes back as an order-1 jet of shape (n, 3, 3)."""
     vj, pj, sj = grid.taylor_jets(3)
     tab = interior_coefficients(grid.x, vj, pj, sj, grid.params, grid.end)
-    A0 = interior_matrix_coeffs(tab)[0]
+    # rows 1 and 4 of A(x, 0): the u' row and the field row
+    _, u_row, field_row = closure_rows(tab, degree=0)
     s = grid.end.s
 
     def col(f: Jet) -> Jet:
@@ -104,7 +106,7 @@ def reduced_tables(grid: ProfileGrid) -> Jet:
     # the row of w' is solved for below
     E = np.array([[-1.0 / s, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0],
                   [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    a = [col(Jet(A0.coef[:, :, 4, j])) for j in range(5)]
+    a = [col(Jet(field_row.coef[:, :, 0, j])) for j in range(5)]
 
     # The integrated flux relation and the field row form a linear pair
     #   w'   = (b1'-A21) v + (b2'-s) u - D21 phi' - E21 phi''
@@ -123,7 +125,7 @@ def reduced_tables(grid: ProfileGrid) -> Jet:
     rows = [E[0], E[1], (rhs_w - E21 * rhs_f) / den, E[3], E[4]]
 
     out = np.zeros((2, grid.n, 3, 3))
-    out[:, :, 0] = sum(col(Jet(A0.coef[:, :, 1, j])) * row
+    out[:, :, 0] = sum(col(Jet(u_row.coef[:, :, 0, j])) * row
                        for j, row in enumerate(rows)).coef
     out[0, :, 1, 2] = 1.0
     out[:, :, 2] = (rhs_f + a[2] * rows[2]).coef

@@ -131,8 +131,7 @@ def test_curve_bundle_and_csv(params_ref, end_ref, tmp_path):
 
 
 def test_spectrum_csv_matches_scalar_formatting(params_ref, end_ref, tmp_path):
-    # rows are written in blocks; 600 points span three of them.  The
-    # reference formats numpy scalars row by row
+    # the reference formats numpy scalars row by row
     curves = [dispersion_curve(params_ref, end_ref, side,
                                np.linspace(-50.0, 50.0, 600))
               for side in ("minus", "plus")]

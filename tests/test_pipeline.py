@@ -315,3 +315,19 @@ def test_package_imports_no_scipy_solver_modules():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_package_import_builds_no_csv_power_table():
+    # the CSV writer builds its table of powers of ten on first use, from
+    # Python integers; importing the pipeline neither builds it nor loads
+    # fractions or decimal
+    code = ("import sys; import nspshock.pipeline, nspshock.csvout; "
+            "print([m for m in ('fractions', 'decimal') if m in sys.modules],"
+            " nspshock.csvout._powers.cache_info().currsize)")
+    src = os.path.dirname(os.path.dirname(nspshock.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[] 0"

@@ -7,7 +7,7 @@ import pytest
 from scipy.interpolate import PPoly
 from scipy.linalg import LinAlgError, solve_banded
 
-from nspshock.eigensystem import uniform_evaluator
+from nspshock.eigensystem import refined_values
 from nspshock.modes import fast_roots
 from nspshock.params import PlasmaParams, ShockEndstates, solve_rankine_hugoniot
 import nspshock.profile as profile_module
@@ -18,7 +18,7 @@ from nspshock.profile import (
     _residual_vector,
     default_half_length,
     initial_guess,
-    profile_interpolant,
+    profile_cells,
     profile_residual,
     solve_profile,
     verify_profile,
@@ -85,30 +85,24 @@ def test_derivative_table_against_finite_differences(grid_ref):
 
 
 def test_interpolant_reproduces_nodes(grid_ref):
-    vals = profile_interpolant(grid_ref)(grid_ref.x)
+    # one point per cell and the right end: the nodes
+    vals = refined_values(profile_cells(grid_ref), grid_ref.h, 1)
     stored = np.stack([grid_ref.v, grid_ref.u, grid_ref.phi, grid_ref.psi],
                       axis=-1)
     assert np.max(np.abs(vals - stored)) < 1e-13
 
 
-def test_interpolant_matches_ppoly_of_its_cells(grid_ref, monkeypatch):
+def test_interpolant_matches_ppoly_of_its_cells(grid_ref):
     # the cells read as scipy's piecewise polynomial reads them, on the
     # refined residual grid with both ends
-    tables = []
-
-    def keep_table(X, table):
-        tables.append(table)
-        return uniform_evaluator(X, table)
-
-    monkeypatch.setattr(profile_module, "uniform_evaluator", keep_table)
-    read = profile_interpolant(grid_ref)
-    poly = PPoly(tables[0], grid_ref.x)
+    cells = profile_cells(grid_ref)
+    poly = PPoly(cells, grid_ref.x)
     xs = np.linspace(grid_ref.x[0], grid_ref.x[-1], 4 * (grid_ref.n - 1) + 1)
     for nu in (0, 1):
         ref = poly(xs, nu)
         assert np.all(np.isfinite(ref))
-        assert np.max(np.abs(read(xs, nu) - ref)) <= (
-            1e-13 * np.max(np.abs(ref)))
+        assert np.max(np.abs(refined_values(cells, grid_ref.h, 4, nu)
+                             - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_decay_rate_matches_slow_root(grid_ref):
