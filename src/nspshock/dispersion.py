@@ -12,8 +12,9 @@ along i*sign(xi) so that lam_j(-xi) = conj(lam_j(xi)) holds with the
 same label j; outside, both roots have Im lam = s xi exactly.
 
 The dissipation bound Re lam_j(xi) <= -theta0 xi^2/(1+xi^2) with
-theta0 = min{nu/(2 v_plus), T/(nu v_plus)} is checked pointwise on a
-grid and is treated as a hard invariant: a violation raises.
+theta0 = min{nu/(2 v_plus), T/(nu v_plus)} is measured pointwise on a
+grid as a margin; the run report's dissipation_margin check holds its
+minimum against the bound.
 """
 
 from __future__ import annotations
@@ -87,21 +88,15 @@ def decay_constant(params: PlasmaParams) -> float:
 
 
 def dissipation_margin(params: PlasmaParams, end: ShockEndstates, side: str,
-                       xi, tol: float = 1e-12, strict: bool = True):
+                       xi):
     """Pointwise margin -max_j Re lam_j - theta0 xi^2/(1+xi^2).
 
-    Returns (margin, theta0).  With strict=True a margin below -tol
-    raises and reports the worst offending xi.
+    Returns (margin, theta0); the bound holds where the margin is >= 0.
     """
     xi = np.asarray(xi, dtype=float)
     lam1, lam2 = essential_eigenvalues(params, end, side, xi)
     theta0 = decay_constant(params)
     margin = -np.maximum(lam1.real, lam2.real) - theta0 * xi**2 / (1.0 + xi**2)
-    if strict and np.min(margin) < -tol:
-        k = int(np.argmin(margin))
-        raise RuntimeError(
-            f"dissipation bound violated on side {side}: margin "
-            f"{margin[k]:.3e} at xi={xi[k]:.6f}")
     return margin, theta0
 
 

@@ -15,15 +15,17 @@ One transport carries a whole batch of lam.  It runs over the
 pseudo-time t in [0, X]: the 2-wedges from +X sit at x = X - t (their
 right-hand side changes sign), the 3-wedges from -X at x = t - X, and
 on a batch that holds lam = 0 Gamma's fast pair at -inf rides along as
-one more 2-wedge row at x = t - X.  All rows are one (rows, 10) state
-carried by `transport`: one DOP853 solve per segment, with a norm and
-log scale per row, and each right-hand-side call reads the coefficient
-cell of both sides.  The DOP853 step is this module's `solve_ivp`, a
-port of scipy.integrate's that takes the same steps and right-hand-side
-calls, so the package never imports scipy.integrate.  The step control
-then bounds the RMS error over the batch instead of each wedge's own;
-the agreement test in tests/test_evans.py holds batched D to
-one-lam-at-a-time D within 1e-10 relative on the production grid.
+one more 2-wedge row at x = t - X.  All rows are one (rows, 10) state,
+and `integrate_wedge` loops over the renormalization segments: one
+DOP853 solve per segment, then each row divided by its norm, whose log
+goes to the row's scale.  Each right-hand-side call reads the
+coefficient cell of both sides.  The DOP853 step is this module's
+`solve_ivp`, a port of scipy.integrate's that takes the same steps and
+right-hand-side calls, so the package never imports scipy.integrate.
+The step control then bounds the RMS error over the batch instead of
+each wedge's own; the agreement test in tests/test_evans.py holds
+batched D to one-lam-at-a-time D within 1e-10 relative on the
+production grid.
 
 The linearized operator is real, so D(conj lam) = conj D(lam), and the
 contours are built symmetric about the real axis, each point below it
@@ -108,8 +110,8 @@ from .wedge import (
 PLUS_PAIR = (0, 1)        # gamma1+, gamma2+ decay as x -> +inf
 MINUS_TRIPLE = (0, 2, 4)  # gamma1-, gamma3-, slow branch decay as x -> -inf
 MINUS_FAST = (0, 2)       # the two fast columns of the minus bundle
-# counters kept by transport; EvansSystem.work adds the evaluator rounds
-# and the lam they carried (see make_evaluator)
+# counters kept by integrate_wedge; EvansSystem.work adds the evaluator
+# rounds and the lam they carried (see make_evaluator)
 WORK_COUNTS = ("transports", "rhs_calls", "steps")
 # the blocks of a transport: the end each starts from (-1: +X, at
 # x = X - t; +1: -X, at x = t - X) and its lift
@@ -591,73 +593,22 @@ def segment_count(X: float) -> int:
     return max(8, int(round(X / 20.0)))
 
 
-class TransportError(RuntimeError):
-    """A transport that failed on one segment [a, b] of its variable.
-
-    reason is "integration failed" or "renormalization broke down", rows
-    the indices of the rows concerned and detail the solver message or the
-    offending norms.
-    """
-
-    def __init__(self, reason: str, segment: tuple, rows: np.ndarray,
-                 detail: str, rows_text: Callable):
-        a, b = segment
-        super().__init__(f"{reason} on [{a}, {b}] for {rows_text(rows)}: "
-                         f"{detail}")
-        self.reason, self.segment, self.rows = reason, segment, rows
-        self.detail = detail
-
-
-def transport(rhs, y0, x_from: float, x_to: float, nseg: int, rtol: float,
-              atol: float, work: dict, rows_text: Callable):
-    """Carry the rows of y0 from x_from to x_to; returns (rows, log scales).
-
-    The (m, k) rows travel as one DOP853 state under rhs(x, y) on nseg
-    equal segments; at each segment end every row is divided by its norm,
-    whose log goes to that row's scale.  The transport, its right-hand-side
-    calls and its steps are added to work.  A failure raises TransportError
-    naming the segment and, through rows_text(indices), the rows concerned.
-
-    Only the Evans wedges travel here; the lam-free transversality normals
-    are carried by Magnus propagator products (transversality.propagator).
-    """
-    Y = np.asarray(y0)
-    m = Y.shape[0]
-    log_scale = np.zeros(m)
-    xs = np.linspace(x_from, x_to, nseg + 1)
-    work["transports"] += 1
-    for a, b in zip(xs[:-1], xs[1:]):
-        sol = solve_ivp(rhs, (a, b), Y.ravel(), rtol=rtol, atol=atol)
-        work["rhs_calls"] += sol.nfev
-        work["steps"] += sol.t.size - 1
-        if not sol.success:
-            raise TransportError("integration failed", (a, b), np.arange(m),
-                                 sol.message, rows_text)
-        Y = sol.y[:, -1].reshape(m, -1)
-        norm = np.linalg.norm(Y, axis=1)
-        bad = ~np.isfinite(norm) | (norm == 0.0)
-        if bad.any():
-            raise TransportError("renormalization broke down", (a, b),
-                                 np.flatnonzero(bad), f"norms {norm[bad][:6]}",
-                                 rows_text)
-        Y = Y / norm[:, None]
-        log_scale += np.log(norm)
-    return Y, log_scale
-
-
 def integrate_wedge(sys: EvansSystem, **blocks):
     """Carry blocks of shifted wedges to x = 0 in one transport.
 
     Each keyword names a block of BLOCKS ("plus": 2-wedges from +X,
     "minus": 3-wedges from -X, "fast": 2-wedges from -X) and gives
     (lams, y0, shifts): m values of lam, the (m, 10) wedges at the block's
-    end and one shift per lam.  All rows travel as one state over the
-    pseudo-time t in [0, X] (see wedge_rhs), whose nseg segments are the
-    same x breakpoints on either side.  Returns {name: (unit rows, log
-    scales)}.  The renormalization factors are real and positive, so
-    multiplying them back preserves analyticity of anything built from the
-    result.  The work goes to sys.work; a failure is a RuntimeError naming
-    each block concerned, its segment in x and the lam of its rows.
+    end and one shift per lam.  All rows travel as one DOP853 state over
+    the pseudo-time t in [0, X] (see wedge_rhs) on sys.nseg equal
+    segments, the same x breakpoints on either side; at each segment end
+    every row is divided by its norm, whose log goes to that row's scale.
+    Returns {name: (unit rows, log scales)}.  The renormalization factors
+    are real and positive, so multiplying them back preserves analyticity
+    of anything built from the result.  The transport, its right-hand-side
+    calls and its steps are added to sys.work; a failure is a RuntimeError
+    naming each block concerned, its segment in its own x and the lam of
+    its rows.
     """
     parts, slices, start = {}, {}, 0
     for name, (lam, y0, shift) in blocks.items():
@@ -669,23 +620,39 @@ def integrate_wedge(sys: EvansSystem, **blocks):
         start += m
     lams = np.concatenate([p[0] for p in parts.values()])
     rhs = wedge_rhs(sys, {name: (p[0], p[2]) for name, p in parts.items()})
-    try:
-        Y, log_scale = transport(
-            rhs, np.concatenate([p[1] for p in parts.values()]), 0.0, sys.X,
-            sys.nseg, sys.rtol, sys.atol, sys.work,
-            lambda k: lams_text(lams[k]))
-    except TransportError as err:
-        a, b = err.segment
+
+    def failure(reason, a, b, rows, detail):
+        """The error for the rows (a mask) failing on the segment [a, b]."""
         where = []
-        for name, rows in slices.items():
-            hit = err.rows[(err.rows >= rows.start) & (err.rows < rows.stop)]
-            if hit.size:
+        for name, part in slices.items():
+            if rows[part].any():
                 d = BLOCKS[name][0]
-                where.append(f"{err.reason} on [{_side_x(d, a, sys.X)}, "
+                where.append(f"{reason} on [{_side_x(d, a, sys.X)}, "
                              f"{_side_x(d, b, sys.X)}] for "
-                             f"{lams_text(lams[hit])} ({name} block)")
-        raise RuntimeError("Evans transport: " + "; ".join(where)
-                           + f": {err.detail}") from err
+                             f"{lams_text(lams[part][rows[part]])} "
+                             f"({name} block)")
+        return RuntimeError("Evans transport: " + "; ".join(where)
+                            + f": {detail}")
+
+    Y = np.concatenate([p[1] for p in parts.values()])
+    log_scale = np.zeros(start)
+    ts = np.linspace(0.0, sys.X, sys.nseg + 1)
+    sys.work["transports"] += 1
+    for a, b in zip(ts[:-1], ts[1:]):
+        sol = solve_ivp(rhs, (a, b), Y.ravel(), rtol=sys.rtol, atol=sys.atol)
+        sys.work["rhs_calls"] += sol.nfev
+        sys.work["steps"] += sol.t.size - 1
+        if not sol.success:
+            raise failure("integration failed", a, b, np.ones(start, bool),
+                          sol.message)
+        Y = sol.y[:, -1].reshape(start, -1)
+        norm = np.linalg.norm(Y, axis=1)
+        bad = ~np.isfinite(norm) | (norm == 0.0)
+        if bad.any():
+            raise failure("renormalization broke down", a, b, bad,
+                          f"norms {norm[bad][:6]}")
+        Y = Y / norm[:, None]
+        log_scale += np.log(norm)
     return {name: (Y[rows], log_scale[rows]) for name, rows in slices.items()}
 
 

@@ -102,8 +102,6 @@ class SlowData:
     a2: float
     beta1: float
     beta2: float
-    l: np.ndarray       # rows l1, l2 (left 2-vectors)
-    r: np.ndarray       # rows r1, r2 (right 2-vectors)
     rtilde: np.ndarray  # rows rtilde1, rtilde2 (embedded 5-vectors)
 
 
@@ -114,12 +112,10 @@ def slow_expansion(params: PlasmaParams, end: ShockEndstates, side: str) -> Slow
     isq = 1.0 / np.sqrt(2.0)
     a1, a2 = s - c, s + c
     beta = params.nu / (2.0 * v)
-    r = np.array([[isq, -isq * c], [isq, isq * c]])
-    l = np.array([[isq, -isq / c], [isq, isq / c]])
     rt = np.zeros((2, 5))
-    rt[:, :2] = r
+    rt[:, :2] = [[isq, -isq * c], [isq, isq * c]]  # right 2-vectors r1, r2
     rt[:, 3] = -isq / v
-    return SlowData(a1, a2, beta, beta, l, r, rt)
+    return SlowData(a1, a2, beta, beta, rt)
 
 
 @dataclass

@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -151,9 +152,15 @@ def _py(obj):
     return obj
 
 
-def _check(value, threshold, passed) -> dict:
+# how a check holds its value against its threshold
+_OPS = {"<=": operator.le, ">=": operator.ge, ">": operator.gt,
+        "==": operator.eq}
+
+
+def _check(value, op, threshold) -> dict:
+    """The report entry of the check value op threshold."""
     return {"value": _py(value), "threshold": _py(threshold),
-            "pass": bool(passed)}
+            "pass": bool(_OPS[op](value, threshold))}
 
 
 def _newton(grid) -> dict:
@@ -170,13 +177,10 @@ def _task_profile(config, end, ctx, outdir):
     target = 0.5 * (config.params.v_minus + config.params.v_plus)
     write_profile_csv(grid, outdir / "profile.csv")
     checks = {
-        "ode_residual": _check(res, 1e-8, res <= 1e-8),
-        "monotone": _check(rep.monotonicity_margin, 0.0,
-                           rep.monotonicity_margin > 0.0),
-        "midpoint_pinned": _check(abs(mid - target), 1e-12,
-                                  abs(mid - target) <= 1e-12),
-        "boundary_mismatch": _check(rep.boundary_mismatch, 1e-6,
-                                    rep.boundary_mismatch <= 1e-6),
+        "ode_residual": _check(res, "<=", 1e-8),
+        "monotone": _check(rep.monotonicity_margin, ">", 0.0),
+        "midpoint_pinned": _check(abs(mid - target), "<=", 1e-12),
+        "boundary_mismatch": _check(rep.boundary_mismatch, "<=", 1e-6),
     }
     metrics = {
         "X": grid.X, "n": grid.n, "v_mid": mid,
@@ -220,12 +224,11 @@ def _task_dispersion(config, end, ctx, outdir):
     origin = float(np.max(l0))
     write_spectrum_csv(curves, outdir / "spectrum.csv")
     checks = {
-        "dissipation_margin": _check(margin_min, -1e-12, margin_min >= -1e-12),
-        "origin_eigenvalues": _check(origin, 0.0, origin == 0.0),
-        "imaginary_part_linear": _check(im_dev, 1e-10, im_dev <= 1e-10),
-        "resonance_root": _check(res_poly, 1e-10, res_poly <= 1e-10),
-        "closed_form_vs_eigensolve": _check(eig_dist, 1e-12,
-                                            eig_dist <= 1e-12),
+        "dissipation_margin": _check(margin_min, ">=", -1e-12),
+        "origin_eigenvalues": _check(origin, "==", 0.0),
+        "imaginary_part_linear": _check(im_dev, "<=", 1e-10),
+        "resonance_root": _check(res_poly, "<=", 1e-10),
+        "closed_form_vs_eigensolve": _check(eig_dist, "<=", 1e-12),
     }
     metrics = {"theta0": curves[0].theta0, "xi0": xi0s, "s": end.s,
                "xi_points": int(xi.shape[0])}
@@ -265,24 +268,17 @@ def _task_evans(config, end, ctx, outdir):
     rep = evans_report(esys, rho=config.rho, n_circle=config.n_circle)
     ctx["evans"] = rep
     write_evans_csv(rep.samples, outdir / "evans.csv")
-    d0 = abs(rep.D0)
     checks = {
-        "origin_zero": _check(d0, 1e-8 * rep.circle_max,
-                              d0 <= 1e-8 * rep.circle_max),
-        "winding_circle": _check(rep.winding_circle, 1,
-                                 rep.winding_circle == 1),
-        "winding_d_contour": _check(rep.winding_d_contour, 0,
-                                    rep.winding_d_contour == 0),
-        "derivative_agreement": _check(rep.derivative_agreement, 1e-6,
-                                       rep.derivative_agreement <= 1e-6),
-        "factorization_residual": _check(rep.factorization_residual, 0.01,
-                                         rep.factorization_residual <= 0.01),
-        "factorization_sign": _check(rep.sign_match, True, rep.sign_match),
-        "gamma_nonzero": _check(abs(rep.Gamma), 0.0, abs(rep.Gamma) > 0.0),
-        "closure_residual": _check(esys.closure_residual, 1e-6,
-                                   esys.closure_residual <= 1e-6),
-        "table_error": _check(esys.table_error, 1e-8,
-                              esys.table_error <= 1e-8),
+        "origin_zero": _check(abs(rep.D0), "<=", 1e-8 * rep.circle_max),
+        "winding_circle": _check(rep.winding_circle, "==", 1),
+        "winding_d_contour": _check(rep.winding_d_contour, "==", 0),
+        "derivative_agreement": _check(rep.derivative_agreement, "<=", 1e-6),
+        "factorization_residual": _check(rep.factorization_residual, "<=",
+                                         0.01),
+        "factorization_sign": _check(rep.sign_match, "==", True),
+        "gamma_nonzero": _check(abs(rep.Gamma), ">", 0.0),
+        "closure_residual": _check(esys.closure_residual, "<=", 1e-6),
+        "table_error": _check(esys.table_error, "<=", 1e-8),
     }
     metrics = rep.as_dict()
     metrics.update({
@@ -304,19 +300,18 @@ def _task_transversality(config, end, ctx, outdir):
     eig = np.sort(np.linalg.eigvals(reduced_limit_matrix(config.params)).real)
     sig_err = float(np.max(np.abs(sig - eig)))
     checks = {
-        "bounded_dimension": _check(result.dimension, 1,
-                                    result.dimension == 1),
-        "wave_angle": _check(result.angle_to_wave, 1e-5,
-                             result.angle_to_wave <= 1e-5),
-        "wave_residual": _check(wave_res, 1e-6, wave_res <= 1e-6),
-        "limit_rates_closed_form": _check(sig_err, 1e-10, sig_err <= 1e-10),
-        "transport_error": _check(result.transport_error, 1e-8,
-                                  result.transport_error <= 1e-8),
+        "bounded_dimension": _check(result.dimension, "==", 1),
+        "wave_angle": _check(result.angle_to_wave, "<=", 1e-5),
+        "wave_residual": _check(wave_res, "<=", 1e-6),
+        "limit_rates_closed_form": _check(sig_err, "<=", 1e-10),
+        "transport_error": _check(result.transport_error, "<=", 1e-8),
     }
     if "evans" in ctx:
         gamma = ctx["evans"].Gamma
         agree = (result.dimension == 1) == (abs(gamma) > 0.0)
-        checks["gamma_consistency"] = _check(abs(gamma), 0.0, agree)
+        # the verdict is the agreement, not the comparison
+        checks["gamma_consistency"] = {**_check(abs(gamma), ">", 0.0),
+                                       "pass": agree}
     metrics = {
         "sigma": list(rsys.sigma),
         "deviation_sup": rsys.deviation_sup(),
@@ -344,9 +339,9 @@ def _task_poisson(config, end, ctx, outdir):
     lam_min = smallest_symmetric_eigenvalue(disc)
     bound = min(params.v_minus / params.v_plus, params.eps**2 / params.v_plus)
     checks = {
-        "manufactured_order": _check(order, 1.9, order >= 1.9),
-        "wave_consistency": _check(rel, 1e-6, rel <= 1e-6),
-        "coercivity": _check(lam_min, 0.5 * bound, lam_min >= 0.5 * bound),
+        "manufactured_order": _check(order, ">=", 1.9),
+        "wave_consistency": _check(rel, "<=", 1e-6),
+        "coercivity": _check(lam_min, ">=", 0.5 * bound),
     }
     metrics = {"manufactured_errors": errors, "consistency_X": grid.X,
                "consistency_n": grid.n, "symmetric_eigenvalue": lam_min,

@@ -99,12 +99,6 @@ def test_slow_expansion_reference_values(params_ref, end_ref):
     assert minus.a1 < 0 < plus.a1
 
 
-def test_left_right_biorthogonality(params_ref, end_ref):
-    for side in ("minus", "plus"):
-        sl = slow_expansion(params_ref, end_ref, side)
-        assert np.allclose(sl.l @ sl.r.T, np.eye(2), atol=1e-14)
-
-
 def test_rtilde_spans_frozen_kernel(params_ref, end_ref):
     for side in ("minus", "plus"):
         sl = slow_expansion(params_ref, end_ref, side)

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 import nspshock
+import nspshock.dispersion as dispersion_module
 import nspshock.profile as profile_module
 from nspshock.cli import main
+from nspshock.params import solve_rankine_hugoniot
 from nspshock.pipeline import ConfigError, load_config
 from nspshock.profile import ProfileGrid
 
@@ -248,6 +250,25 @@ def test_newton_failure_is_the_task_error(tmp_path, monkeypatch):
     assert error.startswith("RuntimeError: profile Newton: step 1 failed "
                             "on n=4001, X=")
     assert "defect" in error
+
+
+def test_dissipation_violation_is_a_failed_check(tmp_path, monkeypatch):
+    # a decay constant far above the reference one breaks the bound away
+    # from xi = 0; the report's check is the verdict, not an exception
+    monkeypatch.setattr(dispersion_module, "decay_constant", lambda p: 10.0)
+    cfg = write_config(tmp_path)
+    assert main(["run", "--config", str(cfg), "--tasks", "dispersion"]) == 1
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    entry = report["tasks"]["dispersion"]
+    assert "error" not in entry and entry["passed"] is False
+    params = load_config(cfg).params
+    end = solve_rankine_hugoniot(params)
+    xi = dispersion_module.default_xi_grid()
+    worst = min(np.min(dispersion_module.dissipation_margin(
+        params, end, side, xi)[0]) for side in ("minus", "plus"))
+    assert entry["checks"]["dissipation_margin"] == {
+        "value": worst, "threshold": -1e-12, "pass": False}
+    assert worst < -1.0
 
 
 def test_each_grid_computes_its_jets_once(tmp_path, monkeypatch):
