@@ -9,14 +9,14 @@ value and the threshold it was held against.
 The report is deterministic for a fixed config: keys are sorted and
 wall-clock timings are quarantined under a single "timings" key, so
 two runs differ at most there; non-finite numbers are written as null.
-Tasks get profile grids from two lazy providers, so each task runs
-alone: _profile_grid, which the profile task and transversality share,
-and _long_grid, the longer Evans grid that Evans and Poisson share.
-Each provider solves its grid on first use and derives its jets once,
-to the highest order any task reads on every node (3 for the profile
-grid, 2 for the long grid; the Evans table derives its own jets at the
-nodes it keeps); so a run solves at most two grids.  Every task that
-reads a grid reports the Newton work of its solve as metrics.newton.
+The profile task, transversality and Poisson share one profile grid
+from the lazy provider _profile_grid, so each task still runs alone:
+it solves the grid on first use and derives its jets once, to order 3,
+the highest any of them reads.  Evans alone solves the longer Evans
+grid, and its table derives its own jets at the nodes it keeps; so a
+run solves one grid unless Evans runs, and two if it does.  Every task
+that reads a grid reports the Newton work of its solve as
+metrics.newton.
 """
 
 from __future__ import annotations
@@ -246,24 +246,15 @@ def _mode_metrics(params, end):
 
 
 def _profile_grid(config, end, ctx):
-    """The grid the profile task and transversality share."""
+    """The grid the profile task, transversality and Poisson share."""
     if "grid" not in ctx:
         grid = solve_profile(config.params, end, X=config.X, n=config.n)
         ctx["grid"] = replace(grid, jets=grid.state_jets(3))
     return ctx["grid"]
 
 
-def _long_grid(config, end, ctx):
-    """The grid Evans and Poisson share."""
-    if "long_grid" not in ctx:
-        grid = evans_grid(config.params, end, X=config.evans_X,
-                          n=config.evans_n)
-        ctx["long_grid"] = replace(grid, jets=grid.state_jets(2))
-    return ctx["long_grid"]
-
-
 def _task_evans(config, end, ctx, outdir):
-    grid = _long_grid(config, end, ctx)
+    grid = evans_grid(config.params, end, X=config.evans_X, n=config.evans_n)
     esys = build_evans_system(grid)
     rep = evans_report(esys, rho=config.rho, n_circle=config.n_circle)
     ctx["evans"] = rep
@@ -330,7 +321,7 @@ def _task_poisson(config, end, ctx, outdir):
              for h in (0.1, 0.05, 0.025)]
     order, errors = manufactured_convergence(discs)
 
-    grid = _long_grid(config, end, ctx)
+    grid = _profile_grid(config, end, ctx)
     disc = discretize_profile(grid)
     vj, _, sj = grid.taylor_jets(2)
     phi = solve_linearized_poisson(disc, vj.derivative(1), vj.derivative(2))

@@ -16,6 +16,10 @@ and the right-hand side is built from v through
 
 Second-order central differences with homogeneous Dirichlet ends; the
 data decays exponentially, so truncation at +-X is benign.  The
+consistency check solves for the wave's own phi' on the profile grid
+(18 decay lengths of the slow rate by default): that grid's
+projection boundary rows (see profile.py) keep its far tail on the
+heteroclinic orbit, so the check needs no longer domain.  The
 first-order coefficient is small (order of the shock amplitude), so no
 upwinding is needed, and the symmetric part of the discrete operator
 inherits the continuous coercivity constants.

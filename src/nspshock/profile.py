@@ -9,12 +9,23 @@ makes s vbar' + ubar' = 0 exact at the nodes.
 
 Discretization: a mono-implicit Runge-Kutta scheme of order 4 on a
 fixed mesh (Simpson rule with cubic-Hermite midpoint values), solved
-by damped Newton iteration with an analytic Jacobian.  Boundary
-conditions clamp v at both ends; the phase condition pins
-v(0) = (v_minus + v_plus)/2 at the central node, so the node count
-must be odd.  Ordering the rows as left clamp, cells left of the
-pinned node, phase condition, remaining cells, right clamp makes the
-Newton matrix a band matrix with four sub- and four super-diagonals.
+by damped Newton iteration with an analytic Jacobian.
+
+The boundary rows are Beyn's projection conditions (W.-J. Beyn, "The
+numerical computation of connecting orbits in dynamical systems",
+IMA J. Numer. Anal. 10 (1990) 379-405).  The heteroclinic orbit leaves
+y- along its two unstable directions and enters y+ along its two
+stable ones, so each end misses one fast direction: the stable root
+gamma2- at y-, the unstable root gamma3+ at y+.  The row at each end
+asks that the offset y(+-X) - y+- have no component along that
+direction, l . (y(+-X) - y+-) = 0 with l the left eigenvector of the
+right-hand side's Jacobian at y+-.  The error this leaves is second
+order in the tail gap, where a clamp v(+-X) = v+- errs at first
+order.  The phase condition pins v(0) = (v_minus + v_plus)/2 at the
+central node, so the node count must be odd.  Ordering the rows as
+the left row, cells left of the pinned node, phase condition,
+remaining cells, right row makes the Newton matrix a band matrix with
+four sub- and four super-diagonals.
 Each step assembles it in blocks of BLOCK_CELLS cells straight into
 LAPACK gbsv's band storage, a (13, 3n) Fortran-order array whose top
 four rows are room for the fill-in of the LU factors, and factors and
@@ -139,34 +150,65 @@ def _collocation_residual(y, h, params, end):
     return res, f, ym
 
 
-def _boundary_rows(y, mid_idx, params):
-    """Left clamp, phase condition, right clamp."""
+def far_field_rows(params: PlasmaParams, end: ShockEndstates):
+    """Coefficients of the two projection rows and the states they hold.
+
+    Returns (rows, ends), both of shape (2, 3): rows[0] is the left
+    eigenvector of J(y-) for gamma2-, rows[1] that of J(y+) for gamma3+,
+    each of unit length, and ends holds y- and y+.  J - gamma I has rank
+    two, and l (J - gamma I) = 0 says l is orthogonal to its columns, so
+    l is the cross product of two of them: the pair whose product is
+    widest.  A non-finite Jacobian gives non-finite rows, which the
+    Newton step then reports.
+    """
+    ends = np.array([[params.v_minus, end.phi_minus, 0.0],
+                     [params.v_plus, end.phi_plus, 0.0]])
+    gammas = np.array([fast_roots(params, end, "minus").gamma2,
+                       fast_roots(params, end, "plus").gamma3])
+    cols = np.swapaxes(rhs_jacobian(ends, params, end), 1, 2)
+    cols -= gammas[:, None, None] * np.eye(3)
+    # cross[k, j] is the cross product of the two columns other than j
+    cross = np.stack([np.cross(cols[:, (j + 1) % 3], cols[:, (j + 2) % 3])
+                      for j in range(3)], axis=1)
+    widths = np.linalg.norm(cross, axis=2)
+    best = np.argmax(widths, axis=1)
+    rows = cross[[0, 1], best] / widths[[0, 1], best][:, None]
+    return rows, ends
+
+
+def _boundary_rows(y, mid_idx, params, far):
+    """Left projection row, phase condition, right projection row."""
+    rows, ends = far
     vm, vp = params.v_minus, params.v_plus
-    return (y[0, 0] - vm, y[mid_idx, 0] - 0.5 * (vm + vp), y[-1, 0] - vp)
+    return (rows[0] @ (y[0] - ends[0]), y[mid_idx, 0] - 0.5 * (vm + vp),
+            rows[1] @ (y[-1] - ends[1]))
 
 
-def _residual_vector(y, h, mid_idx, params, end, colloc=None):
+def _residual_vector(y, h, mid_idx, params, end, colloc=None, far=None):
     """Residual with the cell rows first and the three boundary rows last.
 
-    colloc is _collocation_residual(y, ...) when the caller already has it.
+    colloc is _collocation_residual(y, ...) and far is
+    far_field_rows(params, end) when the caller already has them.
     """
     res, _, _ = colloc or _collocation_residual(y, h, params, end)
-    left, phase, right = _boundary_rows(y, mid_idx, params)
+    left, phase, right = _boundary_rows(
+        y, mid_idx, params, far or far_field_rows(params, end))
     return np.concatenate([res.ravel(), [left, right, phase]])
 
 
-# Row order of the banded Newton system: the left clamp, the cells left of
-# the pinned node, the phase condition, the remaining cells, the right
-# clamp.  Cell k couples unknowns 3k .. 3k+5; its three rows start at
-# 3k + 1 + shift, with shift 0 left of mid_idx and 1 from it on, so every
-# entry lies within BANDS = 4 diagonals of the main one.
+# Row order of the banded Newton system: the left projection row, the
+# cells left of the pinned node, the phase condition, the remaining
+# cells, the right projection row.  Each projection row has its three
+# entries on its end node.  Cell k couples unknowns 3k .. 3k+5; its three
+# rows start at 3k + 1 + shift, with shift 0 left of mid_idx and 1 from it
+# on, so every entry lies within BANDS = 4 diagonals of the main one.
 BANDS = 4
 # Cells per block of the Newton matrix assembly; a block's (cells, 3, 3)
 # temporaries are then small next to the band array.
 BLOCK_CELLS = 4096
 
 
-def _banded_system(y, h, mid_idx, params, end, colloc=None):
+def _banded_system(y, h, mid_idx, params, end, colloc=None, far=None):
     """Newton matrix in gbsv's band storage, shape (3 BANDS + 1, 3n) in
     Fortran order, and the residual F in the same row order.
 
@@ -174,9 +216,11 @@ def _banded_system(y, h, mid_idx, params, end, colloc=None):
     the top BANDS rows are zero, room for the fill-in of the LU factors.
     The cells are assembled BLOCK_CELLS at a time, each block on one side
     of the phase row.
-    colloc is _collocation_residual(y, ...) when the caller already has it.
+    colloc is _collocation_residual(y, ...) and far is
+    far_field_rows(params, end) when the caller already has them.
     """
     n = y.shape[0]
+    far = far or far_field_rows(params, end)
     res, _, ym = colloc or _collocation_residual(y, h, params, end)
     eye = np.eye(3)
     # band[node, c, d] is ab[d, 3 node + c]
@@ -195,11 +239,13 @@ def _banded_system(y, h, mid_idx, params, end, colloc=None):
                 d = 2 * BANDS + 1 + shift - c
                 band[a:b, c, d:d + 3] = L[:, :, c]
                 band[a + 1:b + 1, c, d - 3:d] = R[:, :, c]
-    band[0, 0, 2 * BANDS] = 1.0              # left clamp: row 0, column 0
+    rows, _ = far
+    for c in range(3):
+        band[0, c, 2 * BANDS - c] = rows[0, c]          # row 0, column c
+        band[n - 1, c, 2 * BANDS + 2 - c] = rows[1, c]  # row 3n - 1, column 3n - 3 + c
     band[mid_idx, 0, 2 * BANDS + 1] = 1.0    # phase: row 3 mid + 1, column 3 mid
-    band[n - 1, 0, 2 * BANDS + 2] = 1.0      # right clamp: row 3n - 1, column 3n - 3
 
-    left, phase, right = _boundary_rows(y, mid_idx, params)
+    left, phase, right = _boundary_rows(y, mid_idx, params, far)
     F = np.concatenate([[left], res[:mid_idx].ravel(), [phase],
                         res[mid_idx:].ravel(), [right]])
     return band.reshape(3 * n, 3 * BANDS + 1).T, F
@@ -282,7 +328,9 @@ def solve_profile(params: PlasmaParams, end: ShockEndstates,
                   tol: float = 1e-12, max_iter: int = 30) -> ProfileGrid:
     """Solve the truncated profile boundary-value problem.
 
-    X defaults to 18 decay lengths of the slow rate.
+    The ends carry Beyn's projection rows (see the module docstring),
+    built once per solve by far_field_rows.  X defaults to 18 decay
+    lengths of the slow rate.
     Raises RuntimeError with the final defect when Newton stalls,
     RuntimeError naming the step, n, X and the defect when a Newton
     matrix is singular or not finite, and RuntimeError when the
@@ -298,18 +346,20 @@ def solve_profile(params: PlasmaParams, end: ShockEndstates,
     x = np.linspace(-X, X, n)
     h = x[1] - x[0]
     mid_idx = (n - 1) // 2
+    far = far_field_rows(params, end)
 
     def defect(y):
         # max-norm residual, with the collocation parts that produced it
         colloc = _collocation_residual(y, h, params, end)
         return np.max(np.abs(_residual_vector(y, h, mid_idx, params, end,
-                                              colloc))), colloc
+                                              colloc, far))), colloc
 
     y = initial_guess(x, params, end)
     norm, colloc = defect(y)
     iterations = 0
-    while norm > tol and iterations < max_iter:
-        ab, F = _banded_system(y, h, mid_idx, params, end, colloc)
+    # "not norm <= tol": a nan defect is not converged
+    while not norm <= tol and iterations < max_iter:
+        ab, F = _banded_system(y, h, mid_idx, params, end, colloc, far)
         del colloc      # its (n, 3) arrays need not live through the solve
         iterations += 1
         try:
@@ -332,7 +382,7 @@ def solve_profile(params: PlasmaParams, end: ShockEndstates,
             norm, colloc = defect(y)
         # only y and colloc go on to the next step's band assembly
         del step, trial, trial_colloc
-    if norm > tol:
+    if not norm <= tol:
         raise RuntimeError(f"profile solver did not converge; final defect {norm:.3e}")
 
     v, phi, psi = y[:, 0], y[:, 1], y[:, 2]

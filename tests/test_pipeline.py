@@ -10,6 +10,7 @@ import pytest
 
 import nspshock
 import nspshock.dispersion as dispersion_module
+import nspshock.pipeline as pipeline_module
 import nspshock.profile as profile_module
 from nspshock.cli import main
 from nspshock.params import solve_rankine_hugoniot
@@ -191,11 +192,14 @@ def test_transversality_reports_gamma_consistency(tmp_path):
     checks = report["tasks"]["transversality"]["checks"]
     assert checks["gamma_consistency"]["pass"] is True
     assert checks["gamma_consistency"]["value"] > 0.0
-    # Poisson runs on the grid Evans solved
+    # Poisson runs on the profile grid transversality solved, not on the
+    # Evans grid
     poisson = report["tasks"]["poisson"]
     assert poisson["passed"] is True
-    assert poisson["metrics"]["consistency_n"] == \
-        report["tasks"]["evans"]["metrics"]["n"]
+    assert poisson["metrics"]["consistency_n"] == 4001
+    assert poisson["metrics"]["newton"] == \
+        report["tasks"]["transversality"]["metrics"]["newton"]
+    assert report["tasks"]["evans"]["metrics"]["n"] == 5601
 
 
 @pytest.fixture(scope="module")
@@ -235,9 +239,12 @@ def test_reference_run_reports_newton_work(reference_report):
         assert isinstance(entry["iterations"], int)
         assert entry["iterations"] > 0
         assert 0.0 <= entry["defect"] <= 1e-12
-    # two grids: the short one and the long Evans one
+    # two grids: the profile grid, which Poisson reads too, and the Evans
+    # grid
     assert newton["transversality"] == newton["profile"]
-    assert newton["poisson"] == newton["evans"]
+    assert newton["poisson"] == newton["profile"]
+    assert tasks["poisson"]["metrics"]["consistency_n"] == \
+        tasks["profile"]["metrics"]["n"]
 
 
 def test_newton_failure_is_the_task_error(tmp_path, monkeypatch):
@@ -272,19 +279,42 @@ def test_dissipation_violation_is_a_failed_check(tmp_path, monkeypatch):
 
 
 def test_each_grid_computes_its_jets_once(tmp_path, monkeypatch):
-    calls = []
+    # profile, transversality and Poisson share one grid: one solve and
+    # one jet derivation on its nodes
+    calls, solves = [], []
     original = ProfileGrid.state_jets
+    original_solve = pipeline_module.solve_profile
 
     def counting(self, *args, **kwargs):
         calls.append(self.n)
         return original(self, *args, **kwargs)
 
+    def counting_solve(*args, **kwargs):
+        solves.append(1)
+        return original_solve(*args, **kwargs)
+
     monkeypatch.setattr(ProfileGrid, "state_jets", counting)
+    monkeypatch.setattr(pipeline_module, "solve_profile", counting_solve)
     cfg = write_config(tmp_path, tasks=["profile", "transversality",
                                         "poisson"])
     assert main(["run", "--config", str(cfg)]) == 0
-    assert len(calls) == 2
-    assert len(set(calls)) == 2
+    assert len(solves) == 1
+    assert calls == [4001]
+
+
+@pytest.mark.parametrize("v_plus", [1.02, 1.19])
+def test_poisson_consistency_on_the_profile_grid(tmp_path, v_plus):
+    # the default 18-e-fold grid meets the 1e-6 limit at both ends of the
+    # amplitude range (clamping v at the ends read 3.2e-6 at v+ = 1.02)
+    cfg = write_config(tmp_path, params={**REF_PARAMS, "v_plus": v_plus},
+                       tasks=["profile", "poisson"])
+    assert main(["run", "--config", str(cfg)]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    check = report["tasks"]["poisson"]["checks"]["wave_consistency"]
+    assert check["pass"] is True and check["threshold"] == 1e-6
+    assert check["value"] <= 1e-6
+    assert report["tasks"]["poisson"]["metrics"]["consistency_n"] == \
+        report["tasks"]["profile"]["metrics"]["n"]
 
 
 def _reject_constant(name):

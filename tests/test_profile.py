@@ -17,9 +17,11 @@ from nspshock.profile import (
     _banded_system,
     _residual_vector,
     default_half_length,
+    far_field_rows,
     initial_guess,
     profile_cells,
     profile_residual,
+    rhs_jacobian,
     solve_profile,
     verify_profile,
     write_profile_csv,
@@ -321,3 +323,37 @@ def test_non_finite_newton_matrix_is_a_typed_failure(monkeypatch):
     msg = str(info.value)
     assert msg.startswith("profile Newton: step 1 failed on n=201, X=100")
     assert "defect" in msg
+
+
+@pytest.mark.parametrize("delta", [0.02, 0.1, 0.19])
+def test_far_rows_are_left_eigenvectors(delta):
+    # row k is the left eigenvector of J at its end for the one fast
+    # root the orbit misses there: gamma2 at y-, gamma3 at y+
+    p = PlasmaParams(T=1.0, nu=1.0, eps=1.0, v_minus=1.0, u_minus=0.0,
+                     v_plus=1.0 + delta)
+    end = solve_rankine_hugoniot(p)
+    rows, ends = far_field_rows(p, end)
+    assert np.array_equal(ends, [[p.v_minus, end.phi_minus, 0.0],
+                                 [p.v_plus, end.phi_plus, 0.0]])
+    gammas = (fast_roots(p, end, "minus").gamma2,
+              fast_roots(p, end, "plus").gamma3)
+    for row, J, g in zip(rows, rhs_jacobian(ends, p, end), gammas):
+        assert np.linalg.norm(row) == pytest.approx(1.0, abs=1e-15)
+        assert np.max(np.abs(row @ (J - g * np.eye(3)))) <= 1e-13
+
+
+@pytest.mark.parametrize("delta", [0.02, 0.1, 0.19])
+def test_default_grid_matches_a_doubled_domain(delta):
+    # the projection rows leave an error second order in the tail gap:
+    # the default grid is the middle of a solve on twice the domain with
+    # the same step (clamping v at the ends misses it by about 3e-8 delta)
+    p = PlasmaParams(T=1.0, nu=1.0, eps=1.0, v_minus=1.0, u_minus=0.0,
+                     v_plus=1.0 + delta)
+    end = solve_rankine_hugoniot(p)
+    grid = solve_profile(p, end)
+    wide = solve_profile(p, end, X=2.0 * grid.X, n=8001)
+    middle = slice(2000, 6001)
+    assert np.allclose(wide.x[middle], grid.x, rtol=0.0, atol=1e-12 * grid.X)
+    for name in ("v", "phi", "psi"):
+        gap = np.max(np.abs(getattr(wide, name)[middle] - getattr(grid, name)))
+        assert gap <= 1e-11 * delta, name
