@@ -35,17 +35,22 @@ conjugated and the log scales unchanged.  A run evaluates its
 first-round samples (origin, both contours, the Cauchy and difference
 points) in one batch and each winding-refinement round in one more.
 
-The coefficient table keeps every k-th node of the profile grid, k the
-largest divisor of (n - 1)/2 with cells no wider than TABLE_STEP, so the
-kept nodes include both ends and x = 0.  Each cell is the quintic (C^2)
-Hermite interpolant of the values, slopes and second derivatives of A0,
-A1, A2 in A(x, lam) = A0 + lam A1 + lam^2 A2 at its two end nodes, read
-from order-4 profile jets derived at the kept nodes alone.  The
-smoothness matters: C^1 cubic cells of the same width put kinks at the
-cell ends that spoil DOP853's error control at rtol 1e-12, and batched D
-then misses one-lam-at-a-time D by up to 2e-9.  The table's error is
-measured on every build (table_error): the gap between the table and the
-exact closure at the skipped node in the middle of every cell.
+Evans reads the profile grid of the profile, transversality and
+Poisson tasks (18 decay lengths, 4001 nodes by default).  The
+coefficient table keeps every k-th node of it, k the largest divisor of
+(n - 1)/2 with cells no wider than TABLE_STEP, so the kept nodes include
+both ends and x = 0; k = 1 when no divisor fits, as at small amplitudes,
+where the grid step exceeds TABLE_STEP / 2.  Each cell is the quintic
+(C^2) Hermite interpolant of the values, slopes and second derivatives
+of A0, A1, A2 in A(x, lam) = A0 + lam A1 + lam^2 A2 at its two end
+nodes, read from order-4 profile jets derived at the kept nodes alone.
+The smoothness matters: C^1 cubic cells of the same width put kinks at
+the cell ends that spoil DOP853's error control at rtol 1e-12, and
+batched D then misses one-lam-at-a-time D by up to 2e-9.  The table's
+error is measured on every build (table_error): the gap between the
+table and the exact closure at the midpoint of every cell, where the
+profile is carried from the cell's left node by that node's own Taylor
+jet.
 
 Each right-hand-side call finds the cell of each side in the uniform
 coefficient table in O(1) and evaluates the cell's quintic for A0, A1
@@ -59,11 +64,18 @@ the fast pair of the lam = 0 sample and transports nothing of its own.
 
 Initial data at the cut ends come from the analytically continued
 eigenvectors of the limit matrices, so D inherits analyticity in lam
-and the winding counts are meaningful.  D(0) vanishes because the wave
-derivative belongs to both bundles; D'(0) is recovered two ways (a
-Cauchy integral on a small circle and central differences) and tested
-against the product of the connection coefficient Gamma with the
-planar shock determinant Delta.
+and the winding counts are meaningful.  The wedges built from them are
+corrected at first order in the tail gap (corrected_start): the
+coefficients at +-X still differ from their limits by a multiple of
+exp(gamma1 x), the profile's own decay, and one 10x10 solve per lam and
+block takes that term into the start.  What is left is quadratic in the
+gap, so 18 decay lengths give Gamma and D'(0) of a 35-decay-length
+domain to about 1e-11 relative, where the plain limit wedges missed
+them by 5e-8 to 8e-8.  D(0) vanishes because the wave derivative
+belongs to both bundles; D'(0) is recovered two ways (a Cauchy integral
+on a small circle and central differences) and tested against the
+product of the connection coefficient Gamma with the planar shock
+determinant Delta.
 
 Both Gamma and D'(0) depend on the chosen normalization of the basis
 at the cut ends (rescaling one basis column rescales both sides of the
@@ -85,17 +97,21 @@ from .eigensystem import (
     interior_coefficients,
     interior_matrix_coeffs,
     limit_matrix_coeffs,
+    refined_values,
     uniform_reader,
     wave_residual,
 )
 from .modes import (
     analytic_eigenpairs,
     default_disk_radius,
+    fast_roots,
     lams_text,
     slow_expansion,
 )
 from .params import PlasmaParams, ShockEndstates, liu_majda_delta
-from .profile import ProfileGrid, default_half_length, solve_profile
+from .profile import ProfileGrid
+# unused here; kept so that WRAPS in perfbench/tracer.py can patch it
+from .profile import solve_profile  # noqa: F401
 from .wedge import (
     lift2,
     lift3,
@@ -116,9 +132,14 @@ WORK_COUNTS = ("transports", "rhs_calls", "steps")
 # the blocks of a transport: the end each starts from (-1: +X, at
 # x = X - t; +1: -X, at x = t - X) and its lift
 BLOCKS = {"plus": (-1, "w2"), "minus": (1, "w3"), "fast": (1, "w2")}
-# widest cell of the Evans coefficient table (see table_stride); the
-# default evans_grid step is TABLE_STEP / 20
+# widest cell of the Evans coefficient table (see table_stride)
 TABLE_STEP = 0.5
+# order of the Taylor jet that carries the profile from a cell's left
+# node to its midpoint in table_error
+PROBE_ORDER = 6
+# a far-field start whose matrix has a smaller ratio of least to largest
+# singular value is singular (see corrected_start)
+START_RCOND = 1e-12
 
 
 @dataclass(frozen=True)
@@ -218,24 +239,6 @@ class EvansSystem:
         return A0 + lam * A1 + lam * lam * A2
 
 
-def evans_grid(params: PlasmaParams, end: ShockEndstates,
-               X: Optional[float] = None,
-               n: Optional[int] = None) -> ProfileGrid:
-    """Solve the profile on the domain Evans work needs.
-
-    The default half-length gives 35 decay lengths of the slow rate;
-    anything much shorter leaves a boundary gap that pollutes D(0), and
-    the gap check of build_evans_system rejects it.  The default node
-    count makes (n - 1)/2 a multiple of 20 with step at most
-    TABLE_STEP / 20 = 0.025, so the table keeps every 20th node.
-    """
-    if X is None:
-        X = default_half_length(params, end, efolds=35.0)
-    if n is None:
-        n = 2 * 20 * int(np.ceil(X / TABLE_STEP)) + 1
-    return solve_profile(params, end, X=X, n=n)
-
-
 def table_stride(n: int, X: float) -> int:
     """Largest divisor k of (n - 1)/2 with k h <= TABLE_STEP, h = 2X/(n - 1).
 
@@ -264,21 +267,27 @@ def _closure(grid: ProfileGrid, nodes, order: int):
     return A, (vj, pj, sj), tab
 
 
-def table_error(grid: ProfileGrid, stride: int, read) -> float:
-    """Relative max gap between a table reader and the exact closure.
+def table_error(grid: ProfileGrid, stride: int, table: np.ndarray) -> float:
+    """Relative max gap between a table and the exact closure at the
+    midpoint of every cell.
 
-    The probes are the nodes k // 2 + j k of the grid, k = stride: the
-    midpoint of every cell when k is even, else the skipped node next to
-    it.  read(x) is a (3, 5, 5) stack of A0, A1, A2, as uniform_reader
-    gives; the gap is divided by the largest exact coefficient.  A table
-    on every node (k = 1) skips nothing and reads 0.
+    table holds hermite_table cells of A0, A1, A2 on every stride-th node
+    of the grid.  The exact closure at a midpoint is that of the profile
+    carried there from the cell's left node by the node's own Taylor jet
+    of order PROBE_ORDER; the gap is divided by the largest exact
+    coefficient.  Every stride, 1 included, probes every cell.
     """
-    if stride == 1:
-        return 0.0
-    probes = slice(stride // 2, grid.n - 1, stride)
-    A, _, _ = _closure(grid, probes, 0)
-    got = np.array([read(xi) for xi in grid.x[probes]])
-    return float(np.max(np.abs(got - A[0])) / np.max(np.abs(A[0])))
+    left = slice(0, grid.n - 1, stride)
+    half = stride * grid.X / (grid.n - 1)
+    v, phi, psi = (np.polynomial.polynomial.polyval(half, j.coef)
+                   for j in grid.state_jets(PROBE_ORDER, left))
+    params, s = grid.params, grid.end.s
+    mid = replace(grid, x=grid.x[left] + half, v=v, phi=phi, psi=psi,
+                  u=params.u_minus - s * (v - params.v_minus), jets=None)
+    A, _, _ = _closure(mid, slice(None), 0)
+    exact = A[0].reshape(-1, 75)
+    got = refined_values(table, 2.0 * half, 2)[1::2]
+    return float(np.max(np.abs(got - exact)) / np.max(np.abs(exact)))
 
 
 def build_evans_system(grid: ProfileGrid, rtol: float = 1e-12,
@@ -330,7 +339,7 @@ def build_evans_system(grid: ProfileGrid, rtol: float = 1e-12,
         disk_radius=default_disk_radius(params, end),
         boundary_gap=float(gap),
         closure_residual=wave_residual(A[0, :, 0], W0, dW0), stride=k,
-        table_error=table_error(grid, k, uniform_reader(X, table, (3, 5, 5))),
+        table_error=table_error(grid, k, table),
         rtol=rtol, atol=atol, nseg=segment_count(X))
 
 
@@ -672,12 +681,47 @@ class EvansSample:
     logf: Optional[float] = field(default=None, repr=False, compare=False)
 
 
+def corrected_start(sys: EvansSystem, name: str, lams: np.ndarray,
+                    y0: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """The wedges of a block at its cut end, corrected for the tail gap.
+
+    y0 holds the (m, 10) limit wedges of block `name` (see BLOCKS), each
+    an eigenvector of lift(A_inf(lam)) for its shift s, where A_inf is
+    the limit matrix of the block's side.  Near the cut end x_e the
+    coefficients approach A_inf like exp(g x), with g = gamma1 of that
+    side, the profile's own decay rate, so the decaying solution starts
+    at y0 + c, where
+        (lift(A_inf) - s - g) c = -lift(A(x_e, lam) - A_inf) y0.
+    The error left is quadratic in the gap, where y0 alone errs at first
+    order.  All lam are solved in one batch.  Raises RuntimeError naming
+    the block and its lam where a matrix is singular (START_RCOND).
+    """
+    d, which = BLOCKS[name]
+    side = "plus" if d < 0 else "minus"
+    lifter = lift2 if which == "w2" else lift3
+    L0, L1 = limit_matrix_coeffs(sys.params, sys.end, side)
+    A_inf = L0 + lams[:, None, None] * L1
+    g = fast_roots(sys.params, sys.end, side).gamma1
+    M = lifter(A_inf) - (shifts + g)[:, None, None] * np.eye(10)
+    sv = np.linalg.svd(M, compute_uv=False)
+    singular = sv[:, -1] <= START_RCOND * sv[:, 0]
+    if singular.any():
+        raise RuntimeError(
+            f"Evans start: the far-field correction of the {name} block "
+            f"is singular at {lams_text(lams[singular])}")
+    gap = lifter(sys.coefficient_matrix(-d * sys.X, lams) - A_inf)
+    c = np.linalg.solve(M, -(gap @ y0[:, :, None]))
+    return y0 + c[:, :, 0]
+
+
 def evans_value(sys: EvansSystem, lam):
     """D at a scalar lam, or a list of samples for an array of lam.
 
     The unit 2-wedges decaying at +inf, the unit 3-wedges decaying at
     -inf and, at lam = 0, the fast pair at -inf are all carried to x = 0
-    in one transport (integrate_wedge); D pairs the first two.
+    in one transport (integrate_wedge); D pairs the first two.  Each
+    block starts from its limit wedges with the tail-gap correction of
+    corrected_start.
     """
     lams = np.atleast_1d(np.asarray(lam, dtype=complex))
     zero = np.flatnonzero(lams == 0)
@@ -694,7 +738,9 @@ def evans_value(sys: EvansSystem, lam):
         blocks["fast"] = (lams[zero],
                           wedge2(V_m[zero, :, i], V_m[zero, :, j]),
                           mu_m[zero, i] + mu_m[zero, j])
-    out = integrate_wedge(sys, **blocks)
+    out = integrate_wedge(sys, **{
+        name: (z, corrected_start(sys, name, z, y0, shifts), shifts)
+        for name, (z, y0, shifts) in blocks.items()})
     (w2, log2), (w3, log3) = out["plus"], out["minus"]
     fast = dict(zip(zero.tolist(), zip(*out["fast"]))) if zero.size else {}
     scale = log2 + log3

@@ -9,14 +9,13 @@ value and the threshold it was held against.
 The report is deterministic for a fixed config: keys are sorted and
 wall-clock timings are quarantined under a single "timings" key, so
 two runs differ at most there; non-finite numbers are written as null.
-The profile task, transversality and Poisson share one profile grid
-from the lazy provider _profile_grid, so each task still runs alone:
-it solves the grid on first use and derives its jets once, to order 3,
-the highest any of them reads.  Evans alone solves the longer Evans
-grid, and its table derives its own jets at the nodes it keeps; so a
-run solves one grid unless Evans runs, and two if it does.  Every task
-that reads a grid reports the Newton work of its solve as
-metrics.newton.
+The profile task, Evans, transversality and Poisson share one profile
+grid from the lazy provider _profile_grid, so each task still runs
+alone: it solves the grid on first use and derives its jets once, to
+order 3, the highest that profile, transversality and Poisson read.  The
+Evans table derives its own order-4 jets at the nodes it keeps.  A run
+solves one grid, whichever tasks it runs, and every task that reads the
+grid reports the Newton work of its solve as metrics.newton.
 """
 
 from __future__ import annotations
@@ -34,8 +33,7 @@ import numpy as np
 from .dispersion import (default_xi_grid, dispersion_curve,
                          essential_eigenvalues, resonance_polynomial,
                          symbol_matrix, write_spectrum_csv, xi0_threshold)
-from .evans import (build_evans_system, evans_grid, evans_report,
-                    write_evans_csv)
+from .evans import build_evans_system, evans_report, write_evans_csv
 from .modes import fast_roots, slow_expansion
 from .params import (PlasmaParams, finite_number, params_from_dict,
                      solve_rankine_hugoniot)
@@ -61,16 +59,13 @@ class RunConfig:
     out_dir: str
     X: float | None = None
     n: int | None = None
-    evans_X: float | None = None
-    evans_n: int | None = None
     rho: float | None = None
     n_circle: int = 32
     raw: dict | None = None
 
 
 # the kind of value each numerics key takes; null leaves the default
-_NUMERIC_KINDS = {"X": "number", "n": "odd integer", "evans_X": "number",
-                  "evans_n": "odd integer", "rho": "number",
+_NUMERIC_KINDS = {"X": "number", "n": "odd integer", "rho": "number",
                   "n_circle": "integer"}
 
 
@@ -106,9 +101,11 @@ def load_config(path, tasks=None, out_dir=None) -> RunConfig:
     extra = raw.get("numerics", {})
     if not isinstance(extra, dict):
         raise ConfigError(f"numerics must be an object, got {extra!r}")
-    unknown = set(extra) - set(_NUMERIC_KINDS)
+    unknown = sorted(set(extra) - set(_NUMERIC_KINDS))
     if unknown:
-        raise ConfigError(f"unknown numerics keys: {sorted(unknown)}")
+        raise ConfigError("unknown numerics keys: " + ", ".join(
+            f"numerics.{k}" for k in unknown)
+            + f"; valid: {', '.join(_NUMERIC_KINDS)}")
     # RunConfig holds the defaults
     numerics = {k: _numeric(k, v) for k, v in extra.items() if v is not None}
 
@@ -246,7 +243,7 @@ def _mode_metrics(params, end):
 
 
 def _profile_grid(config, end, ctx):
-    """The grid the profile task, transversality and Poisson share."""
+    """The grid every task but dispersion reads."""
     if "grid" not in ctx:
         grid = solve_profile(config.params, end, X=config.X, n=config.n)
         ctx["grid"] = replace(grid, jets=grid.state_jets(3))
@@ -254,7 +251,7 @@ def _profile_grid(config, end, ctx):
 
 
 def _task_evans(config, end, ctx, outdir):
-    grid = evans_grid(config.params, end, X=config.evans_X, n=config.evans_n)
+    grid = _profile_grid(config, end, ctx)
     esys = build_evans_system(grid)
     rep = evans_report(esys, rho=config.rho, n_circle=config.n_circle)
     ctx["evans"] = rep

@@ -29,7 +29,6 @@ from nspshock.eigensystem import (
 )
 from nspshock.evans import (
     build_evans_system,
-    evans_grid,
     circle_contour,
     evans_report,
     evans_value,
@@ -67,7 +66,7 @@ from conftest import make_params, slow_mu_quadratic
 @pytest.fixture(scope="module")
 def production_evans(params_ref, end_ref):
     t0 = time.perf_counter()
-    system = build_evans_system(evans_grid(params_ref, end_ref))
+    system = build_evans_system(solve_profile(params_ref, end_ref))
     report = evans_report(system)
     return system, report, time.perf_counter() - t0
 
@@ -268,7 +267,7 @@ def test_criterion_08_transversality(params_ref, end_ref):
         e = solve_rankine_hugoniot(p)
         X = default_half_length(p, e, efolds=18.0)
         n = 2 * int(round(X / 0.05)) + 1
-        esys = build_evans_system(evans_grid(p, e, X=X, n=n), rtol=1e-10,
+        esys = build_evans_system(solve_profile(p, e, X=X, n=n), rtol=1e-10,
                                   atol=1e-13)
         gammas.append(
             gamma_transversality(esys, evans_value(esys, 0.0)).Gamma)
@@ -312,13 +311,16 @@ def test_criterion_09_poisson(params_ref, end_ref):
 
 def test_criterion_10_robustness(params_ref, end_ref):
     t0 = time.perf_counter()
-    base = build_evans_system(evans_grid(params_ref, end_ref, n=5601),
+    # the default grid every task reads, then twice the nodes, then twice
+    # the half-length at the same step
+    base = build_evans_system(solve_profile(params_ref, end_ref),
                               rtol=1e-10, atol=1e-13)
+    assert base.n == 4001
     variants = {
-        "2n": build_evans_system(evans_grid(params_ref, end_ref, n=11201),
+        "2n": build_evans_system(solve_profile(params_ref, end_ref, n=8001),
                                  rtol=1e-10, atol=1e-13),
-        "2X": build_evans_system(evans_grid(params_ref, end_ref,
-                                            X=2.0 * base.X, n=11201),
+        "2X": build_evans_system(solve_profile(params_ref, end_ref,
+                                               X=2.0 * base.X, n=8001),
                                  rtol=1e-10, atol=1e-13),
     }
     rho = 0.5 * base.disk_radius

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp as scipy_solve_ivp
@@ -14,8 +16,8 @@ from nspshock.evans import (
     EvansSample,
     EvansSystem,
     build_evans_system,
-    evans_grid,
     circle_contour,
+    corrected_start,
     d_contour,
     derivative_points,
     evans_derivative_origin,
@@ -27,33 +29,34 @@ from nspshock.evans import (
     solve_ivp,
     table_error,
     table_stride,
+    TABLE_STEP,
     wedge_rhs,
     winding_number,
     write_evans_csv,
 )
 from nspshock import evans as evans_module
 from nspshock.params import solve_rankine_hugoniot
-from nspshock.profile import solve_profile
+from nspshock.profile import default_half_length, solve_profile
 from nspshock.transversality import build_reduced_system, reduced_tables
 from nspshock.wedge import lift2, lift3, pairing, wedge2, wedge3
 
 from conftest import limit_matrix, make_params
 
-# reduced resolution keeps the suite quick; the acceptance run uses the
-# production defaults
-_N_TEST = 5601
+# looser tolerances keep the suite quick; the acceptance run uses the
+# production ones
 _RTOL = 1e-10
 _ATOL = 1e-13
 
 
 @pytest.fixture(scope="module")
-def long_grid(params_ref, end_ref):
-    return evans_grid(params_ref, end_ref, n=_N_TEST)
+def profile_grid(params_ref, end_ref):
+    # the default profile grid, which every task reads
+    return solve_profile(params_ref, end_ref)
 
 
 @pytest.fixture(scope="module")
-def esys(long_grid):
-    return build_evans_system(long_grid, rtol=_RTOL, atol=_ATOL)
+def esys(profile_grid):
+    return build_evans_system(profile_grid, rtol=_RTOL, atol=_ATOL)
 
 
 @pytest.fixture(scope="module")
@@ -141,21 +144,21 @@ def _frozen_minus_system(params, end):
         boundary_gap=0.0, rtol=1e-12, atol=1e-14, nseg=4)
 
 
-def _tabulated_systems(long_grid, esys, stride):
+def _tabulated_systems(profile_grid, esys, stride):
     """(x, derivatives, reader) of the Evans and the reduced system: the
     values, slopes and, for Evans, second derivatives the tables are built
-    from, on every stride-th node of the Evans grid and on every node of
+    from, on every stride-th node of the profile grid and on every node of
     the reduced grid."""
-    params, end = long_grid.params, long_grid.end
+    params, end = profile_grid.params, profile_grid.end
     kept = slice(None, None, stride)
-    vj, pj, sj = long_grid.taylor_jets(4)
+    vj, pj, sj = profile_grid.taylor_jets(4)
     A = interior_matrix_coeffs(interior_coefficients(
-        long_grid.x, vj, pj, sj, params, end, order=4))
-    coef = np.stack([a.coef for a in A], axis=2).reshape(3, long_grid.n, 75)
+        profile_grid.x, vj, pj, sj, params, end, order=4))
+    coef = np.stack([a.coef for a in A], axis=2).reshape(3, profile_grid.n, 75)
     grid = solve_profile(params, end, n=3001)
     At = reduced_tables(grid)
     rsys = build_reduced_system(grid)
-    return ((long_grid.x[kept],
+    return ((profile_grid.x[kept],
              [coef[0, kept], coef[1, kept], 2.0 * coef[2, kept]],
              esys.coefficients),
             (grid.x, [At.value.reshape(grid.n, 9),
@@ -163,24 +166,25 @@ def _tabulated_systems(long_grid, esys, stride):
              uniform_reader(rsys.X, rsys.table, (3, 3))))
 
 
-def test_table_slopes_match_spline_derivative(long_grid, esys):
+def test_table_slopes_match_spline_derivative(profile_grid, esys):
     # the jet slopes of A0, A1, A2 and of Atilde are the derivatives of
     # the tabulated functions: a wrong slope leaves every node value,
     # and so the closure residual, unchanged.  A spline derivative is only
     # accurate enough on the fine grid, so every grid node is used
-    for x, (values, slopes, *_), _ in _tabulated_systems(long_grid, esys, 1):
+    for x, (values, slopes, *_), _ in _tabulated_systems(profile_grid, esys,
+                                                         1):
         ref = CubicSpline(x, values, axis=0).derivative()(x)
         assert np.max(np.abs(slopes - ref)) <= 1e-8 * np.max(np.abs(slopes))
 
 
-def test_uniform_lookup_matches_spline(long_grid, esys):
+def test_uniform_lookup_matches_spline(profile_grid, esys):
     # the Evans system (quintic cells on every esys.stride-th node) and the
     # reduced system (cubic cells on every node) read through one lookup:
     # node values to round-off (a node whose cell index rounds down is
     # read at the right end of the cell before it), and between the nodes
     # scipy's Hermite interpolant of the same node derivatives
     assert esys.stride > 1
-    for x, derivs, read in _tabulated_systems(long_grid, esys, esys.stride):
+    for x, derivs, read in _tabulated_systems(profile_grid, esys, esys.stride):
         for xi, value in zip(x, derivs[0]):
             got = read(xi).ravel()
             assert np.max(np.abs(got - value)) <= 1e-15 * np.max(np.abs(value))
@@ -193,47 +197,58 @@ def test_uniform_lookup_matches_spline(long_grid, esys):
         assert worst <= 1e-12
 
 
-def test_table_error_detects_wrong_curvature(long_grid, esys):
-    # the reported error of the table against the exact closure between
-    # its nodes; a table built with half the second derivatives keeps
-    # every node value and slope, and only this check sees it
-    (x, (values, slopes, curvatures), _), _ = _tabulated_systems(
-        long_grid, esys, esys.stride)
+@pytest.fixture(scope="module")
+def coarse_grid(params_ref, end_ref):
+    # a step of 0.36 is wider than half of TABLE_STEP, so the table keeps
+    # every node, as on the default grid at delta = 0.02 (step 0.33)
+    return solve_profile(params_ref, end_ref, n=801)
+
+
+def test_table_error_detects_wrong_curvature(profile_grid, esys, coarse_grid):
+    # the reported error of the table against the exact closure at the
+    # midpoint of every cell; a table built with half the second
+    # derivatives keeps every node value and slope, and only this check
+    # sees it, also on a table that keeps every node
+    assert table_stride(coarse_grid.n, coarse_grid.X) == 1
+    coarse = build_evans_system(coarse_grid)
+    assert coarse.stride == 1 and 0.0 < coarse.table_error <= 1e-8
     assert 0.0 < esys.table_error <= 1e-8
-    for factor, fails in ((1.0, False), (0.5, True)):
-        table = hermite_table(x, values, slopes, factor * curvatures)
-        err = table_error(long_grid, esys.stride,
-                          uniform_reader(esys.X, table, (3, 5, 5)))
-        assert (err > 1e-8) == fails
+    for grid, stride in ((profile_grid, esys.stride), (coarse_grid, 1)):
+        (x, (values, slopes, curvatures), _), _ = _tabulated_systems(
+            grid, esys, stride)
+        for factor, fails in ((1.0, False), (0.5, True)):
+            table = hermite_table(x, values, slopes, factor * curvatures)
+            assert (table_error(grid, stride, table) > 1e-8) == fails
 
 
-def test_thinned_table_keeps_gamma(long_grid, esys, monkeypatch):
+def test_thinned_table_keeps_gamma(profile_grid, esys, monkeypatch):
     # quintic cells on every stride-th node against cells on every node,
     # at the production tolerances
     def gamma(system):
         return gamma_transversality(system, evans_value(system, 0.0)).Gamma
 
-    thin = build_evans_system(long_grid)
+    thin = build_evans_system(profile_grid)
     monkeypatch.setattr(evans_module, "TABLE_STEP", 0.0)
-    full = build_evans_system(long_grid)
-    assert full.table_shape["nodes"] == long_grid.n and full.table_error == 0
+    full = build_evans_system(profile_grid)
+    assert full.table_shape["nodes"] == profile_grid.n
+    assert 0.0 < full.table_error <= thin.table_error <= 1e-8
     assert thin.table_shape["stride"] == esys.stride > 1
     assert abs(gamma(thin) - gamma(full)) <= 1e-10 * abs(gamma(full))
 
 
-def test_table_stride_keeps_ends_and_origin(long_grid, monkeypatch):
+def test_table_stride_keeps_ends_and_origin(profile_grid, monkeypatch):
     # the largest divisor of (n - 1)/2 with cells at most TABLE_STEP wide
     assert table_stride(2 * 7220 + 1, 180.4) == 20
     # 7207 has no divisor from 2 to 20
     assert table_stride(2 * 7207 + 1, 180.2) == 1
     assert table_stride(2 * 2800 + 1, 2800 * 0.6) == 1
-    # a stride that misses an end or x = 0 (long_grid has n = 5601) is a
+    # a stride that misses an end or x = 0 (profile_grid has n = 4001) is a
     # typed build error
     for stride, where in ((3, "end"), (32, "x = 0")):
         monkeypatch.setattr(evans_module, "table_stride",
                             lambda n, X: stride)
         with pytest.raises(RuntimeError, match=f"Evans build: .*{where}"):
-            build_evans_system(long_grid)
+            build_evans_system(profile_grid)
 
 
 def test_lookup_rejects_nonuniform_grid():
@@ -283,6 +298,74 @@ def test_frozen_coefficients_transport_eigenwedge(params_ref, end_ref):
                                    minus=(lam, w3_init, shift))["minus"]
     final = y * np.exp(log_scale)
     assert np.linalg.norm(final - w3_init) < 1e-9 * np.linalg.norm(w3_init)
+
+
+def test_frozen_coefficients_need_no_start_correction(params_ref, end_ref):
+    # where A(-X) is the minus limit the correction c vanishes exactly; at
+    # +X the same frozen table is not the plus limit, and c does not
+    frozen = _frozen_minus_system(params_ref, end_ref)
+    lams = np.array([0.0, 3e-4 + 2e-4j, -5e-4j])
+    mu, V = evans_module._side_modes(frozen, "minus", lams)
+    i, j, k = MINUS_TRIPLE
+    y0 = wedge3(V[:, :, i], V[:, :, j], V[:, :, k])
+    shifts = mu[:, i] + mu[:, j] + mu[:, k]
+    assert np.array_equal(corrected_start(frozen, "minus", lams, y0, shifts),
+                          y0)
+    i, j = MINUS_FAST
+    y0 = wedge2(V[:1, :, i], V[:1, :, j])
+    assert np.array_equal(corrected_start(frozen, "fast", lams[:1], y0,
+                                          mu[:1, i] + mu[:1, j]), y0)
+    mu, V = evans_module._side_modes(frozen, "plus", lams)
+    i, j = PLUS_PAIR
+    y0 = wedge2(V[:, :, i], V[:, :, j])
+    c = corrected_start(frozen, "plus", lams, y0, mu[:, i] + mu[:, j]) - y0
+    assert np.all(np.linalg.norm(c, axis=1) > 1e-3 * np.linalg.norm(y0,
+                                                                   axis=1))
+
+
+def test_singular_start_correction_is_a_typed_error(esys, monkeypatch):
+    # with g = 0 the matrix lift(A_inf) - s - g has the limit wedge itself
+    # in its kernel
+    monkeypatch.setattr(evans_module, "fast_roots",
+                        lambda params, end, side: SimpleNamespace(gamma1=0.0))
+    with pytest.raises(RuntimeError, match=(
+            r"Evans start: the far-field correction of the plus block is "
+            r"singular at lam = \[0\+0j, 0\.0001\+0j\]")):
+        evans_value(esys, np.array([0.0, 1e-4]))
+
+
+def _oracle_grid(params, end):
+    """The profile on 35 decay lengths with step at most 0.025 and
+    (n - 1)/2 a multiple of 20, the grid Evans read before its start was
+    corrected."""
+    X = default_half_length(params, end, efolds=35.0)
+    return solve_profile(params, end, X=X,
+                         n=2 * 20 * int(np.ceil(X / TABLE_STEP)) + 1)
+
+
+def _gamma_and_derivative(system):
+    """Gamma and the Cauchy D'(0) of evans_report, on 16 points."""
+    rho = 0.5 * system.disk_radius
+    evaluate, store = make_evaluator(system)
+    evaluate(np.concatenate([[0.0], derivative_points(rho, 16)]))
+    dprime, _ = evans_derivative_origin(evaluate, rho, n_quad=16)
+    return gamma_transversality(system, store[0j]).Gamma, dprime
+
+
+@pytest.mark.parametrize("delta", [0.02, 0.1, 0.18])
+def test_corrected_start_matches_a_long_domain(delta):
+    # on the default 18-e-fold grid the corrected start gives Gamma and
+    # D'(0) of the 35-e-fold oracle to 1e-11; the limit wedges alone miss
+    # them by 5e-8 to 8e-8
+    params = make_params(delta)
+    end = solve_rankine_hugoniot(params)
+    system = build_evans_system(solve_profile(params, end))
+    assert 0.0 < system.table_error <= 1e-8
+    gamma, dprime = _gamma_and_derivative(system)
+    gamma_ref, dprime_ref = _gamma_and_derivative(
+        build_evans_system(_oracle_grid(params, end)))
+    assert abs(gamma - gamma_ref) <= 1e-10 * abs(gamma_ref)
+    assert abs(dprime - dprime_ref) <= 1e-10 * abs(dprime_ref)
 
 
 def test_transport_failures_name_segment_and_lambda(params_ref, end_ref):
@@ -339,7 +422,8 @@ def test_dop853_matches_scipy(rng, t_span):
 
 def test_boundary_gap_rejects_short_domain(params_ref, end_ref):
     with pytest.raises(RuntimeError, match="too short"):
-        build_evans_system(evans_grid(params_ref, end_ref, X=100.0, n=2001))
+        build_evans_system(solve_profile(params_ref, end_ref, X=100.0,
+                                         n=2001))
 
 
 def test_value_at_origin_is_tiny(esys, report):
@@ -465,30 +549,30 @@ def agreement_system(request):
     # the production grid and tolerances; see the test below
     params = make_params(request.param)
     end = solve_rankine_hugoniot(params)
-    return build_evans_system(evans_grid(params, end))
+    return build_evans_system(solve_profile(params, end))
 
 
 def test_production_table_is_thinned(agreement_system):
-    # the default grid keeps x = 0 and every 20th node: (n - 1)/2 is a
-    # multiple of 20 and h <= 0.025, so cells are at most 0.5 wide; the
-    # quintic table takes at most a tenth of the bytes of cubic cells on
-    # every node
+    # the default grid (4001 nodes) keeps x = 0 and every k-th node, k the
+    # largest divisor of 2000 with cells at most TABLE_STEP wide: 5 at
+    # delta = 0.1 (h = 0.072), 10 at delta = 0.17 (h = 0.046); the
+    # quintic table takes 6 / (4 k) of the bytes of cubic cells on every
+    # node
     n, X = agreement_system.n, agreement_system.X
-    assert (n - 1) // 2 % 20 == 0 and 2.0 * X / (n - 1) <= 0.025
+    k = {0.1: 5, 0.17: 10}[round(agreement_system.params.delta_s, 6)]
+    assert n == 4001 and k * 2.0 * X / (n - 1) <= TABLE_STEP
     assert agreement_system.table_shape == {
-        "stride": 20, "nodes": (n - 1) // 20 + 1,
-        "step": pytest.approx(40.0 * X / (n - 1), rel=1e-14)}
-    assert agreement_system.table.nbytes <= 0.1 * 4 * (n - 1) * 75 * 8
-    assert agreement_system.table_error <= 1e-8
+        "stride": k, "nodes": (n - 1) // k + 1,
+        "step": pytest.approx(2.0 * k * X / (n - 1), rel=1e-14)}
+    assert agreement_system.table.nbytes == 6 * (n - 1) // k * 75 * 8
+    assert 0.0 < agreement_system.table_error <= 1e-8
 
 
 def test_batched_transport_matches_one_at_a_time(agreement_system):
     # DOP853 controls the RMS error of the whole batched state, so the
     # step sizes are shared by all lam; this must cost nothing against
-    # one lam per integration.  On coarser grids (h = 0.1 as in the esys
-    # fixture, or 0.05) one-at-a-time D is itself off by 1e-11 to 1.5e-10
-    # from a tightly integrated value, so only the production grid
-    # (h about 0.025) makes a 1e-10 agreement a test of the batching
+    # one lam per integration.  On the production grid and tolerances the
+    # two agree to about 7e-13 at delta = 0.1 and 3e-13 at delta = 0.16
     rho = 0.5 * agreement_system.disk_radius
     lams = (rho * np.linspace(0.3, 1.9, 8)
             * np.exp(2j * np.pi * (np.arange(8) + 0.3) / 8))
@@ -524,21 +608,27 @@ def _transport_alone(system, which, lams, y0, shifts, x_from):
 def _per_side_samples(system, lams):
     """Evans samples from three separate transports: the plus 2-wedges
     backward from +X, the minus 3-wedges and the fast pair at lam = 0
-    forward from -X."""
+    forward from -X, each from its corrected start."""
     mu_p, V_p = evans_module._side_modes(system, "plus", lams)
     mu_m, V_m = evans_module._side_modes(system, "minus", lams)
+
+    def alone(name, lams, y0, shifts):
+        d, which = BLOCKS[name]
+        return _transport_alone(
+            system, which, lams,
+            corrected_start(system, name, lams, y0, shifts), shifts,
+            -d * system.X)
+
     i, j = PLUS_PAIR
-    w2, log2 = _transport_alone(system, "w2", lams,
-                                wedge2(V_p[:, :, i], V_p[:, :, j]),
-                                mu_p[:, i] + mu_p[:, j], system.X)
+    w2, log2 = alone("plus", lams, wedge2(V_p[:, :, i], V_p[:, :, j]),
+                     mu_p[:, i] + mu_p[:, j])
     i, j, k = MINUS_TRIPLE
-    w3, log3 = _transport_alone(
-        system, "w3", lams, wedge3(V_m[:, :, i], V_m[:, :, j], V_m[:, :, k]),
-        mu_m[:, i] + mu_m[:, j] + mu_m[:, k], -system.X)
+    w3, log3 = alone("minus", lams,
+                     wedge3(V_m[:, :, i], V_m[:, :, j], V_m[:, :, k]),
+                     mu_m[:, i] + mu_m[:, j] + mu_m[:, k])
     i, j = MINUS_FAST
-    wf, logf = _transport_alone(system, "w2", lams[:1],
-                                wedge2(V_m[:1, :, i], V_m[:1, :, j]),
-                                mu_m[:1, i] + mu_m[:1, j], -system.X)
+    wf, logf = alone("fast", lams[:1], wedge2(V_m[:1, :, i], V_m[:1, :, j]),
+                     mu_m[:1, i] + mu_m[:1, j])
     D = pairing(w2, w3) * np.exp(log2 + log3)
     return [EvansSample(complex(z), complex(D[n]), float(log2[n] + log3[n]),
                         w2[n], float(log2[n]), w3[n], float(log3[n]),
@@ -566,8 +656,8 @@ def test_fused_transport_matches_per_side_transports(agreement_system):
 
 
 def test_domain_doubling_leaves_bundles_fixed(esys, params_ref, end_ref):
-    big = build_evans_system(evans_grid(params_ref, end_ref, X=2.0 * esys.X,
-                                        n=2 * _N_TEST - 1),
+    big = build_evans_system(solve_profile(params_ref, end_ref,
+                                           X=2.0 * esys.X, n=2 * esys.n - 1),
                              rtol=_RTOL, atol=_ATOL)
     a, b = evans_value(esys, 0.0), evans_value(big, 0.0)
     assert np.linalg.norm(a.w2 - b.w2) < 1e-8

@@ -84,11 +84,13 @@ def test_dispersion_only_writes_only_spectrum(tmp_path):
 
 @pytest.mark.parametrize("numerics, key", [
     ({"X": "a"}, "numerics.X"),
-    ({"evans_X": True}, "numerics.evans_X"),
+    # X and n set the one grid every task reads; the keys of the former
+    # Evans grid are unknown keys now, whatever their value
+    ({"evans_X": 630.0}, "numerics.evans_X"),
     ({"rho": float("inf")}, "numerics.rho"),
     ({"n": True}, "numerics.n"),
     ({"n": 4000}, "numerics.n"),
-    ({"evans_n": 5600}, "numerics.evans_n"),
+    ({"evans_n": 5601}, "numerics.evans_n"),
     ({"n_circle": 2.5}, "numerics.n_circle"),
     ([32], "numerics"),
 ])
@@ -142,7 +144,7 @@ def test_poisson_alone_solves_no_profile_task(tmp_path):
 
 
 def test_evans_alone_solves_no_profile_task(tmp_path):
-    cfg = write_config(tmp_path, numerics={"evans_n": 5601, "n_circle": 16})
+    cfg = write_config(tmp_path, numerics={"n_circle": 16})
     assert main(["run", "--config", str(cfg), "--tasks", "evans"]) == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert list(report["tasks"]) == ["evans"]
@@ -186,20 +188,20 @@ def test_report_deterministic_modulo_timings(tmp_path):
 def test_transversality_reports_gamma_consistency(tmp_path):
     cfg = write_config(
         tmp_path, tasks=["evans", "transversality", "poisson"],
-        numerics={"evans_n": 5601, "n_circle": 16})
+        numerics={"n_circle": 16})
     assert main(["run", "--config", str(cfg)]) == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     checks = report["tasks"]["transversality"]["checks"]
     assert checks["gamma_consistency"]["pass"] is True
     assert checks["gamma_consistency"]["value"] > 0.0
-    # Poisson runs on the profile grid transversality solved, not on the
-    # Evans grid
+    # transversality and Poisson read the grid Evans solved
     poisson = report["tasks"]["poisson"]
     assert poisson["passed"] is True
     assert poisson["metrics"]["consistency_n"] == 4001
-    assert poisson["metrics"]["newton"] == \
-        report["tasks"]["transversality"]["metrics"]["newton"]
-    assert report["tasks"]["evans"]["metrics"]["n"] == 5601
+    newton = report["tasks"]["evans"]["metrics"]["newton"]
+    assert poisson["metrics"]["newton"] == newton
+    assert report["tasks"]["transversality"]["metrics"]["newton"] == newton
+    assert report["tasks"]["evans"]["metrics"]["n"] == 4001
 
 
 @pytest.fixture(scope="module")
@@ -221,12 +223,12 @@ def test_reference_run_reports_its_table(reference_report):
     check = evans["checks"]["table_error"]
     assert check["pass"] is True and check["threshold"] == 1e-8
     assert 0.0 < check["value"] < 1e-10
-    # the table keeps every 20th node of the grid; metrics.n stays the
-    # grid's node count
+    # the table keeps every 5th node of the 4001-node grid (step 0.072);
+    # metrics.n stays the grid's node count
     metrics = evans["metrics"]
     table = metrics["table"]
-    assert table["stride"] == 20
-    assert table["nodes"] == (metrics["n"] - 1) // 20 + 1
+    assert table["stride"] == 5
+    assert table["nodes"] == (metrics["n"] - 1) // 5 + 1 == 801
     assert table["step"] == pytest.approx(
         2.0 * metrics["X"] / (table["nodes"] - 1), rel=1e-14)
 
@@ -239,12 +241,13 @@ def test_reference_run_reports_newton_work(reference_report):
         assert isinstance(entry["iterations"], int)
         assert entry["iterations"] > 0
         assert 0.0 <= entry["defect"] <= 1e-12
-    # two grids: the profile grid, which Poisson reads too, and the Evans
-    # grid
-    assert newton["transversality"] == newton["profile"]
-    assert newton["poisson"] == newton["profile"]
-    assert tasks["poisson"]["metrics"]["consistency_n"] == \
-        tasks["profile"]["metrics"]["n"]
+    # one grid, which every task reads
+    for name in ("evans", "transversality", "poisson"):
+        assert newton[name] == newton["profile"]
+    profile = tasks["profile"]["metrics"]
+    assert tasks["poisson"]["metrics"]["consistency_n"] == profile["n"]
+    evans = tasks["evans"]["metrics"]
+    assert (evans["n"], evans["X"]) == (profile["n"], profile["X"])
 
 
 def test_newton_failure_is_the_task_error(tmp_path, monkeypatch):
@@ -279,15 +282,17 @@ def test_dissipation_violation_is_a_failed_check(tmp_path, monkeypatch):
 
 
 def test_each_grid_computes_its_jets_once(tmp_path, monkeypatch):
-    # profile, transversality and Poisson share one grid: one solve and
-    # one jet derivation on its nodes
+    # all five tasks share one grid: one solve and one order-3 jet
+    # derivation on its nodes; Evans derives its own jets at the nodes its
+    # table keeps (and carries to the cell midpoints) alone
     calls, solves = [], []
     original = ProfileGrid.state_jets
     original_solve = pipeline_module.solve_profile
 
-    def counting(self, *args, **kwargs):
-        calls.append(self.n)
-        return original(self, *args, **kwargs)
+    def counting(self, order=5, nodes=slice(None)):
+        jets = original(self, order, nodes)
+        calls.append((order, jets[0].value.size))
+        return jets
 
     def counting_solve(*args, **kwargs):
         solves.append(1)
@@ -295,11 +300,14 @@ def test_each_grid_computes_its_jets_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(ProfileGrid, "state_jets", counting)
     monkeypatch.setattr(pipeline_module, "solve_profile", counting_solve)
-    cfg = write_config(tmp_path, tasks=["profile", "transversality",
-                                        "poisson"])
+    cfg = write_config(tmp_path, numerics={"n_circle": 16})
     assert main(["run", "--config", str(cfg)]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert sorted(report["tasks"]) == sorted(pipeline_module.TASKS)
     assert len(solves) == 1
-    assert calls == [4001]
+    assert [nodes for order, nodes in calls if order == 3] == [4001]
+    kept = report["tasks"]["evans"]["metrics"]["table"]["nodes"]
+    assert all(nodes <= kept for order, nodes in calls if order != 3)
 
 
 @pytest.mark.parametrize("v_plus", [1.02, 1.19])
