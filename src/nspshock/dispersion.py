@@ -87,19 +87,6 @@ def decay_constant(params: PlasmaParams) -> float:
                params.T / (params.nu * params.v_plus))
 
 
-def dissipation_margin(params: PlasmaParams, end: ShockEndstates, side: str,
-                       xi):
-    """Pointwise margin -max_j Re lam_j - theta0 xi^2/(1+xi^2).
-
-    Returns (margin, theta0); the bound holds where the margin is >= 0.
-    """
-    xi = np.asarray(xi, dtype=float)
-    lam1, lam2 = essential_eigenvalues(params, end, side, xi)
-    theta0 = decay_constant(params)
-    margin = -np.maximum(lam1.real, lam2.real) - theta0 * xi**2 / (1.0 + xi**2)
-    return margin, theta0
-
-
 @dataclass(frozen=True)
 class DispersionCurve:
     side: str
@@ -113,9 +100,13 @@ class DispersionCurve:
 
 def dispersion_curve(params: PlasmaParams, end: ShockEndstates, side: str,
                      xi) -> DispersionCurve:
+    """Both eigenvalue curves on xi and the dissipation margin
+    -max_j Re lam_j - theta0 xi^2/(1+xi^2), which is >= 0 where the bound
+    holds; the curves are evaluated once for both."""
     xi = np.asarray(xi, dtype=float)
     lam1, lam2 = essential_eigenvalues(params, end, side, xi)
-    margin, theta0 = dissipation_margin(params, end, side, xi)
+    theta0 = decay_constant(params)
+    margin = -np.maximum(lam1.real, lam2.real) - theta0 * xi**2 / (1.0 + xi**2)
     _, xi0 = xi0_threshold(params, side)
     return DispersionCurve(side=side, xi=xi, lam1=lam1, lam2=lam2,
                            margin=margin, xi0=xi0, theta0=theta0)

@@ -7,21 +7,24 @@ solutions at -inf as a 3-wedge integrated forward, both shifted by the
 sum of their limiting rates so the bundle of interest is neutral and
 every contaminating bundle contracts.  D is the duality pairing of the
 two wedges at the matching point x = 0, which equals the 5x5
-determinant of any column representatives; per-segment positive
-renormalization factors are returned to log scale and multiplied back,
-so the computed value stays the analytic determinant.
+determinant of any column representatives.  Each transported row is
+divided there by its norm, a positive real factor kept as a log scale
+and multiplied back, so the computed value stays the analytic
+determinant.
 
 One transport carries a whole batch of lam.  It runs over the
 pseudo-time t in [0, X]: the 2-wedges from +X sit at x = X - t (their
 right-hand side changes sign), the 3-wedges from -X at x = t - X, and
 on a batch that holds lam = 0 Gamma's fast pair at -inf rides along as
 one more 2-wedge row at x = t - X.  All rows are one (rows, 10) state,
-and `integrate_wedge` loops over the renormalization segments: one
-DOP853 solve per segment, then each row divided by its norm, whose log
-goes to the row's scale.  Each right-hand-side call reads the
+and `integrate_wedge` carries it in one DOP853 solve over the whole of
+[0, X].  The shifts keep every row O(1) on the way (|log scale| at
+x = 0 is at most 2.01 from delta = 0.02 to 0.182), so nothing is
+renormalized in between.  Each right-hand-side call reads the
 coefficient cell of both sides.  The DOP853 step is this module's
 `solve_ivp`, a port of scipy.integrate's that takes the same steps and
-right-hand-side calls, so the package never imports scipy.integrate.
+right-hand-side calls and keeps only the end state, so the package never
+imports scipy.integrate.
 The step control then bounds the RMS error over the batch instead of
 each wedge's own; the agreement test in tests/test_evans.py holds
 batched D to one-lam-at-a-time D within 1e-10 relative on the
@@ -215,7 +218,6 @@ class EvansSystem:
     table_error: float = float("nan")
     rtol: float = 1e-12
     atol: float = 1e-14
-    nseg: int = 14
     # running totals of the transports made with this system (WORK_COUNTS)
     # and of the evaluator rounds and lam they carried
     work: dict = field(default_factory=lambda: dict.fromkeys(
@@ -340,7 +342,7 @@ def build_evans_system(grid: ProfileGrid, rtol: float = 1e-12,
         boundary_gap=float(gap),
         closure_residual=wave_residual(A[0, :, 0], W0, dW0), stride=k,
         table_error=table_error(grid, k, table),
-        rtol=rtol, atol=atol, nseg=segment_count(X))
+        rtol=rtol, atol=atol)
 
 
 def _side_modes(sys: EvansSystem, side: str, lams: np.ndarray):
@@ -497,7 +499,7 @@ MAX_FACTOR = 10.0  # largest increase of the step after an acceptance
 
 @dataclass(frozen=True)
 class IvpResult:
-    """What solve_ivp returns: the state y[:, i] at each accepted t[i]."""
+    """What solve_ivp returns: every accepted t and the state y at the last."""
 
     t: np.ndarray
     y: np.ndarray
@@ -513,12 +515,12 @@ def _rms(z) -> float:
 def solve_ivp(fun, t_span, y0, rtol: float, atol: float) -> IvpResult:
     """Integrate y' = fun(t, y) over t_span by DOP853; y0 may be complex.
 
-    The steps, right-hand-side calls and results are those of
+    The steps, right-hand-side calls and end state are those of
     scipy.integrate.solve_ivp(fun, t_span, y0, method="DOP853", rtol=rtol,
     atol=atol): the same initial-step rule (error order 7), combined E5/E3
-    error norm and step-factor limits.  A step size that falls below ten
-    spacings of the floating-point numbers at t ends the integration with
-    success False.
+    error norm and step-factor limits.  Only the end state is kept.  A
+    step size that falls below ten spacings of the floating-point numbers
+    at t ends the integration with success False at the last accepted t.
     """
     t, t_bound = map(float, t_span)
     y = np.asarray(y0)
@@ -548,7 +550,7 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol: float) -> IvpResult:
     h_abs = min(100 * h0, h1, length)
 
     K = np.empty((13, y.size), dtype=dtype)
-    ts, ys = [t], [y]
+    ts = [t]
     message = ("The solver successfully reached the end of the "
                "integration interval.")
     while t != t_bound:
@@ -560,8 +562,7 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol: float) -> IvpResult:
             if h_abs < min_step:
                 message = ("Required step size is less than spacing "
                            "between numbers.")
-                return IvpResult(np.array(ts), np.stack(ys, axis=1), nfev,
-                                 False, message)
+                return IvpResult(np.array(ts), y, nfev, False, message)
             t_new = t + h_abs * direction
             if direction * (t_new - t_bound) > 0:
                 t_new = t_bound
@@ -593,13 +594,7 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol: float) -> IvpResult:
             rejected = True
         t, y, f = t_new, y_new, f_new
         ts.append(t)
-        ys.append(y)
-    return IvpResult(np.array(ts), np.stack(ys, axis=1), nfev, True, message)
-
-
-def segment_count(X: float) -> int:
-    """Renormalization segments of a transport over a half-line of length X."""
-    return max(8, int(round(X / 20.0)))
+    return IvpResult(np.array(ts), y, nfev, True, message)
 
 
 def integrate_wedge(sys: EvansSystem, **blocks):
@@ -609,15 +604,17 @@ def integrate_wedge(sys: EvansSystem, **blocks):
     "minus": 3-wedges from -X, "fast": 2-wedges from -X) and gives
     (lams, y0, shifts): m values of lam, the (m, 10) wedges at the block's
     end and one shift per lam.  All rows travel as one DOP853 state over
-    the pseudo-time t in [0, X] (see wedge_rhs) on sys.nseg equal
-    segments, the same x breakpoints on either side; at each segment end
-    every row is divided by its norm, whose log goes to that row's scale.
-    Returns {name: (unit rows, log scales)}.  The renormalization factors
+    the pseudo-time t in [0, X] (see wedge_rhs) in one solve_ivp call: the
+    shifts keep every row O(1) along the way, so nothing is renormalized
+    in between.  At x = 0 every row is divided by its norm, whose log is
+    the row's scale.  Returns {name: (unit rows, log scales)}.  The norms
     are real and positive, so multiplying them back preserves analyticity
     of anything built from the result.  The transport, its right-hand-side
-    calls and its steps are added to sys.work; a failure is a RuntimeError
-    naming each block concerned, its segment in its own x and the lam of
-    its rows.
+    calls and its steps are added to sys.work.  A failure is a
+    RuntimeError naming each block concerned, the x in its own frame where
+    the solver stopped and the lam of its rows: a failed solve names every
+    block at its last accepted t, a zero or non-finite row at x = 0 its
+    own block.
     """
     parts, slices, start = {}, {}, 0
     for name, (lam, y0, shift) in blocks.items():
@@ -630,38 +627,35 @@ def integrate_wedge(sys: EvansSystem, **blocks):
     lams = np.concatenate([p[0] for p in parts.values()])
     rhs = wedge_rhs(sys, {name: (p[0], p[2]) for name, p in parts.items()})
 
-    def failure(reason, a, b, rows, detail):
-        """The error for the rows (a mask) failing on the segment [a, b]."""
+    def failure(reason, t, rows, detail):
+        """The error for the rows (a mask) failing at pseudo-time t."""
         where = []
         for name, part in slices.items():
             if rows[part].any():
-                d = BLOCKS[name][0]
-                where.append(f"{reason} on [{_side_x(d, a, sys.X)}, "
-                             f"{_side_x(d, b, sys.X)}] for "
+                x = _side_x(BLOCKS[name][0], t, sys.X)
+                where.append(f"{reason} at x = {x} for "
                              f"{lams_text(lams[part][rows[part]])} "
                              f"({name} block)")
         return RuntimeError("Evans transport: " + "; ".join(where)
                             + f": {detail}")
 
-    Y = np.concatenate([p[1] for p in parts.values()])
-    log_scale = np.zeros(start)
-    ts = np.linspace(0.0, sys.X, sys.nseg + 1)
+    Y0 = np.concatenate([p[1] for p in parts.values()])
     sys.work["transports"] += 1
-    for a, b in zip(ts[:-1], ts[1:]):
-        sol = solve_ivp(rhs, (a, b), Y.ravel(), rtol=sys.rtol, atol=sys.atol)
-        sys.work["rhs_calls"] += sol.nfev
-        sys.work["steps"] += sol.t.size - 1
-        if not sol.success:
-            raise failure("integration failed", a, b, np.ones(start, bool),
-                          sol.message)
-        Y = sol.y[:, -1].reshape(start, -1)
-        norm = np.linalg.norm(Y, axis=1)
-        bad = ~np.isfinite(norm) | (norm == 0.0)
-        if bad.any():
-            raise failure("renormalization broke down", a, b, bad,
-                          f"norms {norm[bad][:6]}")
-        Y = Y / norm[:, None]
-        log_scale += np.log(norm)
+    sol = solve_ivp(rhs, (0.0, sys.X), Y0.ravel(), rtol=sys.rtol,
+                    atol=sys.atol)
+    sys.work["rhs_calls"] += sol.nfev
+    sys.work["steps"] += sol.t.size - 1
+    if not sol.success:
+        raise failure("integration failed", sol.t[-1], np.ones(start, bool),
+                      sol.message)
+    Y = sol.y.reshape(start, -1)
+    norm = np.linalg.norm(Y, axis=1)
+    bad = ~np.isfinite(norm) | (norm == 0.0)
+    if bad.any():
+        raise failure("normalization broke down", sys.X, bad,
+                      f"norms {norm[bad][:6]}")
+    Y = Y / norm[:, None]
+    log_scale = np.log(norm)
     return {name: (Y[rows], log_scale[rows]) for name, rows in slices.items()}
 
 

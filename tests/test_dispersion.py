@@ -3,7 +3,6 @@ import numpy as np
 from nspshock.dispersion import (
     decay_constant,
     dispersion_curve,
-    dissipation_margin,
     essential_eigenvalues,
     resonance_polynomial,
     symbol_matrix,
@@ -69,10 +68,10 @@ def test_decay_constant_reference(params_ref):
 def test_dissipation_margin_nonnegative(params_ref, end_ref):
     xi = np.linspace(-50.0, 50.0, 10000)
     for side in ("minus", "plus"):
-        margin, th = dissipation_margin(params_ref, end_ref, side, xi)
+        margin = dispersion_curve(params_ref, end_ref, side, xi).margin
         assert np.min(margin) >= -1e-12
     # margin vanishes at xi=0
-    m0, _ = dissipation_margin(params_ref, end_ref, "minus", np.array([0.0]))
+    m0 = dispersion_curve(params_ref, end_ref, "minus", np.array([0.0])).margin
     assert m0[0] == 0.0
 
 

@@ -1,3 +1,4 @@
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -141,7 +142,7 @@ def _frozen_minus_system(params, end):
         params=params, end=end, X=40.0, n=161,
         table=hermite_table(x, stacked, np.zeros_like(stacked)),
         W0_mid=np.zeros(5), b1_mid=0.0, b2_mid=0.0, disk_radius=1e-3,
-        boundary_gap=0.0, rtol=1e-12, atol=1e-14, nseg=4)
+        boundary_gap=0.0, rtol=1e-12, atol=1e-14)
 
 
 def _tabulated_systems(profile_grid, esys, stride):
@@ -368,33 +369,82 @@ def test_corrected_start_matches_a_long_domain(delta):
     assert abs(dprime - dprime_ref) <= 1e-10 * abs(dprime_ref)
 
 
-def test_transport_failures_name_segment_and_lambda(params_ref, end_ref):
+def test_transport_failures_name_segment_and_lambda(params_ref, end_ref,
+                                                    monkeypatch):
     frozen = _frozen_minus_system(params_ref, end_ref)
     lams = np.array([1e-4, 2e-4j, 3e-4])
     y0 = np.ones((3, 10), dtype=complex)
-    # a row with nothing to renormalize breaks down on the first segment
+    # a row with nothing to normalize breaks down at x = 0
     y0[2] = 0.0
-    with pytest.raises(RuntimeError, match=r"broke down on \[-40.0, -30.0\] "
-                       r"for lam = \[0\.0003\+0j\]"):
+    with pytest.raises(RuntimeError, match=(
+            r"normalization broke down at x = 0\.0 for lam = "
+            r"\[0\.0003\+0j\] \(minus block\): norms")):
         integrate_wedge(frozen, minus=(lams, y0, np.zeros(3)))
     # zero rows in the plus and the fast block of one transport: each
-    # block is named with its segment in its own x and its lam
+    # block is named with x = 0 in its own frame and its lam
     with pytest.raises(RuntimeError, match=(
-            r"broke down on \[40\.0, 30\.0\] for lam = \[0\.0003\+0j\] "
-            r"\(plus block\); renormalization broke down on \[-40\.0, "
-            r"-30\.0\] for lam = \[0\+0j\] \(fast block\)")):
+            r"broke down at x = 0\.0 for lam = \[0\.0003\+0j\] "
+            r"\(plus block\); normalization broke down at x = 0\.0 for "
+            r"lam = \[0\+0j\] \(fast block\)")):
         integrate_wedge(frozen, plus=(lams, y0, np.zeros(3)),
                         minus=(lams, np.ones((3, 10)), np.zeros(3)),
                         fast=(0.0, np.zeros(10), 0.0))
     # a non-finite coefficient table from x = -10 on stalls the solver
+    # there; the error names the x of its last accepted step
     frozen.table[:, 60:, 0] = np.nan
     frozen.work = dict.fromkeys(frozen.work, 0)
+    solves = []
+
+    def keeping(*args, **kwargs):
+        solves.append(solve_ivp(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(evans_module, "solve_ivp", keeping)
     with np.errstate(invalid="ignore"), pytest.raises(
-            RuntimeError, match=r"failed on \[-20.0, -10.0\] for lam = "
-            r"\[0\.0001\+0j, 0\+0\.0002j, 0\.0003\+0j\]"):
+            RuntimeError, match=r"integration failed at x = (\S+) for lam = "
+            r"\[0\.0001\+0j, 0\+0\.0002j, 0\.0003\+0j\] \(minus block\)"
+    ) as failed:
         integrate_wedge(frozen, minus=(lams, np.ones((3, 10)), np.zeros(3)))
+    x = float(re.search(r"at x = (\S+) ", str(failed.value)).group(1))
+    t = solves[-1].t
+    assert t[-1] - frozen.X == x and abs(x + 10.0) <= t[-1] - t[-2]
     # the failed transport still counts its work
     assert frozen.work["transports"] == 1 and frozen.work["steps"] > 0
+
+
+def test_each_transport_is_one_solve(esys, monkeypatch):
+    # the plus, minus and fast rows of a batch travel over the whole
+    # pseudo-time [0, X] in one DOP853 solve, with nothing restarted
+    spans = []
+
+    def counting(fun, t_span, *args, **kwargs):
+        spans.append(t_span)
+        return solve_ivp(fun, t_span, *args, **kwargs)
+
+    monkeypatch.setattr(evans_module, "solve_ivp", counting)
+    before = esys.work["transports"]
+    evans_value(esys, np.array([0.0, 1e-4j]))
+    assert esys.work["transports"] == before + 1
+    assert spans == [(0.0, esys.X)]
+
+
+@pytest.mark.parametrize("delta", [0.02, 0.1])
+def test_shifted_wedges_stay_order_one(delta):
+    # shifted by their far-field rates, the rows arrive at x = 0 with
+    # norms near 1 (|log scale| reads at most 1.1 at delta = 0.02 and 0.1)
+    # on the default grid, over the whole first round of evans_report
+    params = make_params(delta)
+    system = build_evans_system(solve_profile(
+        params, solve_rankine_hugoniot(params)), rtol=_RTOL, atol=_ATOL)
+    rho, r = 0.5 * system.disk_radius, system.disk_radius
+    lams = np.concatenate([[0.0], circle_contour(rho, 16).points,
+                           d_contour(rho, r).points,
+                           derivative_points(rho, 16)])
+    samples = evans_value(system, np.unique(lams[lams.imag >= 0]))
+    logs = [s.log2 for s in samples] + [s.log3 for s in samples]
+    logs += [s.logf for s in samples if s.lam == 0]
+    assert len(logs) == 2 * len(samples) + 1
+    assert np.max(np.abs(logs)) <= 5.0
 
 
 @pytest.mark.parametrize("t_span", [(0.0, 3.0), (2.5, -1.5)])
@@ -416,7 +466,8 @@ def test_dop853_matches_scipy(rng, t_span):
     assert got.success and ref.success
     assert got.nfev == ref.nfev
     assert got.t.size == ref.t.size > 10
-    assert np.max(np.abs(got.y[:, -1] - ref.y[:, -1])) <= (
+    assert got.y.shape == y0.ravel().shape
+    assert np.max(np.abs(got.y - ref.y[:, -1])) <= (
         1e-15 * np.max(np.abs(ref.y[:, -1])))
 
 
@@ -594,15 +645,11 @@ def _transport_alone(system, which, lams, y0, shifts, x_from):
         Z0, Z1, Z2 = Y @ lifter(system.coefficients(x)).transpose(0, 2, 1)
         return (Z0 + lam * (Z1 + lam * Z2) - shift * Y).ravel()
 
-    Y, log_scale = y0, np.zeros(lams.size)
-    xs = np.linspace(x_from, 0.0, system.nseg + 1)
-    for a, b in zip(xs[:-1], xs[1:]):
-        sol = solve_ivp(rhs, (a, b), Y.ravel(), system.rtol, system.atol)
-        assert sol.success
-        Y = sol.y[:, -1].reshape(lams.size, 10)
-        norm = np.linalg.norm(Y, axis=1)
-        Y, log_scale = Y / norm[:, None], log_scale + np.log(norm)
-    return Y, log_scale
+    sol = solve_ivp(rhs, (x_from, 0.0), y0.ravel(), system.rtol, system.atol)
+    assert sol.success
+    Y = sol.y.reshape(lams.size, 10)
+    norm = np.linalg.norm(Y, axis=1)
+    return Y / norm[:, None], np.log(norm)
 
 
 def _per_side_samples(system, lams):

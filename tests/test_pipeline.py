@@ -274,8 +274,8 @@ def test_dissipation_violation_is_a_failed_check(tmp_path, monkeypatch):
     params = load_config(cfg).params
     end = solve_rankine_hugoniot(params)
     xi = dispersion_module.default_xi_grid()
-    worst = min(np.min(dispersion_module.dissipation_margin(
-        params, end, side, xi)[0]) for side in ("minus", "plus"))
+    worst = min(np.min(dispersion_module.dispersion_curve(
+        params, end, side, xi).margin) for side in ("minus", "plus"))
     assert entry["checks"]["dissipation_margin"] == {
         "value": worst, "threshold": -1e-12, "pass": False}
     assert worst < -1.0

@@ -295,8 +295,9 @@ def test_newton_memory_is_within_twice_the_band_storage():
 
 
 def test_band_residual_is_a_row_permutation(small_system):
-    # banded rows: left clamp, cells left of mid, phase, other cells,
-    # right clamp; _residual_vector: all cells, left, right, phase
+    # banded rows: left projection row, cells left of mid, phase, other
+    # cells, right projection row; _residual_vector: all cells, left,
+    # right, phase
     p, end, y, h, mid = small_system
     _, F = _banded_system(y, h, mid, p, end)
     size = F.size
