@@ -2,21 +2,21 @@
 
 Point spectrum inside the validated disk is examined through winding
 numbers of the Evans determinant D.  The two decaying solutions at
-+inf are carried as a 2-wedge integrated backward, the three decaying
-solutions at -inf as a 3-wedge integrated forward, both shifted by the
-sum of their limiting rates so the bundle of interest is neutral and
-every contaminating bundle contracts.  D is the duality pairing of the
-two wedges at the matching point x = 0, which equals the 5x5
-determinant of any column representatives.  Each transported row is
-divided there by its norm, a positive real factor kept as a log scale
-and multiplied back, so the computed value stays the analytic
-determinant.
++inf are carried backward as a 2-wedge w2, the three at -inf forward as
+the Hodge dual z = hodge(w3) of their 3-wedge, which follows the lift2
+of wedge.dual_matrix(A), so every row lives in Lambda^2.  Both are
+shifted by the sum of their limiting rates so the bundle of interest is
+neutral and every contaminating bundle contracts.  D = w2 . z at the
+matching point x = 0 is the 5x5 determinant of any column
+representatives.  Each transported row is divided there by its norm, a
+positive real factor kept as a log scale and multiplied back, so the
+computed value stays the analytic determinant.
 
 One transport carries a whole batch of lam.  It runs over the
 pseudo-time t in [0, X]: the 2-wedges from +X sit at x = X - t (their
-right-hand side changes sign), the 3-wedges from -X at x = t - X, and
-on a batch that holds lam = 0 Gamma's fast pair at -inf rides along as
-one more 2-wedge row at x = t - X.  All rows are one (rows, 10) state,
+right-hand side changes sign), the duals from -X at x = t - X, and on
+a batch that holds lam = 0 Gamma's fast pair at -inf rides along as one
+more 2-wedge row at x = t - X.  All rows are one (rows, 10) state,
 and `integrate_wedge` carries it in one DOP853 solve over the whole of
 [0, X].  The shifts keep every row O(1) on the way (|log scale| at
 x = 0 is at most 2.01 from delta = 0.02 to 0.182), so nothing is
@@ -57,13 +57,14 @@ jet.
 
 Each right-hand-side call finds the cell of each side in the uniform
 coefficient table in O(1) and evaluates the cell's quintic for A0, A1
-and A2.  It lifts those three matrices once per block (lifting is
-linear), applies them to the real and imaginary parts of the block's
-rows in one real matrix product and combines the products of all rows
-per lam in one Horner pass.  The starting eigenvectors of a batch come
-from one stacked eigen-decomposition per side, labelled in one step
-from lam = 0 (modes.analytic_eigenpairs).  Gamma reads the wedges and
-the fast pair of the lam = 0 sample and transports nothing of its own.
+and A2.  It lifts those matrices, or their dual matrices for the minus
+block, in one lift2 call per side, applies the lifts to the real and
+imaginary parts of each block's rows in one real matrix product and
+combines the products of all rows per lam in one Horner pass.  The
+starting eigenvectors of a batch come from one stacked
+eigen-decomposition per side, labelled in one step from lam = 0
+(modes.analytic_eigenpairs).  Gamma reads the wedges and the fast pair
+of the lam = 0 sample and transports nothing of its own.
 
 Initial data at the cut ends come from the analytically continued
 eigenvectors of the limit matrices, so D inherits analyticity in lam
@@ -113,17 +114,11 @@ from .modes import (
 )
 from .params import PlasmaParams, ShockEndstates, liu_majda_delta
 from .profile import ProfileGrid
-# unused here; kept so that WRAPS in perfbench/tracer.py can patch it
+# unused here; kept so that WRAPS in perfbench/tracer.py can patch them
 from .profile import solve_profile  # noqa: F401
-from .wedge import (
-    lift2,
-    lift3,
-    pairing,
-    solve_wedge_factor,
-    wedge2,
-    wedge3,
-    wedge_vector_3,
-)
+from .wedge import lift3  # noqa: F401
+from .wedge import (dual_matrix, hodge, lift2, skew, solve_wedge_factor,
+                    wedge2, wedge3)
 
 # branch columns of ModePath used for the decaying bundles
 PLUS_PAIR = (0, 1)        # gamma1+, gamma2+ decay as x -> +inf
@@ -133,8 +128,11 @@ MINUS_FAST = (0, 2)       # the two fast columns of the minus bundle
 # rounds and the lam they carried (see make_evaluator)
 WORK_COUNTS = ("transports", "rhs_calls", "steps")
 # the blocks of a transport: the end each starts from (-1: +X, at
-# x = X - t; +1: -X, at x = t - X) and its lift
+# x = X - t; +1: -X, at x = t - X) and what its rows hold ("w2":
+# 2-wedges, "w3": duals of 3-wedges)
 BLOCKS = {"plus": (-1, "w2"), "minus": (1, "w3"), "fast": (1, "w2")}
+# the 5x5 matrices whose lift2 moves each kind of row, from A
+MATRICES = {"w2": np.asarray, "w3": dual_matrix}
 # widest cell of the Evans coefficient table (see table_stride)
 TABLE_STEP = 0.5
 # order of the Taylor jet that carries the profile from a cell's left
@@ -363,26 +361,33 @@ def wedge_rhs(sys: EvansSystem, blocks: dict):
 
     blocks maps names of BLOCKS to (lams, shifts), one pair of m-arrays
     per block, in the order of the rows.  A block from -d X sits at
-    x = d (t - X) and its rows follow y' = d (lift(A(x, lam)) y - shift y),
-    lifted to Lambda^2 or Lambda^3.  Since A(x, lam) = A0 + lam A1 +
-    lam^2 A2 and lifting is linear, each call reads the coefficients once
-    per side and lifts d A0, d A1, d A2 once per block.  The lifts act on
-    the real and imaginary parts of the block's rows in one real matrix
-    product, and the products of all rows are combined per lam by one
-    Horner evaluation.
+    x = d (t - X) and its rows follow y' = d (G(A(x, lam)) y - shift y),
+    G the lift2 of the block's MATRICES.  A(x, lam) = A0 + lam A1 +
+    lam^2 A2 and all of it is linear, so each call reads each side's
+    coefficients once, forms the matrices of every kind of row there in
+    one product with a fixed map and lifts them in one lift2 call.  The
+    lifts act on the real and imaginary parts of a block's rows in one
+    real matrix product, and the products of all rows are combined per
+    lam by one Horner evaluation.
     """
     X = sys.X
-    terms, start = [], 0
+    terms, sides, start = [], {}, 0
     for name, (lams, _) in blocks.items():
         d, which = BLOCKS[name]
+        kinds = sides.setdefault(d, [])
+        if which not in kinds:
+            kinds.append(which)
         # the block's columns of the transposed state, viewed as reals
         cols = slice(2 * start, 2 * (start + lams.size))
         start += lams.size
-        terms.append((d, lift2 if which == "w2" else lift3, cols))
+        terms.append((d, kinds.index(which), cols))
     lam = np.concatenate([lams for lams, _ in blocks.values()])
     shift = np.concatenate([BLOCKS[name][0] * shifts
                             for name, (_, shifts) in blocks.items()])
-    sides = {d for d, *_ in terms}
+    # vec(A) -> vec(d MATRICES[kind](A)) for each kind on side d
+    basis = np.eye(25).reshape(25, 5, 5)
+    maps = {d: d * np.stack([MATRICES[k](basis).reshape(25, 25)
+                             for k in kinds]) for d, kinds in sides.items()}
     # lifted d A0, d A1, d A2 applied to the transposed state (10, rows)
     Z = np.empty((3, 10, start), dtype=complex)
     Zf = Z.view(float).reshape(30, 2 * start)
@@ -390,10 +395,12 @@ def wedge_rhs(sys: EvansSystem, blocks: dict):
     def rhs(t, y):
         Y = y.reshape(start, -1).T.copy()
         Yf = Y.view(float)
-        cells = {d: d * sys.coefficients(_side_x(d, t, X)) for d in sides}
-        for d, lifter, cols in terms:
-            np.matmul(lifter(cells[d]).reshape(30, -1), Yf[:, cols],
-                      out=Zf[:, cols])
+        lifted = {}
+        for d, M in maps.items():
+            A = sys.coefficients(_side_x(d, t, X)).reshape(3, 25)
+            lifted[d] = lift2((A @ M).reshape(-1, 3, 5, 5)).reshape(-1, 30, 10)
+        for d, k, cols in terms:
+            np.matmul(lifted[d][k], Yf[:, cols], out=Zf[:, cols])
         return (Z[0] + lam * (Z[1] + lam * Z[2]) - shift * Y).T.ravel()
 
     return rhs
@@ -601,7 +608,7 @@ def integrate_wedge(sys: EvansSystem, **blocks):
     """Carry blocks of shifted wedges to x = 0 in one transport.
 
     Each keyword names a block of BLOCKS ("plus": 2-wedges from +X,
-    "minus": 3-wedges from -X, "fast": 2-wedges from -X) and gives
+    "minus": duals of 3-wedges from -X, "fast": 2-wedges from -X) and gives
     (lams, y0, shifts): m values of lam, the (m, 10) wedges at the block's
     end and one shift per lam.  All rows travel as one DOP853 state over
     the pseudo-time t in [0, X] (see wedge_rhs) in one solve_ivp call: the
@@ -668,6 +675,7 @@ class EvansSample:
     log_scale: float
     w2: np.ndarray = field(repr=False, compare=False)
     log2: float = field(repr=False, compare=False)
+    # the Hodge dual hodge(w3) of the unit 3-wedge: D = w2 . w3 exp(scale)
     w3: np.ndarray = field(repr=False, compare=False)
     log3: float = field(repr=False, compare=False)
     # Gamma's fast pair at -inf, carried only at lam = 0
@@ -679,43 +687,43 @@ def corrected_start(sys: EvansSystem, name: str, lams: np.ndarray,
                     y0: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """The wedges of a block at its cut end, corrected for the tail gap.
 
-    y0 holds the (m, 10) limit wedges of block `name` (see BLOCKS), each
-    an eigenvector of lift(A_inf(lam)) for its shift s, where A_inf is
-    the limit matrix of the block's side.  Near the cut end x_e the
-    coefficients approach A_inf like exp(g x), with g = gamma1 of that
-    side, the profile's own decay rate, so the decaying solution starts
-    at y0 + c, where
-        (lift(A_inf) - s - g) c = -lift(A(x_e, lam) - A_inf) y0.
+    y0 holds the (m, 10) limit rows of block `name` (see BLOCKS), each
+    an eigenvector of G(A_inf(lam)) for its shift s, where G = lift2 of
+    the block's MATRICES and A_inf is the limit matrix of its side.
+    Near the cut end x_e the coefficients approach A_inf like exp(g x),
+    with g = gamma1 of that side, the profile's own decay rate, so the
+    decaying solution starts at y0 + c, where
+        (G(A_inf) - s - g) c = -G(A(x_e, lam) - A_inf) y0.
     The error left is quadratic in the gap, where y0 alone errs at first
     order.  All lam are solved in one batch.  Raises RuntimeError naming
     the block and its lam where a matrix is singular (START_RCOND).
     """
     d, which = BLOCKS[name]
     side = "plus" if d < 0 else "minus"
-    lifter = lift2 if which == "w2" else lift3
     L0, L1 = limit_matrix_coeffs(sys.params, sys.end, side)
     A_inf = L0 + lams[:, None, None] * L1
     g = fast_roots(sys.params, sys.end, side).gamma1
-    M = lifter(A_inf) - (shifts + g)[:, None, None] * np.eye(10)
+    M = (lift2(MATRICES[which](A_inf))
+         - (shifts + g)[:, None, None] * np.eye(10))
     sv = np.linalg.svd(M, compute_uv=False)
     singular = sv[:, -1] <= START_RCOND * sv[:, 0]
     if singular.any():
         raise RuntimeError(
             f"Evans start: the far-field correction of the {name} block "
             f"is singular at {lams_text(lams[singular])}")
-    gap = lifter(sys.coefficient_matrix(-d * sys.X, lams) - A_inf)
-    c = np.linalg.solve(M, -(gap @ y0[:, :, None]))
+    gap = sys.coefficient_matrix(-d * sys.X, lams) - A_inf
+    c = np.linalg.solve(M, -(lift2(MATRICES[which](gap)) @ y0[:, :, None]))
     return y0 + c[:, :, 0]
 
 
 def evans_value(sys: EvansSystem, lam):
     """D at a scalar lam, or a list of samples for an array of lam.
 
-    The unit 2-wedges decaying at +inf, the unit 3-wedges decaying at
-    -inf and, at lam = 0, the fast pair at -inf are all carried to x = 0
-    in one transport (integrate_wedge); D pairs the first two.  Each
-    block starts from its limit wedges with the tail-gap correction of
-    corrected_start.
+    The unit 2-wedges w2 decaying at +inf, the duals z = hodge(w3) of
+    the unit 3-wedges decaying at -inf and, at lam = 0, the fast pair at
+    -inf are all carried to x = 0 in one transport (integrate_wedge);
+    D = w2 . z.  Each block starts from its limit rows with the tail-gap
+    correction of corrected_start.
     """
     lams = np.atleast_1d(np.asarray(lam, dtype=complex))
     zero = np.flatnonzero(lams == 0)
@@ -725,7 +733,8 @@ def evans_value(sys: EvansSystem, lam):
     blocks = {"plus": (lams, wedge2(V_p[:, :, i], V_p[:, :, j]),
                        mu_p[:, i] + mu_p[:, j])}
     i, j, k = MINUS_TRIPLE
-    blocks["minus"] = (lams, wedge3(V_m[:, :, i], V_m[:, :, j], V_m[:, :, k]),
+    blocks["minus"] = (lams,
+                       hodge(wedge3(V_m[:, :, i], V_m[:, :, j], V_m[:, :, k])),
                        mu_m[:, i] + mu_m[:, j] + mu_m[:, k])
     if zero.size:
         i, j = MINUS_FAST
@@ -735,14 +744,14 @@ def evans_value(sys: EvansSystem, lam):
     out = integrate_wedge(sys, **{
         name: (z, corrected_start(sys, name, z, y0, shifts), shifts)
         for name, (z, y0, shifts) in blocks.items()})
-    (w2, log2), (w3, log3) = out["plus"], out["minus"]
+    (w2, log2), (z, log3) = out["plus"], out["minus"]
     fast = dict(zip(zero.tolist(), zip(*out["fast"]))) if zero.size else {}
     scale = log2 + log3
-    D = pairing(w2, w3) * np.exp(scale)
-    samples = [EvansSample(complex(z), complex(D[k]), float(scale[k]), w2[k],
-                           float(log2[k]), w3[k], float(log3[k]),
+    D = np.sum(w2 * z, -1) * np.exp(scale)
+    samples = [EvansSample(complex(point), complex(D[k]), float(scale[k]),
+                           w2[k], float(log2[k]), z[k], float(log3[k]),
                            *fast.get(k, (None, None)))
-               for k, z in enumerate(lams)]
+               for k, point in enumerate(lams)]
     return samples[0] if np.ndim(lam) == 0 else samples
 
 
@@ -885,7 +894,7 @@ def gamma_transversality(sys: EvansSystem, origin: EvansSample,
     if origin.lam != 0:
         raise ValueError(f"Gamma needs the sample at lam = 0, got {origin.lam}")
 
-    w2, log2, w3 = origin.w2, origin.log2, origin.w3
+    w2, log2, z = origin.w2, origin.log2, origin.w3
     wf, logf = origin.wf, origin.logf
 
     W0 = sys.W0_mid
@@ -896,8 +905,9 @@ def gamma_transversality(sys: EvansSystem, origin: EvansSample,
             "wave derivative is not contained in the transported planes "
             f"(residuals {res2:.3e}, {res4:.3e}); the fast bundle may be "
             "rank deficient or the domain too short")
-    contain = float(np.linalg.norm(wedge_vector_3(W0, w3))
-                    / (np.linalg.norm(W0) * np.linalg.norm(w3)))
+    # |skew(z) W0| = |W0 ^ w3| for the dual z = hodge(w3) (see wedge.skew)
+    contain = float(np.linalg.norm(skew(z) @ W0)
+                    / (np.linalg.norm(W0) * np.linalg.norm(z)))
 
     det_R0 = sys.b1_mid - sys.end.s * sys.b2_mid
     if det_R0 >= 0.0:

@@ -34,7 +34,7 @@ from .dispersion import (default_xi_grid, dispersion_curve,
                          essential_eigenvalues, resonance_polynomial,
                          symbol_matrix, write_spectrum_csv, xi0_threshold)
 from .evans import build_evans_system, evans_report, write_evans_csv
-from .modes import fast_roots, slow_expansion
+from .modes import default_disk_radius, fast_roots, slow_expansion
 from .params import (PlasmaParams, finite_number, params_from_dict,
                      solve_rankine_hugoniot)
 from .poisson import (constant_discretization, discretize_profile,
@@ -351,7 +351,8 @@ def run(config: RunConfig) -> dict:
 
     A failing check marks its task failed; an exception inside a task
     is recorded and later tasks still run.  The report carries
-    report["passed"] for the overall verdict.
+    report["passed"] for the overall verdict.  A regime without fast
+    roots or an Evans rho outside the disk is a ConfigError.
     """
     try:
         end = solve_rankine_hugoniot(config.params)
@@ -359,6 +360,14 @@ def run(config: RunConfig) -> dict:
             fast_roots(config.params, end, side)  # regime admissibility
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if "evans" in config.tasks and config.rho is not None:
+        try:
+            radius = default_disk_radius(config.params, end)
+        except RuntimeError:
+            radius = math.inf  # the Evans task reports it
+        if config.rho >= radius:
+            raise ConfigError(f"numerics.rho = {config.rho!r} must be below "
+                              f"the disk radius {radius!r}")
 
     outdir = Path(config.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -1,15 +1,14 @@
 """Exterior-algebra kit for compound-matrix integration in dimension 5.
 
-Decaying solution bundles are propagated as wedges: a 2-plane lives in
-Lambda^2 C^5 and a 3-plane in Lambda^3 C^5, both 10-dimensional, with
-basis index sets in lexicographic order.  A matrix A acts on wedges as
-a derivation; that action is linear in A, so the lifts are precomputed
-as constant 100x25 maps applied to vec(A), which keeps them usable on
-stacked coefficient tables.
-
-The duality pairing Lambda^2 x Lambda^3 -> Lambda^5 = C recovers the
-5x5 determinant of any column representatives, and the partial wedges
-a ^ w recover containment tests and column factors via least squares.
+Decaying bundles are propagated in Lambda^2 C^5 (basis pairs in
+lexicographic order): a 2-plane as its 2-wedge, a 3-plane as the Hodge
+dual hodge(w3) of its 3-wedge, so that w2 . hodge(w3) is the 5x5
+determinant of any column representatives.  A acts on 2-wedges as the
+derivation lift2(A), a constant map applied to vec(A) (lifting is
+linear), and on duals as hodge lift3(A) hodge^-1 = tr(A) I - lift2(A)^T,
+the lift2 of dual_matrix(A) = tr(A)/2 I - A^T.  lift3 and wedge3 work
+in Lambda^3 itself.  Partial wedges give containment tests and column
+factors via least squares.
 """
 
 from __future__ import annotations
@@ -39,8 +38,9 @@ def _sort_sign(seq):
 
 
 def _build_lift(combs, index):
+    """The map vec(A) -> vec(lift(A)) as a right factor, (25, d * d)."""
     d = len(combs)
-    L = np.zeros((d * d, DIM * DIM))
+    L = np.zeros((DIM * DIM, d * d))
     for q, cq in enumerate(combs):
         for m in range(len(cq)):
             for r in range(DIM):
@@ -50,7 +50,7 @@ def _build_lift(combs, index):
                 if sign == 0:
                     continue
                 p = index[key]
-                L[p * d + q, r * DIM + cq[m]] += sign
+                L[r * DIM + cq[m], p * d + q] += sign
     return L
 
 
@@ -62,13 +62,14 @@ def lift2(A: np.ndarray) -> np.ndarray:
     """Derivation action of A on Lambda^2; batched over leading axes."""
     lead = A.shape[:-2]
     flat = A.reshape(lead + (DIM * DIM,))
-    return (flat @ _LIFT2.T).reshape(lead + (len(PAIRS), len(PAIRS)))
+    return (flat @ _LIFT2).reshape(lead + (len(PAIRS), len(PAIRS)))
 
 
 def lift3(A: np.ndarray) -> np.ndarray:
+    """Derivation action of A on Lambda^3, the reference for dual_matrix."""
     lead = A.shape[:-2]
     flat = A.reshape(lead + (DIM * DIM,))
-    return (flat @ _LIFT3.T).reshape(lead + (len(TRIPLES), len(TRIPLES)))
+    return (flat @ _LIFT3).reshape(lead + (len(TRIPLES), len(TRIPLES)))
 
 
 _I2 = np.array([c[0] for c in PAIRS])
@@ -90,57 +91,35 @@ def wedge3(a, b, c):
             + a[..., _K3] * (b[..., _I3] * c[..., _J3] - b[..., _J3] * c[..., _I3]))
 
 
-def _build_pair_duality():
-    signs = np.zeros(len(PAIRS))
-    comp = np.zeros(len(PAIRS), dtype=int)
-    for q, cq in enumerate(PAIRS):
-        rest = tuple(i for i in range(DIM) if i not in cq)
-        sign, _ = _sort_sign(cq + rest)
-        signs[q] = sign
-        comp[q] = _TRIPLE_INDEX[rest]
-    return signs, comp
+# hodge pairs each pair with its complementary triple, signed by the
+# permutation (pair, triple) of 0..4
+_COMPLEMENTS = [tuple(i for i in range(DIM) if i not in c) for c in PAIRS]
+_PAIR_COMP = np.array([_TRIPLE_INDEX[t] for t in _COMPLEMENTS])
+_PAIR_SIGN = np.array([float(_sort_sign(c + t)[0])
+                       for c, t in zip(PAIRS, _COMPLEMENTS)])
 
 
-_PAIR_SIGN, _PAIR_COMP = _build_pair_duality()
+def hodge(w3):
+    """Hodge dual of 3-wedges in Lambda^2: w2 . hodge(w3) is the det of
+    the five spanning columns."""
+    return _PAIR_SIGN * np.asarray(w3)[..., _PAIR_COMP]
 
 
-def pairing(w2, w3):
-    """Duality pairing; equals det of the five spanning columns."""
-    w2, w3 = np.asarray(w2), np.asarray(w3)
-    return np.sum(_PAIR_SIGN * w2 * w3[..., _PAIR_COMP], axis=-1)
+def dual_matrix(A):
+    """tr(A)/2 I - A^T, batched; its lift2, tr(A) I - lift2(A)^T, is
+    hodge lift3(A) hodge^-1, the action of A on duals of 3-wedges."""
+    tr = np.trace(A, axis1=-2, axis2=-1)[..., None, None]
+    return 0.5 * tr * np.eye(DIM) - np.swapaxes(A, -1, -2)
 
 
-def _build_vee(src_combs, src_index, dst_combs, dst_index):
-    T = np.zeros((len(dst_combs), DIM, len(src_combs)))
-    for q, cq in enumerate(src_combs):
-        for i in range(DIM):
-            sign, key = _sort_sign((i,) + cq)
-            if sign == 0:
-                continue
-            T[dst_index[key], i, q] += sign
-    return T
-
-
-# Lambda^4 basis indexed by the omitted coordinate, in increasing order
-_QUADS = tuple(itertools.combinations(range(DIM), 4))
-_QUAD_INDEX = {c: k for k, c in enumerate(_QUADS)}
-_VEE34 = _build_vee(TRIPLES, _TRIPLE_INDEX, _QUADS, _QUAD_INDEX)
-
-
-def wedge_vector_3(a, w3):
-    """a ^ w3 in Lambda^4 coordinates; zero iff a lies in the 3-plane."""
-    return np.einsum("piq,...i,...q->...p", _VEE34, np.asarray(a), np.asarray(w3))
-
-
-def wedge2_with(a) -> np.ndarray:
-    """Matrix of y -> a ^ y, shape (10, 5)."""
-    a = np.asarray(a)
-    M = np.zeros((len(PAIRS), DIM), dtype=a.dtype)
-    for j in range(DIM):
-        e = np.zeros(DIM, dtype=a.dtype)
-        e[j] = 1.0
-        M[:, j] = wedge2(a, e)
-    return M
+def skew(w2) -> np.ndarray:
+    """Antisymmetric W with W[i, j] = w2_ij, i < j; |skew(hodge(w3)) a| =
+    |a ^ w3|, zero iff a lies in the 3-plane."""
+    w2 = np.asarray(w2)
+    W = np.zeros(w2.shape[:-1] + (DIM, DIM), dtype=w2.dtype)
+    W[..., _I2, _J2] = w2
+    W[..., _J2, _I2] = -w2
+    return W
 
 
 def solve_wedge_factor(a, w2):
@@ -149,7 +128,8 @@ def solve_wedge_factor(a, w2):
     Returns (y, rel_residual); the residual doubles as the containment
     check of a in the plane of w2.
     """
-    M = wedge2_with(np.asarray(a, dtype=complex))
+    # column j is a ^ e_j
+    M = wedge2(np.asarray(a, dtype=complex), np.eye(DIM, dtype=complex)).T
     w = np.asarray(w2, dtype=complex)
     y, *_ = np.linalg.lstsq(M, w, rcond=None)
     rel = np.linalg.norm(M @ y - w) / np.linalg.norm(w)

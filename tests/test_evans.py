@@ -36,10 +36,11 @@ from nspshock.evans import (
     write_evans_csv,
 )
 from nspshock import evans as evans_module
+from nspshock.modes import fast_roots
 from nspshock.params import solve_rankine_hugoniot
 from nspshock.profile import default_half_length, solve_profile
 from nspshock.transversality import build_reduced_system, reduced_tables
-from nspshock.wedge import lift2, lift3, pairing, wedge2, wedge3
+from nspshock.wedge import hodge, lift2, lift3, wedge2, wedge3
 
 from conftest import limit_matrix, make_params
 
@@ -261,32 +262,55 @@ def test_lookup_rejects_nonuniform_grid():
 
 @pytest.mark.parametrize("m", [1, 5])
 def test_wedge_rhs_is_lifted_polynomial(esys, rng, m):
-    # the fused right-hand side lifts A0, A1, A2 once per block and
+    # the fused right-hand side lifts A0, A1, A2 once per side and
     # combines per lam; the reference lifts A(x, lam) for each lam at the
-    # block's x (X - t from +X, t - X from -X), with the sign of dx/dt
+    # block's x (X - t from +X, t - X from -X), with the sign of dx/dt.
+    # The minus block carries duals: its reference rows are 3-wedges
+    # moved by lift3, compared through hodge
     X = esys.X
     blocks = {name: (0.5 * esys.disk_radius * rng.random(m)
                      * np.exp(2j * np.pi * rng.random(m)),
                      rng.standard_normal(m) + 1j * rng.standard_normal(m))
               for name in BLOCKS}
     rhs = wedge_rhs(esys, blocks)
+    dual = [BLOCKS[name][1] == "w3" for name in blocks]
     for t in (0.0, 3.7, X - 12.05, X - 3.7, X):
         Y = (rng.standard_normal((3 * m, 10))
              + 1j * rng.standard_normal((3 * m, 10)))
-        got = rhs(t, Y.ravel()).reshape(3 * m, 10)
+        state = np.concatenate([hodge(Y[b * m:(b + 1) * m]) if dual[b]
+                                else Y[b * m:(b + 1) * m] for b in range(3)])
+        got = rhs(t, state.ravel()).reshape(3 * m, 10)
         for b, (name, (lams, shifts)) in enumerate(blocks.items()):
             d, which = BLOCKS[name]
             lifter = lift2 if which == "w2" else lift3
             L = lifter(esys.coefficient_matrix(d * (t - X), lams))
             Yb = Y[b * m:(b + 1) * m]
             ref = d * (np.einsum("mij,mj->mi", L, Yb) - shifts[:, None] * Yb)
+            if dual[b]:
+                ref = hodge(ref)
             gap = np.max(np.abs(got[b * m:(b + 1) * m] - ref))
             assert gap <= 1e-13 * np.max(np.abs(ref))
 
 
+def test_wedge_rhs_lifts_each_side_once(esys, monkeypatch):
+    # the minus and fast blocks share one lift2 call of the minus side's
+    # coefficients, so a call with all three blocks lifts twice
+    lifted = []
+    for name in ("lift2", "lift3"):
+        monkeypatch.setattr(evans_module, name,
+                            lambda A, f=getattr(evans_module, name), n=name:
+                            lifted.append(n) or f(A))
+    blocks = {name: (np.array([1e-3 + 1e-3j]), np.array([0.1]))
+              for name in BLOCKS}
+    rhs = wedge_rhs(esys, blocks)
+    rhs(1.0, np.ones(3 * 10, dtype=complex))
+    assert lifted == ["lift2", "lift2"]
+
+
 def test_frozen_coefficients_transport_eigenwedge(params_ref, end_ref):
     # with the coefficients frozen at the minus limit the shifted wedge
-    # of decaying eigenvectors is an equilibrium of the lifted flow
+    # of decaying eigenvectors is an equilibrium of the lifted flow, and
+    # its dual hodge(w3) one of the dual flow the minus block follows
     A0c, A1c = limit_matrix_coeffs(params_ref, end_ref, "minus")
     lam = 3e-4 + 2e-4j
     mu, V = np.linalg.eig(A0c + lam * A1c)
@@ -295,10 +319,11 @@ def test_frozen_coefficients_transport_eigenwedge(params_ref, end_ref):
     shift = mu[order].sum()
 
     frozen = _frozen_minus_system(params_ref, end_ref)
-    y, log_scale = integrate_wedge(frozen,
-                                   minus=(lam, w3_init, shift))["minus"]
+    y, log_scale = integrate_wedge(frozen, minus=(lam, hodge(w3_init),
+                                                  shift))["minus"]
     final = y * np.exp(log_scale)
-    assert np.linalg.norm(final - w3_init) < 1e-9 * np.linalg.norm(w3_init)
+    assert (np.linalg.norm(final - hodge(w3_init))
+            < 1e-9 * np.linalg.norm(w3_init))
 
 
 def test_frozen_coefficients_need_no_start_correction(params_ref, end_ref):
@@ -308,7 +333,7 @@ def test_frozen_coefficients_need_no_start_correction(params_ref, end_ref):
     lams = np.array([0.0, 3e-4 + 2e-4j, -5e-4j])
     mu, V = evans_module._side_modes(frozen, "minus", lams)
     i, j, k = MINUS_TRIPLE
-    y0 = wedge3(V[:, :, i], V[:, :, j], V[:, :, k])
+    y0 = hodge(wedge3(V[:, :, i], V[:, :, j], V[:, :, k]))
     shifts = mu[:, i] + mu[:, j] + mu[:, k]
     assert np.array_equal(corrected_start(frozen, "minus", lams, y0, shifts),
                           y0)
@@ -589,9 +614,10 @@ def test_nonzero_beyond_validated_disk(esys, params_ref, end_ref):
     out = integrate_wedge(
         esys,
         plus=(lam, wedge2(*(V_p[:, k] for k in sel_p)), mu_p[sel_p].sum()),
-        minus=(lam, wedge3(*(V_m[:, k] for k in sel_m)), mu_m[sel_m].sum()))
-    (w2, l2), (w3, l3) = out["plus"], out["minus"]
-    assert abs(pairing(w2, w3)) > 1e-4
+        minus=(lam, hodge(wedge3(*(V_m[:, k] for k in sel_m))),
+               mu_m[sel_m].sum()))
+    (w2, l2), (z, l3) = out["plus"], out["minus"]
+    assert abs(np.sum(w2 * z)) > 1e-4
 
 
 @pytest.fixture(scope="module", params=[0.1, 0.17],
@@ -652,19 +678,30 @@ def _transport_alone(system, which, lams, y0, shifts, x_from):
     return Y / norm[:, None], np.log(norm)
 
 
+def _start3(system, lams, w3, shifts):
+    """corrected_start of the minus block worked in Lambda^3 with lift3."""
+    L0, L1 = limit_matrix_coeffs(system.params, system.end, "minus")
+    A_inf = L0 + lams[:, None, None] * L1
+    g = fast_roots(system.params, system.end, "minus").gamma1
+    M = lift3(A_inf) - (shifts + g)[:, None, None] * np.eye(10)
+    gap = lift3(system.coefficient_matrix(-system.X, lams) - A_inf)
+    return w3 + np.linalg.solve(M, -(gap @ w3[:, :, None]))[:, :, 0]
+
+
 def _per_side_samples(system, lams):
     """Evans samples from three separate transports: the plus 2-wedges
-    backward from +X, the minus 3-wedges and the fast pair at lam = 0
-    forward from -X, each from its corrected start."""
+    backward from +X, the minus 3-wedges in Lambda^3 and the fast pair at
+    lam = 0 forward from -X, each from its corrected start.  The samples
+    hold the minus bundle as hodge(w3), as evans_value's do."""
     mu_p, V_p = evans_module._side_modes(system, "plus", lams)
     mu_m, V_m = evans_module._side_modes(system, "minus", lams)
 
     def alone(name, lams, y0, shifts):
         d, which = BLOCKS[name]
-        return _transport_alone(
-            system, which, lams,
-            corrected_start(system, name, lams, y0, shifts), shifts,
-            -d * system.X)
+        start = (_start3(system, lams, y0, shifts) if which == "w3" else
+                 corrected_start(system, name, lams, y0, shifts))
+        return _transport_alone(system, which, lams, start, shifts,
+                                -d * system.X)
 
     i, j = PLUS_PAIR
     w2, log2 = alone("plus", lams, wedge2(V_p[:, :, i], V_p[:, :, j]),
@@ -676,9 +713,10 @@ def _per_side_samples(system, lams):
     i, j = MINUS_FAST
     wf, logf = alone("fast", lams[:1], wedge2(V_m[:1, :, i], V_m[:1, :, j]),
                      mu_m[:1, i] + mu_m[:1, j])
-    D = pairing(w2, w3) * np.exp(log2 + log3)
+    z3 = hodge(w3)
+    D = np.sum(w2 * z3, axis=-1) * np.exp(log2 + log3)
     return [EvansSample(complex(z), complex(D[n]), float(log2[n] + log3[n]),
-                        w2[n], float(log2[n]), w3[n], float(log3[n]),
+                        w2[n], float(log2[n]), z3[n], float(log3[n]),
                         wf[0] if n == 0 else None,
                         float(logf[0]) if n == 0 else None)
             for n, z in enumerate(lams)]

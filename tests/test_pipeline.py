@@ -13,7 +13,8 @@ import nspshock.dispersion as dispersion_module
 import nspshock.pipeline as pipeline_module
 import nspshock.profile as profile_module
 from nspshock.cli import main
-from nspshock.params import solve_rankine_hugoniot
+from nspshock.modes import default_disk_radius
+from nspshock.params import PlasmaParams, solve_rankine_hugoniot
 from nspshock.pipeline import ConfigError, load_config
 from nspshock.profile import ProfileGrid
 
@@ -99,6 +100,21 @@ def test_bad_numeric_exits_2(tmp_path, capsys, numerics, key):
     assert main(["run", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and key in err
+
+
+def test_rho_outside_the_disk_exits_2(tmp_path, capsys):
+    # rho must lie inside the Evans disk; the check runs before any task
+    # and only when Evans is selected
+    cfg = write_config(tmp_path, numerics={"rho": 1.0})
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "numerics.rho = 1.0" in err
+    params = PlasmaParams(**REF_PARAMS)
+    radius = default_disk_radius(params, solve_rankine_hugoniot(params))
+    assert f"disk radius {radius!r}" in err
+    assert not (tmp_path / "out").exists()
+    cfg = write_config(tmp_path, numerics={"rho": 1.0}, tasks=["dispersion"])
+    assert main(["run", "--config", str(cfg)]) == 0
 
 
 @pytest.mark.parametrize("key, value", [("T", True), ("T", "1"),

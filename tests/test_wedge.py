@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,13 +7,14 @@ from nspshock.wedge import (
     DIM,
     PAIRS,
     TRIPLES,
+    dual_matrix,
+    hodge,
     lift2,
     lift3,
-    pairing,
+    skew,
     solve_wedge_factor,
     wedge2,
     wedge3,
-    wedge_vector_3,
 )
 
 
@@ -22,6 +25,21 @@ def wedge_vector_2(a, w2):
     w = {pair: w2[n] for n, pair in enumerate(PAIRS)}
     return np.array([a[i] * w[j, k] - a[j] * w[i, k] + a[k] * w[i, j]
                      for i, j, k in TRIPLES])
+
+
+def wedge_vector_3(a, w3):
+    """a ^ w3 in Lambda^4 coordinates, from the definition
+    (a ^ w)_ijkl = a_i w_jkl - a_j w_ikl + a_k w_ijl - a_l w_ijk; zero iff
+    a lies in the 3-plane."""
+    w = {triple: w3[n] for n, triple in enumerate(TRIPLES)}
+    return np.array([a[i] * w[j, k, l] - a[j] * w[i, k, l]
+                     + a[k] * w[i, j, l] - a[l] * w[i, j, k]
+                     for i, j, k, l in itertools.combinations(range(DIM), 4)])
+
+
+def pairing(w2, w3):
+    """w2 ^ w3 in Lambda^5 = C, through the Hodge dual of w3."""
+    return np.sum(w2 * hodge(w3), axis=-1)
 
 
 @pytest.fixture()
@@ -98,6 +116,37 @@ def test_pairing_flow_identity(mat, vecs):
     lhs = pairing(lift2(mat) @ w2, w3) + pairing(w2, lift3(mat) @ w3)
     rhs = np.trace(mat) * pairing(w2, w3)
     assert abs(lhs - rhs) < 1e-11 * max(1.0, abs(rhs))
+
+
+def test_dual_matrix_lifts_to_lift3_through_hodge(rng):
+    # hodge is a signed permutation H with H lift3(A) H^-1 = tr(A) I -
+    # lift2(A)^T = lift2(tr(A)/2 I - A^T), so a 3-wedge can be carried as
+    # its dual in Lambda^2 by lift2 alone
+    H = hodge(np.eye(10)).T
+    assert np.array_equal(np.abs(H).sum(axis=0), np.ones(10))
+    assert np.array_equal(H @ H.T, np.eye(10))
+    A = (rng.standard_normal((4, DIM, DIM))
+         + 1j * rng.standard_normal((4, DIM, DIM)))
+    batched = lift2(dual_matrix(A))
+    for a, got in zip(A, batched):
+        ref = np.trace(a) * np.eye(10) - lift2(a).T
+        assert np.max(np.abs(H @ lift3(a) @ H.T - ref)) <= 1e-13
+        assert np.max(np.abs(got - ref)) <= 1e-13
+        assert np.array_equal(lift2(a).T, lift2(a.T))
+
+
+def test_skew_of_the_dual_detects_containment(vecs):
+    # |skew(hodge(w3)) a| = |a ^ w3|, in the 3-plane and off it
+    a, b, c, d = vecs[:4]
+    w3 = wedge3(a, b, c)
+    Z = skew(hodge(w3))
+    assert np.array_equal(Z, -Z.T)
+    for v in (d, 1.1 * a - 0.2 * b + 3.0 * c):
+        got = np.linalg.norm(Z @ v)
+        ref = np.linalg.norm(wedge_vector_3(v, w3))
+        assert abs(got - ref) <= 1e-13 * np.linalg.norm(v) * np.linalg.norm(w3)
+    assert (np.linalg.norm(Z @ d)
+            > 1e-3 * np.linalg.norm(d) * np.linalg.norm(w3))
 
 
 def test_partial_wedges_detect_containment(vecs):
