@@ -46,14 +46,15 @@ both ends and x = 0; k = 1 when no divisor fits, as at small amplitudes,
 where the grid step exceeds TABLE_STEP / 2.  Each cell is the quintic
 (C^2) Hermite interpolant of the values, slopes and second derivatives
 of A0, A1, A2 in A(x, lam) = A0 + lam A1 + lam^2 A2 at its two end
-nodes, read from order-4 profile jets derived at the kept nodes alone.
+nodes.  A build makes one jet pass at the kept nodes alone, to order
+PROBE_ORDER: the closure and the wave derivative read its order-4 part.
 The smoothness matters: C^1 cubic cells of the same width put kinks at
 the cell ends that spoil DOP853's error control at rtol 1e-12, and
 batched D then misses one-lam-at-a-time D by up to 2e-9.  The table's
 error is measured on every build (table_error): the gap between the
 table and the exact closure at the midpoint of every cell, where the
-profile is carried from the cell's left node by that node's own Taylor
-jet.
+profile is carried from the cell's left node by that node's jet from
+the same pass.
 
 Each right-hand-side call finds the cell of each side in the uniform
 coefficient table in O(1) and evaluates the cell's quintic for A0, A1
@@ -89,7 +90,7 @@ meaningful, not their absolute scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -112,6 +113,7 @@ from .modes import (
     lams_text,
     slow_expansion,
 )
+from .jets import Jet
 from .params import PlasmaParams, ShockEndstates, liu_majda_delta
 from .profile import ProfileGrid
 # unused here; kept so that WRAPS in perfbench/tracer.py can patch them
@@ -135,8 +137,9 @@ BLOCKS = {"plus": (-1, "w2"), "minus": (1, "w3"), "fast": (1, "w2")}
 MATRICES = {"w2": np.asarray, "w3": dual_matrix}
 # widest cell of the Evans coefficient table (see table_stride)
 TABLE_STEP = 0.5
-# order of the Taylor jet that carries the profile from a cell's left
-# node to its midpoint in table_error
+# order of the profile jets at the table's nodes: the closure reads their
+# order-4 part, and table_error carries the profile with all of it from a
+# cell's left node to its midpoint
 PROBE_ORDER = 6
 # a far-field start whose matrix has a smaller ratio of least to largest
 # singular value is singular (see corrected_start)
@@ -149,7 +152,6 @@ class Contour:
 
     points: np.ndarray
     closed: bool
-    tag: str
 
 
 def _on_circle(radius: float, turns: np.ndarray) -> np.ndarray:
@@ -165,12 +167,11 @@ def _on_circle(radius: float, turns: np.ndarray) -> np.ndarray:
     return np.where(turns < 0, np.conj(z), z)
 
 
-def circle_contour(radius: float, n: int = 32,
-                   tag: str = "circle") -> Contour:
+def circle_contour(radius: float, n: int = 32) -> Contour:
     """n points radius exp(2 pi i k/n), k = 0..n-1, mirrored exactly."""
     k = np.arange(n)
     return Contour(_on_circle(radius, np.where(2 * k > n, k - n, k) / n),
-                   True, tag)
+                   True)
 
 
 def d_contour(rho: float, radius: float, n_arc: int = 24, n_inner: int = 16,
@@ -189,7 +190,7 @@ def d_contour(rho: float, radius: float, n_arc: int = 24, n_inner: int = 16,
     inner = _on_circle(rho, (n_inner - 2 * np.arange(n_inner + 1))
                        / (4 * n_inner))
     pts = np.concatenate([outer, down, inner, np.conj(down[::-1])])
-    return Contour(pts, True, "d-contour")
+    return Contour(pts, True)
 
 
 @dataclass
@@ -252,39 +253,39 @@ def table_stride(n: int, X: float) -> int:
     return 1
 
 
-def _closure(grid: ProfileGrid, nodes, order: int):
-    """A0, A1, A2 at the grid nodes `nodes`, as Taylor coefficients up to
-    `order`; also returns the profile jets and the coefficient tables.
+def _closure(x, jets, params: PlasmaParams, end: ShockEndstates, order):
+    """A0, A1, A2 at the nodes x, as Taylor coefficients up to `order`,
+    from the profile jets there (of order at least order + 2); also
+    returns the coefficient tables.
 
     A[d, i, p] is the d-th Taylor coefficient of the lam**p matrix at
-    the i-th selected node.  Profile jets of order + 2 are derived at
-    those nodes only.
+    the i-th node.
     """
-    vj, pj, sj = grid.state_jets(order + 2, nodes)
-    tab = interior_coefficients(grid.x[nodes], vj, pj, sj, grid.params,
-                                grid.end, order=order + 2)
+    tab = interior_coefficients(x, *jets, params, end, order=order + 2)
     A = np.stack([a.coef for a in interior_matrix_coeffs(tab)], axis=2)
-    return A, (vj, pj, sj), tab
+    return A, tab
 
 
-def table_error(grid: ProfileGrid, stride: int, table: np.ndarray) -> float:
+def table_error(grid: ProfileGrid, stride: int, table: np.ndarray,
+                jets) -> float:
     """Relative max gap between a table and the exact closure at the
     midpoint of every cell.
 
     table holds hermite_table cells of A0, A1, A2 on every stride-th node
-    of the grid.  The exact closure at a midpoint is that of the profile
-    carried there from the cell's left node by the node's own Taylor jet
-    of order PROBE_ORDER; the gap is divided by the largest exact
-    coefficient.  Every stride, 1 included, probes every cell.
+    of the grid, and jets the profile jets of order PROBE_ORDER at those
+    nodes.  The exact closure at a midpoint is that of the profile
+    carried there from the cell's left node by the node's own jet; the
+    gap is divided by the largest exact coefficient.  Every stride, 1
+    included, probes every cell.
     """
     left = slice(0, grid.n - 1, stride)
     half = stride * grid.X / (grid.n - 1)
-    v, phi, psi = (np.polynomial.polynomial.polyval(half, j.coef)
-                   for j in grid.state_jets(PROBE_ORDER, left))
-    params, s = grid.params, grid.end.s
+    v, phi, psi = (np.polynomial.polynomial.polyval(half, j.coef[:, :-1])
+                   for j in jets)
+    params, end = grid.params, grid.end
     mid = replace(grid, x=grid.x[left] + half, v=v, phi=phi, psi=psi,
-                  u=params.u_minus - s * (v - params.v_minus), jets=None)
-    A, _, _ = _closure(mid, slice(None), 0)
+                  u=params.u_minus - end.s * (v - params.v_minus), jets=None)
+    A, _ = _closure(mid.x, mid.state_jets(2), params, end, 0)
     exact = A[0].reshape(-1, 75)
     got = refined_values(table, 2.0 * half, 2)[1::2]
     return float(np.max(np.abs(got - exact)) / np.max(np.abs(exact)))
@@ -313,7 +314,10 @@ def build_evans_system(grid: ProfileGrid, rtol: float = 1e-12,
     if abs(x[mid]) > 1e-9 * grid.h:
         raise RuntimeError(f"Evans build: table stride {k} on {n} nodes "
                            f"misses x = 0 (middle node at {x[mid]:.6g})")
-    A, (vj, pj, sj), tab = _closure(grid, kept, 2)
+    # one jet pass at the kept nodes: the closure and the wave read its
+    # order-4 part, table_error all of it
+    jets = grid.state_jets(PROBE_ORDER, kept)
+    A, tab = _closure(x, jets, params, end, 2)
 
     gap = 0.0
     for idx, side in ((0, "minus"), (-1, "plus")):
@@ -331,7 +335,7 @@ def build_evans_system(grid: ProfileGrid, rtol: float = 1e-12,
     m = x.size
     table = hermite_table(x, A[0].reshape(m, 75), A[1].reshape(m, 75),
                           2.0 * A[2].reshape(m, 75))
-    W0, dW0 = background_wave(vj, pj, sj, params, end)
+    W0, dW0 = background_wave(*(Jet(j.coef[:5]) for j in jets), params, end)
     return EvansSystem(
         params=params, end=end, X=X, n=n, table=table,
         W0_mid=W0[mid].copy(), b1_mid=float(tab.b1.value[mid]),
@@ -339,7 +343,7 @@ def build_evans_system(grid: ProfileGrid, rtol: float = 1e-12,
         disk_radius=default_disk_radius(params, end),
         boundary_gap=float(gap),
         closure_residual=wave_residual(A[0, :, 0], W0, dW0), stride=k,
-        table_error=table_error(grid, k, table),
+        table_error=table_error(grid, k, table, jets),
         rtol=rtol, atol=atol)
 
 
@@ -932,6 +936,10 @@ def gamma_transversality(sys: EvansSystem, origin: EvansSample,
         containment_minus=contain)
 
 
+# report keys of the EvansReport fields whose key is not their name
+_REPORT_KEYS = {"Dprime_cauchy": "Dprime0_cauchy", "Dprime_fd": "Dprime0_fd"}
+
+
 @dataclass(frozen=True)
 class EvansReport:
     radius: float
@@ -953,23 +961,10 @@ class EvansReport:
     min_abs_D: dict
 
     def as_dict(self) -> dict:
-        return {
-            "radius": self.radius,
-            "rho": self.rho,
-            "D0": [self.D0.real, self.D0.imag],
-            "circle_max": self.circle_max,
-            "winding_circle": self.winding_circle,
-            "winding_d_contour": self.winding_d_contour,
-            "Dprime0_cauchy": [self.Dprime_cauchy.real, self.Dprime_cauchy.imag],
-            "Dprime0_fd": [self.Dprime_fd.real, self.Dprime_fd.imag],
-            "derivative_agreement": self.derivative_agreement,
-            "Gamma": self.Gamma,
-            "Delta": self.Delta,
-            "factorization_residual": self.factorization_residual,
-            "sign_match": self.sign_match,
-            "work": self.work,
-            "min_abs_D": self.min_abs_D,
-        }
+        """Every field but gamma and samples, under its report key;
+        complex values stay complex (pipeline._py writes them [re, im])."""
+        return {_REPORT_KEYS.get(f.name, f.name): getattr(self, f.name)
+                for f in fields(self) if f.name not in ("gamma", "samples")}
 
 
 def evans_report(sys: EvansSystem, rho: Optional[float] = None,

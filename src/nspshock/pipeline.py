@@ -13,9 +13,11 @@ The profile task, Evans, transversality and Poisson share one profile
 grid from the lazy provider _profile_grid, so each task still runs
 alone: it solves the grid on first use and derives its jets once, to
 order 3, the highest that profile, transversality and Poisson read.  The
-Evans table derives its own order-4 jets at the nodes it keeps.  A run
-solves one grid, whichever tasks it runs, and every task that reads the
-grid reports the Newton work of its solve as metrics.newton.
+Evans table derives its own jets at the nodes it keeps.  A run solves
+one grid, whichever tasks it runs and whether the solve succeeds or
+fails: a failed solve is stored and raised again in every task that
+reads the grid.  Every task that reads the grid reports the Newton work
+of its solve as metrics.newton.
 """
 
 from __future__ import annotations
@@ -65,17 +67,17 @@ class RunConfig:
 
 
 # the kind of value each numerics key takes; null leaves the default
-_NUMERIC_KINDS = {"X": "number", "n": "odd integer", "rho": "number",
+_NUMERIC_KINDS = {"X": "number", "n": "odd integer >= 3", "rho": "number",
                   "n_circle": "integer"}
 
 
 def _numeric(key: str, value):
     """numerics.key checked against its kind: a finite number > 0, also
-    integral for the counts and odd for the node counts."""
+    integral for the counts, and odd and at least 3 for the node count."""
     kind = _NUMERIC_KINDS[key]
     if not (finite_number(value) and value > 0
             and (kind == "number" or value % 1 == 0)
-            and (kind != "odd integer" or value % 2 == 1)):
+            and (key != "n" or (value % 2 == 1 and value >= 3))):
         raise ConfigError(f"numerics.{key} must be a positive {kind}, "
                           f"got {value!r}")
     return value if kind == "number" else int(value)
@@ -243,10 +245,16 @@ def _mode_metrics(params, end):
 
 
 def _profile_grid(config, end, ctx):
-    """The grid every task but dispersion reads."""
+    """The grid every task but dispersion reads; a failed solve is kept
+    and raised again, so that a run solves at most once."""
     if "grid" not in ctx:
-        grid = solve_profile(config.params, end, X=config.X, n=config.n)
-        ctx["grid"] = replace(grid, jets=grid.state_jets(3))
+        try:
+            grid = solve_profile(config.params, end, X=config.X, n=config.n)
+            ctx["grid"] = replace(grid, jets=grid.state_jets(3))
+        except Exception as exc:  # noqa: BLE001 - raised in every reader
+            ctx["grid"] = exc
+    if isinstance(ctx["grid"], Exception):
+        raise ctx["grid"]
     return ctx["grid"]
 
 

@@ -21,11 +21,14 @@ asks that the offset y(+-X) - y+- have no component along that
 direction, l . (y(+-X) - y+-) = 0 with l the left eigenvector of the
 right-hand side's Jacobian at y+-.  The error this leaves is second
 order in the tail gap, where a clamp v(+-X) = v+- errs at first
-order.  The phase condition pins v(0) = (v_minus + v_plus)/2 at the
-central node, so the node count must be odd.  Ordering the rows as
-the left row, cells left of the pinned node, phase condition,
-remaining cells, right row makes the Newton matrix a band matrix with
-four sub- and four super-diagonals.
+order.  Each row is the unit left eigenvector of a 3x3 end matrix,
+taken as the widest cross product of two columns of J - gamma I
+(left_eigenvectors, which the transversality end normals use too).
+The phase condition pins v(0) = (v_minus + v_plus)/2 at the central
+node, so the node count must be odd and at least 3.  The residual
+(_residual) has one row order: the left row, cells left of the pinned
+node, phase condition, remaining cells, right row, which makes the
+Newton matrix a band matrix with four sub- and four super-diagonals.
 Each step assembles it in blocks of BLOCK_CELLS cells straight into
 LAPACK gbsv's band storage, a (13, 3n) Fortran-order array whose top
 four rows are room for the fill-in of the LU factors, and factors and
@@ -141,59 +144,37 @@ def initial_guess(x: np.ndarray, params: PlasmaParams, end: ShockEndstates) -> n
     return np.stack([v, -np.log(v), -dv / v], axis=-1)
 
 
-def _collocation_residual(y, h, params, end):
-    """Cell residuals, plus f at the nodes and the midpoint states."""
-    f = rhs_array(y, params, end)
-    ym = 0.5 * (y[:-1] + y[1:]) - (h / 8.0) * (f[1:] - f[:-1])
-    fm = rhs_array(ym, params, end)
-    res = y[1:] - y[:-1] - (h / 6.0) * (f[:-1] + 4.0 * fm + f[1:])
-    return res, f, ym
+def left_eigenvectors(M: np.ndarray, gammas: np.ndarray) -> np.ndarray:
+    """Unit left eigenvectors of 3x3 matrices, shape (k, 3), for the
+    simple eigenvalue gammas[i] of M[i], shape (k, 3, 3).
 
-
-def far_field_rows(params: PlasmaParams, end: ShockEndstates):
-    """Coefficients of the two projection rows and the states they hold.
-
-    Returns (rows, ends), both of shape (2, 3): rows[0] is the left
-    eigenvector of J(y-) for gamma2-, rows[1] that of J(y+) for gamma3+,
-    each of unit length, and ends holds y- and y+.  J - gamma I has rank
-    two, and l (J - gamma I) = 0 says l is orthogonal to its columns, so
-    l is the cross product of two of them: the pair whose product is
-    widest.  A non-finite Jacobian gives non-finite rows, which the
-    Newton step then reports.
+    M - gamma I has rank two, and l (M - gamma I) = 0 says l is orthogonal
+    to its columns, so l is the cross product of two of them: the pair
+    whose product is widest.  A non-finite M gives non-finite rows.
     """
-    ends = np.array([[params.v_minus, end.phi_minus, 0.0],
-                     [params.v_plus, end.phi_plus, 0.0]])
-    gammas = np.array([fast_roots(params, end, "minus").gamma2,
-                       fast_roots(params, end, "plus").gamma3])
-    cols = np.swapaxes(rhs_jacobian(ends, params, end), 1, 2)
-    cols -= gammas[:, None, None] * np.eye(3)
+    cols = np.swapaxes(M, 1, 2) - gammas[:, None, None] * np.eye(3)
     # cross[k, j] is the cross product of the two columns other than j
     cross = np.stack([np.cross(cols[:, (j + 1) % 3], cols[:, (j + 2) % 3])
                       for j in range(3)], axis=1)
     widths = np.linalg.norm(cross, axis=2)
     best = np.argmax(widths, axis=1)
-    rows = cross[[0, 1], best] / widths[[0, 1], best][:, None]
-    return rows, ends
+    rows = np.arange(M.shape[0])
+    return cross[rows, best] / widths[rows, best][:, None]
 
 
-def _boundary_rows(y, mid_idx, params, far):
-    """Left projection row, phase condition, right projection row."""
-    rows, ends = far
-    vm, vp = params.v_minus, params.v_plus
-    return (rows[0] @ (y[0] - ends[0]), y[mid_idx, 0] - 0.5 * (vm + vp),
-            rows[1] @ (y[-1] - ends[1]))
+def far_field_rows(params: PlasmaParams, end: ShockEndstates):
+    """Coefficients of the two projection rows and the states they hold.
 
-
-def _residual_vector(y, h, mid_idx, params, end, colloc=None, far=None):
-    """Residual with the cell rows first and the three boundary rows last.
-
-    colloc is _collocation_residual(y, ...) and far is
-    far_field_rows(params, end) when the caller already has them.
+    Returns (rows, ends), both of shape (2, 3): rows[0] is the unit left
+    eigenvector of J(y-) for gamma2-, rows[1] that of J(y+) for gamma3+
+    (left_eigenvectors), and ends holds y- and y+.  A non-finite Jacobian
+    gives non-finite rows, which the Newton step then reports.
     """
-    res, _, _ = colloc or _collocation_residual(y, h, params, end)
-    left, phase, right = _boundary_rows(
-        y, mid_idx, params, far or far_field_rows(params, end))
-    return np.concatenate([res.ravel(), [left, right, phase]])
+    ends = np.array([[params.v_minus, end.phi_minus, 0.0],
+                     [params.v_plus, end.phi_plus, 0.0]])
+    gammas = np.array([fast_roots(params, end, "minus").gamma2,
+                       fast_roots(params, end, "plus").gamma3])
+    return left_eigenvectors(rhs_jacobian(ends, params, end), gammas), ends
 
 
 # Row order of the banded Newton system: the left projection row, the
@@ -208,20 +189,32 @@ BANDS = 4
 BLOCK_CELLS = 4096
 
 
-def _banded_system(y, h, mid_idx, params, end, colloc=None, far=None):
-    """Newton matrix in gbsv's band storage, shape (3 BANDS + 1, 3n) in
-    Fortran order, and the residual F in the same row order.
+def _residual(y, h, mid_idx, params, end, far):
+    """Newton residual F in the band's row order, and the cells' midpoint
+    states ym, which _banded_system reads; far is far_field_rows(...)."""
+    f = rhs_array(y, params, end)
+    ym = 0.5 * (y[:-1] + y[1:]) - (h / 8.0) * (f[1:] - f[:-1])
+    fm = rhs_array(ym, params, end)
+    res = y[1:] - y[:-1] - (h / 6.0) * (f[:-1] + 4.0 * fm + f[1:])
+    rows, ends = far
+    phase = y[mid_idx, 0] - 0.5 * (params.v_minus + params.v_plus)
+    F = np.concatenate([[rows[0] @ (y[0] - ends[0])], res[:mid_idx].ravel(),
+                        [phase], res[mid_idx:].ravel(),
+                        [rows[1] @ (y[-1] - ends[1])]])
+    return F, ym
 
-    Entry (row, col) of the matrix sits at ab[2 BANDS + row - col, col];
-    the top BANDS rows are zero, room for the fill-in of the LU factors.
-    The cells are assembled BLOCK_CELLS at a time, each block on one side
-    of the phase row.
-    colloc is _collocation_residual(y, ...) and far is
-    far_field_rows(params, end) when the caller already has them.
+
+def _banded_system(y, h, mid_idx, params, end, ym, far):
+    """Newton matrix in gbsv's band storage, shape (3 BANDS + 1, 3n) in
+    Fortran order.
+
+    Entry (row, col) sits at ab[2 BANDS + row - col, col]; the top BANDS
+    rows are zero, room for the fill-in of the LU factors.  The cells are
+    assembled BLOCK_CELLS at a time, each block on one side of the phase
+    row.  ym and far are the midpoint states of _residual(y, ...) and
+    far_field_rows(params, end).
     """
     n = y.shape[0]
-    far = far or far_field_rows(params, end)
-    res, _, ym = colloc or _collocation_residual(y, h, params, end)
     eye = np.eye(3)
     # band[node, c, d] is ab[d, 3 node + c]
     band = np.zeros((n, 3, 3 * BANDS + 1))
@@ -244,11 +237,7 @@ def _banded_system(y, h, mid_idx, params, end, colloc=None, far=None):
         band[0, c, 2 * BANDS - c] = rows[0, c]          # row 0, column c
         band[n - 1, c, 2 * BANDS + 2 - c] = rows[1, c]  # row 3n - 1, column 3n - 3 + c
     band[mid_idx, 0, 2 * BANDS + 1] = 1.0    # phase: row 3 mid + 1, column 3 mid
-
-    left, phase, right = _boundary_rows(y, mid_idx, params, far)
-    F = np.concatenate([[left], res[:mid_idx].ravel(), [phase],
-                        res[mid_idx:].ravel(), [right]])
-    return band.reshape(3 * n, 3 * BANDS + 1).T, F
+    return band.reshape(3 * n, 3 * BANDS + 1).T
 
 
 def _band_solve(ab, rhs):
@@ -341,26 +330,26 @@ def solve_profile(params: PlasmaParams, end: ShockEndstates,
         X = default_half_length(params, end)
     if n is None:
         n = 4001
-    if n % 2 == 0:
-        raise ValueError("node count n must be odd so that x=0 is a node")
+    if n % 2 == 0 or n < 3:
+        raise ValueError("node count n must be odd and at least 3, so that "
+                         "x=0 is a node between the ends")
     x = np.linspace(-X, X, n)
     h = x[1] - x[0]
     mid_idx = (n - 1) // 2
     far = far_field_rows(params, end)
 
     def defect(y):
-        # max-norm residual, with the collocation parts that produced it
-        colloc = _collocation_residual(y, h, params, end)
-        return np.max(np.abs(_residual_vector(y, h, mid_idx, params, end,
-                                              colloc, far))), colloc
+        # max-norm residual, with the residual and midpoint states
+        F, ym = _residual(y, h, mid_idx, params, end, far)
+        return np.max(np.abs(F)), F, ym
 
     y = initial_guess(x, params, end)
-    norm, colloc = defect(y)
+    norm, F, ym = defect(y)
     iterations = 0
     # "not norm <= tol": a nan defect is not converged
     while not norm <= tol and iterations < max_iter:
-        ab, F = _banded_system(y, h, mid_idx, params, end, colloc, far)
-        del colloc      # its (n, 3) arrays need not live through the solve
+        ab = _banded_system(y, h, mid_idx, params, end, ym, far)
+        del ym          # its (n - 1, 3) array need not live through the solve
         iterations += 1
         try:
             step = _band_solve(ab, -F).reshape(n, 3)
@@ -372,16 +361,16 @@ def solve_profile(params: PlasmaParams, end: ShockEndstates,
         t = 1.0
         while t > 1e-6:
             trial = y + t * step
-            trial_norm, trial_colloc = defect(trial)
+            trial_norm, trial_F, trial_ym = defect(trial)
             if trial_norm < norm * (1.0 - 0.25 * t) or trial_norm < tol:
-                y, norm, colloc = trial, trial_norm, trial_colloc
+                y, norm, F, ym = trial, trial_norm, trial_F, trial_ym
                 break
             t *= 0.5
         else:
             y = y + t * step
-            norm, colloc = defect(y)
-        # only y and colloc go on to the next step's band assembly
-        del step, trial, trial_colloc
+            norm, F, ym = defect(y)
+        # only y, F and ym go on to the next step
+        del step, trial, trial_F, trial_ym
     if not norm <= tol:
         raise RuntimeError(f"profile solver did not converge; final defect {norm:.3e}")
 
@@ -460,7 +449,8 @@ def verify_profile(grid: ProfileGrid) -> ProfileResidualReport:
     sel = (grid.x >= grid.X / 2) & (grid.x <= 0.75 * grid.X)
     tail = np.abs(grid.v[sel] - grid.params.v_plus)
     slope = np.nan
-    if np.all(tail > 0):
+    # no fit on fewer than two nodes, or once the tail touches v+
+    if tail.size >= 2 and np.all(tail > 0):
         slope = float(np.polyfit(grid.x[sel], np.log(tail), 1)[0])
 
     end = grid.end

@@ -14,9 +14,10 @@ x -> -inf (center-unstable directions at -X, integrated forward), via
 a rank-revealing SVD.  Each plane is carried by its normal, which
 moves under the adjoint equation y' = -Atilde^T y; no diagonalizing
 change of variables or QR frame is needed, and at x = 0 the plane is
-the normal's orthogonal complement.  Atilde is eliminated on jets, so
-it comes with its exact x-derivative, and is stored as cubic-Hermite
-cells (eigensystem.hermite_table).
+the normal's orthogonal complement; at each cut end it is the unit left
+eigenvector of the one rate outside the plane (profile.left_eigenvectors).
+Atilde is eliminated on jets, so it comes with its exact x-derivative,
+and is stored as cubic-Hermite cells (eigensystem.hermite_table).
 
 The adjoint equation is linear and free of lam, and Atilde is a cubic
 in every cell, so the normals are not integrated step by step: each
@@ -37,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensystem import closure_rows, hermite_table, interior_coefficients
+from .eigensystem import (closure_rows, hermite_table, interior_coefficients,
+                          wave_residual)
 # never called here: re-exported only so that the WRAPS table of
 # perfbench/tracer.py, which patches transversality.interior_matrix_coeffs
 # and transversality.solve_ivp, finds them
@@ -45,7 +47,7 @@ from .eigensystem import interior_matrix_coeffs  # noqa: F401
 from .evans import solve_ivp  # noqa: F401
 from .jets import Jet
 from .params import PlasmaParams, ShockEndstates
-from .profile import ProfileGrid
+from .profile import ProfileGrid, left_eigenvectors
 
 
 def reduced_limit_matrix(params: PlasmaParams) -> np.ndarray:
@@ -152,11 +154,9 @@ def wave_vector(grid: ProfileGrid) -> np.ndarray:
 def reduced_wave_residual(system: ReducedSystem, grid: ProfileGrid) -> float:
     """Relative defect of the wave derivative in the reduced system."""
     vj, _, sj = grid.taylor_jets(3)
-    V = wave_vector(grid)
     dV = np.stack([-grid.end.s * vj.derivative(2), sj.derivative(1),
                    sj.derivative(2)], axis=-1)
-    defect = dV - np.einsum("nij,nj->ni", system.tables, V)
-    return float(np.max(np.abs(defect)) / np.max(np.abs(dV)))
+    return wave_residual(system.tables, wave_vector(grid), dV)
 
 
 # Magnus steps per hermite_table cell, and the coarser count whose result
@@ -265,9 +265,10 @@ def _end_normal(M: np.ndarray, side: str, center_tol: float = 1e-10):
 
     At "+" that is the center-stable plane (rates <= center_tol), at "-"
     the center-unstable one (rates >= -center_tol).  The normal is the
-    left eigenvector of the one rate outside the plane.
+    unit left eigenvector of the one rate outside the plane, by the rule
+    of the profile's projection rows (profile.left_eigenvectors).
     """
-    w, V = np.linalg.eig(M)
+    w = np.linalg.eigvals(M)
     if np.max(np.abs(w.imag)) > 1e-10:
         raise RuntimeError("end matrix of the reduced system has complex "
                            "rates; cannot classify directions")
@@ -276,8 +277,7 @@ def _end_normal(M: np.ndarray, side: str, center_tol: float = 1e-10):
     if outside.size != 1:
         raise RuntimeError("unexpected direction counts at the cut ends: "
                            f"{3 - outside.size} bounded at {side}inf")
-    left = np.linalg.inv(V.real)[outside[0]]
-    return left / np.linalg.norm(left)
+    return left_eigenvectors(M[None], w.real[outside])[0]
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from nspshock.evans import (
     MINUS_FAST,
     MINUS_TRIPLE,
     PLUS_PAIR,
+    PROBE_ORDER,
     EvansSample,
     EvansSystem,
     build_evans_system,
@@ -220,7 +221,8 @@ def test_table_error_detects_wrong_curvature(profile_grid, esys, coarse_grid):
             grid, esys, stride)
         for factor, fails in ((1.0, False), (0.5, True)):
             table = hermite_table(x, values, slopes, factor * curvatures)
-            assert (table_error(grid, stride, table) > 1e-8) == fails
+            jets = grid.state_jets(PROBE_ORDER, slice(None, None, stride))
+            assert (table_error(grid, stride, table, jets) > 1e-8) == fails
 
 
 def test_thinned_table_keeps_gamma(profile_grid, esys, monkeypatch):

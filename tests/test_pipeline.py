@@ -13,6 +13,7 @@ import nspshock.dispersion as dispersion_module
 import nspshock.pipeline as pipeline_module
 import nspshock.profile as profile_module
 from nspshock.cli import main
+from nspshock.evans import PROBE_ORDER
 from nspshock.modes import default_disk_radius
 from nspshock.params import PlasmaParams, solve_rankine_hugoniot
 from nspshock.pipeline import ConfigError, load_config
@@ -94,6 +95,8 @@ def test_dispersion_only_writes_only_spectrum(tmp_path):
     ({"evans_n": 5601}, "numerics.evans_n"),
     ({"n_circle": 2.5}, "numerics.n_circle"),
     ([32], "numerics"),
+    # below three nodes there is no grid
+    ({"n": 1}, "numerics.n"),
 ])
 def test_bad_numeric_exits_2(tmp_path, capsys, numerics, key):
     cfg = write_config(tmp_path, numerics=numerics)
@@ -299,8 +302,9 @@ def test_dissipation_violation_is_a_failed_check(tmp_path, monkeypatch):
 
 def test_each_grid_computes_its_jets_once(tmp_path, monkeypatch):
     # all five tasks share one grid: one solve and one order-3 jet
-    # derivation on its nodes; Evans derives its own jets at the nodes its
-    # table keeps (and carries to the cell midpoints) alone
+    # derivation on its nodes; the Evans build makes one more pass at the
+    # nodes its table keeps and one at the cell midpoints it carries the
+    # profile to, and no other
     calls, solves = [], []
     original = ProfileGrid.state_jets
     original_solve = pipeline_module.solve_profile
@@ -323,7 +327,31 @@ def test_each_grid_computes_its_jets_once(tmp_path, monkeypatch):
     assert len(solves) == 1
     assert [nodes for order, nodes in calls if order == 3] == [4001]
     kept = report["tasks"]["evans"]["metrics"]["table"]["nodes"]
-    assert all(nodes <= kept for order, nodes in calls if order != 3)
+    assert [(order, nodes) for order, nodes in calls if order != 3] == [
+        (PROBE_ORDER, kept), (2, kept - 1)]
+
+
+def test_failed_grid_is_solved_once(tmp_path, monkeypatch):
+    # nine nodes give a non-monotone profile; the four tasks that read the
+    # grid all report the one failed solve
+    solves = []
+    original_solve = pipeline_module.solve_profile
+
+    def counting_solve(*args, **kwargs):
+        solves.append(1)
+        return original_solve(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline_module, "solve_profile", counting_solve)
+    cfg = write_config(tmp_path, numerics={"n": 9, "n_circle": 16})
+    assert main(["run", "--config", str(cfg)]) == 1
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert len(solves) == 1
+    errors = {name: entry.get("error")
+              for name, entry in report["tasks"].items()}
+    assert errors.pop("dispersion") is None
+    assert set(errors.values()) == {
+        "RuntimeError: converged profile is not monotone; increase X or "
+        "reduce the amplitude"}
 
 
 @pytest.mark.parametrize("v_plus", [1.02, 1.19])

@@ -15,7 +15,7 @@ from nspshock.profile import (
     BANDS,
     _band_solve,
     _banded_system,
-    _residual_vector,
+    _residual,
     default_half_length,
     far_field_rows,
     initial_guess,
@@ -229,19 +229,21 @@ def small_system():
     end = solve_rankine_hugoniot(p)
     n, X = 21, 10.0
     x = np.linspace(-X, X, n)
-    return p, end, initial_guess(x, p, end), x[1] - x[0], (n - 1) // 2
+    return (p, end, initial_guess(x, p, end), x[1] - x[0], (n - 1) // 2,
+            far_field_rows(p, end))
 
 
 def test_band_matrix_is_the_jacobian_of_its_residual(small_system):
-    # oracle: central differences of the banded residual itself
-    p, end, y, h, mid = small_system
-    ab, F = _banded_system(y, h, mid, p, end)
+    # oracle: central differences of the residual
+    p, end, y, h, mid, far = small_system
+    F, ym = _residual(y, h, mid, p, end, far)
+    ab = _banded_system(y, h, mid, p, end, ym, far)
     assert ab.shape == (3 * BANDS + 1, F.size)
     assert np.all(ab[:BANDS] == 0.0)
     dense = _dense_from_band(ab[BANDS:], BANDS)
 
     def residual(flat):
-        return _banded_system(flat.reshape(y.shape), h, mid, p, end)[1]
+        return _residual(flat.reshape(y.shape), h, mid, p, end, far)[0]
 
     step = 1e-6
     fd = np.empty_like(dense)
@@ -256,23 +258,23 @@ def test_band_assembly_does_not_depend_on_the_block_size(small_system,
                                                           monkeypatch):
     # one block per side is the reference; smaller blocks, one that ends
     # on the phase row included, must give the same floats
-    p, end, y, h, mid = small_system
-    ab, F = _banded_system(y, h, mid, p, end)
+    p, end, y, h, mid, far = small_system
+    _, ym = _residual(y, h, mid, p, end, far)
+    ab = _banded_system(y, h, mid, p, end, ym, far)
     assert ab.flags.f_contiguous
     for cells in (1, 2, 7, mid):
         monkeypatch.setattr(profile_module, "BLOCK_CELLS", cells)
-        ab_blocks, F_blocks = _banded_system(y, h, mid, p, end)
-        assert np.array_equal(ab_blocks, ab)
-        assert np.array_equal(F_blocks, F)
+        assert np.array_equal(_banded_system(y, h, mid, p, end, ym, far), ab)
 
 
 def test_band_solve_matches_solve_banded(small_system):
-    p, end, y, h, mid = small_system
-    ab, F = _banded_system(y, h, mid, p, end)
+    p, end, y, h, mid, far = small_system
+    F, ym = _residual(y, h, mid, p, end, far)
+    ab = _banded_system(y, h, mid, p, end, ym, far)
     expected = solve_banded((BANDS, BANDS), ab[BANDS:], -F)
     assert np.array_equal(_band_solve(ab, -F), expected)
 
-    ab, F = _banded_system(y, h, mid, p, end)
+    ab = _banded_system(y, h, mid, p, end, ym, far)
     ab[:, 5] = 0.0
     with pytest.raises(LinAlgError):
         _band_solve(ab, -F)
@@ -294,17 +296,17 @@ def test_newton_memory_is_within_twice_the_band_storage():
     assert peak <= 2 * 8 * (3 * BANDS + 1) * 3 * n
 
 
-def test_band_residual_is_a_row_permutation(small_system):
-    # banded rows: left projection row, cells left of mid, phase, other
-    # cells, right projection row; _residual_vector: all cells, left,
-    # right, phase
-    p, end, y, h, mid = small_system
-    _, F = _banded_system(y, h, mid, p, end)
-    size = F.size
-    phase = 3 * mid + 1
-    natural = np.concatenate([F[1:phase], F[phase + 1:size - 1],
-                              [F[0], F[size - 1], F[phase]]])
-    assert np.array_equal(natural, _residual_vector(y, h, mid, p, end))
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_tiny_grids_report_no_decay_fit(n):
+    # the fit window [X/2, 3X/4] holds fewer than two of these nodes, so
+    # the decay exponent is NaN, as when the tail touches v+; below three
+    # nodes there is no grid
+    p = PlasmaParams(T=1.0, nu=1.0, eps=1.0, v_minus=1.0, u_minus=0.0,
+                     v_plus=1.1)
+    end = solve_rankine_hugoniot(p)
+    assert np.isnan(verify_profile(solve_profile(p, end, n=n)).decay_exponent)
+    with pytest.raises(ValueError, match="at least 3"):
+        solve_profile(p, end, n=1)
 
 
 def test_newton_work_recorded_on_grid(grid_ref):
