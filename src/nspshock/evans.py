@@ -300,7 +300,7 @@ def build_evans_system(grid: ProfileGrid, rtol: float = 1e-12,
     RuntimeError naming the Evans build when the kept nodes miss an end
     of the grid or x = 0, and RuntimeError when the coefficients at the
     cut ends miss their limits by more than gap_tol, i.e. when the
-    domain is too short.
+    domain is too short or the grid too coarse.
     """
     params, end = grid.params, grid.end
     X, n = grid.X, grid.n
@@ -328,8 +328,10 @@ def build_evans_system(grid: ProfileGrid, rtol: float = 1e-12,
                   np.max(np.abs(A[0, idx, 2])))
     if gap > gap_tol:
         raise RuntimeError(
-            f"coefficients at the cut ends miss their limits by {gap:.3e}; "
-            "the domain is too short for Evans work")
+            f"coefficients at the cut ends miss their limits by {gap:.3e} "
+            f"on n = {n} nodes with step h = {grid.h:.4g}; the domain is too "
+            "short or the grid too coarse for Evans work: raise numerics.X "
+            "or numerics.n")
 
     # Taylor coefficients to derivatives: slope A[1], curvature 2 A[2]
     m = x.size
@@ -907,8 +909,10 @@ def gamma_transversality(sys: EvansSystem, origin: EvansSample,
     if max(res2, res4) > factor_tol:
         raise RuntimeError(
             "wave derivative is not contained in the transported planes "
-            f"(residuals {res2:.3e}, {res4:.3e}); the fast bundle may be "
-            "rank deficient or the domain too short")
+            f"(residuals {res2:.3e}, {res4:.3e}) on n = {sys.n} nodes with "
+            f"step h = {2.0 * sys.X / (sys.n - 1):.4g}; the fast bundle may "
+            "be rank deficient, the domain too short or the grid too coarse: "
+            "raise numerics.X or numerics.n")
     # |skew(z) W0| = |W0 ^ w3| for the dual z = hodge(w3) (see wedge.skew)
     contain = float(np.linalg.norm(skew(z) @ W0)
                     / (np.linalg.norm(W0) * np.linalg.norm(z)))

@@ -25,15 +25,25 @@ order.  Each row is the unit left eigenvector of a 3x3 end matrix,
 taken as the widest cross product of two columns of J - gamma I
 (left_eigenvectors, which the transversality end normals use too).
 The phase condition pins v(0) = (v_minus + v_plus)/2 at the central
-node, so the node count must be odd and at least 3.  The residual
-(_residual) has one row order: the left row, cells left of the pinned
-node, phase condition, remaining cells, right row, which makes the
-Newton matrix a band matrix with four sub- and four super-diagonals.
-Each step assembles it in blocks of BLOCK_CELLS cells straight into
-LAPACK gbsv's band storage, a (13, 3n) Fortran-order array whose top
-four rows are room for the fill-in of the LU factors, and factors and
-solves it in place with one gbsv call; a step holds that one band
-array, never a copy of it.
+node, so the node count must be odd and at least 3.
+
+Each Newton step solves the linearized collocation equations by
+structured-QR block cyclic reduction (S. J. Wright, "Stable parallel
+algorithms for two-point boundary value problems", SIAM J. Sci. Stat.
+Comput. 13 (1992) 742-764).  Cell k gives three rows
+L_k y_k + R_k y_{k+1} = r_k; the cells left of the pinned node form one
+chain and the cells right of it another, and both are reduced together.
+At each level a Householder QR of the stacked 6x3 block [R_k; L_{k+1}]
+of every pair of neighbouring cells eliminates their shared node and
+leaves one cell that couples the pair's outer nodes.  A 9x9 solve for
+y_0, y_mid and y_{n-1} closes the system with the two projection rows
+and the phase row, and back-substitution runs level by level through
+the triangular factors.  The orthogonal eliminations need no pivoting
+across blocks and stay stable on such systems, where Gaussian
+elimination with partial pivoting can be unstable (Wright, SIAM J.
+Sci. Comput. 14 (1993) 231-238).  No band matrix is
+stored: the cells' blocks are assembled BLOCK_CELLS at a time straight
+into the reduction's input.
 
 A solved grid is its nodes plus, optionally, the Taylor jets it
 carries.  Every derivative of the profile is read from jets of the
@@ -50,9 +60,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError, get_lapack_funcs
-# unused here; kept so that WRAPS in perfbench/tracer.py can patch it
-from scipy.sparse.linalg import splu  # noqa: F401
+from numpy.linalg import LinAlgError
 
 from .csvout import write_table
 from .eigensystem import hermite_table, refined_values
@@ -177,21 +185,30 @@ def far_field_rows(params: PlasmaParams, end: ShockEndstates):
     return left_eigenvectors(rhs_jacobian(ends, params, end), gammas), ends
 
 
-# Row order of the banded Newton system: the left projection row, the
-# cells left of the pinned node, the phase condition, the remaining
-# cells, the right projection row.  Each projection row has its three
-# entries on its end node.  Cell k couples unknowns 3k .. 3k+5; its three
-# rows start at 3k + 1 + shift, with shift 0 left of mid_idx and 1 from it
-# on, so every entry lies within BANDS = 4 diagonals of the main one.
-BANDS = 4
+# Unused by the package: bound to None so that WRAPS in perfbench/tracer.py
+# can still patch it, until the benchmark reads its counts from the
+# report (ROADMAP item 5).
+splu = None
+
 # Cells per block of the Newton matrix assembly; a block's (cells, 3, 3)
-# temporaries are then small next to the band array.
+# temporaries are then small next to the reduction's input.
 BLOCK_CELLS = 4096
+# Columns of a reduction pair: its shared (middle) node, its left node,
+# its right node and the right-hand side.  A cell is written with columns
+# L, R, rhs; PAIR_COLUMNS[i] are the pair columns of the cells in rows
+# 3i .. 3i + 2 of a pair, the left cell (i = 0) and the right one.
+PAIR_COLUMNS = ([3, 4, 5, 0, 1, 2, 9], [0, 1, 2, 6, 7, 8, 9])
 
 
 def _residual(y, h, mid_idx, params, end, far):
-    """Newton residual F in the band's row order, and the cells' midpoint
-    states ym, which _banded_system reads; far is far_field_rows(...)."""
+    """Newton residual F and the cells' midpoint states ym, which
+    _cell_blocks reads; far is far_field_rows(...).
+
+    F's rows are the left projection row, the cells left of the pinned
+    node, the phase condition, the remaining cells and the right
+    projection row; cell k gives rows 3k + 1 .. 3k + 3, one more from the
+    pinned node on.
+    """
     f = rhs_array(y, params, end)
     ym = 0.5 * (y[:-1] + y[1:]) - (h / 8.0) * (f[1:] - f[:-1])
     fm = rhs_array(ym, params, end)
@@ -204,60 +221,140 @@ def _residual(y, h, mid_idx, params, end, far):
     return F, ym
 
 
-def _banded_system(y, h, mid_idx, params, end, ym, far):
-    """Newton matrix in gbsv's band storage, shape (3 BANDS + 1, 3n) in
-    Fortran order.
-
-    Entry (row, col) sits at ab[2 BANDS + row - col, col]; the top BANDS
-    rows are zero, room for the fill-in of the LU factors.  The cells are
-    assembled BLOCK_CELLS at a time, each block on one side of the phase
-    row.  ym and far are the midpoint states of _residual(y, ...) and
-    far_field_rows(params, end).
-    """
-    n = y.shape[0]
+def _cell_blocks(y, h, params, end, ym):
+    """Newton blocks of the cells between consecutive nodes of y: the
+    residual of cell k moves by L[k] dy_k + R[k] dy_{k+1}.  Shapes
+    (len(y) - 1, 3, 3); ym are the cells' midpoint states (_residual)."""
     eye = np.eye(3)
-    # band[node, c, d] is ab[d, 3 node + c]
-    band = np.zeros((n, 3, 3 * BANDS + 1))
-    for first, stop, shift in ((0, mid_idx, 0), (mid_idx, n - 1, 1)):
-        for a in range(first, stop, BLOCK_CELLS):
-            b = min(a + BLOCK_CELLS, stop)
-            J = rhs_jacobian(y[a:b + 1], params, end)
-            Jm = rhs_jacobian(ym[a:b], params, end)
-            dym_dl = 0.5 * eye + (h / 8.0) * J[:-1]
-            dym_dr = 0.5 * eye - (h / 8.0) * J[1:]
-            L = -eye - (h / 6.0) * (J[:-1] + 4.0 * (Jm @ dym_dl))
-            R = eye - (h / 6.0) * (J[1:] + 4.0 * (Jm @ dym_dr))
-            for c in range(3):
-                # row 3k + 1 + shift + i, column 3k + c (L) or 3k + 3 + c (R)
-                d = 2 * BANDS + 1 + shift - c
-                band[a:b, c, d:d + 3] = L[:, :, c]
-                band[a + 1:b + 1, c, d - 3:d] = R[:, :, c]
-    rows, _ = far
-    for c in range(3):
-        band[0, c, 2 * BANDS - c] = rows[0, c]          # row 0, column c
-        band[n - 1, c, 2 * BANDS + 2 - c] = rows[1, c]  # row 3n - 1, column 3n - 3 + c
-    band[mid_idx, 0, 2 * BANDS + 1] = 1.0    # phase: row 3 mid + 1, column 3 mid
-    return band.reshape(3 * n, 3 * BANDS + 1).T
+    J = rhs_jacobian(y, params, end)
+    Jm = rhs_jacobian(ym, params, end)
+    dym_dl = 0.5 * eye + (h / 8.0) * J[:-1]
+    dym_dr = 0.5 * eye - (h / 8.0) * J[1:]
+    L = -eye - (h / 6.0) * (J[:-1] + 4.0 * (Jm @ dym_dl))
+    R = eye - (h / 6.0) * (J[1:] + 4.0 * (Jm @ dym_dr))
+    return L, R
 
 
-def _band_solve(ab, rhs):
-    """Solve the band system of _banded_system in place with LAPACK gbsv.
+def _pair_cells(W, carry, first, cells):
+    """Write cells first, first + 1, ... of a chain into a reduction level.
 
-    ab is factored into and rhs overwritten by the solution, which is
-    returned.  Raises ValueError on a non-finite entry or an illegal
-    argument and LinAlgError on a singular matrix, as
-    scipy.linalg.solve_banded does.
+    cells has shape (3, 7, ..., k), columns L, R, rhs.  W, shape
+    (6, 10, ..., P), takes cell 2p in rows 0:3 and cell 2p + 1 in rows
+    3:6 of pair p (PAIR_COLUMNS); a chain of 2P + 1 cells puts its last
+    cell in carry, shape (3, 7, ..., 1), and otherwise carry is empty.
     """
-    if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
-        raise ValueError("array must not contain infs or NaNs")
-    gbsv, = get_lapack_funcs(("gbsv",), (ab, rhs))
-    _, _, x, info = gbsv(BANDS, BANDS, ab, rhs,
-                         overwrite_ab=True, overwrite_b=True)
-    if info > 0:
-        raise LinAlgError("singular matrix")
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}-th argument of internal gbsv")
-    return x
+    P = W.shape[-1]
+    for i, columns in enumerate(PAIR_COLUMNS):
+        skip = (i - first) % 2          # cells before the first of parity i
+        p0 = (first + skip) // 2
+        part = cells[..., skip::2]
+        count = max(0, min(part.shape[-1], P - p0))
+        W[3 * i:3 * i + 3, columns, ..., p0:p0 + count] = part[..., :count]
+    if carry.shape[-1] and first + cells.shape[-1] == 2 * P + 1:
+        carry[...] = cells[..., -1:]
+
+
+def _newton_system(y, h, mid_idx, params, end, ym, F):
+    """First reduction level of the Newton system J dy = -F: the pairs
+    and the carried cells of both chains (_pair_cells), chain 0 the cells
+    left of the pinned node.  Assembled BLOCK_CELLS cells at a time."""
+    m = mid_idx
+    W = np.zeros((6, 10, 2, m // 2))
+    carry = np.empty((3, 7, 2, m % 2))
+    for chain in range(2):
+        node0, row0 = chain * m, 1 + chain * (3 * m + 1)
+        for a in range(0, m, BLOCK_CELLS):
+            b = min(a + BLOCK_CELLS, m)
+            L, R = _cell_blocks(y[node0 + a:node0 + b + 1], h, params, end,
+                                ym[node0 + a:node0 + b])
+            rhs = -F[row0 + 3 * a:row0 + 3 * b].reshape(b - a, 3, 1)
+            cells = np.concatenate([L, R, rhs], axis=2).transpose(1, 2, 0)
+            _pair_cells(W[:, :, chain], carry[:, :, chain], a, cells)
+    return W, carry
+
+
+def _eliminate_middle(W):
+    """Householder QR of the middle blocks W[:, 0:3] of every pair, with
+    Q^T applied to all ten columns in place.
+
+    Rows 0:3 then hold the upper triangular factor T in columns 0:3 (the
+    entries below its diagonal are left as they were) and the rest of the
+    rows that give the middle node; rows 3:6, columns 3:10, hold the
+    reduced cell L' y_left + R' y_right = r'.  Raises LinAlgError when a
+    diagonal entry of T is zero.
+    """
+    for j in range(3):
+        x = W[j:, j]
+        # G[0] = |x|^2, G[1:] = x^T (columns right of j)
+        G = np.einsum("r...,rc...->c...", x, W[j:, j:])
+        s = np.copysign(np.sqrt(G[0]), x[0])
+        if not s.all():
+            raise LinAlgError("singular block in the Newton matrix")
+        # reflector I - v v^T / (s v0), v = x + s e0, maps x to -s e0;
+        # w = v^T (columns right of j) / (s v0)
+        v0 = x[0] + s
+        w = G[1:]
+        w += s * W[j, j + 1:]
+        w /= s * v0
+        W[j, j + 1:] -= v0 * w
+        W[j + 1:, j + 1:] -= x[1:, None] * w
+        W[j, j] = -s
+
+
+def _newton_step(y, h, mid_idx, params, end, ym, far, F):
+    """Newton step dy, shape (n, 3), of J dy = -F by structured-QR block
+    cyclic reduction (module docstring).
+
+    Raises ValueError when the Newton matrix or F is not finite and
+    LinAlgError when a triangular factor has a zero diagonal entry or the
+    closing 9x9 matrix is singular.
+    """
+    m = mid_idx
+    W, carry = _newton_system(y, h, mid_idx, params, end, ym, F)
+    rows = far[0]
+    ends_rhs = -F[[0, 3 * m + 1, -1]]
+    if not all(np.isfinite(a).all() for a in (W, carry, rows, ends_rhs)):
+        raise ValueError("the Newton matrix or residual is not finite")
+    levels = []
+    while W.shape[-1]:
+        _eliminate_middle(W)
+        levels.append(W[:3].copy())
+        cells = W[3:, 3:]
+        if carry.shape[-1]:
+            cells = np.concatenate([cells, carry], axis=-1)
+        c = cells.shape[-1]
+        W, carry = np.zeros((6, 10, 2, c // 2)), np.empty((3, 7, 2, c % 2))
+        _pair_cells(W, carry, 0, cells)
+        del cells                    # frees the level's pairs
+    # one cell per chain is left: close with the end and phase rows
+    M = np.zeros((9, 9))
+    M[0, 0:3] = rows[0]
+    M[1:4, 0:6] = carry[:, :6, 0, 0]
+    M[4, 3] = 1.0
+    M[5:8, 3:9] = carry[:, :6, 1, 0]
+    M[8, 6:9] = rows[1]
+    rhs = np.concatenate([ends_rhs[:1], carry[:, 6, 0, 0], ends_rhs[1:2],
+                          carry[:, 6, 1, 0], ends_rhs[2:]])
+    z = np.linalg.solve(M, rhs).reshape(3, 3).T
+    # Y[:, chain] holds the nodes of the chain's cells at the current level
+    Y = np.stack([z[:, :2], z[:, 1:]], axis=1)
+    for tops in reversed(levels):
+        # pair p of the level couples nodes p and p + 1 of the level above
+        P = tops.shape[-1]
+        b = (tops[:, 9]
+             - np.einsum("ic...,c...->i...", tops[:, 3:6], Y[..., :P])
+             - np.einsum("ic...,c...->i...", tops[:, 6:9], Y[..., 1:P + 1]))
+        b[2] /= tops[2, 2]
+        b[1] -= tops[1, 2] * b[2]
+        b[1] /= tops[1, 1]
+        b[0] -= tops[0, 1] * b[1] + tops[0, 2] * b[2]
+        b[0] /= tops[0, 0]
+        fine = np.empty((3, 2, Y.shape[-1] + P))
+        fine[..., :2 * P + 1:2] = Y[..., :P + 1]
+        fine[..., 1:2 * P:2] = b
+        fine[..., 2 * P + 1:] = Y[..., P + 1:]   # a carried cell's right node
+        Y = fine
+    return np.concatenate([Y[:, 0], Y[:, 1, 1:]], axis=-1).T
 
 
 @dataclass(frozen=True)
@@ -323,8 +420,8 @@ def solve_profile(params: PlasmaParams, end: ShockEndstates,
     Raises RuntimeError with the final defect when Newton stalls,
     RuntimeError naming the step, n, X and the defect when a Newton
     matrix is singular or not finite, and RuntimeError when the
-    converged solution is not monotone (bad truncation or amplitude
-    outside the perturbative regime).
+    converged solution is not monotone (a grid too coarse for the shock,
+    bad truncation or amplitude outside the perturbative regime).
     """
     if X is None:
         X = default_half_length(params, end)
@@ -348,16 +445,14 @@ def solve_profile(params: PlasmaParams, end: ShockEndstates,
     iterations = 0
     # "not norm <= tol": a nan defect is not converged
     while not norm <= tol and iterations < max_iter:
-        ab = _banded_system(y, h, mid_idx, params, end, ym, far)
-        del ym          # its (n - 1, 3) array need not live through the solve
         iterations += 1
         try:
-            step = _band_solve(ab, -F).reshape(n, 3)
+            step = _newton_step(y, h, mid_idx, params, end, ym, far, F)
         except (LinAlgError, ValueError) as exc:
             raise RuntimeError(
                 f"profile Newton: step {iterations} failed on n={n}, "
                 f"X={X:.6g} with defect {norm:.3e}: {exc}") from exc
-        del ab, F       # the factored band is not needed in the line search
+        del F, ym       # not needed in the line search
         t = 1.0
         while t > 1e-6:
             trial = y + t * step
@@ -378,8 +473,10 @@ def solve_profile(params: PlasmaParams, end: ShockEndstates,
     # gross-failure guard only; machine-level flat spots in the far tail
     # are fine and the report carries the sharp monotonicity margin
     if params.delta_s > 0 and np.any(np.diff(v) < -1e-10 * params.delta_s):
-        raise RuntimeError("converged profile is not monotone; increase X "
-                           "or reduce the amplitude")
+        raise RuntimeError(
+            f"converged profile is not monotone on n = {n} nodes with step "
+            f"h = {h:.4g}; raise numerics.n, increase X or reduce the "
+            "amplitude")
     u = params.u_minus - end.s * (v - params.v_minus)
     return ProfileGrid(params=params, end=end, X=float(X), x=x,
                        v=v, u=u, phi=phi, psi=psi, newton_iterations=iterations,

@@ -17,7 +17,7 @@ from nspshock.evans import PROBE_ORDER
 from nspshock.modes import default_disk_radius
 from nspshock.params import PlasmaParams, solve_rankine_hugoniot
 from nspshock.pipeline import ConfigError, load_config
-from nspshock.profile import ProfileGrid
+from nspshock.profile import ProfileGrid, default_half_length
 
 REF_PARAMS = {"T": 1.0, "nu": 1.0, "eps": 1.0, "v_minus": 1.0,
               "u_minus": 0.0, "v_plus": 1.1}
@@ -350,8 +350,28 @@ def test_failed_grid_is_solved_once(tmp_path, monkeypatch):
               for name, entry in report["tasks"].items()}
     assert errors.pop("dispersion") is None
     assert set(errors.values()) == {
-        "RuntimeError: converged profile is not monotone; increase X or "
-        "reduce the amplitude"}
+        "RuntimeError: converged profile is not monotone on n = 9 nodes "
+        "with step h = 35.97; raise numerics.n, increase X or reduce the "
+        "amplitude"}
+
+
+@pytest.mark.parametrize("n, task, text", [
+    (9, "profile", "converged profile is not monotone"),
+    (5, "evans", "coefficients at the cut ends miss their limits"),
+], ids=["profile", "evans"])
+def test_coarse_grid_errors_name_the_node_count(tmp_path, n, task, text):
+    # on a grid too coarse for the shock the error states the node count
+    # and the step, and names numerics.n as a knob to raise
+    cfg = write_config(tmp_path, numerics={"n": n, "n_circle": 16},
+                       tasks=[task])
+    assert main(["run", "--config", str(cfg)]) == 1
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    error = report["tasks"][task]["error"]
+    assert error.startswith("RuntimeError: " + text)
+    params = load_config(cfg).params
+    X = default_half_length(params, solve_rankine_hugoniot(params))
+    assert f"on n = {n} nodes with step h = {2.0 * X / (n - 1):.4g}" in error
+    assert "numerics.n" in error
 
 
 @pytest.mark.parametrize("v_plus", [1.02, 1.19])
@@ -405,12 +425,11 @@ def test_thread_env_var_seeds_blas_caps():
 
 
 def test_package_imports_no_scipy_solver_modules():
-    # numpy and scipy.linalg are the whole runtime stack; the heavy scipy
-    # subpackages must not load with the pipeline or the command line
-    heavy = ("scipy.integrate", "scipy.interpolate", "scipy.special",
-             "scipy.optimize")
+    # numpy is the whole runtime stack: neither the pipeline nor the
+    # command line loads scipy or any of its modules
     code = ("import sys; import nspshock.pipeline, nspshock.cli; "
-            f"print([m for m in {heavy!r} if m in sys.modules])")
+            "print([m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')])")
     src = os.path.dirname(os.path.dirname(nspshock.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from nspshock.params import solve_rankine_hugoniot
 from nspshock.poisson import (
@@ -11,6 +12,7 @@ from nspshock.poisson import (
     rhs_from_velocity,
     smallest_symmetric_eigenvalue,
     solve_linearized_poisson,
+    solve_tridiagonal,
     solve_with_rhs,
 )
 from nspshock.profile import solve_profile
@@ -147,3 +149,45 @@ def test_rhs_uses_given_derivative(profile_ref):
     # the central-difference fallback agrees to second order only
     assert np.max(np.abs(f_exact - f_diff)) < 1e-6
     assert np.max(np.abs(f_exact - f_diff)) > 0.0
+
+
+def _banded(sub, diag, sup):
+    """(sub, diag, sup) in scipy.linalg.solve_banded's (1, 1) storage."""
+    ab = np.zeros((3, diag.size))
+    ab[0, 1:] = sup[:-1]
+    ab[1] = diag
+    ab[2, :-1] = sub[1:]
+    return ab
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 8, 15, 16, 17, 1000, 1001])
+def test_cyclic_reduction_matches_solve_banded(rng, size):
+    # diagonally dominant random systems, every parity of every level
+    sub, sup, f = rng.normal(size=(3, size))
+    diag = np.abs(sub) + np.abs(sup) + rng.uniform(0.1, 1.0, size)
+    expected = solve_banded((1, 1), _banded(sub, diag, sup), f)
+    got = solve_tridiagonal(sub, diag, sup, f)
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("delta", [0.02, 0.1, 0.19])
+def test_profile_operator_solve_and_coercivity_bound(rng, delta):
+    # on the default grid: the cyclic reduction against solve_banded, and
+    # the Gershgorin bound between the check threshold and the lowest
+    # eigenvalue of the symmetric part
+    params = make_params(delta)
+    end = solve_rankine_hugoniot(params)
+    disc = discretize_profile(solve_profile(params, end))
+    sub, diag, sup = disc.operator_bands()
+    f = rng.normal(size=diag.size)
+    expected = solve_banded((1, 1), _banded(sub, diag, sup), f)
+    got = solve_tridiagonal(sub, diag, sup, f)
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    lowest = eigh_tridiagonal(diag, 0.5 * (sub[1:] + sup[:-1]),
+                              eigvals_only=True, select="i",
+                              select_range=(0, 0))[0]
+    bound = smallest_symmetric_eigenvalue(disc)
+    threshold = 0.5 * min(params.v_minus / params.v_plus,
+                          params.eps**2 / params.v_plus)
+    assert threshold <= bound <= lowest

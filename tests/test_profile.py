@@ -4,17 +4,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.linalg import LinAlgError
 from scipy.interpolate import PPoly
-from scipy.linalg import LinAlgError, solve_banded
+from scipy.linalg import solve_banded
 
 from nspshock.eigensystem import refined_values
 from nspshock.modes import fast_roots
 from nspshock.params import PlasmaParams, ShockEndstates, solve_rankine_hugoniot
 import nspshock.profile as profile_module
 from nspshock.profile import (
-    BANDS,
-    _band_solve,
-    _banded_system,
+    _cell_blocks,
+    _newton_step,
+    _newton_system,
     _residual,
     default_half_length,
     far_field_rows,
@@ -210,6 +211,32 @@ def test_bare_grid_gives_stored_jet_results(grid_ref, tmp_path):
             == (tmp_path / "stored.csv").read_bytes())
 
 
+def _newton_band(y, h, mid, p, end, ym, far):
+    """The Newton matrix in scipy.linalg.solve_banded's (4, 4) band
+    storage, a[row, col] at ab[4 + row - col, col], rows in the order of
+    _residual's F; built from the cells' blocks and the end and phase
+    rows."""
+    L, R = _cell_blocks(y, h, p, end, ym)
+    rows = far[0]
+    size = y.size
+    ab = np.zeros((9, size))
+
+    def put(row, col, value):
+        ab[4 + row - col, col] = value
+
+    k = np.arange(L.shape[0])
+    first = 3 * k + 1 + (k >= mid)      # first row of cell k
+    for i in range(3):
+        for c in range(3):
+            put(first + i, 3 * k + c, L[:, i, c])
+            put(first + i, 3 * k + 3 + c, R[:, i, c])
+    cols = np.arange(3)
+    put(np.zeros(3, dtype=int), cols, rows[0])
+    put(3 * mid + 1, 3 * mid, 1.0)
+    put(np.full(3, size - 1), size - 3 + cols, rows[1])
+    return ab
+
+
 def _dense_from_band(ab, upper):
     """Dense matrix with a[row, col] = ab[upper + row - col, col]."""
     size = ab.shape[1]
@@ -222,25 +249,31 @@ def _dense_from_band(ab, upper):
     return dense
 
 
+def _first_newton_system(delta, n, X=None):
+    """(p, end, y, h, mid, far, F, ym) at the initial guess."""
+    p = PlasmaParams(T=1.0, nu=1.0, eps=1.0, v_minus=1.0, u_minus=0.0,
+                     v_plus=1.0 + delta)
+    end = solve_rankine_hugoniot(p)
+    if X is None:
+        X = default_half_length(p, end)
+    x = np.linspace(-X, X, n)
+    y, h, mid = initial_guess(x, p, end), x[1] - x[0], (n - 1) // 2
+    far = far_field_rows(p, end)
+    F, ym = _residual(y, h, mid, p, end, far)
+    return p, end, y, h, mid, far, F, ym
+
+
 @pytest.fixture(scope="module")
 def small_system():
-    p = PlasmaParams(T=1.0, nu=1.0, eps=1.0, v_minus=1.0, u_minus=0.0,
-                     v_plus=1.1)
-    end = solve_rankine_hugoniot(p)
-    n, X = 21, 10.0
-    x = np.linspace(-X, X, n)
-    return (p, end, initial_guess(x, p, end), x[1] - x[0], (n - 1) // 2,
-            far_field_rows(p, end))
+    p, end, y, h, mid, far, _, _ = _first_newton_system(0.1, 21, X=10.0)
+    return p, end, y, h, mid, far
 
 
 def test_band_matrix_is_the_jacobian_of_its_residual(small_system):
     # oracle: central differences of the residual
     p, end, y, h, mid, far = small_system
     F, ym = _residual(y, h, mid, p, end, far)
-    ab = _banded_system(y, h, mid, p, end, ym, far)
-    assert ab.shape == (3 * BANDS + 1, F.size)
-    assert np.all(ab[:BANDS] == 0.0)
-    dense = _dense_from_band(ab[BANDS:], BANDS)
+    dense = _dense_from_band(_newton_band(y, h, mid, p, end, ym, far), 4)
 
     def residual(flat):
         return _residual(flat.reshape(y.shape), h, mid, p, end, far)[0]
@@ -256,44 +289,60 @@ def test_band_matrix_is_the_jacobian_of_its_residual(small_system):
 
 def test_band_assembly_does_not_depend_on_the_block_size(small_system,
                                                           monkeypatch):
-    # one block per side is the reference; smaller blocks, one that ends
-    # on the phase row included, must give the same floats
-    p, end, y, h, mid, far = small_system
-    _, ym = _residual(y, h, mid, p, end, far)
-    ab = _banded_system(y, h, mid, p, end, ym, far)
-    assert ab.flags.f_contiguous
-    for cells in (1, 2, 7, mid):
-        monkeypatch.setattr(profile_module, "BLOCK_CELLS", cells)
-        assert np.array_equal(_banded_system(y, h, mid, p, end, ym, far), ab)
-
-
-def test_band_solve_matches_solve_banded(small_system):
+    # one block per chain is the reference; smaller blocks, odd ones that
+    # start on either cell of a pair included, must give the same floats
     p, end, y, h, mid, far = small_system
     F, ym = _residual(y, h, mid, p, end, far)
-    ab = _banded_system(y, h, mid, p, end, ym, far)
-    expected = solve_banded((BANDS, BANDS), ab[BANDS:], -F)
-    assert np.array_equal(_band_solve(ab, -F), expected)
+    W, carry = _newton_system(y, h, mid, p, end, ym, F)
+    for cells in (1, 2, 7, mid):
+        monkeypatch.setattr(profile_module, "BLOCK_CELLS", cells)
+        W2, carry2 = _newton_system(y, h, mid, p, end, ym, F)
+        assert np.array_equal(W2, W) and np.array_equal(carry2, carry)
 
-    ab = _banded_system(y, h, mid, p, end, ym, far)
-    ab[:, 5] = 0.0
+
+def test_band_solve_matches_solve_banded(monkeypatch):
+    # the small systems have an even and an odd chain; the 4001-node ones
+    # are the first Newton matrices of the default grid
+    for case in ((0.1, 21, 10.0), (0.1, 23, 10.0), (0.02, 4001, None),
+                 (0.1, 4001, None), (0.19, 4001, None)):
+        p, end, y, h, mid, far, F, ym = _first_newton_system(*case)
+        band = _newton_band(y, h, mid, p, end, ym, far)
+        expected = solve_banded((4, 4), band, -F).reshape(y.shape)
+        step = _newton_step(y, h, mid, p, end, ym, far, F)
+        assert (np.max(np.abs(step - expected))
+                <= 1e-13 * np.max(np.abs(expected))), case
+
+    # zero the column of unknown 5 (y_1[2]): cells 0 and 1 are the only
+    # rows that read it, so the first pair's middle block loses rank
+    p, end, y, h, mid, far, F, ym = _first_newton_system(0.1, 21, X=10.0)
+    blocks = profile_module._cell_blocks
+
+    def zeroed(y, h, params, end, ym):
+        L, R = blocks(y, h, params, end, ym)
+        R[0, :, 2] = L[1, :, 2] = 0.0
+        return L, R
+
+    monkeypatch.setattr(profile_module, "_cell_blocks", zeroed)
     with pytest.raises(LinAlgError):
-        _band_solve(ab, -F)
+        _newton_step(y, h, mid, p, end, ym, far, F)
 
 
 def test_newton_memory_is_within_twice_the_band_storage():
     # tracemalloc counts numpy's buffers, so the bound does not depend on
-    # the host: one gbsv band array and a few (n, 3) arrays at a time
+    # the host.  The bound is twice the (13, 3n) float band array that the
+    # LAPACK gbsv solver of earlier versions factored in place at
+    # n = 20001, 2 * 8 * 13 * 3 * 20001 bytes: the reduction's first level,
+    # the triangular rows it keeps and the next level fit in it
     p = PlasmaParams(T=1.0, nu=1.0, eps=1.0, v_minus=1.0, u_minus=0.0,
                      v_plus=1.1)
     end = solve_rankine_hugoniot(p)
-    n = 20001
     tracemalloc.start()
     try:
-        solve_profile(p, end, X=250.0, n=n)
+        solve_profile(p, end, X=250.0, n=20001)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * 8 * (3 * BANDS + 1) * 3 * n
+    assert peak <= 12_480_624
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])

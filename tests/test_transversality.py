@@ -145,6 +145,15 @@ def test_zero_amplitude_matrix_is_constant_reference():
     assert sys0.deviation_sup() == 0.0
 
 
+def test_deviation_sup_equals_the_matrix_two_norm(params_ref, end_ref):
+    # the largest singular value read straight from svd is the same LAPACK
+    # result as norm(ord=2), bit for bit, on the reference grid
+    sys_ = build_reduced_system(solve_profile(params_ref, end_ref))
+    old = float(np.max(np.linalg.norm(sys_.tables - sys_.A0, ord=2,
+                                      axis=(1, 2))))
+    assert sys_.deviation_sup() == old
+
+
 def test_deviation_scales_linearly(systems):
     ratios = [sys_.deviation_sup() / delta for delta, (_, sys_) in systems.items()]
     assert max(ratios) / min(ratios) < 1.1
