@@ -279,6 +279,7 @@ def _task_evans(config, end, ctx, outdir):
     metrics = rep.as_dict()
     metrics.update({
         "X": esys.X, "n": esys.n, "table": esys.table_shape,
+        "tolerance": {"rtol": esys.rtol, "atol": esys.atol},
         "det_R0": rep.gamma.det_R0, "a2_minus": rep.gamma.a2_minus,
         "containment_minus": rep.gamma.containment_minus,
         "modes": _mode_metrics(config.params, end),

@@ -44,7 +44,7 @@ from .eigensystem import (closure_rows, hermite_table, interior_coefficients,
 # perfbench/tracer.py, which patches transversality.interior_matrix_coeffs
 # and transversality.solve_ivp, finds them
 from .eigensystem import interior_matrix_coeffs  # noqa: F401
-from .evans import solve_ivp  # noqa: F401
+from .ode import solve_ivp  # noqa: F401
 from .jets import Jet
 from .params import PlasmaParams, ShockEndstates
 from .profile import ProfileGrid, left_eigenvectors

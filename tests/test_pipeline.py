@@ -13,7 +13,7 @@ import nspshock.dispersion as dispersion_module
 import nspshock.pipeline as pipeline_module
 import nspshock.profile as profile_module
 from nspshock.cli import main
-from nspshock.evans import PROBE_ORDER
+from nspshock.evans import ATOL, PROBE_ORDER, RTOL
 from nspshock.modes import default_disk_radius
 from nspshock.params import PlasmaParams, solve_rankine_hugoniot
 from nspshock.pipeline import ConfigError, load_config
@@ -250,6 +250,8 @@ def test_reference_run_reports_its_table(reference_report):
     assert table["nodes"] == (metrics["n"] - 1) // 5 + 1 == 801
     assert table["step"] == pytest.approx(
         2.0 * metrics["X"] / (table["nodes"] - 1), rel=1e-14)
+    # and the DOP853 tolerances its transport ran at
+    assert metrics["tolerance"] == {"rtol": RTOL, "atol": ATOL}
 
 
 def test_reference_run_reports_newton_work(reference_report):
