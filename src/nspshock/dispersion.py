@@ -62,21 +62,22 @@ def essential_eigenvalues(params: PlasmaParams, end: ShockEndstates, side: str, 
     return base - 0.5 * root, base + 0.5 * root
 
 
-def resonance_polynomial(params: PlasmaParams, side: str, eta):
-    """Quadratic in eta = xi^2 whose positive root marks sign change of f."""
+def _resonance_coefficients(params: PlasmaParams, side: str):
+    """(a, b, c) of the resonance quadratic a eta^2 + b eta + c."""
     v = params.side_v(side)
     T, nu, eps2 = params.T, params.nu, params.eps**2
-    return (eps2 * nu**2 * eta**2 + (nu**2 * v - 4.0 * eps2 * T) * eta
-            - 4.0 * (T + 1.0) * v)
+    return eps2 * nu**2, nu**2 * v - 4.0 * eps2 * T, -4.0 * (T + 1.0) * v
+
+
+def resonance_polynomial(params: PlasmaParams, side: str, eta):
+    """Quadratic in eta = xi^2 whose positive root marks sign change of f."""
+    a, b, c = _resonance_coefficients(params, side)
+    return a * eta**2 + b * eta + c
 
 
 def xi0_threshold(params: PlasmaParams, side: str):
     """(eta0, xi0): the positive root of the resonance quadratic and its sqrt."""
-    v = params.side_v(side)
-    T, nu, eps2 = params.T, params.nu, params.eps**2
-    a = eps2 * nu**2
-    b = nu**2 * v - 4.0 * eps2 * T
-    c = -4.0 * (T + 1.0) * v
+    a, b, c = _resonance_coefficients(params, side)
     eta0 = (-b + np.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
     return float(eta0), float(np.sqrt(eta0))
 
@@ -112,8 +113,12 @@ def dispersion_curve(params: PlasmaParams, end: ShockEndstates, side: str,
                            margin=margin, xi0=xi0, theta0=theta0)
 
 
-def default_xi_grid(n: int = 10000, half_width: float = 50.0) -> np.ndarray:
-    return np.linspace(-half_width, half_width, n)
+# the dispersion grid: XI_POINTS frequencies in [-XI_HALF_WIDTH, XI_HALF_WIDTH]
+XI_POINTS, XI_HALF_WIDTH = 10000, 50.0
+
+
+def default_xi_grid() -> np.ndarray:
+    return np.linspace(-XI_HALF_WIDTH, XI_HALF_WIDTH, XI_POINTS)
 
 
 def write_spectrum_csv(curves, path) -> None:

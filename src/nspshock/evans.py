@@ -12,21 +12,16 @@ representatives.  Each transported row is divided there by its norm, a
 positive real factor kept as a log scale and multiplied back, so the
 computed value stays the analytic determinant.
 
-One transport carries a whole batch of lam.  It runs over the
-pseudo-time t in [0, X]: the 2-wedges from +X sit at x = X - t (their
-right-hand side changes sign), the duals from -X at x = t - X, and on
-a batch that holds lam = 0 Gamma's fast pair at -inf rides along as one
-more 2-wedge row at x = t - X.  All rows are one (rows, 10) state,
-and `integrate_wedge` carries it in one DOP853 solve over the whole of
-[0, X].  The shifts keep every row O(1) on the way (|log scale| at
-x = 0 is at most 2.01 from delta = 0.02 to 0.182), so nothing is
-renormalized in between.  Each right-hand-side call reads the
-coefficient cell of both sides.  The DOP853 step is ode.solve_ivp,
-imported here by name, so that replacing evans.solve_ivp replaces the
-transport's solver.  The step control then bounds the RMS error over
-the batch instead of each wedge's own; the agreement test in
-tests/test_evans.py holds batched D to one-lam-at-a-time D within 1e-10
-relative on the production grid.
+One transport carries a whole batch of lam, and on a batch that holds
+lam = 0 Gamma's fast pair at -inf rides along: `integrate_wedge` carries
+all rows as one state in one DOP853 solve over a pseudo-time t in
+[0, X].  The shifts keep every row O(1) on the way (|log scale| at x = 0
+is at most 2.01 from delta = 0.02 to 0.182), so nothing is renormalized
+in between.  The DOP853 step is ode.solve_ivp, imported here by name, so
+that replacing evans.solve_ivp replaces the transport's solver.  Its
+step control bounds the RMS error over the batch instead of each wedge's
+own; tests/test_evans.py holds batched D to one-lam-at-a-time D within
+1e-10 relative on the production grid.
 
 The transport runs at rtol = RTOL = 1e-9, atol = ATOL = RTOL/100, sized
 by the error budget of README: against a transport at RTOL/100 it may
@@ -43,31 +38,18 @@ conjugated and the log scales unchanged.  A run evaluates its
 first-round samples (origin, both contours, the Cauchy and difference
 points) in one batch and each winding-refinement round in one more.
 
-Evans reads the profile grid of the profile, transversality and
-Poisson tasks (18 decay lengths, 4001 nodes by default).  The
-coefficient table keeps every k-th node of it, k the largest divisor of
-(n - 1)/2 with cells no wider than TABLE_STEP, so the kept nodes include
-both ends and x = 0; k = 1 when no divisor fits, as at small amplitudes,
-where the grid step exceeds TABLE_STEP / 2.  Each cell is the quintic
-(C^2) Hermite interpolant of the values, slopes and second derivatives
-of A0, A1, A2 in A(x, lam) = A0 + lam A1 + lam^2 A2 at its two end
-nodes.  A build makes one jet pass at the kept nodes alone, to order
-PROBE_ORDER: the closure and the wave derivative read its order-4 part.
+Evans reads the profile grid of the other tasks.  Its coefficient
+table keeps every k-th node, k = table_stride(n, X), and each cell is
+the quintic (C^2) Hermite interpolant of the values, slopes and second
+derivatives of A0, A1, A2 in A(x, lam) = A0 + lam A1 + lam^2 A2 at its
+two end nodes, from one jet pass to order PROBE_ORDER at the kept nodes.
 The smoothness matters: C^1 cubic cells of the same width put kinks at
 the cell ends that spoil DOP853's error control (measured at rtol
 1e-12), and batched D then missed one-lam-at-a-time D by up to 2e-9.
-The table's error is measured on every build (table_error): the gap
-between the table and the exact closure at the midpoint of every cell,
-where the profile is carried from the cell's left node by that node's
-jet from the same pass.
+Every build measures the table's error (table_error).
 
-Each right-hand-side call finds the cell of each side in the uniform
-coefficient table in O(1) and evaluates the cell's quintic for A0, A1
-and A2.  It lifts those matrices, or their dual matrices for the minus
-block, in one lift2 call per side, applies the lifts to the real and
-imaginary parts of each block's rows in one real matrix product and
-combines the products of all rows per lam in one Horner pass.  The
-starting eigenvectors of a batch come from one stacked
+Each right-hand-side call lifts the coefficients of each side once
+(wedge_rhs).  The starting eigenvectors of a batch come from one stacked
 eigen-decomposition per side, labelled in one step from lam = 0
 (modes.analytic_eigenpairs).  Gamma reads the wedges and the fast pair
 of the lam = 0 sample and transports nothing of its own.
@@ -155,6 +137,16 @@ START_RCOND = 1e-12
 # README ("Evans error budget"); tests/test_evans.py holds the budget
 RTOL = 1e-9
 ATOL = RTOL / 100
+# largest miss of the cut-end coefficients from their limits (build)
+BOUNDARY_GAP_TOL = 1e-8
+# points of the winding circle and the Cauchy quadrature; of the d-contour's
+# outer arc, inner arc and each of its segments
+N_CIRCLE = 32
+N_ARC, N_INNER, N_SEG = 24, 16, 10
+# winding_number bisects edges whose phase step reaches PHASE_TOL, in at
+# most MAX_ROUNDS rounds; Gamma's wedge factors must fit to FACTOR_TOL
+PHASE_TOL, MAX_ROUNDS = 0.25 * np.pi, 14
+FACTOR_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -178,15 +170,14 @@ def _on_circle(radius: float, turns: np.ndarray) -> np.ndarray:
     return np.where(turns < 0, np.conj(z), z)
 
 
-def circle_contour(radius: float, n: int = 32) -> Contour:
+def circle_contour(radius: float, n: int = N_CIRCLE) -> Contour:
     """n points radius exp(2 pi i k/n), k = 0..n-1, mirrored exactly."""
     k = np.arange(n)
     return Contour(_on_circle(radius, np.where(2 * k > n, k - n, k) / n),
                    True)
 
 
-def d_contour(rho: float, radius: float, n_arc: int = 24, n_inner: int = 16,
-              n_seg: int = 10) -> Contour:
+def d_contour(rho: float, radius: float) -> Contour:
     """Boundary of {rho < |lam| < radius, Re lam > 0}, counterclockwise.
 
     The small arc detours into the open right half plane, so the origin
@@ -195,11 +186,11 @@ def d_contour(rho: float, radius: float, n_arc: int = 24, n_inner: int = 16,
     """
     if not 0.0 < rho < radius:
         raise ValueError("need 0 < rho < radius")
-    outer = _on_circle(radius, (2 * np.arange(n_arc + 1) - n_arc)
-                       / (4 * n_arc))
-    down = 1j * np.linspace(radius, rho, n_seg + 2)[1:-1]
-    inner = _on_circle(rho, (n_inner - 2 * np.arange(n_inner + 1))
-                       / (4 * n_inner))
+    outer = _on_circle(radius, (2 * np.arange(N_ARC + 1) - N_ARC)
+                       / (4 * N_ARC))
+    down = 1j * np.linspace(radius, rho, N_SEG + 2)[1:-1]
+    inner = _on_circle(rho, (N_INNER - 2 * np.arange(N_INNER + 1))
+                       / (4 * N_INNER))
     pts = np.concatenate([outer, down, inner, np.conj(down[::-1])])
     return Contour(pts, True)
 
@@ -226,8 +217,6 @@ class EvansSystem:
     # NaN on a system not built from a grid
     stride: int = 1
     table_error: float = float("nan")
-    rtol: float = RTOL
-    atol: float = ATOL
     # running totals of the transports made with this system (WORK_COUNTS)
     # and of the evaluator rounds and lam they carried
     work: dict = field(default_factory=lambda: dict.fromkeys(
@@ -302,15 +291,13 @@ def table_error(grid: ProfileGrid, stride: int, table: np.ndarray,
     return float(np.max(np.abs(got - exact)) / np.max(np.abs(exact)))
 
 
-def build_evans_system(grid: ProfileGrid, rtol: float = RTOL,
-                       atol: float = ATOL,
-                       gap_tol: float = 1e-8) -> EvansSystem:
+def build_evans_system(grid: ProfileGrid) -> EvansSystem:
     """Tabulate the closure coefficients on a solved profile grid.
 
     The table keeps every k-th node, k = table_stride(n, X).  Raises
     RuntimeError naming the Evans build when the kept nodes miss an end
     of the grid or x = 0, and RuntimeError when the coefficients at the
-    cut ends miss their limits by more than gap_tol, i.e. when the
+    cut ends miss their limits by more than BOUNDARY_GAP_TOL, i.e. when the
     domain is too short or the grid too coarse.
     """
     params, end = grid.params, grid.end
@@ -337,7 +324,7 @@ def build_evans_system(grid: ProfileGrid, rtol: float = RTOL,
                   np.max(np.abs(A[0, idx, 0] - L0)),
                   np.max(np.abs(A[0, idx, 1] - L1)),
                   np.max(np.abs(A[0, idx, 2])))
-    if gap > gap_tol:
+    if gap > BOUNDARY_GAP_TOL:
         raise RuntimeError(
             f"coefficients at the cut ends miss their limits by {gap:.3e} "
             f"on n = {n} nodes with step h = {grid.h:.4g}; the domain is too "
@@ -356,8 +343,7 @@ def build_evans_system(grid: ProfileGrid, rtol: float = RTOL,
         disk_radius=default_disk_radius(params, end),
         boundary_gap=float(gap),
         closure_residual=wave_residual(A[0, :, 0], W0, dW0), stride=k,
-        table_error=table_error(grid, k, table, jets),
-        rtol=rtol, atol=atol)
+        table_error=table_error(grid, k, table, jets))
 
 
 def _side_modes(sys: EvansSystem, side: str, lams: np.ndarray):
@@ -467,8 +453,7 @@ def integrate_wedge(sys: EvansSystem, **blocks):
 
     Y0 = np.concatenate([p[1] for p in parts.values()])
     sys.work["transports"] += 1
-    sol = solve_ivp(rhs, (0.0, sys.X), Y0.ravel(), rtol=sys.rtol,
-                    atol=sys.atol)
+    sol = solve_ivp(rhs, (0.0, sys.X), Y0.ravel(), rtol=RTOL, atol=ATOL)
     sys.work["rhs_calls"] += sol.nfev
     sys.work["steps"] += sol.t.size - 1
     if not sol.success:
@@ -619,14 +604,13 @@ def _values(evaluate, pts: np.ndarray) -> np.ndarray:
                            pts.shape)
 
 
-def winding_number(evaluate: Callable, contour: Contour,
-                   phase_tol: float = 0.25 * np.pi, max_rounds: int = 14):
+def winding_number(evaluate: Callable, contour: Contour):
     """Winding of D over a closed contour, with adaptive refinement.
 
     Midpoints are inserted on any edge whose phase step reaches
-    phase_tol until all steps resolve; the count is only then rounded.
-    evaluate is called on arrays: once on the contour points and once
-    per refinement round on that round's midpoints.
+    PHASE_TOL, in at most MAX_ROUNDS rounds, until all steps resolve;
+    the count is only then rounded.  evaluate is called on arrays: once
+    on the contour points and once per round on that round's midpoints.
     Returns (winding, points, values).
     """
     if not contour.closed:
@@ -634,11 +618,11 @@ def winding_number(evaluate: Callable, contour: Contour,
     pts = np.asarray(contour.points, dtype=complex)
     vals = _values(evaluate, pts)
 
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         if np.any(vals == 0.0):
             raise RuntimeError("contour passes through a zero of D")
         steps = np.angle(np.roll(vals, -1) / vals)
-        bad = np.flatnonzero(np.abs(steps) >= phase_tol)
+        bad = np.flatnonzero(np.abs(steps) >= PHASE_TOL)
         if bad.size == 0:
             total = np.sum(steps) / (2.0 * np.pi)
             w = int(round(total))
@@ -654,7 +638,7 @@ def winding_number(evaluate: Callable, contour: Contour,
                        "after maximal refinement; shrink the contour")
 
 
-def derivative_points(rho: float, n_quad: int = 32) -> np.ndarray:
+def derivative_points(rho: float, n_quad: int = N_CIRCLE) -> np.ndarray:
     """The n_quad Cauchy nodes on |lam| = rho (circle_contour's points),
     then 2h, h, -h, -2h."""
     h = rho / 10.0
@@ -663,7 +647,7 @@ def derivative_points(rho: float, n_quad: int = 32) -> np.ndarray:
 
 
 def evans_derivative_origin(evaluate: Callable, rho: float,
-                            n_quad: int = 32):
+                            n_quad: int = N_CIRCLE):
     """D'(0) by Cauchy quadrature on |lam| = rho and by differences.
 
     For analytic D with D(0) = 0 the trapezoid sum (1/n) sum D(l_k)/l_k
@@ -692,8 +676,8 @@ class GammaResult:
     containment_minus: float
 
 
-def gamma_transversality(sys: EvansSystem, origin: EvansSample,
-                         factor_tol: float = 1e-6) -> GammaResult:
+def gamma_transversality(sys: EvansSystem,
+                         origin: EvansSample) -> GammaResult:
     """Connection coefficient Gamma from the lam = 0 bundles.
 
     origin is the sample of D at lam = 0, e.g. evans_value(sys, 0.0);
@@ -719,7 +703,7 @@ def gamma_transversality(sys: EvansSystem, origin: EvansSample,
     W0 = sys.W0_mid
     phi2, res2 = solve_wedge_factor(W0, w2 * np.exp(log2))
     phi4, res4 = solve_wedge_factor(W0, wf * np.exp(logf))
-    if max(res2, res4) > factor_tol:
+    if max(res2, res4) > FACTOR_TOL:
         raise RuntimeError(
             "wave derivative is not contained in the transported planes "
             f"(residuals {res2:.3e}, {res4:.3e}) on n = {sys.n} nodes with "
@@ -753,10 +737,6 @@ def gamma_transversality(sys: EvansSystem, origin: EvansSample,
         containment_minus=contain)
 
 
-# report keys of the EvansReport fields whose key is not their name
-_REPORT_KEYS = {"Dprime_cauchy": "Dprime0_cauchy", "Dprime_fd": "Dprime0_fd"}
-
-
 @dataclass(frozen=True)
 class EvansReport:
     radius: float
@@ -765,8 +745,8 @@ class EvansReport:
     circle_max: float
     winding_circle: int
     winding_d_contour: int
-    Dprime_cauchy: complex
-    Dprime_fd: complex
+    Dprime0_cauchy: complex
+    Dprime0_fd: complex
     derivative_agreement: float
     Gamma: float
     Delta: float
@@ -778,14 +758,14 @@ class EvansReport:
     min_abs_D: dict
 
     def as_dict(self) -> dict:
-        """Every field but gamma and samples, under its report key;
-        complex values stay complex (pipeline._py writes them [re, im])."""
-        return {_REPORT_KEYS.get(f.name, f.name): getattr(self, f.name)
+        """Every field but gamma and samples, under its name; complex
+        values stay complex (pipeline._py writes them [re, im])."""
+        return {f.name: getattr(self, f.name)
                 for f in fields(self) if f.name not in ("gamma", "samples")}
 
 
 def evans_report(sys: EvansSystem, rho: Optional[float] = None,
-                 n_circle: int = 32) -> EvansReport:
+                 n_circle: int = N_CIRCLE) -> EvansReport:
     """Windings, derivative at the origin and the factorization check."""
     r = sys.disk_radius
     if rho is None:
@@ -819,7 +799,7 @@ def evans_report(sys: EvansSystem, rho: Optional[float] = None,
         radius=r, rho=rho, D0=D0,
         circle_max=float(np.max(np.abs(circle_vals))),
         winding_circle=w_circle, winding_d_contour=w_d,
-        Dprime_cauchy=dc, Dprime_fd=dfd, derivative_agreement=float(agree),
+        Dprime0_cauchy=dc, Dprime0_fd=dfd, derivative_agreement=float(agree),
         Gamma=gam.Gamma, Delta=delta,
         factorization_residual=float(fac_res), sign_match=sign_match,
         gamma=gam, samples=samples, work=work,

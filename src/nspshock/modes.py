@@ -54,10 +54,6 @@ class FastRoots:
     S3: np.ndarray
 
     @property
-    def gammas(self) -> np.ndarray:
-        return np.array([self.gamma1, self.gamma2, self.gamma3])
-
-    @property
     def vectors(self) -> np.ndarray:
         return np.column_stack([self.S1, self.S2, self.S3])
 
@@ -69,8 +65,12 @@ def _null_vector(M: np.ndarray) -> np.ndarray:
     return vec / vec[pivot]
 
 
-def fast_roots(params: PlasmaParams, end: ShockEndstates, side: str,
-               gap_tol: float = 1e-8) -> FastRoots:
+# fast roots within ROOT_GAP_TOL max(1, |roots|) of each other are rejected
+ROOT_GAP_TOL = 1e-8
+
+
+def fast_roots(params: PlasmaParams, end: ShockEndstates,
+               side: str) -> FastRoots:
     b, c, d = cubic_coefficients(params, end, side)
     roots = np.roots([1.0, b, c, d])
     if np.max(np.abs(roots.imag)) > 1e-10 * max(1.0, np.max(np.abs(roots))):
@@ -78,7 +78,7 @@ def fast_roots(params: PlasmaParams, end: ShockEndstates, side: str,
     roots = roots.real
 
     gaps = [abs(roots[i] - roots[j]) for i in range(3) for j in range(i)]
-    if min(gaps) < gap_tol * max(1.0, np.max(np.abs(roots))):
+    if min(gaps) < ROOT_GAP_TOL * max(1.0, np.max(np.abs(roots))):
         raise ValueError("near-coincident fast rates; amplitude too large "
                          "for the small-amplitude regime")
 

@@ -12,7 +12,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-# Default guard for the small-amplitude regime the profile and Evans machinery
+# Guard for the small-amplitude regime the profile and Evans machinery
 # target.  Larger amplitudes are not rejected outright, only warned about.
 AMPLITUDE_THRESHOLD = 0.2
 
@@ -74,8 +74,12 @@ def finite_number(value) -> bool:
 
 def params_from_dict(d: dict) -> PlasmaParams:
     """Build PlasmaParams from a config mapping with keys
-    T, nu, eps, v_minus, u_minus, v_plus, each a finite number."""
+    T, nu, eps, v_minus, u_minus, v_plus and no other, each a finite number."""
     keys = ("T", "nu", "eps", "v_minus", "u_minus", "v_plus")
+    unknown = sorted(set(d) - set(keys))
+    if unknown:
+        raise ValueError("unknown parameter keys: " + ", ".join(
+            f"params.{k}" for k in unknown) + f"; valid: {', '.join(keys)}")
     missing = [k for k in keys if k not in d]
     if missing:
         raise ValueError(f"missing parameter keys: {missing}")
@@ -86,15 +90,13 @@ def params_from_dict(d: dict) -> PlasmaParams:
     return PlasmaParams(**{k: float(d[k]) for k in keys})
 
 
-def solve_rankine_hugoniot(
-    params: PlasmaParams, amplitude_threshold: float = AMPLITUDE_THRESHOLD
-) -> ShockEndstates:
+def solve_rankine_hugoniot(params: PlasmaParams) -> ShockEndstates:
     """Solve the jump conditions for the 2-shock.
 
     s = sqrt((T+1)/(v+ v-)) > 0,  u+ = u- - s (v+ - v-),  phi+- = -ln v+-.
 
     Raises ValueError when the Lax condition v+ > v- fails; warns when the
-    amplitude exceeds ``amplitude_threshold`` (the expansion machinery is
+    amplitude exceeds AMPLITUDE_THRESHOLD (the expansion machinery is
     built for small amplitudes).
     """
     if params.v_plus <= params.v_minus:
@@ -102,10 +104,10 @@ def solve_rankine_hugoniot(
             "Lax condition violated: a 2-shock needs v_plus > v_minus "
             f"(got v_minus={params.v_minus}, v_plus={params.v_plus})"
         )
-    if params.delta_s > amplitude_threshold:
+    if params.delta_s > AMPLITUDE_THRESHOLD:
         warnings.warn(
             f"shock amplitude {params.delta_s:.4g} exceeds the small-amplitude "
-            f"threshold {amplitude_threshold:.4g}; results are extrapolations",
+            f"threshold {AMPLITUDE_THRESHOLD:.4g}; results are extrapolations",
             stacklevel=2,
         )
     s = math.sqrt((params.T + 1.0) / (params.v_plus * params.v_minus))

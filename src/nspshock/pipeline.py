@@ -11,9 +11,9 @@ wall-clock timings are quarantined under a single "timings" key, so
 two runs differ at most there; non-finite numbers are written as null.
 The profile task, Evans, transversality and Poisson share one profile
 grid from the lazy provider _profile_grid, so each task still runs
-alone: it solves the grid on first use and derives its jets once, to
-order 3, the highest that profile, transversality and Poisson read.  The
-Evans table derives its own jets at the nodes it keeps.  A run solves
+alone: it solves the grid, and with it the grid's jets to order 3, the
+highest that profile, transversality and Poisson read, on first use.
+The Evans table derives its own jets at the nodes it keeps.  A run solves
 one grid, whichever tasks it runs and whether the solve succeeds or
 fails: a failed solve is stored and raised again in every task that
 reads the grid.  Every task that reads the grid reports the Newton work
@@ -27,7 +27,7 @@ import json
 import math
 import operator
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,8 @@ import numpy as np
 from .dispersion import (default_xi_grid, dispersion_curve,
                          essential_eigenvalues, resonance_polynomial,
                          symbol_matrix, write_spectrum_csv, xi0_threshold)
-from .evans import build_evans_system, evans_report, write_evans_csv
+from . import evans  # the report reads evans.RTOL and ATOL as run
+from .evans import N_CIRCLE, build_evans_system, evans_report, write_evans_csv
 from .modes import default_disk_radius, fast_roots, slow_expansion
 from .params import (PlasmaParams, finite_number, params_from_dict,
                      solve_rankine_hugoniot)
@@ -62,10 +63,12 @@ class RunConfig:
     X: float | None = None
     n: int | None = None
     rho: float | None = None
-    n_circle: int = 32
+    n_circle: int = N_CIRCLE
     raw: dict | None = None
 
 
+# the top-level keys of a config
+CONFIG_KEYS = ("params", "tasks", "numerics", "out")
 # the kind of value each numerics key takes; null leaves the default
 _NUMERIC_KINDS = {"X": "number", "n": "odd integer >= 3", "rho": "number",
                   "n_circle": "integer"}
@@ -83,6 +86,14 @@ def _numeric(key: str, value):
     return value if kind == "number" else int(value)
 
 
+def _known_keys(block: dict, valid, prefix: str = "") -> None:
+    """Raise a ConfigError naming the keys of block outside valid."""
+    unknown = sorted(prefix + k for k in set(block) - set(valid))
+    if unknown:
+        raise ConfigError(f"unknown keys: {', '.join(unknown)}; "
+                          f"valid: {', '.join(valid)}")
+
+
 def load_config(path, tasks=None, out_dir=None) -> RunConfig:
     """Parse and validate a config file; CLI overrides win."""
     try:
@@ -94,6 +105,7 @@ def load_config(path, tasks=None, out_dir=None) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict) or "params" not in raw:
         raise ConfigError("config must be an object with a 'params' entry")
+    _known_keys(raw, CONFIG_KEYS)
 
     try:
         params = params_from_dict(raw["params"])
@@ -103,11 +115,7 @@ def load_config(path, tasks=None, out_dir=None) -> RunConfig:
     extra = raw.get("numerics", {})
     if not isinstance(extra, dict):
         raise ConfigError(f"numerics must be an object, got {extra!r}")
-    unknown = sorted(set(extra) - set(_NUMERIC_KINDS))
-    if unknown:
-        raise ConfigError("unknown numerics keys: " + ", ".join(
-            f"numerics.{k}" for k in unknown)
-            + f"; valid: {', '.join(_NUMERIC_KINDS)}")
+    _known_keys(extra, _NUMERIC_KINDS, "numerics.")
     # RunConfig holds the defaults
     numerics = {k: _numeric(k, v) for k, v in extra.items() if v is not None}
 
@@ -121,10 +129,13 @@ def load_config(path, tasks=None, out_dir=None) -> RunConfig:
     if bad:
         raise ConfigError(f"unknown tasks {bad}; valid: {', '.join(TASKS)}")
 
-    out = out_dir if out_dir is not None else raw.get("out", "out")
+    out = raw.get("out", "out")
+    if not isinstance(out, str):
+        raise ConfigError(f"out must be a string, got {out!r}")
     return RunConfig(params=params,
                      tasks=tuple(t for t in TASKS if t in chosen),
-                     out_dir=str(out), raw=raw, **numerics)
+                     out_dir=str(out_dir if out_dir is not None else out),
+                     raw=raw, **numerics)
 
 
 def config_hash(config: RunConfig) -> str:
@@ -249,8 +260,8 @@ def _profile_grid(config, end, ctx):
     and raised again, so that a run solves at most once."""
     if "grid" not in ctx:
         try:
-            grid = solve_profile(config.params, end, X=config.X, n=config.n)
-            ctx["grid"] = replace(grid, jets=grid.state_jets(3))
+            ctx["grid"] = solve_profile(config.params, end, X=config.X,
+                                        n=config.n)
         except Exception as exc:  # noqa: BLE001 - raised in every reader
             ctx["grid"] = exc
     if isinstance(ctx["grid"], Exception):
@@ -279,7 +290,7 @@ def _task_evans(config, end, ctx, outdir):
     metrics = rep.as_dict()
     metrics.update({
         "X": esys.X, "n": esys.n, "table": esys.table_shape,
-        "tolerance": {"rtol": esys.rtol, "atol": esys.atol},
+        "tolerance": {"rtol": evans.RTOL, "atol": evans.ATOL},
         "det_R0": rep.gamma.det_R0, "a2_minus": rep.gamma.a2_minus,
         "containment_minus": rep.gamma.containment_minus,
         "modes": _mode_metrics(config.params, end),
@@ -329,7 +340,7 @@ def _task_poisson(config, end, ctx, outdir):
 
     grid = _profile_grid(config, end, ctx)
     disc = discretize_profile(grid)
-    vj, _, sj = grid.taylor_jets(2)
+    vj, _, sj = grid.jets
     phi = solve_linearized_poisson(disc, vj.derivative(1), vj.derivative(2))
     rel = float(np.max(np.abs(phi - sj.value)) / np.max(np.abs(sj.value)))
 

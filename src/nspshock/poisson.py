@@ -86,19 +86,22 @@ def discretize_fields(x, vbar, dvbar, phibar, dphibar, d2phibar,
 
 
 def discretize_profile(grid: ProfileGrid) -> PoissonDiscretization:
-    vj, pj, sj = grid.taylor_jets(2)
+    vj, pj, sj = grid.jets
     return discretize_fields(
         grid.x, vj.value, vj.derivative(1), pj.value, sj.value,
         sj.derivative(1), grid.params.eps)
 
 
-def constant_discretization(X: float, n: int, vbar: float = 1.0,
-                            phibar: float = 0.0,
-                            eps: float = 1.0) -> PoissonDiscretization:
-    """Frozen-coefficient discretization, e.g. (1 - dxx) for the defaults."""
+# the frozen state of constant_discretization: the operator is 1 - dxx
+FROZEN_VBAR, FROZEN_PHIBAR, FROZEN_EPS = 1.0, 0.0, 1.0
+
+
+def constant_discretization(X: float, n: int) -> PoissonDiscretization:
+    """Frozen-coefficient discretization on n nodes of [-X, X]."""
     x = np.linspace(-X, X, n)
     z = np.zeros(n)
-    return discretize_fields(x, vbar + z, z, phibar + z, z, z, eps)
+    return discretize_fields(x, FROZEN_VBAR + z, z, FROZEN_PHIBAR + z, z, z,
+                             FROZEN_EPS)
 
 
 def apply_operator(disc: PoissonDiscretization, phi, dphi, d2phi):
@@ -106,9 +109,8 @@ def apply_operator(disc: PoissonDiscretization, phi, dphi, d2phi):
     return disc.av * phi + disc.ap * dphi - disc.axx * d2phi
 
 
-def rhs_from_velocity(disc: PoissonDiscretization, v, dv=None):
-    if dv is None:
-        dv = np.gradient(v, disc.h, edge_order=2)
+def rhs_from_velocity(disc: PoissonDiscretization, v, dv):
+    """b0 v + b1 v', with v' = dv given."""
     return disc.b0 * v + disc.b1 * dv
 
 
@@ -156,8 +158,8 @@ def solve_with_rhs(disc: PoissonDiscretization, f: np.ndarray) -> np.ndarray:
 
 
 def solve_linearized_poisson(disc: PoissonDiscretization, v,
-                             dv=None) -> np.ndarray:
-    """phi from v: build the right-hand side, then the tridiagonal solve."""
+                             dv) -> np.ndarray:
+    """phi from v and dv = v': right-hand side, then tridiagonal solve."""
     return solve_with_rhs(disc, rhs_from_velocity(disc, v, dv))
 
 
@@ -178,26 +180,19 @@ def smallest_symmetric_eigenvalue(disc: PoissonDiscretization) -> float:
     return float(np.min(diag - radius))
 
 
-def _default_gaussian():
-    phi = lambda x: np.exp(-x**2)              # noqa: E731
-    dphi = lambda x: -2.0 * x * np.exp(-x**2)  # noqa: E731
-    d2phi = lambda x: (4.0 * x**2 - 2.0) * np.exp(-x**2)  # noqa: E731
-    return phi, dphi, d2phi
-
-
-def manufactured_convergence(discs, phi=None, dphi=None, d2phi=None):
+def manufactured_convergence(discs):
     """Observed order from a manufactured solution across resolutions.
 
-    Builds f so the continuous solution is known, solves on each
-    discretization, and returns (order, errors) with the order fitted
-    as the slope of log error against log h.
+    Builds f so that the Gaussian exp(-x^2) is the continuous solution,
+    solves on each discretization, and returns (order, errors) with the
+    order fitted as the slope of log error against log h.
     """
-    if phi is None:
-        phi, dphi, d2phi = _default_gaussian()
     errors, steps = [], []
     for disc in discs:
-        target = phi(disc.x)
-        f = apply_operator(disc, target, dphi(disc.x), d2phi(disc.x))
+        x = disc.x
+        target = np.exp(-x**2)
+        f = apply_operator(disc, target, -2.0 * x * target,
+                           (4.0 * x**2 - 2.0) * target)
         sol = solve_with_rhs(disc, f)
         errors.append(float(np.max(np.abs(sol - target))))
         steps.append(disc.h)

@@ -41,17 +41,17 @@ and the phase row, and back-substitution runs level by level through
 the triangular factors.  The orthogonal eliminations need no pivoting
 across blocks and stay stable on such systems, where Gaussian
 elimination with partial pivoting can be unstable (Wright, SIAM J.
-Sci. Comput. 14 (1993) 231-238).  No band matrix is
-stored: the cells' blocks are assembled BLOCK_CELLS at a time straight
-into the reduction's input.
+Sci. Comput. 14 (1993) 231-238).  No band matrix is stored: the cells'
+blocks are assembled BLOCK_CELLS at a time straight into the
+reduction's input.
 
-A solved grid is its nodes plus, optionally, the Taylor jets it
-carries.  Every derivative of the profile is read from jets of the
-right-hand side (`ProfileGrid.taylor_jets`), never from differencing
-the computed solution; the residual check builds its piecewise-quintic
-Hermite interpolant from them (eigensystem.hermite_table) and reads
-values and slopes at fixed offsets in its cells
-(eigensystem.refined_values).
+A solved grid is its nodes plus their order-3 Taylor jets
+(`ProfileGrid.jets`), which solve_profile derives once.  Every
+derivative of the profile is read from jets of the right-hand side
+(`ProfileGrid.state_jets`), never from differencing the computed
+solution; the residual check builds its piecewise-quintic Hermite
+interpolant from them (eigensystem.hermite_table) and reads values and
+slopes at fixed offsets in its cells (eigensystem.refined_values).
 """
 
 from __future__ import annotations
@@ -127,15 +127,25 @@ def rhs_jacobian(y: np.ndarray, params: PlasmaParams, end: ShockEndstates) -> np
     return J
 
 
-def default_half_length(params: PlasmaParams, end: ShockEndstates,
-                        efolds: float = 18.0) -> float:
-    """Domain half-length giving `efolds` decay lengths of the slow rate."""
-    gm = fast_roots(params, end, "minus").gamma1
-    gp = fast_roots(params, end, "plus").gamma1
-    rate = min(abs(gm), abs(gp))
+# decay lengths of the slow rate in the default half-length; the Newton
+# defect to reach and the steps allowed; residual points per cell
+EFOLDS = 18.0
+NEWTON_TOL, MAX_NEWTON_STEPS = 1e-12, 30
+RESIDUAL_REFINE = 4
+
+
+def slow_decay_rate(params: PlasmaParams, end: ShockEndstates) -> float:
+    """min(|gamma1-|, |gamma1+|), the slower of the profile's two tails."""
+    return min(abs(fast_roots(params, end, side).gamma1)
+               for side in ("minus", "plus"))
+
+
+def default_half_length(params: PlasmaParams, end: ShockEndstates) -> float:
+    """Domain half-length giving EFOLDS decay lengths of the slow rate."""
+    rate = slow_decay_rate(params, end)
     if rate < 1e-8:
         raise ValueError("amplitude too small to size the domain; pass X explicitly")
-    return efolds / rate
+    return EFOLDS / rate
 
 
 def initial_guess(x: np.ndarray, params: PlasmaParams, end: ShockEndstates) -> np.ndarray:
@@ -144,9 +154,7 @@ def initial_guess(x: np.ndarray, params: PlasmaParams, end: ShockEndstates) -> n
     if delta == 0.0:
         v = np.full_like(x, params.v_minus)
         return np.stack([v, -np.log(v), np.zeros_like(x)], axis=-1)
-    gm = fast_roots(params, end, "minus").gamma1
-    gp = fast_roots(params, end, "plus").gamma1
-    kappa = 0.5 * min(abs(gm), abs(gp))
+    kappa = 0.5 * slow_decay_rate(params, end)
     v = mid + 0.5 * delta * np.tanh(kappa * x)
     dv = 0.5 * delta * kappa / np.cosh(kappa * x) ** 2
     return np.stack([v, -np.log(v), -dv / v], axis=-1)
@@ -359,10 +367,10 @@ def _newton_step(y, h, mid_idx, params, end, ym, far, F):
 
 @dataclass(frozen=True)
 class ProfileGrid:
-    """Converged profile at the nodes, with optional stored jets.
+    """Converged profile at the nodes, with their order-3 jets.
 
-    jets, once set, holds state_jets output that every consumer of the
-    grid reuses; without it, taylor_jets derives fresh ones.
+    jets is state_jets(3), shared by every reader of the grid; jets of any
+    order agree with it in every coefficient they share.
     newton_iterations and newton_defect are the Newton steps the solve
     took and the max-norm residual it stopped at.
     """
@@ -375,7 +383,7 @@ class ProfileGrid:
     u: np.ndarray
     phi: np.ndarray
     psi: np.ndarray
-    jets: Optional[tuple[Jet, Jet, Jet]] = None
+    jets: tuple[Jet, Jet, Jet]
     newton_iterations: int = 0
     newton_defect: float = 0.0
 
@@ -401,21 +409,14 @@ class ProfileGrid:
             sj = Jet(np.vstack([sj.coef, f3.coef[m] / (m + 1)]))
         return vj, pj, sj
 
-    def taylor_jets(self, order: int):
-        """Stored jets when they reach `order`, else fresh ones; stored
-        jets agree exactly with fresh ones in every shared coefficient."""
-        if self.jets is not None and self.jets[0].order >= order:
-            return self.jets
-        return self.state_jets(order)
-
 
 def solve_profile(params: PlasmaParams, end: ShockEndstates,
-                  X: Optional[float] = None, n: Optional[int] = None,
-                  tol: float = 1e-12, max_iter: int = 30) -> ProfileGrid:
-    """Solve the truncated profile boundary-value problem.
+                  X: Optional[float] = None,
+                  n: Optional[int] = None) -> ProfileGrid:
+    """Solve the truncated profile boundary-value problem; derive its jets.
 
     The ends carry Beyn's projection rows (see the module docstring),
-    built once per solve by far_field_rows.  X defaults to 18 decay
+    built once per solve by far_field_rows.  X defaults to EFOLDS decay
     lengths of the slow rate.
     Raises RuntimeError with the final defect when Newton stalls,
     RuntimeError naming the step, n, X and the defect when a Newton
@@ -443,8 +444,8 @@ def solve_profile(params: PlasmaParams, end: ShockEndstates,
     y = initial_guess(x, params, end)
     norm, F, ym = defect(y)
     iterations = 0
-    # "not norm <= tol": a nan defect is not converged
-    while not norm <= tol and iterations < max_iter:
+    # "not norm <= NEWTON_TOL": a nan defect is not converged
+    while not norm <= NEWTON_TOL and iterations < MAX_NEWTON_STEPS:
         iterations += 1
         try:
             step = _newton_step(y, h, mid_idx, params, end, ym, far, F)
@@ -457,7 +458,8 @@ def solve_profile(params: PlasmaParams, end: ShockEndstates,
         while t > 1e-6:
             trial = y + t * step
             trial_norm, trial_F, trial_ym = defect(trial)
-            if trial_norm < norm * (1.0 - 0.25 * t) or trial_norm < tol:
+            if (trial_norm < norm * (1.0 - 0.25 * t)
+                    or trial_norm < NEWTON_TOL):
                 y, norm, F, ym = trial, trial_norm, trial_F, trial_ym
                 break
             t *= 0.5
@@ -466,7 +468,7 @@ def solve_profile(params: PlasmaParams, end: ShockEndstates,
             norm, F, ym = defect(y)
         # only y, F and ym go on to the next step
         del step, trial, trial_F, trial_ym
-    if not norm <= tol:
+    if not norm <= NEWTON_TOL:
         raise RuntimeError(f"profile solver did not converge; final defect {norm:.3e}")
 
     v, phi, psi = y[:, 0], y[:, 1], y[:, 2]
@@ -478,9 +480,10 @@ def solve_profile(params: PlasmaParams, end: ShockEndstates,
             f"h = {h:.4g}; raise numerics.n, increase X or reduce the "
             "amplitude")
     u = params.u_minus - end.s * (v - params.v_minus)
-    return ProfileGrid(params=params, end=end, X=float(X), x=x,
-                       v=v, u=u, phi=phi, psi=psi, newton_iterations=iterations,
-                       newton_defect=float(norm))
+    grid = ProfileGrid(params=params, end=end, X=float(X), x=x, v=v, u=u,
+                       phi=phi, psi=psi, jets=None,
+                       newton_iterations=iterations, newton_defect=float(norm))
+    return replace(grid, jets=grid.state_jets(3))
 
 
 def profile_cells(grid: ProfileGrid) -> np.ndarray:
@@ -490,7 +493,7 @@ def profile_cells(grid: ProfileGrid) -> np.ndarray:
     (v, u, phi, psi); psi gets its own component so that residual checks
     of the first-order system never differentiate an interpolant twice.
     """
-    vj, pj, _ = grid.taylor_jets(3)
+    vj, pj, _ = grid.jets
     s = grid.end.s
     dv1, dv2 = vj.derivative(1), vj.derivative(2)
     values = np.stack([grid.v, grid.u, grid.phi, grid.psi], axis=-1)
@@ -499,10 +502,12 @@ def profile_cells(grid: ProfileGrid) -> np.ndarray:
     return hermite_table(grid.x, values, d1, d2)
 
 
-def profile_residual(grid: ProfileGrid, refine: int = 4) -> np.ndarray:
-    """Max |y' - F(y)| of the interpolant per equation on a refined grid."""
+def profile_residual(grid: ProfileGrid) -> np.ndarray:
+    """Max |y' - F(y)| of the interpolant per equation at RESIDUAL_REFINE
+    points per cell."""
     cells, h = profile_cells(grid), 2.0 * grid.X / (grid.n - 1)
-    vals, derivs = (refined_values(cells, h, refine, nu) for nu in (0, 1))
+    vals, derivs = (refined_values(cells, h, RESIDUAL_REFINE, nu)
+                    for nu in (0, 1))
     v, phi, psi = vals[:, 0], vals[:, 2], vals[:, 3]
     dv, du, dpsi = derivs[:, 0], derivs[:, 1], derivs[:, 3]
     s = grid.end.s
@@ -527,8 +532,6 @@ class ProfileResidualReport:
 
 
 def verify_profile(grid: ProfileGrid) -> ProfileResidualReport:
-    # derive the jets once for the residual and the margins
-    grid = replace(grid, jets=grid.taylor_jets(3))
     res = profile_residual(grid)
     vj, pj, _ = grid.jets
     s = grid.end.s
@@ -560,7 +563,7 @@ def verify_profile(grid: ProfileGrid) -> ProfileResidualReport:
 
 
 def write_profile_csv(grid: ProfileGrid, path) -> None:
-    vj, pj, _ = grid.taylor_jets(2)
+    vj, pj, _ = grid.jets
     dv = vj.derivative(1)
     data = np.column_stack([grid.x, grid.v, grid.u, grid.phi,
                             dv, -grid.end.s * dv, pj.derivative(1),

@@ -96,7 +96,7 @@ class ReducedSystem:
 def reduced_tables(grid: ProfileGrid) -> Jet:
     """Eliminate v and the flux derivative from the lam = 0 system;
     Atilde comes back as an order-1 jet of shape (n, 3, 3)."""
-    vj, pj, sj = grid.taylor_jets(3)
+    vj, pj, sj = grid.jets
     tab = interior_coefficients(grid.x, vj, pj, sj, grid.params, grid.end)
     # rows 1 and 4 of A(x, 0): the u' row and the field row
     _, u_row, field_row = closure_rows(tab, degree=0)
@@ -148,14 +148,14 @@ def build_reduced_system(grid: ProfileGrid) -> ReducedSystem:
 
 def wave_vector(grid: ProfileGrid) -> np.ndarray:
     """(ubar', phibar', phibar'') at the nodes, shape (n, 3)."""
-    vj, _, sj = grid.taylor_jets(3)
+    vj, _, sj = grid.jets
     return np.stack([-grid.end.s * vj.derivative(1), sj.value,
                      sj.derivative(1)], axis=-1)
 
 
 def reduced_wave_residual(system: ReducedSystem, grid: ProfileGrid) -> float:
     """Relative defect of the wave derivative in the reduced system."""
-    vj, _, sj = grid.taylor_jets(3)
+    vj, _, sj = grid.jets
     dV = np.stack([-grid.end.s * vj.derivative(2), sj.derivative(1),
                    sj.derivative(2)], axis=-1)
     return wave_residual(system.tables, wave_vector(grid), dV)
@@ -262,11 +262,16 @@ def _propagate_plane(cells: np.ndarray, h: float, normal: np.ndarray,
     return frame, float(np.max(np.abs(normals[0] - normals[1])))
 
 
-def _end_normal(M: np.ndarray, side: str, center_tol: float = 1e-10):
+# end rates within CENTER_TOL of zero are neutral (_end_normal); the
+# relative singular-value threshold of the rank at x = 0
+CENTER_TOL, RANK_THRESHOLD = 1e-10, 1e-7
+
+
+def _end_normal(M: np.ndarray, side: str):
     """Unit normal of the plane of M bounded at side "+" or "-" inf.
 
-    At "+" that is the center-stable plane (rates <= center_tol), at "-"
-    the center-unstable one (rates >= -center_tol).  The normal is the
+    At "+" that is the center-stable plane (rates <= CENTER_TOL), at "-"
+    the center-unstable one (rates >= -CENTER_TOL).  The normal is the
     unit left eigenvector of the one rate outside the plane, by the rule
     of the profile's projection rows (profile.left_eigenvectors).
     """
@@ -275,7 +280,7 @@ def _end_normal(M: np.ndarray, side: str, center_tol: float = 1e-10):
         raise RuntimeError("end matrix of the reduced system has complex "
                            "rates; cannot classify directions")
     outside = np.flatnonzero((1.0 if side == "+" else -1.0) * w.real
-                             > center_tol)
+                             > CENTER_TOL)
     if outside.size != 1:
         raise RuntimeError("unexpected direction counts at the cut ends: "
                            f"{3 - outside.size} bounded at {side}inf")
@@ -289,14 +294,14 @@ class TransversalityResult:
                                  # largest entry positive
     angle_to_wave: float         # radians, against (ubar',phibar',phibar'')(0)
     singular_values: np.ndarray
-    threshold: float
     transport_error: float       # max-abs gap of the unit normals at x = 0
                                  # between SUBSTEPS and CHECK_SUBSTEPS
     work: dict                   # transports, cells, substeps
 
 
-def bounded_solution_dim(system: ReducedSystem, grid: ProfileGrid | None = None,
-                         threshold: float = 1e-7) -> TransversalityResult:
+def bounded_solution_dim(
+        system: ReducedSystem,
+        grid: ProfileGrid | None = None) -> TransversalityResult:
     """Dimension of the space of solutions bounded on the whole line.
 
     The plane bounded at +inf is spanned by the center-stable
@@ -307,7 +312,7 @@ def bounded_solution_dim(system: ReducedSystem, grid: ProfileGrid | None = None,
     so center-stable means the genuinely decaying pair; for constant
     coefficients it keeps the neutral direction, whose solution is
     bounded without decay.)  Their intersection at x = 0 is read off a
-    rank-revealing SVD with the given relative threshold.  A transverse
+    rank-revealing SVD with relative threshold RANK_THRESHOLD.  A transverse
     connection gives dimension one with the intersection along the wave
     derivative; any larger value signals a transversality failure at
     this amplitude.
@@ -325,7 +330,7 @@ def bounded_solution_dim(system: ReducedSystem, grid: ProfileGrid | None = None,
 
     M = np.concatenate([S, U], axis=1)          # 3 x 4
     sv = np.linalg.svd(M, compute_uv=False)
-    rank = int(np.sum(sv > threshold * sv[0]))
+    rank = int(np.sum(sv > RANK_THRESHOLD * sv[0]))
     dim = 4 - rank
 
     # intersection vector: combination of the S columns lying in span(U)
@@ -345,6 +350,5 @@ def bounded_solution_dim(system: ReducedSystem, grid: ProfileGrid | None = None,
         angle = float("nan")
     return TransversalityResult(dimension=dim, vector=vec,
                                 angle_to_wave=angle, singular_values=sv,
-                                threshold=threshold,
                                 transport_error=max(plus_err, minus_err),
                                 work=work)

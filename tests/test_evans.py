@@ -43,7 +43,7 @@ from nspshock.evans import (
 from nspshock import evans as evans_module
 from nspshock.modes import fast_roots
 from nspshock.params import PlasmaParams, solve_rankine_hugoniot
-from nspshock.profile import default_half_length, solve_profile
+from nspshock.profile import EFOLDS, default_half_length, solve_profile
 from nspshock.transversality import build_reduced_system, reduced_tables
 from nspshock.wedge import hodge, lift2, lift3, wedge2, wedge3
 
@@ -100,12 +100,13 @@ def test_winding_refines_coarse_start():
     assert len(pts) > 8
 
 
-def test_winding_error_paths():
+def test_winding_error_paths(monkeypatch):
     circ = circle_contour(1.0, 8)
     with pytest.raises(RuntimeError, match="zero"):
         winding_number(lambda z: z - circ.points[0], circ)
+    monkeypatch.setattr(evans_module, "MAX_ROUNDS", 1)
     with pytest.raises(RuntimeError, match="refinement"):
-        winding_number(lambda z: z**3, circle_contour(1.0, 4), max_rounds=1)
+        winding_number(lambda z: z**3, circle_contour(1.0, 4))
 
 
 def test_winding_batches_each_refinement_round():
@@ -135,8 +136,11 @@ def test_derivative_origin_synthetic():
     assert abs(dfd - 1.0) < 1e-8
 
 
-def _frozen_minus_system(params, end):
-    """EvansSystem on [-40, 40] with the coefficients of the minus limit."""
+def _frozen_minus_system(params, end, monkeypatch):
+    """EvansSystem on [-40, 40] with the coefficients of the minus limit;
+    its transports run at rtol 1e-12, atol 1e-14."""
+    monkeypatch.setattr(evans_module, "RTOL", 1e-12)
+    monkeypatch.setattr(evans_module, "ATOL", 1e-14)
     A0c, A1c = limit_matrix_coeffs(params, end, "minus")
     x = np.linspace(-40.0, 40.0, 161)
     stacked = np.tile(np.concatenate([A0c.ravel(), A1c.ravel(),
@@ -145,7 +149,7 @@ def _frozen_minus_system(params, end):
         params=params, end=end, X=40.0, n=161,
         table=hermite_table(x, stacked, np.zeros_like(stacked)),
         W0_mid=np.zeros(5), b1_mid=0.0, b2_mid=0.0, disk_radius=1e-3,
-        boundary_gap=0.0, rtol=1e-12, atol=1e-14)
+        boundary_gap=0.0)
 
 
 def _tabulated_systems(profile_grid, esys, stride):
@@ -155,7 +159,7 @@ def _tabulated_systems(profile_grid, esys, stride):
     the reduced grid."""
     params, end = profile_grid.params, profile_grid.end
     kept = slice(None, None, stride)
-    vj, pj, sj = profile_grid.taylor_jets(4)
+    vj, pj, sj = profile_grid.state_jets(4)
     A = interior_matrix_coeffs(interior_coefficients(
         profile_grid.x, vj, pj, sj, params, end, order=4))
     coef = np.stack([a.coef for a in A], axis=2).reshape(3, profile_grid.n, 75)
@@ -310,7 +314,8 @@ def test_wedge_rhs_lifts_each_side_once(esys, monkeypatch):
     assert lifted == ["lift2", "lift2"]
 
 
-def test_frozen_coefficients_transport_eigenwedge(params_ref, end_ref):
+def test_frozen_coefficients_transport_eigenwedge(params_ref, end_ref,
+                                                  monkeypatch):
     # with the coefficients frozen at the minus limit the shifted wedge
     # of decaying eigenvectors is an equilibrium of the lifted flow, and
     # its dual hodge(w3) one of the dual flow the minus block follows
@@ -321,7 +326,7 @@ def test_frozen_coefficients_transport_eigenwedge(params_ref, end_ref):
     w3_init = wedge3(V[:, order[0]], V[:, order[1]], V[:, order[2]])
     shift = mu[order].sum()
 
-    frozen = _frozen_minus_system(params_ref, end_ref)
+    frozen = _frozen_minus_system(params_ref, end_ref, monkeypatch)
     y, log_scale = integrate_wedge(frozen, minus=(lam, hodge(w3_init),
                                                   shift))["minus"]
     final = y * np.exp(log_scale)
@@ -329,10 +334,11 @@ def test_frozen_coefficients_transport_eigenwedge(params_ref, end_ref):
             < 1e-9 * np.linalg.norm(w3_init))
 
 
-def test_frozen_coefficients_need_no_start_correction(params_ref, end_ref):
+def test_frozen_coefficients_need_no_start_correction(params_ref, end_ref,
+                                                       monkeypatch):
     # where A(-X) is the minus limit the correction c vanishes exactly; at
     # +X the same frozen table is not the plus limit, and c does not
-    frozen = _frozen_minus_system(params_ref, end_ref)
+    frozen = _frozen_minus_system(params_ref, end_ref, monkeypatch)
     lams = np.array([0.0, 3e-4 + 2e-4j, -5e-4j])
     mu, V = evans_module._side_modes(frozen, "minus", lams)
     i, j, k = MINUS_TRIPLE
@@ -367,7 +373,7 @@ def _oracle_grid(params, end):
     """The profile on 35 decay lengths with step at most 0.025 and
     (n - 1)/2 a multiple of 20, the grid Evans read before its start was
     corrected."""
-    X = default_half_length(params, end, efolds=35.0)
+    X = 35.0 / EFOLDS * default_half_length(params, end)
     return solve_profile(params, end, X=X,
                          n=2 * 20 * int(np.ceil(X / TABLE_STEP)) + 1)
 
@@ -399,7 +405,7 @@ def test_corrected_start_matches_a_long_domain(delta):
 
 def test_transport_failures_name_segment_and_lambda(params_ref, end_ref,
                                                     monkeypatch):
-    frozen = _frozen_minus_system(params_ref, end_ref)
+    frozen = _frozen_minus_system(params_ref, end_ref, monkeypatch)
     lams = np.array([1e-4, 2e-4j, 3e-4])
     y0 = np.ones((3, 10), dtype=complex)
     # a row with nothing to normalize breaks down at x = 0
@@ -513,7 +519,7 @@ def _budget_configs():
 
 @pytest.mark.parametrize("config", _budget_configs(),
                          ids=lambda p: f"v_plus{p['v_plus']}")
-def test_transport_meets_the_error_budget(config):
+def test_transport_meets_the_error_budget(config, monkeypatch):
     # README's Evans error budget: the transport at RTOL, ATOL may add at
     # most 1e-3 of the tightest limit that reads a quantity, measured as
     # the gap to a transport at RTOL/100, ATOL/100.  That is 1e-11 of
@@ -524,14 +530,16 @@ def test_transport_meets_the_error_budget(config):
     params = PlasmaParams(**config)
     grid = solve_profile(params, solve_rankine_hugoniot(params))
     run = evans_report(build_evans_system(grid))
-    ref = evans_report(build_evans_system(grid, RTOL / 100, ATOL / 100))
+    monkeypatch.setattr(evans_module, "RTOL", RTOL / 100)
+    monkeypatch.setattr(evans_module, "ATOL", ATOL / 100)
+    ref = evans_report(build_evans_system(grid))
     D = {s.lam: s.D for s in run.samples}
     D_ref = {s.lam: s.D for s in ref.samples}
     assert D.keys() == D_ref.keys()
     assert abs(run.D0 - ref.D0) <= 1e-11 * ref.circle_max
     assert abs(run.Gamma - ref.Gamma) <= 1e-9 * abs(ref.Gamma)
-    assert (abs(run.Dprime_cauchy - ref.Dprime_cauchy)
-            <= 1e-9 * abs(ref.Dprime_cauchy))
+    assert (abs(run.Dprime0_cauchy - ref.Dprime0_cauchy)
+            <= 1e-9 * abs(ref.Dprime0_cauchy))
     assert (max(abs(D[z] - D_ref[z]) for z in D_ref)
             <= 1e-9 * max(abs(d) for d in D_ref.values()))
 
@@ -553,7 +561,7 @@ def test_windings_certify_absence_of_unstable_spectrum(report):
 
 def test_derivative_methods_agree(report):
     assert report.derivative_agreement < 1e-6
-    assert abs(report.Dprime_cauchy.imag) < 1e-8 * abs(report.Dprime_cauchy)
+    assert abs(report.Dprime0_cauchy.imag) < 1e-8 * abs(report.Dprime0_cauchy)
 
 
 def test_factorization_of_derivative(report):
@@ -711,7 +719,8 @@ def _transport_alone(system, which, lams, y0, shifts, x_from):
         Z0, Z1, Z2 = Y @ lifter(system.coefficients(x)).transpose(0, 2, 1)
         return (Z0 + lam * (Z1 + lam * Z2) - shift * Y).ravel()
 
-    sol = solve_ivp(rhs, (x_from, 0.0), y0.ravel(), system.rtol, system.atol)
+    sol = solve_ivp(rhs, (x_from, 0.0), y0.ravel(), evans_module.RTOL,
+                    evans_module.ATOL)
     assert sol.success
     Y = sol.y.reshape(lams.size, 10)
     norm = np.linalg.norm(Y, axis=1)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nspshock import modes as modes_module
 from nspshock.evans import circle_contour, d_contour, derivative_points
 from nspshock.modes import (
     analytic_eigenpairs,
@@ -59,7 +60,7 @@ def test_vieta_product(params_ref, end_ref):
         fr = fast_roots(params_ref, end_ref, side)
         b, c, d = cubic_coefficients(params_ref, end_ref, side)
         assert abs(fr.gamma1 * fr.gamma2 * fr.gamma3 + d) <= 1e-10
-        for g in fr.gammas:
+        for g in (fr.gamma1, fr.gamma2, fr.gamma3):
             assert abs(((g + b) * g + c) * g + d) <= 1e-10
 
 
@@ -67,7 +68,8 @@ def test_fast_root_eigenvectors(params_ref, end_ref):
     for side in ("minus", "plus"):
         fr = fast_roots(params_ref, end_ref, side)
         A = limit_matrix(params_ref, end_ref, side, 0.0)
-        for g, S in zip(fr.gammas, [fr.S1, fr.S2, fr.S3]):
+        for g, S in zip((fr.gamma1, fr.gamma2, fr.gamma3),
+                        (fr.S1, fr.S2, fr.S3)):
             assert np.max(np.abs((A - g * np.eye(5)) @ S)) < 1e-10
             assert np.isclose(np.max(np.abs(S)), 1.0, rtol=1e-14)
 
@@ -78,7 +80,8 @@ def test_frozen_matrix_spectrum_matches_cubic(params_ref, end_ref):
         fr = fast_roots(params_ref, end_ref, side)
         w = np.linalg.eigvals(limit_matrix(params_ref, end_ref, side, 0.0))
         w = np.sort_complex(w)
-        expected = np.sort_complex(np.array([0, 0, *fr.gammas], dtype=complex))
+        expected = np.sort_complex(np.array(
+            [0, 0, fr.gamma1, fr.gamma2, fr.gamma3], dtype=complex))
         assert np.allclose(w, expected, atol=1e-8)
         assert np.sum(np.abs(w) < 1e-8) == 2
 
@@ -111,7 +114,8 @@ def test_continuation_base_point(params_ref, end_ref):
     mp = analytic_eigenpairs(params_ref, end_ref, "minus", path)
     fr = fast_roots(params_ref, end_ref, "minus")
     sl = slow_expansion(params_ref, end_ref, "minus")
-    assert np.allclose(mp.mu[0, :3], fr.gammas, atol=1e-14)
+    assert np.allclose(mp.mu[0, :3], [fr.gamma1, fr.gamma2, fr.gamma3],
+                       atol=1e-14)
     assert np.allclose(mp.mu[0, 3:], 0.0, atol=1e-14)
     assert np.allclose(mp.V[0, :, 3], sl.rtilde[0], atol=1e-14)
     assert np.allclose(mp.V[0, :, 4], sl.rtilde[1], atol=1e-14)
@@ -260,7 +264,8 @@ def test_disk_radius_scale(params_ref, end_ref):
     assert 0.2 * 0.5 * fold <= r <= 0.5 * fold + 1e-15
 
 
-def test_fast_roots_rejects_near_coincident():
+def test_fast_roots_rejects_near_coincident(monkeypatch):
     params, end = make_endstates_equal()
+    monkeypatch.setattr(modes_module, "ROOT_GAP_TOL", 10.0)
     with pytest.raises(ValueError):
-        fast_roots(params, end, "minus", gap_tol=10.0)
+        fast_roots(params, end, "minus")

@@ -120,6 +120,28 @@ def test_rho_outside_the_disk_exits_2(tmp_path, capsys):
     assert main(["run", "--config", str(cfg)]) == 0
 
 
+@pytest.mark.parametrize("overrides, key, valid", [
+    # a misspelt block would otherwise run silently on the defaults
+    ({"numeric": {"n": 2001}}, "numeric", "params, tasks, numerics, out"),
+    # and a misspelt parameter beside the real one would be ignored
+    ({"params": {**REF_PARAMS, "vplus": 1.2}}, "params.vplus",
+     "T, nu, eps, v_minus, u_minus, v_plus"),
+    # the output directory is a path, not str() of any JSON value
+    ({"out": None}, "out must be a string, got None", None),
+    ({"out": 7}, "out must be a string, got 7", None),
+], ids=["numeric", "vplus", "out-null", "out-number"])
+def test_config_typos_exit_2(tmp_path, monkeypatch, capsys, overrides, key,
+                             valid):
+    cfg = write_config(tmp_path, tasks=["dispersion"], **overrides)
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+    if valid is not None:
+        assert f"valid: {valid}" in err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 @pytest.mark.parametrize("key, value", [("T", True), ("T", "1"),
                                         ("u_minus", float("nan"))])
 def test_bad_param_exits_2(tmp_path, capsys, key, value):

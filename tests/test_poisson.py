@@ -39,7 +39,7 @@ def profile_ref():
 def test_zero_velocity_gives_zero(profile_ref):
     _, _, grid = profile_ref
     disc = discretize_profile(grid)
-    phi = solve_linearized_poisson(disc, np.zeros(disc.n))
+    phi = solve_linearized_poisson(disc, np.zeros(disc.n), np.zeros(disc.n))
     assert np.max(np.abs(phi)) == 0.0
 
 
@@ -140,15 +140,16 @@ def test_coercivity_and_dominance(profile_ref):
 
 
 def test_rhs_uses_given_derivative(profile_ref):
+    # the right-hand side is b0 v + b1 v' with the v' it is given, here
+    # from the profile's jets; it never differences v itself
     _, _, grid = profile_ref
     disc = discretize_profile(grid)
-    vj, _, _ = grid.state_jets(order=2)
+    vj, _, _ = grid.jets
     v, dv = vj.derivative(1), vj.derivative(2)
-    f_exact = rhs_from_velocity(disc, v, dv)
-    f_diff = rhs_from_velocity(disc, v)
-    # the central-difference fallback agrees to second order only
-    assert np.max(np.abs(f_exact - f_diff)) < 1e-6
-    assert np.max(np.abs(f_exact - f_diff)) > 0.0
+    f = rhs_from_velocity(disc, v, dv)
+    assert np.array_equal(f, disc.b0 * v + disc.b1 * dv)
+    with pytest.raises(TypeError):
+        rhs_from_velocity(disc, v)
 
 
 def _banded(sub, diag, sup):

@@ -1,5 +1,3 @@
-from dataclasses import fields, replace
-
 import tracemalloc
 
 import numpy as np
@@ -51,13 +49,13 @@ def test_phase_condition_exact(grid_ref):
 
 def test_monotonicity_from_tables(grid_ref):
     s = grid_ref.end.s
-    assert np.min(s * grid_ref.taylor_jets(1)[0].derivative(1)) > 0.0
+    assert np.min(s * grid_ref.jets[0].derivative(1)) > 0.0
 
 
 def test_mass_balance_exact_at_nodes(grid_ref):
     # u is slaved to v, so s*v' + u' cancels bitwise
     s, p = grid_ref.end.s, grid_ref.params
-    vj = grid_ref.taylor_jets(1)[0]
+    vj = grid_ref.jets[0]
     uj = p.u_minus - s * (vj - p.v_minus)
     assert np.all(uj.value == grid_ref.u)
     assert np.all(s * vj.derivative(1) + uj.derivative(1) == 0.0)
@@ -76,14 +74,14 @@ def test_potential_between_endpoint_values(grid_ref):
 
 
 def test_steepest_point_near_origin(grid_ref):
-    k = np.argmax(grid_ref.taylor_jets(1)[0].derivative(1))
+    k = np.argmax(grid_ref.jets[0].derivative(1))
     assert abs(grid_ref.x[k]) <= 1.0
 
 
 def test_derivative_table_against_finite_differences(grid_ref):
     v, h = grid_ref.v, grid_ref.h
     fd = (-v[4:] + 8.0 * v[3:-1] - 8.0 * v[1:-3] + v[:-4]) / (12.0 * h)
-    dv = grid_ref.taylor_jets(1)[0].derivative(1)
+    dv = grid_ref.jets[0].derivative(1)
     assert np.max(np.abs(fd - dv[2:-2])) < 1e-9
 
 
@@ -191,24 +189,20 @@ def test_profile_csv_roundtrip(grid_ref, tmp_path):
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert data.shape == (grid_ref.n, 8)
     assert np.allclose(data[:, 1], grid_ref.v, atol=1e-12)
-    assert np.allclose(data[:, 7], grid_ref.taylor_jets(2)[1].derivative(2),
+    assert np.allclose(data[:, 7], grid_ref.jets[1].derivative(2),
                        atol=1e-12)
 
 
-def test_bare_grid_gives_stored_jet_results(grid_ref, tmp_path):
-    # fresh jets agree exactly with stored ones in every shared
-    # coefficient, so a bare grid gives the same floats and bytes
-    stored = replace(grid_ref, jets=grid_ref.state_jets(5))
-    assert grid_ref.jets is None
-    assert np.array_equal(profile_residual(grid_ref), profile_residual(stored))
-    bare_rep, stored_rep = verify_profile(grid_ref), verify_profile(stored)
-    for f in fields(bare_rep):
-        assert np.array_equal(getattr(bare_rep, f.name),
-                              getattr(stored_rep, f.name), equal_nan=True)
-    write_profile_csv(grid_ref, tmp_path / "bare.csv")
-    write_profile_csv(stored, tmp_path / "stored.csv")
-    assert ((tmp_path / "bare.csv").read_bytes()
-            == (tmp_path / "stored.csv").read_bytes())
+def test_solved_grid_carries_its_order_3_jets(grid_ref):
+    # solve_profile attaches state_jets(3); jets of any other order agree
+    # with them exactly in every coefficient they share, so every reader
+    # of grid.jets gets the floats it would get from jets of its own order
+    assert [j.order for j in grid_ref.jets] == [3, 3, 3]
+    for order in (1, 3, 5):
+        fresh = grid_ref.state_jets(order)
+        shared = min(order, 3) + 1
+        for stored, own in zip(grid_ref.jets, fresh):
+            assert np.array_equal(stored.coef[:shared], own.coef[:shared])
 
 
 def _newton_band(y, h, mid, p, end, ym, far):
