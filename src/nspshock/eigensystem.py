@@ -24,9 +24,10 @@ builds local cubic (C^1) cells, and from values, slopes and second
 derivatives local quintic (C^2) cells; the O(1) `uniform_reader` reads
 either at one point, `refined_values` at fixed offsets in every cell.  The
 Evans table is quintic on every k-th node of its grid
-(evans.build_evans_system), the transversality table cubic on every
-node, and the profile interpolant quintic on every node
-(profile.profile_cells).
+(evans.build_evans_system), the profile interpolant quintic on every
+node (profile.profile_cells), and the transversality table cubic on
+every node; that table holds the profile Jacobian (profile.rhs_jacobian),
+not this closure (transversality.reduced_tables).
 """
 
 from __future__ import annotations
@@ -122,42 +123,6 @@ def interior_coefficients(x, v_jet: Jet, phi_jet: Jet, psi_jet: Jet,
     )
 
 
-def _scaled(f: Jet, order: int, k: int = 0) -> Jet:
-    """The k-th derivative of f up to `order`, shaped to scale the
-    lam-polynomial rows of the closure."""
-    for _ in range(k):
-        f = f.deriv()
-    return Jet(f.coef[:order + 1, :, None, None])
-
-
-def closure_rows(tab: CoefficientTables, degree: int = 2):
-    """Rows 0, 1 and 4 of the closure (see interior_matrix_coeffs) as
-    jets of lam-polynomial row vectors, shaped (n, degree + 1, 5).
-
-    Terms above the given degree in lam are dropped, so degree 0 gives
-    the rows of A(x, 0) alone, by the arithmetic of the lam^0 part at
-    degree 2.
-    """
-    s = tab.s
-    order = tab.b1.order - 2
-    # unit[k, i]: lam**k times the i-th unit row vector
-    unit = np.eye(5 * (degree + 1)).reshape(degree + 1, 5, degree + 1, 5)
-    e0, e1, e2, e3, e4 = unit[0]
-    # lam e0: zero at degree 0
-    lam_e0 = np.zeros_like(e0)
-    lam_e0[1:] = e0[:-1]
-    P, b1, b2, c1, c3, r1, r2 = (_scaled(f, order) for f in (
-        tab.P, tab.b1, tab.b2, tab.c1, tab.c3, tab.r1, tab.r2))
-
-    flux = _scaled(tab.b1, order, 1) * e0 + _scaled(tab.b2, order, 1) * e1 \
-        - e2
-    row1 = (flux + b2 * lam_e0) / P
-    row2 = (-s * flux - b1 * lam_e0) / P
-
-    row5 = c1 * e0 + c3 * e3 + r2 * e4 + r1 * row1
-    return row1, row2, row5
-
-
 def interior_matrix_coeffs(tab: CoefficientTables):
     """Assemble A0(x), A1(x), A2(x) with A(x, lam) = A0 + lam A1 + lam^2 A2.
 
@@ -173,14 +138,16 @@ def interior_matrix_coeffs(tab: CoefficientTables):
     so the three matrices come back as jets of shape (n, 5, 5): the
     values and their exact x-derivatives, two orders below the profile
     jets the tables were built from (order 1 from interior_coefficients'
-    default order 3, order 2 from order 4).  Rows 0, 1 and 4 come from
-    closure_rows.
+    default order 3, order 2 from order 4).
     """
     s = tab.s
     order = tab.b1.order - 2
 
     def g(f: Jet, k: int = 0) -> Jet:
-        return _scaled(f, order, k)
+        # the k-th derivative up to `order`, shaped to scale the rows
+        for _ in range(k):
+            f = f.deriv()
+        return Jet(f.coef[:order + 1, :, None, None])
 
     # unit[k, i]: lam**k times the i-th unit row vector, shaped (3, 5)
     unit = np.eye(15).reshape(3, 5, 3, 5)
@@ -188,8 +155,13 @@ def interior_matrix_coeffs(tab: CoefficientTables):
     P, b1, b2 = g(tab.P), g(tab.b1), g(tab.b2)
     db1, db2 = g(tab.b1, 1), g(tab.b2, 1)
     d2b1, d2b2 = g(tab.b1, 2), g(tab.b2, 2)
-    c1, c3, r2 = g(tab.c1), g(tab.c3), g(tab.r2)
-    row1, row2, row5 = closure_rows(tab)
+    c1, c3, r1, r2 = g(tab.c1), g(tab.c3), g(tab.r1), g(tab.r2)
+
+    flux = db1 * e0 + db2 * e1 - e2
+    row1 = (flux + b2 * unit[1, 0]) / P
+    row2 = (-s * flux - b1 * unit[1, 0]) / P
+
+    row5 = c1 * e0 + c3 * e3 + r2 * e4 + r1 * row1
 
     ell = d2b1 * e0 + d2b2 * e1 + 2.0 * db1 * row1 + 2.0 * db2 * row2
 

@@ -44,9 +44,9 @@ from .poisson import (constant_discretization, discretize_profile,
                       manufactured_convergence, smallest_symmetric_eigenvalue,
                       solve_linearized_poisson)
 from .profile import solve_profile, verify_profile, write_profile_csv
-from .transversality import (bounded_solution_dim, build_reduced_system,
-                             limit_eigenvalues, reduced_limit_matrix,
-                             reduced_wave_residual)
+from .transversality import (TRANSPORT_TOL, bounded_solution_dim,
+                             build_reduced_system, limit_eigenvalues,
+                             reduced_limit_matrix, reduced_wave_residual)
 
 TASKS = ("profile", "dispersion", "evans", "transversality", "poisson")
 
@@ -312,7 +312,8 @@ def _task_transversality(config, end, ctx, outdir):
         "wave_angle": _check(result.angle_to_wave, "<=", 1e-5),
         "wave_residual": _check(wave_res, "<=", 1e-6),
         "limit_rates_closed_form": _check(sig_err, "<=", 1e-10),
-        "transport_error": _check(result.transport_error, "<=", 1e-8),
+        "transport_error": _check(result.transport_error, "<=",
+                                  TRANSPORT_TOL),
     }
     if "evans" in ctx:
         gamma = ctx["evans"].Gamma

@@ -3,9 +3,17 @@
 At lam = 0 two relations of the five-dimensional eigensystem integrate
 exactly: s v + u is conserved (so v = -u/s on decaying solutions) and
 the third state component is pinned to a combination of (v, u, phi',
-phi'').  Substituting both reduces the system to V' = Atilde(x; s) V
-with V = (u, phi, phi'), whose bounded-solution space is spanned by
-the wave derivative exactly when the connecting orbit is transverse.
+phi'').  Substituting both reduces the system to the variational
+equation of the profile ODE, written in V = (u, phi, phi') =
+(-s v, phi, psi):
+
+    V' = Atilde(x) V,   Atilde = diag(-s, 1, 1) J(ybar) diag(-1/s, 1, 1),
+
+with J the Jacobian of the profile right-hand side (profile.rhs_jacobian).
+Eliminating the two relations through the 5x5 closure of eigensystem
+gives the same matrix to 1e-15 relative, in values and x-slopes, on the
+benchmark amplitudes 0.02-0.19.  Its bounded-solution space is spanned
+by the wave derivative exactly when the connecting orbit is transverse.
 
 The count is computed by subspace propagation: the plane of solutions
 bounded as x -> +inf (center-stable directions of the matrix at +X,
@@ -16,8 +24,9 @@ moves under the adjoint equation y' = -Atilde^T y; no diagonalizing
 change of variables or QR frame is needed, and at x = 0 the plane is
 the normal's orthogonal complement; at each cut end it is the unit left
 eigenvector of the one rate outside the plane (profile.left_eigenvectors).
-Atilde is eliminated on jets, so it comes with its exact x-derivative,
-and is stored as cubic-Hermite cells (eigensystem.hermite_table).
+Atilde is read on the profile's jets, so it comes with its exact
+x-derivative, and is stored as cubic-Hermite cells
+(eigensystem.hermite_table).
 
 The adjoint equation is linear and free of lam, and Atilde is a cubic
 in every cell, so the normals are not integrated step by step: each
@@ -29,7 +38,8 @@ with scaling and squaring), and a pairwise tree multiplies them,
 rescaled at every level.  The same product with CHECK_SUBSTEPS steps
 per cell gives the reported transport error, the max-abs gap of the two
 unit normals at x = 0; for an order-4 scheme it is about 15 times the
-error of the SUBSTEPS result.
+error of the SUBSTEPS result.  Where the gap exceeds TRANSPORT_TOL, the
+steps per cell double (_propagate_plane).
 """
 
 from __future__ import annotations
@@ -38,27 +48,36 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensystem import (closure_rows, hermite_table, interior_coefficients,
-                          wave_residual)
+from .eigensystem import hermite_table, wave_residual
 # never called here: re-exported only so that the WRAPS table of
-# perfbench/tracer.py, which patches transversality.interior_matrix_coeffs
-# and transversality.solve_ivp, finds them
-from .eigensystem import interior_matrix_coeffs  # noqa: F401
+# perfbench/tracer.py, which patches transversality.interior_coefficients,
+# transversality.interior_matrix_coeffs and transversality.solve_ivp,
+# finds them
+from .eigensystem import (interior_coefficients,  # noqa: F401
+                          interior_matrix_coeffs)
 from .ode import solve_ivp  # noqa: F401
 from .jets import Jet
 from .params import PlasmaParams, ShockEndstates
-from .profile import ProfileGrid, left_eigenvectors
+from .profile import ProfileGrid, left_eigenvectors, rhs_jacobian
+
+
+def _in_V(J: np.ndarray, s: float) -> np.ndarray:
+    """diag(-s, 1, 1) J diag(-1/s, 1, 1) for (..., 3, 3) matrices, in
+    place: a Jacobian in y = (v, phi, psi) written in V = (-s v, phi, psi)."""
+    J[..., 0, 1:] *= -s
+    J[..., 1:, 0] /= -s
+    return J
 
 
 def reduced_limit_matrix(params: PlasmaParams) -> np.ndarray:
-    """Reference matrix of the reduced system at zero amplitude."""
-    T, nu, eps2, vm = params.T, params.nu, params.eps**2, params.v_minus
-    rt = np.sqrt(T + 1.0)
-    return np.array([
-        [-1.0 / (nu * rt), 1.0 / nu, 0.0],
-        [0.0, 0.0, 1.0],
-        [-vm / (eps2 * rt), vm / eps2, 0.0],
-    ])
+    """Reference matrix of the reduced system at zero amplitude: the
+    profile Jacobian at y- = (v-, -ln v-, 0) in V, with the shock speed
+    s = sqrt(T + 1)/v- of zero amplitude."""
+    vm = params.v_minus
+    phi = -np.log(vm)
+    end = ShockEndstates(s=params.sound_speed(vm), u_plus=params.u_minus,
+                         phi_minus=phi, phi_plus=phi)
+    return _in_V(rhs_jacobian(np.array([vm, phi, 0.0]), params, end), end.s)
 
 
 def limit_eigenvalues(params: PlasmaParams) -> tuple[float, float, float]:
@@ -94,46 +113,11 @@ class ReducedSystem:
 
 
 def reduced_tables(grid: ProfileGrid) -> Jet:
-    """Eliminate v and the flux derivative from the lam = 0 system;
-    Atilde comes back as an order-1 jet of shape (n, 3, 3)."""
-    vj, pj, sj = grid.jets
-    tab = interior_coefficients(grid.x, vj, pj, sj, grid.params, grid.end)
-    # rows 1 and 4 of A(x, 0): the u' row and the field row
-    _, u_row, field_row = closure_rows(tab, degree=0)
-    s = grid.end.s
-
-    def col(f: Jet) -> Jet:
-        # order-1 part of a grid function, shaped to scale 3-vectors
-        return Jet(f.coef[:2, ..., None])
-
-    # rows expressing W = (v, u, w', phi, phi') through V = (u, phi, phi');
-    # the row of w' is solved for below
-    E = np.array([[-1.0 / s, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0],
-                  [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    a = [col(Jet(field_row.coef[:, :, 0, j])) for j in range(5)]
-
-    # The integrated flux relation and the field row form a linear pair
-    #   w'   = (b1'-A21) v + (b2'-s) u - D21 phi' - E21 phi''
-    #   phi'' = a0 v + a1 u + a2 w' + a3 phi + a4 phi'
-    # (a_j the entries of the lam = 0 field row, which picks up a w'
-    # term from the v' substitution).  Its determinant 1 + E21 a2
-    # equals s b2 / P > 0, so the pair is always solvable.
-    E21 = col(tab.E21)
-    rhs_w = (col(tab.b1.deriv() - tab.A21) * E[0]
-             + (col(tab.b2.deriv()) - s) * E[1] - col(tab.D21) * E[4])
-    rhs_f = a[0] * E[0] + a[1] * E[1] + a[3] * E[3] + a[4] * E[4]
-    den = 1.0 + E21 * a[2]
-    if np.min(den.value) < 1e-8:
-        raise RuntimeError("constraint pair degenerates: min determinant "
-                           f"{np.min(den.value):.2e}")
-    rows = [E[0], E[1], (rhs_w - E21 * rhs_f) / den, E[3], E[4]]
-
-    out = np.zeros((2, grid.n, 3, 3))
-    out[:, :, 0] = sum(col(Jet(u_row.coef[:, :, 0, j])) * row
-                       for j, row in enumerate(rows)).coef
-    out[0, :, 1, 2] = 1.0
-    out[:, :, 2] = (rhs_f + a[2] * rows[2]).coef
-    return Jet(out)
+    """Atilde as an order-1 jet of shape (n, 3, 3): the profile Jacobian
+    on the grid's jets, in V."""
+    J = rhs_jacobian(tuple(Jet(j.coef[:2]) for j in grid.jets),
+                     grid.params, grid.end)
+    return Jet(_in_V(J.coef, grid.end.s))
 
 
 def build_reduced_system(grid: ProfileGrid) -> ReducedSystem:
@@ -162,9 +146,12 @@ def reduced_wave_residual(system: ReducedSystem, grid: ProfileGrid) -> float:
 
 
 # Magnus steps per hermite_table cell, and the coarser count whose result
-# checks them (order 4: halving the step cuts the error about 16x)
+# checks them (order 4: halving the step cuts the error about 16x); the
+# bound of that check (pipeline's transport_error), above which the steps
+# double
 SUBSTEPS = 4
 CHECK_SUBSTEPS = 2
+TRANSPORT_TOL = 1e-8
 # Gauss-Legendre nodes of one step, as fractions of the step
 _GAUSS = np.array([0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0])
 
@@ -247,19 +234,31 @@ def propagator(cells: np.ndarray, h: float, substeps: int,
 
 
 def _propagate_plane(cells: np.ndarray, h: float, normal: np.ndarray,
-                     backward: bool) -> tuple[np.ndarray, float]:
+                     backward: bool) -> tuple[np.ndarray, float, int]:
     """Transport the plane with this normal across cells that end or
-    start at x = 0; (orthonormal (3, 2) frame at x = 0, transport error).
+    start at x = 0; (orthonormal (3, 2) frame at x = 0, transport error,
+    Magnus steps per cell).
 
     The normal takes SUBSTEPS Magnus steps per cell; the error is the
     max-abs distance of its unit vector from the CHECK_SUBSTEPS one.
+    Above TRANSPORT_TOL (long grids of wide cells) the steps per cell
+    double, each result checked against the one before, for as long as
+    the error falls.
     """
-    normals = []
-    for substeps in (SUBSTEPS, CHECK_SUBSTEPS):
+    def unit_normal(substeps):
         y = propagator(cells, h, substeps, backward) @ normal
-        normals.append(y / np.linalg.norm(y))
-    frame = np.linalg.svd(normals[0][None])[2][1:].T
-    return frame, float(np.max(np.abs(normals[0] - normals[1])))
+        return y / np.linalg.norm(y)
+
+    substeps, fine = SUBSTEPS, unit_normal(SUBSTEPS)
+    err = float(np.max(np.abs(fine - unit_normal(CHECK_SUBSTEPS))))
+    while err > TRANSPORT_TOL:
+        finer = unit_normal(2 * substeps)
+        finer_err = float(np.max(np.abs(finer - fine)))
+        if not finer_err < err:
+            break
+        substeps, fine, err = 2 * substeps, finer, finer_err
+    frame = np.linalg.svd(fine[None])[2][1:].T
+    return frame, err, substeps
 
 
 # end rates within CENTER_TOL of zero are neutral (_end_normal); the
@@ -295,7 +294,8 @@ class TransversalityResult:
     angle_to_wave: float         # radians, against (ubar',phibar',phibar'')(0)
     singular_values: np.ndarray
     transport_error: float       # max-abs gap of the unit normals at x = 0
-                                 # between SUBSTEPS and CHECK_SUBSTEPS
+                                 # between each side's Magnus steps per
+                                 # cell and half as many
     work: dict                   # transports, cells, substeps
 
 
@@ -321,12 +321,12 @@ def bounded_solution_dim(
     """
     mid = (system.x.size - 1) // 2
     h = 2.0 * system.X / (system.x.size - 1)
-    S, plus_err = _propagate_plane(
+    S, plus_err, plus_steps = _propagate_plane(
         system.table[:, mid:], h, _end_normal(system.tables[-1], "+"), True)
-    U, minus_err = _propagate_plane(
+    U, minus_err, minus_steps = _propagate_plane(
         system.table[:, :mid], h, _end_normal(system.tables[0], "-"), False)
     work = {"transports": 2, "cells": system.table.shape[1],
-            "substeps": SUBSTEPS}
+            "substeps": max(plus_steps, minus_steps)}
 
     M = np.concatenate([S, U], axis=1)          # 3 x 4
     sv = np.linalg.svd(M, compute_uv=False)

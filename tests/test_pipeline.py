@@ -10,8 +10,10 @@ import pytest
 
 import nspshock
 import nspshock.dispersion as dispersion_module
+import nspshock.eigensystem as eigensystem_module
 import nspshock.pipeline as pipeline_module
 import nspshock.profile as profile_module
+import nspshock.transversality as transversality_module
 from nspshock.cli import main
 from nspshock.evans import ATOL, PROBE_ORDER, RTOL
 from nspshock.modes import default_disk_radius
@@ -160,6 +162,22 @@ def test_empty_task_list_exits_2(tmp_path, capsys, overrides, flags):
     err = capsys.readouterr().err
     assert "config error" in err and "tasks" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_transversality_builds_no_evans_closure(tmp_path, monkeypatch):
+    # the reduced matrix is the profile Jacobian in V, so a transversality
+    # run never assembles the 5x5 closure of the Evans system
+    def closure(*args, **kwargs):
+        raise AssertionError("the transversality task built the closure")
+
+    for module in (eigensystem_module, transversality_module):
+        for name in ("interior_coefficients", "interior_matrix_coeffs"):
+            monkeypatch.setattr(module, name, closure)
+    cfg = write_config(tmp_path)
+    assert main(["run", "--config", str(cfg),
+                 "--tasks", "profile,transversality"]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["tasks"]["transversality"]["passed"] is True
 
 
 def test_transversality_alone_solves_no_profile_task(tmp_path):

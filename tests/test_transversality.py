@@ -9,11 +9,15 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import expm
 
 from nspshock.eigensystem import hermite_table, uniform_reader
+from nspshock.modes import fast_roots
 from nspshock.params import PlasmaParams, ShockEndstates, solve_rankine_hugoniot
-from nspshock.profile import solve_profile
+from nspshock.profile import rhs_jacobian, solve_profile
+import nspshock.transversality as transversality_module
 from nspshock.transversality import (
+    TRANSPORT_TOL,
     ReducedSystem,
     _end_normal,
+    _in_V,
     bounded_solution_dim,
     build_reduced_system,
     limit_eigenvalues,
@@ -294,3 +298,53 @@ def test_normals_match_qr_frames_at_random_amplitudes(delta):
     assert np.max(np.abs(res.singular_values - sv) / sv) <= 1e-9
     assert min(np.max(np.abs(res.vector - vec)),
                np.max(np.abs(res.vector + vec))) <= 1e-9
+
+
+# each example solves a default profile (about 0.2 s); a draw outside the
+# regime must be refused by fast_roots' typed error
+@settings(max_examples=6, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(T=st.floats(0.5, 2.0), nu=st.floats(0.5, 2.0),
+       eps=st.floats(0.5, 2.0), v_minus=st.floats(0.5, 2.0),
+       delta=st.floats(0.02, 0.19))
+def test_reduced_matrix_at_general_parameters(T, nu, eps, v_minus, delta):
+    params = PlasmaParams(T=T, nu=nu, eps=eps, v_minus=v_minus,
+                          u_minus=0.0, v_plus=v_minus + delta)
+    end = solve_rankine_hugoniot(params)
+    try:
+        roots = [fast_roots(params, end, side) for side in ("minus", "plus")]
+    except ValueError:
+        return
+    # at y-+ the reduced matrix has the profile's fast rates
+    ends = np.array([[params.v_minus, end.phi_minus, 0.0],
+                     [params.v_plus, end.phi_plus, 0.0]])
+    for M, r in zip(_in_V(rhs_jacobian(ends, params, end), end.s), roots):
+        gammas = np.sort([r.gamma1, r.gamma2, r.gamma3])
+        eigs = np.sort_complex(np.linalg.eigvals(M))
+        assert np.max(np.abs(eigs - gammas)) <= 1e-12 * np.max(np.abs(gammas))
+    grid = solve_profile(params, end)
+    res = bounded_solution_dim(build_reduced_system(grid), grid)
+    assert res.dimension == 1
+    assert res.transport_error <= 1e-8
+
+
+def test_wide_cells_double_the_magnus_steps(monkeypatch):
+    # a long domain off the reference parameters: the default grid's cells
+    # are 1.48 wide and 4 steps per cell leave a gap of 7.8e-8 to 2 steps
+    # (their vector misses the 32-step one by 1.5e-8), so the steps double
+    # once; the result then meets the bound against 32 steps per cell
+    params = PlasmaParams(T=0.5, nu=2.0, eps=0.5, v_minus=2.0, u_minus=0.0,
+                          v_plus=2.02)
+    grid = solve_profile(params, solve_rankine_hugoniot(params))
+    sys_ = build_reduced_system(grid)
+    res = bounded_solution_dim(sys_, grid)
+    assert res.work["substeps"] == 8
+    assert res.dimension == 1
+    assert res.transport_error <= TRANSPORT_TOL
+    monkeypatch.setattr(transversality_module, "SUBSTEPS", 32)
+    monkeypatch.setattr(transversality_module, "CHECK_SUBSTEPS", 16)
+    ref = bounded_solution_dim(sys_, grid)
+    assert ref.work["substeps"] == 32
+    assert np.max(np.abs(res.vector - ref.vector)) <= TRANSPORT_TOL
+    assert np.max(np.abs(res.singular_values - ref.singular_values)
+                  / ref.singular_values) <= 1e-10
