@@ -22,7 +22,8 @@ The assembly runs in jet arithmetic too, so A0, A1 and A2 come with
 their exact x-derivatives.  From values and slopes `hermite_table`
 builds local cubic (C^1) cells, and from values, slopes and second
 derivatives local quintic (C^2) cells; the O(1) `uniform_reader` reads
-either at one point, `refined_values` at fixed offsets in every cell.  The
+either at one point, `cell_values` every cell at the same offsets (the
+profile residual, the Evans table_error and the Magnus steps).  The
 Evans table is quintic on every k-th node of its grid
 (evans.build_evans_system), the profile interpolant quintic on every
 node (profile.profile_cells), and the transversality table cubic on
@@ -272,27 +273,19 @@ def uniform_reader(X: float, table: np.ndarray, shape: tuple):
     return read
 
 
-def refined_values(table: np.ndarray, h: float, refine: int,
-                   nu: int = 0) -> np.ndarray:
-    """nu-th derivative of hermite_table cells of width h at the points
-    x[i] + j h / refine (j < refine) of every cell i and at the right end
-    of the last cell: on the grid linspace(x[0], x[-1], refine * cells + 1),
-    in its order.
+def cell_values(table: np.ndarray, offsets, nu: int = 0) -> np.ndarray:
+    """nu-th derivative of every hermite_table cell at each offset.
 
-    Every point sits at one of refine fixed offsets in its cell, so each
-    offset is read from all cells at once, by one (refine, degree + 1)
-    Vandermonde product with the table.  The result has shape
-    (refine * cells + 1, k).
+    The offsets are distances from a cell's left node, the same in every
+    cell, so each is read from all cells at once, by one (offsets,
+    degree + 1) Vandermonde product with the table.  The result has shape
+    (cells, offsets, k).
     """
-    degree, cells, k = table.shape[0] - 1, table.shape[1], table.shape[2]
+    degree = table.shape[0] - 1
     powers = np.arange(degree, nu - 1, -1)
-    t = np.arange(refine + 1) * (h / refine)
-    # rows: offsets 0 .. refine, the last one the right end of a cell;
-    # columns: the nu-th derivatives of the table's descending powers
+    t = np.asarray(offsets, dtype=float)
+    # rows: the offsets; columns: the nu-th derivatives of the table's
+    # descending powers
     V = np.array([math.perm(q, nu) for q in powers]) \
         * t[:, None] ** (powers - nu)
-    coeffs = table[:degree + 1 - nu]
-    out = np.empty((cells * refine + 1, k))
-    out[:-1] = np.einsum("jq,qik->ijk", V[:refine], coeffs).reshape(-1, k)
-    out[-1] = V[refine] @ coeffs[:, -1]
-    return out
+    return np.einsum("jq,qik->ijk", V, table[:degree + 1 - nu])

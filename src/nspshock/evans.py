@@ -48,7 +48,9 @@ the cell ends that spoil DOP853's error control (measured at rtol
 1e-12), and batched D then missed one-lam-at-a-time D by up to 2e-9.
 Every build measures the table's error (table_error).
 
-Each right-hand-side call lifts the coefficients of each side once
+Lifting is linear, so each kind of row has one fixed generator map,
+GENERATORS, built at import: a right-hand-side call forms the generators
+of each side's coefficients in one product with it and lifts nothing
 (wedge_rhs).  The starting eigenvectors of a batch come from one stacked
 eigen-decomposition per side, labelled in one step from lam = 0
 (modes.analytic_eigenpairs).  Gamma reads the wedges and the fast pair
@@ -85,11 +87,11 @@ import numpy as np
 from .csvout import write_table
 from .eigensystem import (
     background_wave,
+    cell_values,
     hermite_table,
     interior_coefficients,
     interior_matrix_coeffs,
     limit_matrix_coeffs,
-    refined_values,
     uniform_reader,
     wave_residual,
 )
@@ -121,8 +123,13 @@ WORK_COUNTS = ("transports", "rhs_calls", "steps")
 # x = X - t; +1: -X, at x = t - X) and what its rows hold ("w2":
 # 2-wedges, "w3": duals of 3-wedges)
 BLOCKS = {"plus": (-1, "w2"), "minus": (1, "w3"), "fast": (1, "w2")}
-# the 5x5 matrices whose lift2 moves each kind of row, from A
-MATRICES = {"w2": np.asarray, "w3": dual_matrix}
+# vec(A) -> vec(G(A)) for each kind of row, G the generator that moves it:
+# lift2(A) for 2-wedges, lift2(dual_matrix(A)) for duals of 3-wedges.
+# Both are linear in A, so one (25, 100) map per kind, the lifts of the 25
+# unit matrices, serves every call
+_UNIT = np.eye(25).reshape(25, 5, 5)
+GENERATORS = {"w2": lift2(_UNIT).reshape(25, 100),
+              "w3": lift2(dual_matrix(_UNIT)).reshape(25, 100)}
 # widest cell of the Evans coefficient table (see table_stride)
 TABLE_STEP = 0.5
 # order of the profile jets at the table's nodes: the closure reads their
@@ -154,7 +161,6 @@ class Contour:
     """Ordered sample points in the lam plane."""
 
     points: np.ndarray
-    closed: bool
 
 
 def _on_circle(radius: float, turns: np.ndarray) -> np.ndarray:
@@ -173,8 +179,7 @@ def _on_circle(radius: float, turns: np.ndarray) -> np.ndarray:
 def circle_contour(radius: float, n: int = N_CIRCLE) -> Contour:
     """n points radius exp(2 pi i k/n), k = 0..n-1, mirrored exactly."""
     k = np.arange(n)
-    return Contour(_on_circle(radius, np.where(2 * k > n, k - n, k) / n),
-                   True)
+    return Contour(_on_circle(radius, np.where(2 * k > n, k - n, k) / n))
 
 
 def d_contour(rho: float, radius: float) -> Contour:
@@ -192,7 +197,7 @@ def d_contour(rho: float, radius: float) -> Contour:
     inner = _on_circle(rho, (N_INNER - 2 * np.arange(N_INNER + 1))
                        / (4 * N_INNER))
     pts = np.concatenate([outer, down, inner, np.conj(down[::-1])])
-    return Contour(pts, True)
+    return Contour(pts)
 
 
 @dataclass
@@ -287,7 +292,7 @@ def table_error(grid: ProfileGrid, stride: int, table: np.ndarray,
                   u=params.u_minus - end.s * (v - params.v_minus), jets=None)
     A, _ = _closure(mid.x, mid.state_jets(2), params, end, 0)
     exact = A[0].reshape(-1, 75)
-    got = refined_values(table, 2.0 * half, 2)[1::2]
+    got = cell_values(table, [half])[:, 0]
     return float(np.max(np.abs(got - exact)) / np.max(np.abs(exact)))
 
 
@@ -365,13 +370,13 @@ def wedge_rhs(sys: EvansSystem, blocks: dict):
     blocks maps names of BLOCKS to (lams, shifts), one pair of m-arrays
     per block, in the order of the rows.  A block from -d X sits at
     x = d (t - X) and its rows follow y' = d (G(A(x, lam)) y - shift y),
-    G the lift2 of the block's MATRICES.  A(x, lam) = A0 + lam A1 +
-    lam^2 A2 and all of it is linear, so each call reads each side's
-    coefficients once, forms the matrices of every kind of row there in
-    one product with a fixed map and lifts them in one lift2 call.  The
-    lifts act on the real and imaginary parts of a block's rows in one
-    real matrix product, and the products of all rows are combined per
-    lam by one Horner evaluation.
+    G the block's GENERATORS.  A(x, lam) = A0 + lam A1 + lam^2 A2 and all
+    of it is linear, so each call reads each side's coefficients once and
+    forms the generators of every kind of row there in one product with
+    the fixed maps; nothing is lifted per call.  The generators act on the
+    real and imaginary parts of a block's rows in one real matrix product,
+    and the products of all rows are combined per lam by one Horner
+    evaluation.
     """
     X = sys.X
     terms, sides, start = [], {}, 0
@@ -387,23 +392,22 @@ def wedge_rhs(sys: EvansSystem, blocks: dict):
     lam = np.concatenate([lams for lams, _ in blocks.values()])
     shift = np.concatenate([BLOCKS[name][0] * shifts
                             for name, (_, shifts) in blocks.items()])
-    # vec(A) -> vec(d MATRICES[kind](A)) for each kind on side d
-    basis = np.eye(25).reshape(25, 5, 5)
-    maps = {d: d * np.stack([MATRICES[k](basis).reshape(25, 25)
-                             for k in kinds]) for d, kinds in sides.items()}
-    # lifted d A0, d A1, d A2 applied to the transposed state (10, rows)
+    # vec(A) -> vec(d G(A)) for each kind of row on side d
+    maps = {d: d * np.stack([GENERATORS[k] for k in kinds])
+            for d, kinds in sides.items()}
+    # G(d A0), G(d A1), G(d A2) times the transposed state (10, rows)
     Z = np.empty((3, 10, start), dtype=complex)
     Zf = Z.view(float).reshape(30, 2 * start)
 
     def rhs(t, y):
         Y = y.reshape(start, -1).T.copy()
         Yf = Y.view(float)
-        lifted = {}
+        G = {}
         for d, M in maps.items():
             A = sys.coefficients(_side_x(d, t, X)).reshape(3, 25)
-            lifted[d] = lift2((A @ M).reshape(-1, 3, 5, 5)).reshape(-1, 30, 10)
+            G[d] = (A @ M).reshape(-1, 30, 10)
         for d, k, cols in terms:
-            np.matmul(lifted[d][k], Yf[:, cols], out=Zf[:, cols])
+            np.matmul(G[d][k], Yf[:, cols], out=Zf[:, cols])
         return (Z[0] + lam * (Z[1] + lam * Z[2]) - shift * Y).T.ravel()
 
     return rhs
@@ -492,8 +496,8 @@ def corrected_start(sys: EvansSystem, name: str, lams: np.ndarray,
     """The wedges of a block at its cut end, corrected for the tail gap.
 
     y0 holds the (m, 10) limit rows of block `name` (see BLOCKS), each
-    an eigenvector of G(A_inf(lam)) for its shift s, where G = lift2 of
-    the block's MATRICES and A_inf is the limit matrix of its side.
+    an eigenvector of G(A_inf(lam)) for its shift s, where G is the
+    block's GENERATORS and A_inf is the limit matrix of its side.
     Near the cut end x_e the coefficients approach A_inf like exp(g x),
     with g = gamma1 of that side, the profile's own decay rate, so the
     decaying solution starts at y0 + c, where
@@ -507,8 +511,11 @@ def corrected_start(sys: EvansSystem, name: str, lams: np.ndarray,
     L0, L1 = limit_matrix_coeffs(sys.params, sys.end, side)
     A_inf = L0 + lams[:, None, None] * L1
     g = fast_roots(sys.params, sys.end, side).gamma1
-    M = (lift2(MATRICES[which](A_inf))
-         - (shifts + g)[:, None, None] * np.eye(10))
+
+    def G(A):
+        return (A.reshape(-1, 25) @ GENERATORS[which]).reshape(-1, 10, 10)
+
+    M = G(A_inf) - (shifts + g)[:, None, None] * np.eye(10)
     sv = np.linalg.svd(M, compute_uv=False)
     singular = sv[:, -1] <= START_RCOND * sv[:, 0]
     if singular.any():
@@ -516,7 +523,7 @@ def corrected_start(sys: EvansSystem, name: str, lams: np.ndarray,
             f"Evans start: the far-field correction of the {name} block "
             f"is singular at {lams_text(lams[singular])}")
     gap = sys.coefficient_matrix(-d * sys.X, lams) - A_inf
-    c = np.linalg.solve(M, -(lift2(MATRICES[which](gap)) @ y0[:, :, None]))
+    c = np.linalg.solve(M, -(G(gap) @ y0[:, :, None]))
     return y0 + c[:, :, 0]
 
 
@@ -598,12 +605,6 @@ def make_evaluator(sys: EvansSystem):
     return evaluate, store
 
 
-def _values(evaluate, pts: np.ndarray) -> np.ndarray:
-    """evaluate on an array of points; a constant result is broadcast."""
-    return np.broadcast_to(np.asarray(evaluate(pts), dtype=complex),
-                           pts.shape)
-
-
 def winding_number(evaluate: Callable, contour: Contour):
     """Winding of D over a closed contour, with adaptive refinement.
 
@@ -613,10 +614,8 @@ def winding_number(evaluate: Callable, contour: Contour):
     on the contour points and once per round on that round's midpoints.
     Returns (winding, points, values).
     """
-    if not contour.closed:
-        raise ValueError("winding needs a closed contour")
     pts = np.asarray(contour.points, dtype=complex)
-    vals = _values(evaluate, pts)
+    vals = evaluate(pts)
 
     for _ in range(MAX_ROUNDS):
         if np.any(vals == 0.0):
@@ -633,7 +632,7 @@ def winding_number(evaluate: Callable, contour: Contour):
             return w, pts, vals
         mids = 0.5 * (pts[bad] + pts[(bad + 1) % pts.size])
         pts = np.insert(pts, bad + 1, mids)
-        vals = np.insert(vals, bad + 1, _values(evaluate, mids))
+        vals = np.insert(vals, bad + 1, evaluate(mids))
     raise RuntimeError("phase steps stayed above the resolution bound "
                        "after maximal refinement; shrink the contour")
 
@@ -656,7 +655,7 @@ def evans_derivative_origin(evaluate: Callable, rho: float,
     cross-check.  All points go to evaluate in one array.
     """
     pts = derivative_points(rho, n_quad)
-    vals = _values(evaluate, pts)
+    vals = evaluate(pts)
     cauchy = complex(np.sum(vals[:n_quad] / pts[:n_quad]) / n_quad)
     d2h, dh, dmh, dm2h = vals[n_quad:]
     h = rho / 10.0
@@ -669,8 +668,6 @@ class GammaResult:
     Gamma: float
     det_R0: float
     a2_minus: float
-    phi2_plus: np.ndarray
-    phi4_minus: np.ndarray
     factor_residual_plus: float
     factor_residual_fast: float
     containment_minus: float
@@ -732,7 +729,6 @@ def gamma_transversality(sys: EvansSystem,
                            f"imaginary part {gamma.imag:.3e}")
     return GammaResult(
         Gamma=float(gamma.real), det_R0=float(det_R0), a2_minus=float(a2),
-        phi2_plus=phi2, phi4_minus=phi4,
         factor_residual_plus=float(res2), factor_residual_fast=float(res4),
         containment_minus=contain)
 

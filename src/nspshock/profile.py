@@ -51,7 +51,7 @@ derivative of the profile is read from jets of the right-hand side
 (`ProfileGrid.state_jets`), never from differencing the computed
 solution; the residual check builds its piecewise-quintic Hermite
 interpolant from them (eigensystem.hermite_table) and reads values and
-slopes at fixed offsets in its cells (eigensystem.refined_values).
+slopes at fixed offsets in its cells (eigensystem.cell_values).
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from .csvout import write_table
-from .eigensystem import hermite_table, refined_values
+from .eigensystem import cell_values, hermite_table
 from .jets import Jet
 from .modes import fast_roots
 from .params import PlasmaParams, ShockEndstates
@@ -515,12 +515,12 @@ def profile_cells(grid: ProfileGrid) -> np.ndarray:
 
 def profile_residual(grid: ProfileGrid) -> np.ndarray:
     """Max |y' - F(y)| of the interpolant per equation at RESIDUAL_REFINE
-    points per cell."""
+    + 1 equally spaced points of every cell, both ends included."""
     cells, h = profile_cells(grid), 2.0 * grid.X / (grid.n - 1)
-    vals, derivs = (refined_values(cells, h, RESIDUAL_REFINE, nu)
-                    for nu in (0, 1))
-    v, phi, psi = vals[:, 0], vals[:, 2], vals[:, 3]
-    dv, du, dpsi = derivs[:, 0], derivs[:, 1], derivs[:, 3]
+    offsets = np.arange(RESIDUAL_REFINE + 1) * (h / RESIDUAL_REFINE)
+    vals, derivs = (cell_values(cells, offsets, nu) for nu in (0, 1))
+    v, phi, psi = vals[..., 0], vals[..., 2], vals[..., 3]
+    dv, du, dpsi = derivs[..., 0], derivs[..., 1], derivs[..., 3]
     s = grid.end.s
 
     f1, f2, f3 = profile_rhs(v, phi, psi, grid.params, grid.end)

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensystem import hermite_table, wave_residual
+from .eigensystem import cell_values, hermite_table, wave_residual
 # never called here: re-exported only so that the WRAPS table of
 # perfbench/tracer.py, which patches transversality.interior_coefficients,
 # transversality.interior_matrix_coeffs and transversality.solve_ivp,
@@ -161,14 +161,14 @@ def _magnus_exponents(cells: np.ndarray, h: float,
     """Order-4 Magnus exponents of y' = B y, B = -Atilde^T, in x order.
 
     cells are hermite_table cells of Atilde, shape (4, m, 9), of width h;
-    each is cut into `substeps` equal steps.  A step of length k with B1,
+    each is cut into `substeps` equal steps, and cell_values reads every
+    cell at the steps' Gauss points at once.  A step of length k with B1,
     B2 at its two Gauss points has Omega = (k/2)(B1 + B2)
     + (sqrt(3)/12) k^2 [B2, B1]; the result has shape (m substeps, 3, 3).
     """
     k = h / substeps
     offsets = k * (np.arange(substeps)[:, None] + _GAUSS)
-    powers = offsets[..., None] ** np.arange(3, -1, -1)
-    A = np.einsum("sgp,pmc->msgc", powers, cells).reshape(-1, 2, 3, 3)
+    A = cell_values(cells, offsets.ravel()).reshape(-1, 2, 3, 3)
     B1 = -A[:, 0].transpose(0, 2, 1)
     B2 = -A[:, 1].transpose(0, 2, 1)
     return (0.5 * k) * (B1 + B2) + (np.sqrt(3.0) / 12.0 * k * k) * (

@@ -6,11 +6,12 @@ from numpy.linalg import LinAlgError
 from scipy.interpolate import PPoly
 from scipy.linalg import solve_banded
 
-from nspshock.eigensystem import refined_values
+from nspshock.eigensystem import cell_values
 from nspshock.modes import fast_roots
 from nspshock.params import PlasmaParams, ShockEndstates, solve_rankine_hugoniot
 import nspshock.profile as profile_module
 from nspshock.profile import (
+    RESIDUAL_REFINE,
     _cell_blocks,
     _newton_step,
     _newton_system,
@@ -25,6 +26,7 @@ from nspshock.profile import (
     verify_profile,
     write_profile_csv,
 )
+from nspshock.transversality import _GAUSS, SUBSTEPS
 
 
 @pytest.fixture(scope="module")
@@ -86,24 +88,31 @@ def test_derivative_table_against_finite_differences(grid_ref):
 
 
 def test_interpolant_reproduces_nodes(grid_ref):
-    # one point per cell and the right end: the nodes
-    vals = refined_values(profile_cells(grid_ref), grid_ref.h, 1)
+    # both ends of every cell: the nodes
+    ends = cell_values(profile_cells(grid_ref), [0.0, grid_ref.h])
     stored = np.stack([grid_ref.v, grid_ref.u, grid_ref.phi, grid_ref.psi],
                       axis=-1)
-    assert np.max(np.abs(vals - stored)) < 1e-13
+    assert np.max(np.abs(ends[:, 0] - stored[:-1])) < 1e-13
+    assert np.max(np.abs(ends[:, 1] - stored[1:])) < 1e-13
 
 
 def test_interpolant_matches_ppoly_of_its_cells(grid_ref):
-    # the cells read as scipy's piecewise polynomial reads them, on the
-    # refined residual grid with both ends
+    # the cells read as scipy's piecewise polynomial reads them: at the
+    # residual check's offsets, both ends included, and at the two Gauss
+    # points of one Magnus step, which are not equally spaced
     cells = profile_cells(grid_ref)
     poly = PPoly(cells, grid_ref.x)
-    xs = np.linspace(grid_ref.x[0], grid_ref.x[-1], 4 * (grid_ref.n - 1) + 1)
-    for nu in (0, 1):
-        ref = poly(xs, nu)
-        assert np.all(np.isfinite(ref))
-        assert np.max(np.abs(refined_values(cells, grid_ref.h, 4, nu)
-                             - ref)) <= 1e-13 * np.max(np.abs(ref))
+    h = grid_ref.h
+    step = h / SUBSTEPS
+    reads = [(np.arange(RESIDUAL_REFINE + 1) * (h / RESIDUAL_REFINE), (0, 1)),
+             (step * (1 + _GAUSS), (0, 1, 2))]
+    for offsets, orders in reads:
+        xs = grid_ref.x[:-1, None] + offsets
+        for nu in orders:
+            ref = poly(xs.ravel(), nu).reshape(xs.shape + (4,))
+            assert np.all(np.isfinite(ref))
+            assert np.max(np.abs(cell_values(cells, offsets, nu) - ref)) \
+                <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_decay_rate_matches_slow_root(grid_ref):
