@@ -41,8 +41,8 @@ from .modes import default_disk_radius, fast_roots, slow_expansion
 from .params import (PlasmaParams, finite_number, params_from_dict,
                      solve_rankine_hugoniot)
 from .poisson import (constant_discretization, discretize_profile,
-                      manufactured_convergence, smallest_symmetric_eigenvalue,
-                      solve_linearized_poisson)
+                      manufactured_convergence, richardson,
+                      smallest_symmetric_eigenvalue, solve_linearized_poisson)
 from .profile import solve_profile, verify_profile, write_profile_csv
 from .transversality import (TRANSPORT_TOL, bounded_solution_dim,
                              build_reduced_system, limit_eigenvalues,
@@ -342,8 +342,10 @@ def _task_poisson(config, end, ctx, outdir):
     grid = _profile_grid(config, end, ctx)
     disc = discretize_profile(grid)
     vj, _, sj = grid.jets
-    phi = solve_linearized_poisson(disc, vj.derivative(1), vj.derivative(2))
-    rel = float(np.max(np.abs(phi - sj.value)) / np.max(np.abs(sj.value)))
+    phi = richardson(solve_linearized_poisson, disc, vj.derivative(1),
+                     vj.derivative(2))
+    rel = float(np.max(np.abs(phi - sj.value[::2]))
+                / np.max(np.abs(sj.value)))
 
     # a proved lower bound on the spectrum of the symmetric part
     lower = smallest_symmetric_eigenvalue(disc)

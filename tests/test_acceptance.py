@@ -49,6 +49,7 @@ from nspshock.poisson import (
     solve_linearized_poisson,
 )
 from nspshock.profile import (
+    DEFAULT_NODES,
     default_half_length,
     profile_residual,
     solve_profile,
@@ -313,11 +314,12 @@ def test_criterion_10_robustness(params_ref, end_ref):
     # the default grid every task reads, then twice the nodes, then twice
     # the half-length at the same step
     base = build_evans_system(solve_profile(params_ref, end_ref))
-    assert base.n == 4001
+    assert base.n == DEFAULT_NODES
+    double = 2 * base.n - 1
     variants = {
-        "2n": build_evans_system(solve_profile(params_ref, end_ref, n=8001)),
+        "2n": build_evans_system(solve_profile(params_ref, end_ref, n=double)),
         "2X": build_evans_system(solve_profile(params_ref, end_ref,
-                                               X=2.0 * base.X, n=8001)),
+                                               X=2.0 * base.X, n=double)),
     }
     rho = 0.5 * base.disk_radius
     probes = rho * np.exp(2j * np.pi * np.arange(8) / 8)

@@ -43,7 +43,8 @@ from nspshock.evans import (
 from nspshock import evans as evans_module
 from nspshock.modes import fast_roots
 from nspshock.params import PlasmaParams, solve_rankine_hugoniot
-from nspshock.profile import EFOLDS, default_half_length, solve_profile
+from nspshock.profile import (DEFAULT_NODES, EFOLDS, default_half_length,
+                              solve_profile)
 from nspshock.transversality import build_reduced_system, reduced_tables
 from nspshock.wedge import hodge, lift2, lift3, wedge2, wedge3
 
@@ -204,7 +205,7 @@ def test_uniform_lookup_matches_spline(profile_grid, esys):
 @pytest.fixture(scope="module")
 def coarse_grid(params_ref, end_ref):
     # a step of 0.36 is wider than half of TABLE_STEP, so the table keeps
-    # every node, as on the default grid at delta = 0.02 (step 0.33)
+    # every node, as on the default grid at delta = 0.02 (step 0.64)
     return solve_profile(params_ref, end_ref, n=801)
 
 
@@ -247,9 +248,11 @@ def test_table_stride_keeps_ends_and_origin(profile_grid, monkeypatch):
     # 7207 has no divisor from 2 to 20
     assert table_stride(2 * 7207 + 1, 180.2) == 1
     assert table_stride(2 * 2800 + 1, 2800 * 0.6) == 1
-    # a stride that misses an end or x = 0 (profile_grid has n = 4001) is a
-    # typed build error
-    for stride, where in ((3, "end"), (32, "x = 0")):
+    # a stride that misses an end or x = 0 (profile_grid has the default
+    # DEFAULT_NODES = 2^k + 1 nodes, so only a stride of 2^k misses x = 0)
+    # is a typed build error
+    for stride, where in ((3, "end"),
+                          (DEFAULT_NODES - 1, "x = 0")):
         monkeypatch.setattr(evans_module, "table_stride",
                             lambda n, X: stride)
         with pytest.raises(RuntimeError, match=f"Evans build: .*{where}"):
@@ -522,7 +525,7 @@ def test_transport_meets_the_error_budget(config, monkeypatch):
     # circle_max for D(0) (origin_zero allows 1e-8), and 1e-9 relative for
     # Gamma, the Cauchy D'(0) and every sample D against max |D|
     # (guarantee 10 and derivative_agreement allow 1e-6).  D(0) binds:
-    # at RTOL = 1e-8 it moves 2.2e-11 of circle_max at delta = 0.02
+    # at RTOL = 1e-8 it moves 1.3e-11 of circle_max at delta = 0.16
     params = PlasmaParams(**config)
     grid = solve_profile(params, solve_rankine_hugoniot(params))
     run = evans_report(build_evans_system(grid))
@@ -538,6 +541,24 @@ def test_transport_meets_the_error_budget(config, monkeypatch):
             <= 1e-9 * abs(ref.Dprime0_cauchy))
     assert (max(abs(D[z] - D_ref[z]) for z in D_ref)
             <= 1e-9 * max(abs(d) for d in D_ref.values()))
+
+
+def test_default_grid_is_the_smallest_that_meets_the_grid_rule(
+        params_ref, end_ref):
+    # profile.DEFAULT_NODES = 2^k + 1 is the smallest such grid on which
+    # Gamma and the Cauchy D'(0) agree with a finer grid within 1e-10
+    # relative: at the reference shock it reads 8.9e-12 and 2.3e-11
+    # against 2n - 1 nodes, and (n + 1) / 2 nodes read 1.5e-10 and 4.0e-10
+    def gamma_and_derivative(n):
+        report = evans_report(build_evans_system(
+            solve_profile(params_ref, end_ref, n=n)))
+        return np.array([report.Gamma, report.Dprime0_cauchy])
+
+    fine = gamma_and_derivative(2 * DEFAULT_NODES - 1)
+    coarse = (DEFAULT_NODES + 1) // 2
+    for n, within in ((DEFAULT_NODES, True), (coarse, False)):
+        gap = np.max(np.abs(gamma_and_derivative(n) - fine) / np.abs(fine))
+        assert bool(gap <= 1e-10) is within, (n, gap)
 
 
 def test_boundary_gap_rejects_short_domain(params_ref, end_ref):
@@ -674,14 +695,14 @@ def agreement_system(request):
 
 
 def test_production_table_is_thinned(agreement_system):
-    # the default grid (4001 nodes) keeps x = 0 and every k-th node, k the
-    # largest divisor of 2000 with cells at most TABLE_STEP wide: 5 at
-    # delta = 0.1 (h = 0.072), 10 at delta = 0.17 (h = 0.046); the
-    # quintic table takes 6 / (4 k) of the bytes of cubic cells on every
-    # node
+    # the default grid (DEFAULT_NODES = 2049 nodes) keeps x = 0 and every
+    # k-th node, k the largest divisor of 1024 with cells at most
+    # TABLE_STEP wide: 2 at delta = 0.1 (h = 0.14), 4 at delta = 0.17
+    # (h = 0.088); the quintic table takes 6 / (4 k) of the bytes of
+    # cubic cells on every node
     n, X = agreement_system.n, agreement_system.X
-    k = {0.1: 5, 0.17: 10}[round(agreement_system.params.delta_s, 6)]
-    assert n == 4001 and k * 2.0 * X / (n - 1) <= TABLE_STEP
+    k = {0.1: 2, 0.17: 4}[round(agreement_system.params.delta_s, 6)]
+    assert n == DEFAULT_NODES and k * 2.0 * X / (n - 1) <= TABLE_STEP
     assert agreement_system.table_shape == {
         "stride": k, "nodes": (n - 1) // k + 1,
         "step": pytest.approx(2.0 * k * X / (n - 1), rel=1e-14)}

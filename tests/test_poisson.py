@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal, solve_banded
 
+import nspshock.poisson as poisson_module
 from nspshock.params import solve_rankine_hugoniot
 from nspshock.poisson import (
     constant_discretization,
     discretize_profile,
     manufactured_convergence,
     rhs_from_velocity,
+    richardson,
     smallest_symmetric_eigenvalue,
     solve_linearized_poisson,
     solve_tridiagonal,
@@ -71,12 +73,36 @@ def test_dirichlet_ends(profile_ref):
     assert phi[0] == 0.0 and phi[-1] == 0.0
 
 
-def test_manufactured_order_constant_coefficients():
+def test_manufactured_order_constant_coefficients(monkeypatch):
+    # the extrapolated solve is fourth order on the frozen operator (it
+    # reads 4.01); without the extrapolation, the fine solve alone read at
+    # the same nodes, the central scheme is second order
     discs = [constant_discretization(30.0, 2 * int(round(30.0 / h)) + 1)
              for h in (0.1, 0.05, 0.025)]
     order, errors = manufactured_convergence(discs)
     assert np.all(np.diff(errors) < 0.0)
+    assert order >= 3.5
+    monkeypatch.setattr(poisson_module, "richardson",
+                        lambda solve, disc, *data: solve(disc, *data)[::2])
+    order, errors = manufactured_convergence(discs)
+    assert np.all(np.diff(errors) < 0.0)
     assert 1.9 <= order <= 2.1
+
+
+def test_richardson_reads_the_subgrid_at_shared_nodes():
+    # the subgrid is every other node of every coefficient array, and the
+    # extrapolated value combines the two solves at the shared nodes
+    disc = constant_discretization(12.0, 41)
+    sub = disc.subgrid()
+    for name in ("x", "av", "ap", "axx", "b0", "b1"):
+        assert np.array_equal(getattr(sub, name), getattr(disc, name)[::2])
+    f = np.exp(-disc.x**2)
+    fine, coarse = solve_with_rhs(disc, f), solve_with_rhs(sub, f[::2])
+    assert np.array_equal(richardson(solve_with_rhs, disc, f),
+                          (4.0 * fine[::2] - coarse) / 3.0)
+    for n in (40, 3):
+        with pytest.raises(ValueError, match="subgrid"):
+            constant_discretization(12.0, n).subgrid()
 
 
 def test_manufactured_order_profile_coefficients():

@@ -420,8 +420,9 @@ def test_default_grid_matches_a_doubled_domain(delta):
                      v_plus=1.0 + delta)
     end = solve_rankine_hugoniot(p)
     grid = solve_profile(p, end)
-    wide = solve_profile(p, end, X=2.0 * grid.X, n=8001)
-    middle = slice(2000, 6001)
+    half = (grid.n - 1) // 2
+    wide = solve_profile(p, end, X=2.0 * grid.X, n=2 * grid.n - 1)
+    middle = slice(half, half + grid.n)
     assert np.allclose(wide.x[middle], grid.x, rtol=0.0, atol=1e-12 * grid.X)
     for name in ("v", "phi", "psi"):
         gap = np.max(np.abs(getattr(wide, name)[middle] - getattr(grid, name)))

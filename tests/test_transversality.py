@@ -329,13 +329,14 @@ def test_reduced_matrix_at_general_parameters(T, nu, eps, v_minus, delta):
 
 
 def test_wide_cells_double_the_magnus_steps(monkeypatch):
-    # a long domain off the reference parameters: the default grid's cells
+    # a long domain off the reference parameters: on 4001 nodes the cells
     # are 1.48 wide and 4 steps per cell leave a gap of 7.8e-8 to 2 steps
     # (their vector misses the 32-step one by 1.5e-8), so the steps double
-    # once; the result then meets the bound against 32 steps per cell
+    # once; the result then meets the bound against 32 steps per cell.
+    # (The default grid's cells are twice as wide, and it doubles twice.)
     params = PlasmaParams(T=0.5, nu=2.0, eps=0.5, v_minus=2.0, u_minus=0.0,
                           v_plus=2.02)
-    grid = solve_profile(params, solve_rankine_hugoniot(params))
+    grid = solve_profile(params, solve_rankine_hugoniot(params), n=4001)
     sys_ = build_reduced_system(grid)
     res = bounded_solution_dim(sys_, grid)
     assert res.work["substeps"] == 8
