@@ -40,9 +40,9 @@ from .evans import N_CIRCLE, build_evans_system, evans_report, write_evans_csv
 from .modes import default_disk_radius, fast_roots, slow_expansion
 from .params import (PlasmaParams, finite_number, params_from_dict,
                      solve_rankine_hugoniot)
-from .poisson import (constant_discretization, discretize_profile,
-                      manufactured_convergence, richardson,
-                      smallest_symmetric_eigenvalue, solve_linearized_poisson)
+from .poisson import (discretize_profile, manufactured_convergence,
+                      richardson, smallest_symmetric_eigenvalue,
+                      solve_linearized_poisson)
 from .profile import solve_profile, verify_profile, write_profile_csv
 from .transversality import (TRANSPORT_TOL, bounded_solution_dim,
                              build_reduced_system, limit_eigenvalues,
@@ -335,9 +335,7 @@ def _task_transversality(config, end, ctx, outdir):
 
 def _task_poisson(config, end, ctx, outdir):
     params = config.params
-    discs = [constant_discretization(30.0, 2 * int(round(30.0 / h)) + 1)
-             for h in (0.1, 0.05, 0.025)]
-    order, errors = manufactured_convergence(discs)
+    order, errors = manufactured_convergence()
 
     grid = _profile_grid(config, end, ctx)
     disc = discretize_profile(grid)
@@ -376,7 +374,8 @@ def run(config: RunConfig) -> dict:
     A failing check marks its task failed; an exception inside a task
     is recorded and later tasks still run.  The report carries
     report["passed"] for the overall verdict.  A regime without fast
-    roots or an Evans rho outside the disk is a ConfigError.
+    roots, an Evans rho outside the disk or an out directory that cannot
+    be created is a ConfigError.
     """
     try:
         end = solve_rankine_hugoniot(config.params)
@@ -394,7 +393,11 @@ def run(config: RunConfig) -> dict:
                               f"the disk radius {radius!r}")
 
     outdir = Path(config.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out: cannot create the directory {str(outdir)!r}"
+                          f": {exc.strerror or exc}") from exc
     report = {
         "config_hash": config_hash(config),
         "params": _py(config.raw["params"]) if config.raw else {},

@@ -179,13 +179,19 @@ def solve_linearized_poisson(disc: PoissonDiscretization, v,
     return solve_with_rhs(disc, rhs_from_velocity(disc, v, dv))
 
 
-def richardson(solve, disc: PoissonDiscretization, *data) -> np.ndarray:
-    """Fourth-order values at the even nodes x[::2]: (4 phi_h - phi_2h) / 3
-    from solve(disc, *data) on the grid and on its subgrid, where each
-    data array is sampled at the nodes."""
-    fine = solve(disc, *data)
-    coarse = solve(disc.subgrid(), *(np.asarray(a)[::2] for a in data))
+def extrapolate(fine: np.ndarray, coarse: np.ndarray) -> np.ndarray:
+    """(4 phi_h - phi_2h) / 3 at the nodes shared by a solve on a grid and
+    one on its subgrid."""
     return (4.0 * fine[::2] - coarse) / 3.0
+
+
+def richardson(solve, disc: PoissonDiscretization, *data) -> np.ndarray:
+    """Fourth-order values at the even nodes x[::2]: extrapolate
+    solve(disc, *data) on the grid and on its subgrid, where each data
+    array is sampled at the nodes."""
+    return extrapolate(solve(disc, *data),
+                       solve(disc.subgrid(), *(np.asarray(a)[::2]
+                                               for a in data)))
 
 
 def smallest_symmetric_eigenvalue(disc: PoissonDiscretization) -> float:
@@ -205,25 +211,30 @@ def smallest_symmetric_eigenvalue(disc: PoissonDiscretization) -> float:
     return float(np.min(diag - radius))
 
 
-def manufactured_convergence(discs):
-    """Observed order of the extrapolated solve (richardson) from a
-    manufactured solution across resolutions.
+def manufactured_convergence(disc: PoissonDiscretization | None = None):
+    """Observed order of the extrapolated solve from a manufactured
+    solution: (order, errors).
 
-    Builds f so that the Gaussian exp(-x^2) is the continuous solution,
-    solves on each discretization and its subgrid, and returns
-    (order, errors), the errors taken at the shared nodes and the order
-    fitted as the slope of log error against log h.
+    The chain is disc and three nested subgrids, each solved once, and
+    each adjacent pair is extrapolated; by default disc is the frozen
+    operator on 2401 nodes of [-30, 30], h = 0.025 down to 0.2.  f makes
+    exp(-x^2) the continuous solution; the errors run from the coarsest
+    pair to the finest, and the order is the slope of log error against
+    log h.
     """
-    errors, steps = [], []
-    for disc in discs:
-        x = disc.x
-        target = np.exp(-x**2)
-        f = apply_operator(disc, target, -2.0 * x * target,
-                           (4.0 * x**2 - 2.0) * target)
-        sol = richardson(solve_with_rhs, disc, f)
-        errors.append(float(np.max(np.abs(sol - target[::2]))))
-        steps.append(disc.h)
-    if len(errors) < 2:
-        return float("nan"), np.asarray(errors)
+    if disc is None:
+        disc = constant_discretization(30.0, 2401)
+    x = disc.x
+    target = np.exp(-x**2)
+    f = apply_operator(disc, target, -2.0 * x * target,
+                       (4.0 * x**2 - 2.0) * target)
+    grids = [disc]
+    for _ in range(3):
+        grids.append(grids[-1].subgrid())
+    sols = [solve_with_rhs(g, f[::2**k]) for k, g in enumerate(grids)]
+    errors = [float(np.max(np.abs(extrapolate(sols[k], sols[k + 1])
+                                  - target[::2**(k + 1)])))
+              for k in (2, 1, 0)]
+    steps = [grids[k].h for k in (2, 1, 0)]
     order = np.polyfit(np.log(steps), np.log(errors), 1)[0]
     return float(order), np.asarray(errors)

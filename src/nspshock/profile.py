@@ -23,7 +23,7 @@ right-hand side's Jacobian at y+-.  The error this leaves is second
 order in the tail gap, where a clamp v(+-X) = v+- errs at first
 order.  Each row is the unit left eigenvector of a 3x3 end matrix,
 taken as the widest cross product of two columns of J - gamma I
-(left_eigenvectors, which the transversality end normals use too).
+(left_eigenvectors); the transversality planes start from these rows.
 The phase condition pins v(0) = (v_minus + v_plus)/2 at the central
 node, so the node count must be odd and at least 3.
 

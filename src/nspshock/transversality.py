@@ -16,14 +16,13 @@ benchmark amplitudes 0.02-0.19.  Its bounded-solution space is spanned
 by the wave derivative exactly when the connecting orbit is transverse.
 
 The count is computed by subspace propagation: the plane of solutions
-bounded as x -> +inf (center-stable directions of the matrix at +X,
-integrated backward) is intersected at x = 0 with the plane bounded as
-x -> -inf (center-unstable directions at -X, integrated forward), via
-a rank-revealing SVD.  Each plane is carried by its normal, which
-moves under the adjoint equation y' = -Atilde^T y; no diagonalizing
-change of variables or QR frame is needed, and at x = 0 the plane is
-the normal's orthogonal complement; at each cut end it is the unit left
-eigenvector of the one rate outside the plane (profile.left_eigenvectors).
+bounded as x -> +inf, carried backward from +X, is intersected at x = 0
+with the plane bounded as x -> -inf, carried forward from -X, via a
+rank-revealing SVD.  Each plane is carried by its normal under the
+adjoint equation y' = -Atilde^T y; no diagonalizing change of variables
+or QR frame is needed, and at x = 0 the plane is the normal's orthogonal
+complement.  Each normal starts as the profile's projection row at its
+end (profile.far_field_rows), so no end rate is classified here.
 Atilde is read on the profile's jets, so it comes with its exact
 x-derivative, and is stored as cubic-Hermite cells
 (eigensystem.hermite_table).
@@ -48,7 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensystem import cell_values, hermite_table, wave_residual
+from .eigensystem import (background_wave, cell_values, hermite_table,
+                          wave_residual)
 # never called here: re-exported only so that the WRAPS table of
 # perfbench/tracer.py, which patches transversality.interior_coefficients,
 # transversality.interior_matrix_coeffs and transversality.solve_ivp,
@@ -58,7 +58,7 @@ from .eigensystem import (interior_coefficients,  # noqa: F401
 from .ode import solve_ivp  # noqa: F401
 from .jets import Jet
 from .params import PlasmaParams, ShockEndstates
-from .profile import ProfileGrid, left_eigenvectors, rhs_jacobian
+from .profile import ProfileGrid, far_field_rows, rhs_jacobian
 
 
 def _in_V(J: np.ndarray, s: float) -> np.ndarray:
@@ -130,19 +130,14 @@ def build_reduced_system(grid: ProfileGrid) -> ReducedSystem:
         sigma=limit_eigenvalues(grid.params))
 
 
-def wave_vector(grid: ProfileGrid) -> np.ndarray:
-    """(ubar', phibar', phibar'') at the nodes, shape (n, 3)."""
-    vj, _, sj = grid.jets
-    return np.stack([-grid.end.s * vj.derivative(1), sj.value,
-                     sj.derivative(1)], axis=-1)
-
-
 def reduced_wave_residual(system: ReducedSystem, grid: ProfileGrid) -> float:
-    """Relative defect of the wave derivative in the reduced system."""
-    vj, _, sj = grid.jets
-    dV = np.stack([-grid.end.s * vj.derivative(2), sj.derivative(1),
-                   sj.derivative(2)], axis=-1)
-    return wave_residual(system.tables, wave_vector(grid), dV)
+    """Relative defect of the wave derivative in the reduced system: the
+    columns (u, phi, phi') of eigensystem.background_wave."""
+    # C-ordered copies: einsum rounds a column view of another layout
+    # differently
+    V, dV = (np.ascontiguousarray(W[:, [1, 3, 4]]) for W in
+             background_wave(*grid.jets, grid.params, grid.end))
+    return wave_residual(system.tables, V, dV)
 
 
 # Magnus steps per hermite_table cell, and the coarser count whose result
@@ -261,29 +256,8 @@ def _propagate_plane(cells: np.ndarray, h: float, normal: np.ndarray,
     return frame, err, substeps
 
 
-# end rates within CENTER_TOL of zero are neutral (_end_normal); the
-# relative singular-value threshold of the rank at x = 0
-CENTER_TOL, RANK_THRESHOLD = 1e-10, 1e-7
-
-
-def _end_normal(M: np.ndarray, side: str):
-    """Unit normal of the plane of M bounded at side "+" or "-" inf.
-
-    At "+" that is the center-stable plane (rates <= CENTER_TOL), at "-"
-    the center-unstable one (rates >= -CENTER_TOL).  The normal is the
-    unit left eigenvector of the one rate outside the plane, by the rule
-    of the profile's projection rows (profile.left_eigenvectors).
-    """
-    w = np.linalg.eigvals(M)
-    if np.max(np.abs(w.imag)) > 1e-10:
-        raise RuntimeError("end matrix of the reduced system has complex "
-                           "rates; cannot classify directions")
-    outside = np.flatnonzero((1.0 if side == "+" else -1.0) * w.real
-                             > CENTER_TOL)
-    if outside.size != 1:
-        raise RuntimeError("unexpected direction counts at the cut ends: "
-                           f"{3 - outside.size} bounded at {side}inf")
-    return left_eigenvectors(M[None], w.real[outside])[0]
+# the relative singular-value threshold of the rank at x = 0
+RANK_THRESHOLD = 1e-7
 
 
 @dataclass(frozen=True)
@@ -304,27 +278,31 @@ def bounded_solution_dim(
         grid: ProfileGrid | None = None) -> TransversalityResult:
     """Dimension of the space of solutions bounded on the whole line.
 
-    The plane bounded at +inf is spanned by the center-stable
-    directions at +X and transported backward; the plane bounded at
-    -inf by the center-unstable directions at -X transported forward;
-    both travel as normals (see _propagate_plane).
-    (Away from zero amplitude the end matrices have no neutral rate,
-    so center-stable means the genuinely decaying pair; for constant
-    coefficients it keeps the neutral direction, whose solution is
-    bounded without decay.)  Their intersection at x = 0 is read off a
-    rank-revealing SVD with relative threshold RANK_THRESHOLD.  A transverse
-    connection gives dimension one with the intersection along the wave
-    derivative; any larger value signals a transversality failure at
-    this amplitude.
+    The plane bounded at +inf is carried backward from +X and the one
+    bounded at -inf forward from -X, both as normals (_propagate_plane).
+    Each normal starts as the profile's projection row at its end, the
+    unit left eigenvector of J(y-) for gamma2- or of J(y+) for gamma3+
+    (profile.far_field_rows), written in V as row diag(-1/s, 1, 1) and
+    normalized.  The rows belong to y+-, not to the states at +-X; the
+    bounded planes attract the start under the transport.  At zero
+    amplitude the plane bounded at +inf keeps the neutral direction,
+    whose solution is bounded without decay.  The intersection at x = 0
+    is read off a rank-revealing SVD with relative threshold
+    RANK_THRESHOLD.  A transverse connection gives dimension one with the
+    intersection along the wave derivative; any larger value signals a
+    transversality failure at this amplitude.
 
     Without a grid the angle against the wave derivative is NaN.
     """
     mid = (system.x.size - 1) // 2
     h = 2.0 * system.X / (system.x.size - 1)
+    rows = far_field_rows(system.params, system.end)[0] * [
+        -1.0 / system.end.s, 1.0, 1.0]
+    minus, plus = rows / np.linalg.norm(rows, axis=1, keepdims=True)
     S, plus_err, plus_steps = _propagate_plane(
-        system.table[:, mid:], h, _end_normal(system.tables[-1], "+"), True)
+        system.table[:, mid:], h, plus, True)
     U, minus_err, minus_steps = _propagate_plane(
-        system.table[:, :mid], h, _end_normal(system.tables[0], "-"), False)
+        system.table[:, :mid], h, minus, False)
     work = {"transports": 2, "cells": system.table.shape[1],
             "substeps": max(plus_steps, minus_steps)}
 
@@ -343,7 +321,10 @@ def bounded_solution_dim(
     vec = vec / (np.linalg.norm(vec) * np.sign(vec[np.argmax(np.abs(vec))]))
 
     if grid is not None:
-        Vbar = wave_vector(grid)[grid.n // 2]
+        # the wave derivative at x = 0 alone: the jets cut to that node
+        Vbar = background_wave(*(Jet(j.coef[:, [grid.n // 2]])
+                                 for j in grid.jets),
+                               grid.params, grid.end)[0][0, [1, 3, 4]]
         angle = float(np.arctan2(np.linalg.norm(np.cross(vec, Vbar)),
                                  abs(vec @ Vbar)))
     else:

@@ -109,6 +109,18 @@ def test_bad_numeric_exits_2(tmp_path, capsys, numerics, key):
     assert "config error" in err and key in err
 
 
+def test_uncreatable_out_exits_2(tmp_path, capsys):
+    # an out directory below a regular file cannot be created: a config
+    # error that names out, raised before any task runs
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg = write_config(tmp_path, out=str(blocker / "sub"))
+    with pytest.raises(ConfigError, match=r"^out: .*file/sub"):
+        pipeline_module.run(load_config(cfg))
+    assert main(["run", "--config", str(cfg), "--tasks", "dispersion"]) == 2
+    assert "config error: out:" in capsys.readouterr().err
+
+
 def test_rho_outside_the_disk_exits_2(tmp_path, capsys):
     # rho must lie inside the Evans disk; the check runs before any task
     # and only when Evans is selected

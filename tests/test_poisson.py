@@ -7,6 +7,7 @@ from scipy.linalg import eigh_tridiagonal, solve_banded
 import nspshock.poisson as poisson_module
 from nspshock.params import solve_rankine_hugoniot
 from nspshock.poisson import (
+    apply_operator,
     constant_discretization,
     discretize_profile,
     manufactured_convergence,
@@ -76,17 +77,44 @@ def test_dirichlet_ends(profile_ref):
 def test_manufactured_order_constant_coefficients(monkeypatch):
     # the extrapolated solve is fourth order on the frozen operator (it
     # reads 4.01); without the extrapolation, the fine solve alone read at
-    # the same nodes, the central scheme is second order
-    discs = [constant_discretization(30.0, 2 * int(round(30.0 / h)) + 1)
-             for h in (0.1, 0.05, 0.025)]
-    order, errors = manufactured_convergence(discs)
+    # the shared nodes, the central scheme is second order
+    order, errors = manufactured_convergence()
     assert np.all(np.diff(errors) < 0.0)
     assert order >= 3.5
-    monkeypatch.setattr(poisson_module, "richardson",
-                        lambda solve, disc, *data: solve(disc, *data)[::2])
-    order, errors = manufactured_convergence(discs)
+    monkeypatch.setattr(poisson_module, "extrapolate",
+                        lambda fine, coarse: fine[::2])
+    order, errors = manufactured_convergence()
     assert np.all(np.diff(errors) < 0.0)
     assert 1.9 <= order <= 2.1
+
+
+def test_manufactured_order_solves_each_nested_grid_once(monkeypatch):
+    # the chain h = 0.025, 0.05, 0.1, 0.2 of one grid is solved once per
+    # grid; its subgrids are the grids built directly, bit for bit, so
+    # the errors and the order are those of richardson on the three grids
+    # h = 0.1, 0.05, 0.025, six solves
+    nodes = []
+
+    def counted(disc, f):
+        nodes.append(disc.n)
+        return solve_with_rhs(disc, f)
+
+    monkeypatch.setattr(poisson_module, "solve_with_rhs", counted)
+    order, errors = manufactured_convergence()
+    assert nodes == [2401, 1201, 601, 301]
+    monkeypatch.undo()
+    separate, steps = [], []
+    for n in (601, 1201, 2401):
+        disc = constant_discretization(30.0, n)
+        target = np.exp(-disc.x**2)
+        f = apply_operator(disc, target, -2.0 * disc.x * target,
+                           (4.0 * disc.x**2 - 2.0) * target)
+        sol = richardson(solve_with_rhs, disc, f)
+        separate.append(float(np.max(np.abs(sol - target[::2]))))
+        steps.append(disc.h)
+    assert np.array_equal(errors, separate)
+    assert order == np.polyfit(np.log(steps), np.log(separate), 1)[0]
+    assert abs(order - 4.012061584073038) <= 1e-12
 
 
 def test_richardson_reads_the_subgrid_at_shared_nodes():
@@ -108,9 +136,9 @@ def test_richardson_reads_the_subgrid_at_shared_nodes():
 def test_manufactured_order_profile_coefficients():
     params = make_params(0.1)
     end = solve_rankine_hugoniot(params)
-    discs = [discretize_profile(solve_profile(params, end, X=72.0, n=n))
-             for n in (1441, 2881, 5761)]
-    order, _ = manufactured_convergence(discs)
+    # h = 0.025 and its subgrids, 0.05, 0.1 and 0.2
+    disc = discretize_profile(solve_profile(params, end, X=72.0, n=5761))
+    order, _ = manufactured_convergence(disc)
     assert order >= 1.9
 
 
@@ -118,8 +146,9 @@ def test_domain_doubling_below_discretization_error():
     errs = {}
     for X in (15.0, 30.0):
         n = 2 * int(round(X / 0.05)) + 1
-        _, e = manufactured_convergence([constant_discretization(X, n)])
-        errs[X] = e[0]
+        # the finest pair of the chain: h = 0.05 against 0.1
+        _, e = manufactured_convergence(constant_discretization(X, n))
+        errs[X] = e[-1]
     assert abs(errs[30.0] - errs[15.0]) < 1e-6 * errs[15.0]
 
 

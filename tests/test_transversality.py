@@ -1,5 +1,7 @@
 """Reduced 3-D system: wave residual, limit rates, bounded-solution count."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
@@ -8,15 +10,15 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.linalg import expm
 
-from nspshock.eigensystem import hermite_table, uniform_reader
+from nspshock.eigensystem import (background_wave, hermite_table,
+                                  uniform_reader)
 from nspshock.modes import fast_roots
 from nspshock.params import PlasmaParams, ShockEndstates, solve_rankine_hugoniot
-from nspshock.profile import rhs_jacobian, solve_profile
+from nspshock.profile import far_field_rows, rhs_jacobian, solve_profile
 import nspshock.transversality as transversality_module
 from nspshock.transversality import (
     TRANSPORT_TOL,
     ReducedSystem,
-    _end_normal,
     _in_V,
     bounded_solution_dim,
     build_reduced_system,
@@ -24,7 +26,6 @@ from nspshock.transversality import (
     propagator,
     reduced_limit_matrix,
     reduced_wave_residual,
-    wave_vector,
 )
 
 from conftest import make_params
@@ -32,7 +33,9 @@ from conftest import make_params
 
 def constant_reduced_system(params: PlasmaParams, X: float = 40.0,
                             n: int = 401) -> ReducedSystem:
-    """Degenerate zero-amplitude system: Atilde frozen at A0."""
+    """Degenerate zero-amplitude system: Atilde frozen at A0, with
+    v+ = v-, so that both projection rows are left eigenvectors of A0."""
+    params = replace(params, v_plus=params.v_minus)
     A0 = reduced_limit_matrix(params)
     x = np.linspace(-X, X, n)
     tables = np.broadcast_to(A0, (n, 3, 3)).copy()
@@ -190,21 +193,37 @@ def test_normals_match_qr_frames(systems, delta):
                np.max(np.abs(res.vector + vec))) <= 1e-9
 
 
-def test_end_normal_annihilates_its_plane():
-    A0 = reduced_limit_matrix(make_params(0.1))
-    w, V = np.linalg.eig(A0)
-    for side, inside in (("+", w.real <= 1e-10), ("-", w.real >= -1e-10)):
-        normal = _end_normal(A0, side)
+@pytest.mark.parametrize("delta", [0.02, 0.1, 0.19])
+def test_start_normals_are_the_projection_rows(monkeypatch, delta):
+    # each plane's normal starts as the profile's projection row at its
+    # end, written in V and normalized; it annihilates the plane bounded at
+    # that end, classified here by np.linalg.eig of J(y+-) in V
+    params = make_params(delta)
+    end = solve_rankine_hugoniot(params)
+    grid = solve_profile(params, end)
+    starts = {}
+    propagate = transversality_module._propagate_plane
+
+    def spy(cells, h, normal, backward):
+        starts["+" if backward else "-"] = normal
+        return propagate(cells, h, normal, backward)
+
+    monkeypatch.setattr(transversality_module, "_propagate_plane", spy)
+    res = bounded_solution_dim(build_reduced_system(grid), grid)
+    assert res.dimension == 1
+    rows, ends = far_field_rows(params, end)
+    ends_V = _in_V(rhs_jacobian(ends, params, end), end.s)
+    for row, M, side in zip(rows, ends_V, "-+"):
+        normal = starts[side]
+        mapped = row * [-1.0 / end.s, 1.0, 1.0]
+        mapped = mapped / np.linalg.norm(mapped)
+        assert np.max(np.abs(normal - mapped)) <= 1e-15
         assert abs(np.linalg.norm(normal) - 1.0) < 1e-15
-        assert np.max(np.abs(normal @ V[:, inside].real)) < 1e-14
-
-
-def test_end_normal_rejects_bad_ends():
-    with pytest.raises(RuntimeError, match="direction counts"):
-        _end_normal(np.diag([1.0, 2.0, -1.0]), "+")
-    with pytest.raises(RuntimeError, match="complex rates"):
-        _end_normal(np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0],
-                              [0.0, 0.0, 1.0]]), "+")
+        w, V = np.linalg.eig(M)
+        assert np.max(np.abs(w.imag)) == 0.0
+        bounded = w.real < 0.0 if side == "+" else w.real > 0.0
+        assert np.count_nonzero(bounded) == 2
+        assert np.max(np.abs(normal @ V[:, bounded].real)) < 1e-14
 
 
 def test_angle_to_wave_resolves_tiny_angles(systems):
@@ -212,7 +231,8 @@ def test_angle_to_wave_resolves_tiny_angles(systems):
     # the unit vectors resolves the angle itself
     grid, sys_ = systems[0.1]
     res = bounded_solution_dim(sys_, grid)
-    Vbar = wave_vector(grid)[grid.n // 2]
+    Vbar = background_wave(*grid.jets, grid.params,
+                           grid.end)[0][grid.n // 2, [1, 3, 4]]
     Vbar = np.sign(res.vector @ Vbar) * Vbar / np.linalg.norm(Vbar)
     chord = np.linalg.norm(res.vector - Vbar)
     assert 0.0 < res.angle_to_wave < 1e-8
@@ -222,7 +242,8 @@ def test_angle_to_wave_resolves_tiny_angles(systems):
 def test_intersection_vector_tracks_wave(systems):
     grid, sys_ = systems[0.05]
     res = bounded_solution_dim(sys_, grid)
-    Vbar = wave_vector(grid)[grid.n // 2]
+    Vbar = background_wave(*grid.jets, grid.params,
+                           grid.end)[0][grid.n // 2, [1, 3, 4]]
     Vbar = Vbar / np.linalg.norm(Vbar)
     assert abs(abs(res.vector @ Vbar) - 1.0) < 1e-9
     # the sign is fixed: the largest entry is positive
@@ -239,9 +260,11 @@ def test_constant_coefficients_give_neutral_direction():
     w, V = np.linalg.eig(A0)
     r0 = V[:, np.argmin(np.abs(w))].real
     r0 = r0 / np.linalg.norm(r0)
-    assert abs(abs(res.vector @ r0) - 1.0) < 1e-8
+    # the start normals are exact left eigenvectors of A0, whose planes
+    # the constant transport keeps, so only rounding is left
+    assert abs(abs(res.vector @ r0) - 1.0) < 1e-13
     # it is the constant solution: annihilated by the matrix
-    assert np.linalg.norm(A0 @ res.vector) < 1e-8
+    assert np.linalg.norm(A0 @ res.vector) < 1e-13
 
 
 @pytest.mark.parametrize("backward", [False, True])
