@@ -44,6 +44,21 @@ def symbol_matrix(params: PlasmaParams, end: ShockEndstates, side: str, xi):
     return M
 
 
+def symbol_eigenvalues(M):
+    """Both eigenvalues of every matrix of a (..., 2, 2) stack, (..., 2).
+
+    mean -+ sqrt(half^2 + M01 M10), with mean and half the half-sum and
+    half-difference of the diagonal.  It reads only the matrix entries,
+    so it checks essential_eigenvalues' hand-derived discriminant
+    independently; it is within eps max(1, |lam|) of the stored matrix's
+    eigenvalues away from the double root at xi0.
+    """
+    mean = 0.5 * (M[..., 0, 0] + M[..., 1, 1])
+    half = 0.5 * (M[..., 0, 0] - M[..., 1, 1])
+    r = np.sqrt(half * half + M[..., 0, 1] * M[..., 1, 0])
+    return np.stack([mean - r, mean + r], axis=-1)
+
+
 def _discriminant(params: PlasmaParams, v: float, xi):
     T, nu, eps2 = params.T, params.nu, params.eps**2
     return (nu**2 * xi**4 / v**2 - 4.0 * (T + 1.0) * xi**2 / v**2

@@ -218,8 +218,12 @@ def background_wave(v_jet: Jet, phi_jet: Jet, psi_jet: Jet,
 
 
 def wave_residual(A0, W0, dW0) -> float:
-    """Relative max-norm defect of W0 in W' = A(x,0) W."""
-    defect = dW0 - np.einsum("nij,nj->ni", A0, W0)
+    """Relative max-norm defect of W0 in W' = A(x,0) W, the same bits for
+    any memory layout of the inputs."""
+    # einsum's summation order follows its operands' strides, so it reads
+    # C-ordered copies
+    defect = dW0 - np.einsum("nij,nj->ni", np.ascontiguousarray(A0),
+                             np.ascontiguousarray(W0))
     return float(np.max(np.abs(defect)) / np.max(np.abs(dW0)))
 
 

@@ -133,11 +133,8 @@ def build_reduced_system(grid: ProfileGrid) -> ReducedSystem:
 def reduced_wave_residual(system: ReducedSystem, grid: ProfileGrid) -> float:
     """Relative defect of the wave derivative in the reduced system: the
     columns (u, phi, phi') of eigensystem.background_wave."""
-    # C-ordered copies: einsum rounds a column view of another layout
-    # differently
-    V, dV = (np.ascontiguousarray(W[:, [1, 3, 4]]) for W in
-             background_wave(*grid.jets, grid.params, grid.end))
-    return wave_residual(system.tables, V, dV)
+    W, dW = background_wave(*grid.jets, grid.params, grid.end)
+    return wave_residual(system.tables, W[:, [1, 3, 4]], dW[:, [1, 3, 4]])
 
 
 # Magnus steps per hermite_table cell, and the coarser count whose result
@@ -265,7 +262,6 @@ class TransversalityResult:
     dimension: int
     vector: np.ndarray           # unit intersection vector at x = 0,
                                  # largest entry positive
-    angle_to_wave: float         # radians, against (ubar',phibar',phibar'')(0)
     singular_values: np.ndarray
     transport_error: float       # max-abs gap of the unit normals at x = 0
                                  # between each side's Magnus steps per
@@ -273,9 +269,7 @@ class TransversalityResult:
     work: dict                   # transports, cells, substeps
 
 
-def bounded_solution_dim(
-        system: ReducedSystem,
-        grid: ProfileGrid | None = None) -> TransversalityResult:
+def bounded_solution_dim(system: ReducedSystem) -> TransversalityResult:
     """Dimension of the space of solutions bounded on the whole line.
 
     The plane bounded at +inf is carried backward from +X and the one
@@ -291,8 +285,6 @@ def bounded_solution_dim(
     RANK_THRESHOLD.  A transverse connection gives dimension one with the
     intersection along the wave derivative; any larger value signals a
     transversality failure at this amplitude.
-
-    Without a grid the angle against the wave derivative is NaN.
     """
     mid = (system.x.size - 1) // 2
     h = 2.0 * system.X / (system.x.size - 1)
@@ -319,17 +311,18 @@ def bounded_solution_dim(
     # the SVD fixes the vector only up to sign; make its largest entry
     # positive so that a rounding-level change cannot flip it
     vec = vec / (np.linalg.norm(vec) * np.sign(vec[np.argmax(np.abs(vec))]))
-
-    if grid is not None:
-        # the wave derivative at x = 0 alone: the jets cut to that node
-        Vbar = background_wave(*(Jet(j.coef[:, [grid.n // 2]])
-                                 for j in grid.jets),
-                               grid.params, grid.end)[0][0, [1, 3, 4]]
-        angle = float(np.arctan2(np.linalg.norm(np.cross(vec, Vbar)),
-                                 abs(vec @ Vbar)))
-    else:
-        angle = float("nan")
-    return TransversalityResult(dimension=dim, vector=vec,
-                                angle_to_wave=angle, singular_values=sv,
+    return TransversalityResult(dimension=dim, vector=vec, singular_values=sv,
                                 transport_error=max(plus_err, minus_err),
                                 work=work)
+
+
+def angle_to_wave(vector: np.ndarray, grid: ProfileGrid) -> float:
+    """Angle in radians between a vector at x = 0 and the wave derivative
+    (ubar', phibar', phibar'')(0), by arctan2 of sine and cosine so that
+    tiny angles are resolved."""
+    # the wave derivative at x = 0 alone: the jets cut to that node
+    Vbar = background_wave(*(Jet(j.coef[:, [grid.n // 2]])
+                             for j in grid.jets),
+                           grid.params, grid.end)[0][0, [1, 3, 4]]
+    return float(np.arctan2(np.linalg.norm(np.cross(vector, Vbar)),
+                            abs(vector @ Vbar)))

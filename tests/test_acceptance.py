@@ -56,6 +56,7 @@ from nspshock.profile import (
     verify_profile,
 )
 from nspshock.transversality import (
+    angle_to_wave,
     bounded_solution_dim,
     build_reduced_system,
     limit_eigenvalues,
@@ -261,7 +262,8 @@ def test_criterion_08_transversality(params_ref, end_ref):
     t0 = time.perf_counter()
     grid = solve_profile(params_ref, end_ref, n=3001)
     system = build_reduced_system(grid)
-    res = bounded_solution_dim(system, grid)
+    res = bounded_solution_dim(system)
+    angle = angle_to_wave(res.vector, grid)
     gammas = []
     for delta in (0.02, 0.05, 0.1):
         p = make_params(delta)
@@ -274,12 +276,12 @@ def test_criterion_08_transversality(params_ref, end_ref):
     sigma_minus, sigma_zero, sigma_plus = limit_eigenvalues(params_ref)
     elapsed = time.perf_counter() - t0
     print(f"[criterion 08] bounded-solution dimension {res.dimension} "
-          f"(want 1), angle to the wave derivative {res.angle_to_wave:.3e} "
+          f"(want 1), angle to the wave derivative {angle:.3e} "
           f"<= 1e-5 rad, Gamma over the sweep "
           f"{[f'{g:.2f}' for g in gammas]} all nonzero, sigma- "
           f"{sigma_minus:.9f}, sigma+ {sigma_plus:.9f} ({elapsed:.2f} s)")
     assert res.dimension == 1
-    assert res.angle_to_wave <= 1e-5
+    assert angle <= 1e-5
     assert all(abs(g) > 0.0 for g in gammas)
     assert min(abs(g) for g in gammas) > 1.0
     assert sigma_zero == 0.0

@@ -1,19 +1,43 @@
+import mpmath
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nspshock.dispersion import (
     decay_constant,
+    default_xi_grid,
     dispersion_curve,
     essential_eigenvalues,
     resonance_polynomial,
+    symbol_eigenvalues,
     symbol_matrix,
     write_spectrum_csv,
     xi0_threshold,
 )
+from nspshock.modes import fast_roots
+from nspshock.params import PlasmaParams, solve_rankine_hugoniot
+
+EPS = np.finfo(float).eps
+
+
+def pair_distance(a, b):
+    """Per point, the larger gap of two (..., 2) eigenvalue pairs matched
+    in the better of the two orders."""
+    direct = np.maximum(np.abs(a[..., 0] - b[..., 0]),
+                        np.abs(a[..., 1] - b[..., 1]))
+    swapped = np.maximum(np.abs(a[..., 0] - b[..., 1]),
+                         np.abs(a[..., 1] - b[..., 0]))
+    return np.minimum(direct, swapped)
 
 
 def test_symbol_vanishes_at_zero_frequency(params_ref, end_ref):
-    M = symbol_matrix(params_ref, end_ref, "minus", 0.0)
-    assert np.all(M == 0.0)
+    for side in ("minus", "plus"):
+        M = symbol_matrix(params_ref, end_ref, side, 0.0)
+        assert np.all(M == 0.0)
+        # and its closed eigensolve gives exact zeros
+        eig = symbol_eigenvalues(M)
+        assert eig.shape == (2,) and np.all(eig == 0.0)
 
 
 def test_symbol_entries_at_unit_frequency(params_ref, end_ref):
@@ -43,11 +67,66 @@ def test_closed_form_matches_dense_eigensolve(params_ref, end_ref, rng):
     xi = rng.uniform(-50.0, 50.0, size=10000)
     for side in ("minus", "plus"):
         M = symbol_matrix(params_ref, end_ref, side, xi)
-        ev = np.linalg.eigvals(M)
-        l1, l2 = essential_eigenvalues(params_ref, end_ref, side, xi)
-        direct = np.maximum(np.abs(ev[:, 0] - l1), np.abs(ev[:, 1] - l2))
-        swapped = np.maximum(np.abs(ev[:, 0] - l2), np.abs(ev[:, 1] - l1))
-        assert np.max(np.minimum(direct, swapped)) < 1e-12
+        closed = np.stack(essential_eigenvalues(params_ref, end_ref, side, xi),
+                          axis=-1)
+        assert np.max(pair_distance(np.linalg.eigvals(M), closed)) < 1e-12
+
+
+@pytest.mark.parametrize("T, nu, eps, v_minus, v_plus", [
+    (1.0, 1.0, 1.0, 1.0, 1.1),      # the reference shock
+    (0.5, 2.0, 0.5, 1.0, 1.02),     # the corner the 1e-12 check fails at
+])
+def test_symbol_eigenvalues_match_mpmath(T, nu, eps, v_minus, v_plus):
+    # the eigenvalues of the stored matrix, at 40 digits, where the symbol
+    # is largest: the 12 grid points of largest |xi| per side; errors in
+    # units of eps max(1, |lam|), |lam| the larger modulus of the pair
+    params = PlasmaParams(T=T, nu=nu, eps=eps, v_minus=v_minus,
+                          u_minus=0.0, v_plus=v_plus)
+    end = solve_rankine_hugoniot(params)
+    xi = default_xi_grid()
+    xi = xi[np.argsort(-np.abs(xi), kind="stable")[:12]]
+    for side in ("minus", "plus"):
+        M = symbol_matrix(params, end, side, xi)
+        with mpmath.workdps(40):
+            exact = np.array([
+                [complex(lam) for lam in mpmath.eig(mpmath.matrix(
+                    [[mpmath.mpc(z) for z in row] for row in m.tolist()]),
+                    left=False, right=False)]
+                for m in M])
+        scale = EPS * np.maximum(1.0, np.max(np.abs(exact), axis=-1))
+        err = pair_distance(symbol_eigenvalues(M), exact) / scale
+        assert np.max(err) <= 2.0, (side, np.max(err))
+
+
+# a draw outside the regime is refused by fast_roots' typed error
+@settings(max_examples=200, deadline=None)
+@given(T=st.floats(0.5, 2.0), nu=st.floats(0.5, 2.0),
+       eps=st.floats(0.5, 2.0), v_minus=st.floats(0.5, 2.0),
+       delta=st.floats(0.02, 0.19), xi=st.floats(-50.0, 50.0))
+def test_symbol_eigenvalues_match_lapack(T, nu, eps, v_minus, delta, xi):
+    # within 8 eps of max(1, |lam|), plus the first-order rounding of
+    # r = sqrt(half^2 + M01 M10), (|half|^2 + |M01 M10|) / |lam2 - lam1|:
+    # it governs near xi0, where the pair nearly coincides and both
+    # computations lose digits as 1/gap, and reads about |lam| / 4 at
+    # large |xi|
+    params = PlasmaParams(T=T, nu=nu, eps=eps, v_minus=v_minus,
+                          u_minus=0.0, v_plus=v_minus + delta)
+    end = solve_rankine_hugoniot(params)
+    try:
+        for side in ("minus", "plus"):
+            fast_roots(params, end, side)
+    except ValueError:
+        return
+    for side in ("minus", "plus"):
+        M = symbol_matrix(params, end, side, xi)
+        eig = symbol_eigenvalues(M)
+        lapack = np.linalg.eigvals(M)
+        half = 0.5 * (M[0, 0] - M[1, 1])
+        gap = abs(eig[1] - eig[0])      # 0 for the zero symbol, xi = 0
+        rounding = ((abs(half)**2 + abs(M[0, 1] * M[1, 0])) / gap
+                    if gap else 0.0)
+        bound = 8.0 * EPS * (max(1.0, np.max(np.abs(lapack))) + rounding)
+        assert pair_distance(eig, lapack) <= bound
 
 
 def test_conjugation_symmetry(params_ref, end_ref, rng):

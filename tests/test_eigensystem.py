@@ -65,6 +65,28 @@ def test_wave_derivative_solves_zero_lambda_system(setup):
     assert wave_residual(A0, W0, dW0) < 1e-10
 
 
+def test_wave_residual_reads_the_same_bits_in_any_layout(setup):
+    # einsum sums in an order that follows the strides; the residual must
+    # not, or a caller's column view changes the report's last digit
+    p, end, grid, (vj, pj, sj), tab, (A0, A1, A2) = setup
+    W0, dW0 = background_wave(vj, pj, sj, p, end)
+    base = wave_residual(A0, W0, dW0)
+    layouts = [
+        (np.asfortranarray(A0), np.asfortranarray(W0), np.asfortranarray(dW0)),
+        # strided views into arrays twice as wide
+        tuple(np.stack([a, a], axis=-1)[..., 0] for a in (A0, W0, dW0)),
+    ]
+    for A, W, dW in layouts:
+        assert not W.flags.c_contiguous
+        assert wave_residual(A, W, dW) == base
+    # the reduced system's case: columns (u, phi, phi') picked by an index
+    cols = [1, 3, 4]
+    A = np.ascontiguousarray(A0[:, cols][:, :, cols])
+    assert wave_residual(A, W0[:, cols], dW0[:, cols]) == wave_residual(
+        A, np.ascontiguousarray(W0[:, cols]),
+        np.ascontiguousarray(dW0[:, cols]))
+
+
 def test_single_entry_perturbations_are_detected(setup):
     p, end, grid, (vj, pj, sj), tab, (A0, A1, A2) = setup
     W0, dW0 = background_wave(vj, pj, sj, p, end)

@@ -194,6 +194,30 @@ def test_transversality_builds_no_evans_closure(tmp_path, monkeypatch):
     assert report["tasks"]["transversality"]["passed"] is True
 
 
+def test_dispersion_makes_no_lapack_call(tmp_path, monkeypatch):
+    # the run's oracle solves each assembled 2x2 symbol in closed form;
+    # np.linalg.eigvals checks it in the tests, never in the run
+    def eigvals(*args, **kwargs):
+        raise AssertionError("the dispersion task called np.linalg.eigvals")
+
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    cfg = write_config(tmp_path)
+    assert main(["run", "--config", str(cfg), "--tasks", "dispersion"]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    task = report["tasks"]["dispersion"]
+    assert task["passed"] is True
+    params = PlasmaParams(**REF_PARAMS)
+    end = solve_rankine_hugoniot(params)
+    xi = dispersion_module.default_xi_grid()
+    expected = 0.0
+    for side in ("minus", "plus"):
+        lam1, lam2 = dispersion_module.essential_eigenvalues(params, end,
+                                                             side, xi)
+        expected = max(expected, pipeline_module._eigensolve_distance(
+            params, end, side, xi, lam1, lam2))
+    assert task["checks"]["closed_form_vs_eigensolve"]["value"] == expected
+
+
 def test_transversality_alone_solves_no_profile_task(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["run", "--config", str(cfg), "--tasks", "transversality"]) == 0
