@@ -214,14 +214,12 @@ class EvansSystem:
     b2_mid: float
     disk_radius: float
     boundary_gap: float
-    # relative defect of W0 in W0' = A(x, 0) W0 on the table (guarantee
-    # 5); NaN, which fails the check, on a system not built from a grid
-    closure_residual: float = float("nan")
+    # relative defect of W0 in W0' = A(x, 0) W0 on the table (guarantee 5)
+    closure_residual: float
     # the table keeps every stride-th grid node; table_error is the
-    # relative gap to the exact closure between them (see table_error),
-    # NaN on a system not built from a grid
-    stride: int = 1
-    table_error: float = float("nan")
+    # relative gap to the exact closure between them (see table_error)
+    stride: int
+    table_error: float
     # running totals of the transports made with this system (WORK_COUNTS)
     # and of the evaluator rounds and lam they carried
     work: dict = field(default_factory=lambda: dict.fromkeys(

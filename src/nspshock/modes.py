@@ -3,8 +3,9 @@
 Three "fast" spatial rates of the frozen matrix at lam=0 are the roots
 of a cubic; two "slow" rates vanish linearly in lam with scalar
 convection-diffusion expansions mu = lam/a - lam^2 b/a^3 + O(lam^3).
-This module labels the fast roots, packages the slow data, and labels
-all five eigenpairs of A0 + lam A1 by nearest prediction from lam = 0:
+This module labels the fast rates, packages the slow data, and labels
+all five eigenpairs of A0 + lam A1 by nearest prediction from lam = 0,
+where the fast eigenvectors are the kernels of A0 - gamma I:
 the slopes at 0 come from first-order perturbation theory, and on the
 lam-disk one step labels every lam (the matrix is nonnormal, so
 branches are matched to predictions rather than sorted).  A step whose
@@ -39,23 +40,17 @@ def cubic_coefficients(params: PlasmaParams, end: ShockEndstates, side: str):
 
 @dataclass(frozen=True)
 class FastRoots:
-    """Labeled fast rates and their eigenvectors.
+    """Labeled fast rates.
 
     gamma1 is the near-zero root (the profile's decay rate at this
-    side); gamma2 < 0 < gamma3 are the genuinely fast pair.  Sj spans
-    the kernel of A(0) - gammaj, largest component scaled to 1.
+    side); gamma2 < 0 < gamma3 are the genuinely fast pair.  Their
+    eigenvectors are computed only where the continuation needs them
+    (_base_state).
     """
 
     gamma1: float
     gamma2: float
     gamma3: float
-    S1: np.ndarray
-    S2: np.ndarray
-    S3: np.ndarray
-
-    @property
-    def vectors(self) -> np.ndarray:
-        return np.column_stack([self.S1, self.S2, self.S3])
 
 
 def _null_vector(M: np.ndarray) -> np.ndarray:
@@ -87,11 +82,7 @@ def fast_roots(params: PlasmaParams, end: ShockEndstates,
     pair = roots[order[1:]]
     if not (pair.min() < 0.0 < pair.max()):
         raise ValueError("fast pair does not straddle zero; outside regime")
-    g2, g3 = pair.min(), pair.max()
-
-    A0, A1 = limit_matrix_coeffs(params, end, side)
-    vecs = [_null_vector(A0 - g * np.eye(5)) for g in (g1, g2, g3)]
-    return FastRoots(g1, g2, g3, *vecs)
+    return FastRoots(g1, pair.min(), pair.max())
 
 
 @dataclass(frozen=True)
@@ -133,12 +124,17 @@ class ModePath:
     V: np.ndarray
 
 
-def _base_state(params, end, side):
+def _base_state(params, end, side, A0):
+    """(mu0, V0, pins, targets) at lam = 0: the fast columns of V0 are
+    null vectors of A0 - gammaj, the slow ones the rtilde rows, and
+    targets holds each column's largest entry, at row pins."""
     fr = fast_roots(params, end, side)
+    gammas = (fr.gamma1, fr.gamma2, fr.gamma3)
     slow = slow_expansion(params, end, side)
-    mu0 = np.array([fr.gamma1, fr.gamma2, fr.gamma3, 0.0, 0.0], dtype=complex)
+    mu0 = np.array([*gammas, 0.0, 0.0], dtype=complex)
     V0 = np.zeros((5, 5), dtype=complex)
-    V0[:, :3] = fr.vectors
+    V0[:, :3] = np.column_stack([_null_vector(A0 - g * np.eye(5))
+                                 for g in gammas])
     V0[:, 3] = slow.rtilde[0]
     V0[:, 4] = slow.rtilde[1]
     pins = np.argmax(np.abs(V0), axis=0)
@@ -210,7 +206,7 @@ def analytic_eigenpairs(params: PlasmaParams, end: ShockEndstates, side: str,
     paths = lam_path.reshape(lam_path.shape[0], -1)
 
     A0c, A1c = limit_matrix_coeffs(params, end, side)
-    mu0, V0, pins, targets = _base_state(params, end, side)
+    mu0, V0, pins, targets = _base_state(params, end, side, A0c)
     slope = np.tile(np.diag(np.linalg.solve(V0, A1c @ V0)),
                     (paths.shape[1], 1))
 

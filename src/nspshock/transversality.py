@@ -17,12 +17,12 @@ by the wave derivative exactly when the connecting orbit is transverse.
 
 The count is computed by subspace propagation: the plane of solutions
 bounded as x -> +inf, carried backward from +X, is intersected at x = 0
-with the plane bounded as x -> -inf, carried forward from -X, via a
-rank-revealing SVD.  Each plane is carried by its normal under the
-adjoint equation y' = -Atilde^T y; no diagonalizing change of variables
-or QR frame is needed, and at x = 0 the plane is the normal's orthogonal
-complement.  Each normal starts as the profile's projection row at its
-end (profile.far_field_rows), so no end rate is classified here.
+with the plane bounded as x -> -inf, carried forward from -X.  Each
+plane is carried by its normal under the adjoint equation
+y' = -Atilde^T y; no diagonalizing change of variables or QR frame is
+needed: at x = 0 the planes meet along the cross product of their unit
+normals.  Each normal starts as the profile's projection row at its end
+(profile.far_field_rows), so no end rate is classified here.
 Atilde is read on the profile's jets, so it comes with its exact
 x-derivative, and is stored as cubic-Hermite cells
 (eigensystem.hermite_table).
@@ -228,8 +228,8 @@ def propagator(cells: np.ndarray, h: float, substeps: int,
 def _propagate_plane(cells: np.ndarray, h: float, normal: np.ndarray,
                      backward: bool) -> tuple[np.ndarray, float, int]:
     """Transport the plane with this normal across cells that end or
-    start at x = 0; (orthonormal (3, 2) frame at x = 0, transport error,
-    Magnus steps per cell).
+    start at x = 0; (its unit normal at x = 0, transport error, Magnus
+    steps per cell).
 
     The normal takes SUBSTEPS Magnus steps per cell; the error is the
     max-abs distance of its unit vector from the CHECK_SUBSTEPS one.
@@ -249,8 +249,7 @@ def _propagate_plane(cells: np.ndarray, h: float, normal: np.ndarray,
         if not finer_err < err:
             break
         substeps, fine, err = 2 * substeps, finer, finer_err
-    frame = np.linalg.svd(fine[None])[2][1:].T
-    return frame, err, substeps
+    return fine, err, substeps
 
 
 # the relative singular-value threshold of the rank at x = 0
@@ -261,7 +260,7 @@ RANK_THRESHOLD = 1e-7
 class TransversalityResult:
     dimension: int
     vector: np.ndarray           # unit intersection vector at x = 0,
-                                 # largest entry positive
+                                 # largest entry positive (NaN at dim 2)
     singular_values: np.ndarray
     transport_error: float       # max-abs gap of the unit normals at x = 0
                                  # between each side's Magnus steps per
@@ -280,10 +279,12 @@ def bounded_solution_dim(system: ReducedSystem) -> TransversalityResult:
     normalized.  The rows belong to y+-, not to the states at +-X; the
     bounded planes attract the start under the transport.  At zero
     amplitude the plane bounded at +inf keeps the neutral direction,
-    whose solution is bounded without decay.  The intersection at x = 0
-    is read off a rank-revealing SVD with relative threshold
-    RANK_THRESHOLD.  A transverse connection gives dimension one with the
-    intersection along the wave derivative; any larger value signals a
+    whose solution is bounded without decay.  At x = 0 orthonormal frames
+    S, U of the planes have [S, U][S, U]^T = 2 I - n+ n+^T - n- n-^T, so
+    [S, U] has singular values sqrt(2, 1 + c, 1 - c), c = |n+ . n-|, and
+    its rank counts those above RANK_THRESHOLD times the largest.  A
+    transverse connection gives dimension one with the intersection along
+    n+ x n-, the wave derivative; any larger value signals a
     transversality failure at this amplitude.
     """
     mid = (system.x.size - 1) // 2
@@ -291,26 +292,24 @@ def bounded_solution_dim(system: ReducedSystem) -> TransversalityResult:
     rows = far_field_rows(system.params, system.end)[0] * [
         -1.0 / system.end.s, 1.0, 1.0]
     minus, plus = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-    S, plus_err, plus_steps = _propagate_plane(
+    n_plus, plus_err, plus_steps = _propagate_plane(
         system.table[:, mid:], h, plus, True)
-    U, minus_err, minus_steps = _propagate_plane(
+    n_minus, minus_err, minus_steps = _propagate_plane(
         system.table[:, :mid], h, minus, False)
     work = {"transports": 2, "cells": system.table.shape[1],
             "substeps": max(plus_steps, minus_steps)}
 
-    M = np.concatenate([S, U], axis=1)          # 3 x 4
-    sv = np.linalg.svd(M, compute_uv=False)
-    rank = int(np.sum(sv > RANK_THRESHOLD * sv[0]))
-    dim = 4 - rank
-
-    # intersection vector: combination of the S columns lying in span(U)
-    proj = np.eye(3) - U @ U.T
-    _, svs, Vt = np.linalg.svd(proj @ S)
-    coeff = Vt[-1]
-    vec = S @ coeff
-    # the SVD fixes the vector only up to sign; make its largest entry
-    # positive so that a rounding-level change cannot flip it
-    vec = vec / (np.linalg.norm(vec) * np.sign(vec[np.argmax(np.abs(vec))]))
+    vec = np.cross(n_plus, n_minus)
+    sine, c = np.linalg.norm(vec), min(abs(n_plus @ n_minus), 1.0)
+    # sqrt(1 - c) as sine / sqrt(1 + c) keeps its digits where the normals
+    # nearly coincide, and is 0 where they do
+    sv = np.array([np.sqrt(2.0), np.sqrt(1.0 + c), sine / np.sqrt(1.0 + c)])
+    dim = 4 - int(np.sum(sv > RANK_THRESHOLD * sv[0]))
+    # coinciding planes have no single direction; otherwise each normal's
+    # sign is arbitrary, so the cross product's is too: its largest entry
+    # is made positive so that a rounding-level change cannot flip it
+    vec = (np.full(3, np.nan) if dim == 2
+           else vec / (sine * np.sign(vec[np.argmax(np.abs(vec))])))
     return TransversalityResult(dimension=dim, vector=vec, singular_values=sv,
                                 transport_error=max(plus_err, minus_err),
                                 work=work)

@@ -146,7 +146,8 @@ def _frozen_minus_system(params, end, monkeypatch):
         params=params, end=end, X=40.0, n=161,
         table=hermite_table(x, stacked, np.zeros_like(stacked)),
         W0_mid=np.zeros(5), b1_mid=0.0, b2_mid=0.0, disk_radius=1e-3,
-        boundary_gap=0.0)
+        boundary_gap=0.0, closure_residual=float("nan"), stride=1,
+        table_error=float("nan"))
 
 
 def _tabulated_systems(profile_grid, esys, stride):
@@ -823,7 +824,9 @@ def test_zero_amplitude_rejected(esys, report):
     flat = EvansSystem(
         params=p0, end=e0, X=esys.X, n=esys.n,
         table=esys.table, W0_mid=esys.W0_mid, b1_mid=esys.b1_mid,
-        b2_mid=esys.b2_mid, disk_radius=esys.disk_radius, boundary_gap=0.0)
+        b2_mid=esys.b2_mid, disk_radius=esys.disk_radius, boundary_gap=0.0,
+        closure_residual=float("nan"), stride=esys.stride,
+        table_error=float("nan"))
     origin = next(s for s in report.samples if s.lam == 0)
     with pytest.raises(ValueError, match="amplitude"):
         gamma_transversality(flat, origin)

@@ -15,6 +15,7 @@ from nspshock.params import (
     ShockEndstates,
     solve_rankine_hugoniot,
 )
+from nspshock.profile import far_field_rows
 
 from conftest import limit_matrix, make_params, slow_mu_quadratic
 
@@ -65,13 +66,30 @@ def test_vieta_product(params_ref, end_ref):
 
 
 def test_fast_root_eigenvectors(params_ref, end_ref):
+    # the fast columns of the continuation's base eigenvectors span the
+    # kernels of A(0) - gammaj, largest component scaled to 1
     for side in ("minus", "plus"):
         fr = fast_roots(params_ref, end_ref, side)
         A = limit_matrix(params_ref, end_ref, side, 0.0)
-        for g, S in zip((fr.gamma1, fr.gamma2, fr.gamma3),
-                        (fr.S1, fr.S2, fr.S3)):
+        V = analytic_eigenpairs(params_ref, end_ref, side, [0.0]).V[0]
+        for g, S in zip((fr.gamma1, fr.gamma2, fr.gamma3), V[:, :3].T):
             assert np.max(np.abs((A - g * np.eye(5)) @ S)) < 1e-10
             assert np.isclose(np.max(np.abs(S)), 1.0, rtol=1e-14)
+
+
+def test_fast_rates_compute_no_eigenvector(params_ref, end_ref,
+                                           monkeypatch):
+    # the rates and the profile's projection rows read no null vector;
+    # the continuation's base state is the one reader of eigenvectors
+    def refuse(M):
+        raise AssertionError("modes._null_vector called")
+
+    monkeypatch.setattr(modes_module, "_null_vector", refuse)
+    for side in ("minus", "plus"):
+        fast_roots(params_ref, end_ref, side)
+    far_field_rows(params_ref, end_ref)
+    with pytest.raises(AssertionError, match="_null_vector"):
+        analytic_eigenpairs(params_ref, end_ref, "minus", [0.0])
 
 
 def test_frozen_matrix_spectrum_matches_cubic(params_ref, end_ref):

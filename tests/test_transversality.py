@@ -1,5 +1,6 @@
 """Reduced 3-D system: wave residual, limit rates, bounded-solution count."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.linalg import expm
 
+from nspshock.cli import main
 from nspshock.eigensystem import (background_wave, hermite_table,
                                   uniform_reader)
 from nspshock.modes import fast_roots
@@ -17,6 +19,7 @@ from nspshock.params import PlasmaParams, ShockEndstates, solve_rankine_hugoniot
 from nspshock.profile import far_field_rows, rhs_jacobian, solve_profile
 import nspshock.transversality as transversality_module
 from nspshock.transversality import (
+    RANK_THRESHOLD,
     TRANSPORT_TOL,
     ReducedSystem,
     _in_V,
@@ -68,8 +71,21 @@ def _qr_frame(spline, basis, x_from, x_to, rtol, atol, nseg):
     return Q
 
 
-def qr_frame_intersection(system, rtol=1e-11, atol=1e-13, threshold=1e-7):
-    """(dimension, singular values, unit intersection vector)."""
+def frame_intersection(S, U):
+    """(dimension, singular values, unit intersection vector) of the planes
+    spanned by the orthonormal (3, 2) frames S and U, by the SVD route:
+    the singular values of the 3 x 4 stack [S, U], and the combination of
+    the S columns that lies in span(U), the last right singular vector of
+    (I - U U^T) S, signed so that its largest entry is positive."""
+    sv = np.linalg.svd(np.concatenate([S, U], axis=1), compute_uv=False)
+    dim = 4 - int(np.sum(sv > RANK_THRESHOLD * sv[0]))
+    vec = S @ np.linalg.svd((np.eye(3) - U @ U.T) @ S)[2][-1]
+    vec = vec / (np.linalg.norm(vec) * np.sign(vec[np.argmax(np.abs(vec))]))
+    return dim, sv, vec
+
+
+def qr_frame_intersection(system, rtol=1e-11, atol=1e-13):
+    """frame_intersection of the QR frames carried to x = 0."""
     frames = []
     spline = CubicSpline(system.x, system.tables.reshape(-1, 9), axis=0)
     ends = ((system.tables[-1], system.X, lambda w: w <= 1e-10),
@@ -81,11 +97,7 @@ def qr_frame_intersection(system, rtol=1e-11, atol=1e-13, threshold=1e-7):
         nseg = max(4, int(np.ceil(system.X * spread / 12.0)))
         frames.append(_qr_frame(spline, V[:, keep(w)], x_from, 0.0, rtol,
                                 atol, nseg))
-    S, U = frames
-    sv = np.linalg.svd(np.concatenate([S, U], axis=1), compute_uv=False)
-    dim = 4 - int(np.sum(sv > threshold * sv[0]))
-    vec = S @ np.linalg.svd((np.eye(3) - U @ U.T) @ S)[2][-1]
-    return dim, sv, vec / np.linalg.norm(vec)
+    return frame_intersection(*frames)
 
 
 @pytest.fixture(scope="module")
@@ -250,6 +262,86 @@ def test_intersection_vector_tracks_wave(systems):
     assert abs(abs(res.vector @ Vbar) - 1.0) < 1e-9
     # the sign is fixed: the largest entry is positive
     assert res.vector[np.argmax(np.abs(res.vector))] > 0.0
+
+
+def _fixed_normals(monkeypatch, n_plus, n_minus):
+    """Make _propagate_plane return n_plus backward and n_minus forward,
+    with no transport error, in place of the transported normals."""
+    def fixed(cells, h, normal, backward):
+        return (n_plus if backward else n_minus), 0.0, 4
+
+    monkeypatch.setattr(transversality_module, "_propagate_plane", fixed)
+
+
+def test_closed_form_matches_the_svd_route(monkeypatch):
+    eps = np.finfo(float).eps
+    sys0 = constant_reduced_system(make_params(0.1), X=4.0, n=41)
+    rng = np.random.default_rng(34)
+    for _ in range(200):
+        n_plus, n_minus = rng.standard_normal((2, 3))
+        n_plus, n_minus = (n / np.linalg.norm(n) for n in (n_plus, n_minus))
+        _fixed_normals(monkeypatch, n_plus, n_minus)
+        res = bounded_solution_dim(sys0)
+        # the planes' orthonormal frames: the complements of the normals
+        dim, sv, vec = frame_intersection(
+            *(np.linalg.svd(n[None])[2][1:].T for n in (n_plus, n_minus)))
+        assert res.dimension == dim == 1
+        assert np.max(np.abs(res.singular_values - sv)) <= 4 * eps
+        # either route fixes the direction to about eps over the sine of
+        # the angle between the normals
+        sine = np.linalg.norm(np.cross(n_plus, n_minus))
+        assert np.max(np.abs(res.vector - vec)) <= 4 * eps / sine
+    # orthogonal normals: the planes meet along the third axis
+    _fixed_normals(monkeypatch, np.array([1.0, 0.0, 0.0]),
+                   np.array([0.0, 1.0, 0.0]))
+    res = bounded_solution_dim(sys0)
+    assert np.array_equal(res.singular_values, [np.sqrt(2.0), 1.0, 1.0])
+    assert np.array_equal(res.vector, [0.0, 0.0, 1.0])
+
+
+def test_coinciding_planes_read_dimension_two(monkeypatch, tmp_path):
+    # the same normal on both sides: the planes coincide, so the bounded
+    # solutions form a plane with no single direction
+    normal = np.array([1.0, -2.0, 0.5]) / np.linalg.norm([1.0, -2.0, 0.5])
+    _fixed_normals(monkeypatch, normal, normal)
+    res = bounded_solution_dim(
+        constant_reduced_system(make_params(0.1), X=4.0, n=41))
+    assert res.dimension == 2
+    assert np.allclose(res.singular_values, [np.sqrt(2.0), np.sqrt(2.0), 0.0],
+                       rtol=0.0, atol=1e-15)
+    assert res.singular_values[2] == 0.0
+    assert np.all(np.isnan(res.vector))
+    # the run reports it as a failed bounded_dimension check, in strict JSON
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "params": {"T": 1.0, "nu": 1.0, "eps": 1.0, "v_minus": 1.0,
+                   "u_minus": 0.0, "v_plus": 1.1},
+        "out": str(tmp_path / "out")}))
+    assert main(["run", "--config", str(cfg), "--tasks", "transversality"]) == 1
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    report = json.loads((tmp_path / "out" / "report.json").read_text(),
+                        parse_constant=reject)
+    task = report["tasks"]["transversality"]
+    assert task["checks"]["bounded_dimension"] == {
+        "value": 2, "threshold": 1, "pass": False}
+    assert task["metrics"]["intersection_vector"] == [None, None, None]
+    assert report["passed"] is False
+
+
+def test_bounded_solution_dim_takes_no_svd(systems, monkeypatch):
+    # two unit normals give the count, its singular values and the vector
+    # in closed form; no LAPACK SVD is taken
+    _, sys_ = systems[0.1]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    res = bounded_solution_dim(sys_)
+    assert res.dimension == 1
 
 
 def test_constant_coefficients_give_neutral_direction():
