@@ -23,12 +23,13 @@ __version__ = "0.1.0"
 
 import os as _os
 
-# honor the thread cap before numpy first loads its BLAS backend
+# honor the thread cap before numpy first loads its BLAS backend; it
+# overrides any ambient BLAS thread variable
 _threads = _os.environ.get("NSPSHOCK_THREADS")
 if _threads is not None:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                  "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        _os.environ.setdefault(_var, _threads)
+        _os.environ[_var] = _threads
 
 from .params import (
     PlasmaParams,

@@ -4,7 +4,10 @@
 
 Exit status: 0 when every selected check passes, 1 when a task fails
 (the report is still written), 2 on configuration errors.  Set
-NSPSHOCK_THREADS to cap the linear-algebra thread pools.
+NSPSHOCK_THREADS to cap the linear-algebra thread pools; it overrides
+the four BLAS thread variables (OMP_, OPENBLAS_, MKL_, NUMEXPR_NUM_THREADS).
+Reports at different NSPSHOCK_THREADS values still differ in the last
+digits.
 """
 
 from __future__ import annotations

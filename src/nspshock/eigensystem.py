@@ -19,23 +19,22 @@ matrix reproduces that identity using exact Taylor-jet derivatives of
 the profile (no finite differencing).
 
 The assembly runs in jet arithmetic too, so A0, A1 and A2 come with
-their exact x-derivatives.  From values and slopes `hermite_table`
-builds local cubic (C^1) cells, and from values, slopes and second
-derivatives local quintic (C^2) cells; the O(1) `uniform_reader` reads
-either at one point, `cell_values` every cell at the same offsets (the
-profile residual, the Evans table_error and the Magnus steps).  The
-Evans table is quintic on every k-th node of its grid
-(evans.build_evans_system), the profile interpolant quintic on every
-node (profile.profile_cells), and the transversality table cubic on
-every node; that table holds the profile Jacobian (profile.rhs_jacobian),
-not this closure (transversality.reduced_tables).
+their exact x-derivatives.  From values, slopes and second derivatives
+`hermite_table` builds local quintic (C^2) cells; the O(1)
+`uniform_reader` reads them at one point, `cell_values` every cell at
+the same offsets (the profile residual, the Evans table_error and the
+transversality Magnus steps).  There are two such interpolants: the
+Evans table on every k-th node of its grid (evans.build_evans_system)
+and the profile on every node (profile.profile_cells).  The
+transversality task reads the profile cells and takes the profile
+Jacobian of their values (transversality.reduced_matrix), not this
+closure.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -228,23 +227,19 @@ def wave_residual(A0, W0, dW0) -> float:
 
 
 def hermite_table(x: np.ndarray, values: np.ndarray, slopes: np.ndarray,
-                  curvatures: Optional[np.ndarray] = None) -> np.ndarray:
-    """Local Hermite cells through (n, k) values and slopes at x.
+                  curvatures: np.ndarray) -> np.ndarray:
+    """Local quintic (C^2) Hermite cells through (n, k) values, slopes and
+    second derivatives at x.
 
-    Without curvatures the cells are cubic (C^1); with the (n, k) second
-    derivatives they are quintic (C^2).  Returns (4, n - 1, k) or
-    (6, n - 1, k) coefficients in the layout of PPoly.c (descending
-    powers of x - x[i] in cell i); no system is solved.  Raises
-    ValueError unless x is uniform on [-X, X], as uniform_reader assumes.
+    Returns (6, n - 1, k) coefficients in the layout of PPoly.c
+    (descending powers of x - x[i] in cell i); no system is solved.
+    Raises ValueError unless x is uniform on [-X, X], as uniform_reader
+    assumes.
     """
     h = (x[-1] - x[0]) / (x.size - 1)
     if x[0] != -x[-1] or not np.allclose(np.diff(x), h, rtol=1e-9, atol=0):
         raise ValueError("coefficient table needs a uniform grid on [-X, X]")
     y0, m0, m1 = values[:-1], slopes[:-1], slopes[1:]
-    if curvatures is None:
-        secant = (values[1:] - y0) / h
-        bend = (m0 + m1 - 2.0 * secant) / h
-        return np.stack([bend / h, (secant - m0) / h - bend, m0, y0])
     s0, s1 = curvatures[:-1], curvatures[1:]
     # the defects of the order-2 Taylor polynomial of the left node at the
     # right node, in value, h * slope and h^2 * curvature
@@ -260,10 +255,9 @@ def hermite_table(x: np.ndarray, values: np.ndarray, slopes: np.ndarray,
 def uniform_reader(X: float, table: np.ndarray, shape: tuple):
     """O(1) reader x -> hermite_table cells on [-X, X] evaluated at x.
 
-    The cells may be cubic or quintic.  The cell of x is int((x + X) / h),
-    clipped to the grid, and its polynomial is evaluated in place, with no
-    copy of the table; the end cells extrapolate.  The result has the
-    given shape.
+    The cell of x is int((x + X) / h), clipped to the grid, and its
+    polynomial is evaluated in place, with no copy of the table; the end
+    cells extrapolate.  The result has the given shape.
     """
     last = table.shape[1] - 1
     h = 2.0 * X / (last + 1)

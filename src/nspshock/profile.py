@@ -51,7 +51,9 @@ derivative of the profile is read from jets of the right-hand side
 (`ProfileGrid.state_jets`), never from differencing the computed
 solution; the residual check builds its piecewise-quintic Hermite
 interpolant from them (eigensystem.hermite_table) and reads values and
-slopes at fixed offsets in its cells (eigensystem.cell_values).
+slopes at fixed offsets in its cells (eigensystem.cell_values).  That
+interpolant is the profile between the nodes for every reader: the
+transversality transport takes the Jacobian of its values too.
 """
 
 from __future__ import annotations
@@ -99,43 +101,30 @@ def rhs_array(y: np.ndarray, params: PlasmaParams, end: ShockEndstates) -> np.nd
     return np.stack([f1, f2, f3], axis=-1)
 
 
-def rhs_jacobian(y, params: PlasmaParams, end: ShockEndstates):
-    """Analytic Jacobian of the profile right-hand side.
-
-    y is an array of states, shape (..., 3), or a triple of jets of
-    (v, phi, psi); the Jacobian is an array of shape (..., 3, 3), or a
-    jet of them with the triple's order.
-    """
+def rhs_jacobian(y: np.ndarray, params: PlasmaParams,
+                 end: ShockEndstates) -> np.ndarray:
+    """Analytic Jacobian of the profile right-hand side at states y of
+    shape (..., 3); shape (..., 3, 3)."""
     T, eps2 = params.T, params.eps**2
-    s, nu, vm = end.s, params.nu, params.v_minus
-    snu = s * nu
-    jets = isinstance(y, tuple)
-    v, phi, psi = y if jets else (y[..., 0], y[..., 1], y[..., 2])
-    ephi = _exp(phi)
+    s = end.s
+    snu = s * params.nu
+    v, phi, psi = y[..., 0], y[..., 1], y[..., 2]
+    ephi = np.exp(phi)
     G = profile_nonlinearity(v, phi, psi, params, end)
     dG_dv = s * s - (T + 1.0) / v**2 + 1.0 / v**2 + eps2 * psi**2 / v**3
-    dG_dphi = ephi
     dG_dpsi = -eps2 * psi / v**2
-
     f1 = -(v / snu) * G
-    df1_dv = -(G + v * dG_dv) / snu
-    df1_dphi = -v * dG_dphi / snu
-    df1_dpsi = -v * dG_dpsi / snu
 
-    entries = {
-        (0, 0): df1_dv,
-        (0, 1): df1_dphi,
-        (0, 2): df1_dpsi,
-        (2, 0): psi * (df1_dv * v - f1) / v**2 + (2.0 * v * ephi - 1.0) / eps2,
-        (2, 1): psi * df1_dphi / v + v * v * ephi / eps2,
-        (2, 2): f1 / v + psi * df1_dpsi / v,
-    }
-    J = np.zeros((v.coef if jets else v).shape + (3, 3))
-    for (i, j), f in entries.items():
-        J[..., i, j] = f.coef if jets else f
-    # the entry d(psi)/d(psi) = 1 is constant: a jet holds it in its value
-    (J[0] if jets else J)[..., 1, 2] = 1.0
-    return Jet(J) if jets else J
+    J = np.zeros(v.shape + (3, 3))
+    J[..., 0, 0] = df1_dv = -(G + v * dG_dv) / snu
+    J[..., 0, 1] = df1_dphi = -v * ephi / snu
+    J[..., 0, 2] = df1_dpsi = -v * dG_dpsi / snu
+    J[..., 1, 2] = 1.0
+    J[..., 2, 0] = (psi * (df1_dv * v - f1) / v**2
+                    + (2.0 * v * ephi - 1.0) / eps2)
+    J[..., 2, 1] = psi * df1_dphi / v + v * v * ephi / eps2
+    J[..., 2, 2] = f1 / v + psi * df1_dpsi / v
+    return J
 
 
 # decay lengths of the slow rate in the default half-length

@@ -11,8 +11,8 @@ equation of the profile ODE, written in V = (u, phi, phi') =
 
 with J the Jacobian of the profile right-hand side (profile.rhs_jacobian).
 Eliminating the two relations through the 5x5 closure of eigensystem
-gives the same matrix to 1e-15 relative, in values and x-slopes, on the
-benchmark amplitudes 0.02-0.19.  Its bounded-solution space is spanned
+gives the same matrix to 1e-15 relative on the benchmark amplitudes
+0.02-0.19.  Its bounded-solution space is spanned
 by the wave derivative exactly when the connecting orbit is transverse.
 
 The count is computed by subspace propagation: the plane of solutions
@@ -23,22 +23,21 @@ y' = -Atilde^T y; no diagonalizing change of variables or QR frame is
 needed: at x = 0 the planes meet along the cross product of their unit
 normals.  Each normal starts as the profile's projection row at its end
 (profile.far_field_rows), so no end rate is classified here.
-Atilde is read on the profile's jets, so it comes with its exact
-x-derivative, and is stored as cubic-Hermite cells
-(eigensystem.hermite_table).
+Between the nodes Atilde is read on the profile's own quintic cells
+(profile.profile_cells, which the ode_residual check certifies).
 
-The adjoint equation is linear and free of lam, and Atilde is a cubic
-in every cell, so the normals are not integrated step by step: each
-cell is cut into SUBSTEPS equal steps, each step's propagator is the
-order-4 Magnus exponential exp(Omega) with B = -Atilde^T read from the
-cell at the step's two Gauss points (Iserles & Norsett 1999; Blanes,
-Casas, Oteo & Ros 2009), all steps are exponentiated at once (Taylor
-with scaling and squaring), and a pairwise tree multiplies them,
-rescaled at every level.  The same product with CHECK_SUBSTEPS steps
-per cell gives the reported transport error, the max-abs gap of the two
-unit normals at x = 0; for an order-4 scheme it is about 15 times the
-error of the SUBSTEPS result.  Where the gap exceeds TRANSPORT_TOL, the
-steps per cell double (_propagate_plane).
+The adjoint equation is linear and free of lam, so the normals are not
+integrated step by step: each cell is cut into SUBSTEPS equal steps,
+each step's propagator is the order-4 Magnus exponential exp(Omega)
+with B = -Atilde^T read at the step's two Gauss points in every cell at
+once (Iserles & Norsett 1999; Blanes, Casas, Oteo & Ros 2009), all
+steps are exponentiated at once (Taylor with scaling and squaring), and
+a pairwise tree multiplies them, rescaled at every level.  The same
+product with CHECK_SUBSTEPS steps per cell gives the reported transport
+error, the max-abs gap of the two unit normals at x = 0; for an order-4
+scheme it is about 15 times the error of the SUBSTEPS result.  Where
+the gap exceeds TRANSPORT_TOL, the steps per cell double
+(_propagate_plane).
 """
 
 from __future__ import annotations
@@ -47,8 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensystem import (background_wave, cell_values, hermite_table,
-                          wave_residual)
+from .eigensystem import background_wave, cell_values, wave_residual
 # never called here: re-exported only so that the WRAPS table of
 # perfbench/tracer.py, which patches transversality.interior_coefficients,
 # transversality.interior_matrix_coeffs and transversality.solve_ivp,
@@ -58,14 +56,17 @@ from .eigensystem import (interior_coefficients,  # noqa: F401
 from .ode import solve_ivp  # noqa: F401
 from .jets import Jet
 from .params import PlasmaParams, ShockEndstates
-from .profile import ProfileGrid, far_field_rows, rhs_jacobian
+from .profile import (ProfileGrid, far_field_rows, profile_cells,
+                      rhs_jacobian)
 
 
-def _in_V(J: np.ndarray, s: float) -> np.ndarray:
-    """diag(-s, 1, 1) J diag(-1/s, 1, 1) for (..., 3, 3) matrices, in
-    place: a Jacobian in y = (v, phi, psi) written in V = (-s v, phi, psi)."""
-    J[..., 0, 1:] *= -s
-    J[..., 1:, 0] /= -s
+def reduced_matrix(y: np.ndarray, params: PlasmaParams,
+                   end: ShockEndstates) -> np.ndarray:
+    """Atilde = diag(-s, 1, 1) J(y) diag(-1/s, 1, 1), shape (..., 3, 3):
+    the profile Jacobian at states y = (v, phi, psi) written in V."""
+    J = rhs_jacobian(y, params, end)
+    J[..., 0, 1:] *= -end.s
+    J[..., 1:, 0] /= -end.s
     return J
 
 
@@ -77,7 +78,7 @@ def reduced_limit_matrix(params: PlasmaParams) -> np.ndarray:
     phi = -np.log(vm)
     end = ShockEndstates(s=params.sound_speed(vm), u_plus=params.u_minus,
                          phi_minus=phi, phi_plus=phi)
-    return _in_V(rhs_jacobian(np.array([vm, phi, 0.0]), params, end), end.s)
+    return reduced_matrix(np.array([vm, phi, 0.0]), params, end)
 
 
 def limit_eigenvalues(params: PlasmaParams) -> tuple[float, float, float]:
@@ -90,19 +91,32 @@ def limit_eigenvalues(params: PlasmaParams) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class ReducedSystem:
-    """Tabulated reduced matrix with its hermite_table cells."""
+    """Reduced matrix at the nodes, with the profile cells that give it
+    between them."""
 
     params: PlasmaParams
     end: ShockEndstates
     x: np.ndarray
-    tables: np.ndarray           # (n, 3, 3)
-    table: np.ndarray            # hermite_table cells of tables
+    tables: np.ndarray           # (n, 3, 3): Atilde at the nodes
+    cells: np.ndarray            # profile.profile_cells of the grid
     A0: np.ndarray               # zero-amplitude reference matrix
     sigma: tuple[float, float, float]
 
     @property
     def X(self) -> float:
         return float(self.x[-1])
+
+    def reader(self, cells: slice):
+        """read(offsets) -> Atilde of the selected profile cells' (v, phi,
+        psi) at those offsets from their left nodes, (cells, offsets, 3, 3).
+        """
+        table = self.cells[:, cells]
+
+        def read(offsets) -> np.ndarray:
+            y = cell_values(table, offsets)[..., [0, 2, 3]]
+            return reduced_matrix(y, self.params, self.end)
+
+        return read
 
     def deviation_sup(self) -> float:
         """sup over the grid of the spectral norm of Atilde - A0."""
@@ -112,21 +126,12 @@ class ReducedSystem:
                                            compute_uv=False)[:, 0]))
 
 
-def reduced_tables(grid: ProfileGrid) -> Jet:
-    """Atilde as an order-1 jet of shape (n, 3, 3): the profile Jacobian
-    on the grid's jets, in V."""
-    J = rhs_jacobian(tuple(Jet(j.coef[:2]) for j in grid.jets),
-                     grid.params, grid.end)
-    return Jet(_in_V(J.coef, grid.end.s))
-
-
 def build_reduced_system(grid: ProfileGrid) -> ReducedSystem:
-    At = reduced_tables(grid)
+    y = np.stack([grid.v, grid.phi, grid.psi], axis=-1)
     return ReducedSystem(
-        params=grid.params, end=grid.end, x=grid.x, tables=At.value,
-        table=hermite_table(grid.x, At.value.reshape(grid.n, 9),
-                            At.derivative(1).reshape(grid.n, 9)),
-        A0=reduced_limit_matrix(grid.params),
+        params=grid.params, end=grid.end, x=grid.x,
+        tables=reduced_matrix(y, grid.params, grid.end),
+        cells=profile_cells(grid), A0=reduced_limit_matrix(grid.params),
         sigma=limit_eigenvalues(grid.params))
 
 
@@ -137,7 +142,7 @@ def reduced_wave_residual(system: ReducedSystem, grid: ProfileGrid) -> float:
     return wave_residual(system.tables, W[:, [1, 3, 4]], dW[:, [1, 3, 4]])
 
 
-# Magnus steps per hermite_table cell, and the coarser count whose result
+# Magnus steps per profile cell, and the coarser count whose result
 # checks them (order 4: halving the step cuts the error about 16x); the
 # bound of that check (pipeline's transport_error), above which the steps
 # double
@@ -148,19 +153,19 @@ TRANSPORT_TOL = 1e-8
 _GAUSS = np.array([0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0])
 
 
-def _magnus_exponents(cells: np.ndarray, h: float,
-                      substeps: int) -> np.ndarray:
+def _magnus_exponents(read, h: float, substeps: int) -> np.ndarray:
     """Order-4 Magnus exponents of y' = B y, B = -Atilde^T, in x order.
 
-    cells are hermite_table cells of Atilde, shape (4, m, 9), of width h;
-    each is cut into `substeps` equal steps, and cell_values reads every
-    cell at the steps' Gauss points at once.  A step of length k with B1,
-    B2 at its two Gauss points has Omega = (k/2)(B1 + B2)
-    + (sqrt(3)/12) k^2 [B2, B1]; the result has shape (m substeps, 3, 3).
+    read(offsets) gives Atilde at those offsets in each of m cells of
+    width h (ReducedSystem.reader), shape (m, offsets, 3, 3); each cell is
+    cut into `substeps` equal steps, and every cell is read at the steps'
+    Gauss points at once.  A step of length k with B1, B2 at its two Gauss
+    points has Omega = (k/2)(B1 + B2) + (sqrt(3)/12) k^2 [B2, B1]; the
+    result has shape (m substeps, 3, 3).
     """
     k = h / substeps
     offsets = k * (np.arange(substeps)[:, None] + _GAUSS)
-    A = cell_values(cells, offsets.ravel()).reshape(-1, 2, 3, 3)
+    A = read(offsets.ravel()).reshape(-1, 2, 3, 3)
     B1 = -A[:, 0].transpose(0, 2, 1)
     B2 = -A[:, 1].transpose(0, 2, 1)
     return (0.5 * k) * (B1 + B2) + (np.sqrt(3.0) / 12.0 * k * k) * (
@@ -210,26 +215,26 @@ def _ordered_product(E: np.ndarray) -> np.ndarray:
     return E[0]
 
 
-def propagator(cells: np.ndarray, h: float, substeps: int,
+def propagator(read, h: float, substeps: int,
                backward: bool = False) -> np.ndarray:
-    """Propagator of y' = -Atilde^T y across hermite_table cells of width h,
-    divided by its max-abs entry.
+    """Propagator of y' = -Atilde^T y across the cells of width h that
+    read(offsets) reads (_magnus_exponents), divided by its max-abs entry.
 
     Forward it maps y at the left end of the cells to the right end, as a
     product of the step propagators exp(Omega) in x order; backward it
     maps the right end to the left, as the product of exp(-Omega) (each
     step taken from its right end to its left) from the right down.
     """
-    omega = _magnus_exponents(cells, h, substeps)
+    omega = _magnus_exponents(read, h, substeps)
     return _ordered_product(_expm_stack(-omega[::-1] if backward
                                         else omega))
 
 
-def _propagate_plane(cells: np.ndarray, h: float, normal: np.ndarray,
+def _propagate_plane(read, h: float, normal: np.ndarray,
                      backward: bool) -> tuple[np.ndarray, float, int]:
-    """Transport the plane with this normal across cells that end or
-    start at x = 0; (its unit normal at x = 0, transport error, Magnus
-    steps per cell).
+    """Transport the plane with this normal across the cells read by
+    read(offsets) (_magnus_exponents), which end or start at x = 0; (its
+    unit normal at x = 0, transport error, Magnus steps per cell).
 
     The normal takes SUBSTEPS Magnus steps per cell; the error is the
     max-abs distance of its unit vector from the CHECK_SUBSTEPS one.
@@ -238,7 +243,7 @@ def _propagate_plane(cells: np.ndarray, h: float, normal: np.ndarray,
     the error falls.
     """
     def unit_normal(substeps):
-        y = propagator(cells, h, substeps, backward) @ normal
+        y = propagator(read, h, substeps, backward) @ normal
         return y / np.linalg.norm(y)
 
     substeps, fine = SUBSTEPS, unit_normal(SUBSTEPS)
@@ -293,10 +298,10 @@ def bounded_solution_dim(system: ReducedSystem) -> TransversalityResult:
         -1.0 / system.end.s, 1.0, 1.0]
     minus, plus = rows / np.linalg.norm(rows, axis=1, keepdims=True)
     n_plus, plus_err, plus_steps = _propagate_plane(
-        system.table[:, mid:], h, plus, True)
+        system.reader(slice(mid, None)), h, plus, True)
     n_minus, minus_err, minus_steps = _propagate_plane(
-        system.table[:, :mid], h, minus, False)
-    work = {"transports": 2, "cells": system.table.shape[1],
+        system.reader(slice(None, mid)), h, minus, False)
+    work = {"transports": 2, "cells": system.cells.shape[1],
             "substeps": max(plus_steps, minus_steps)}
 
     vec = np.cross(n_plus, n_minus)

@@ -10,7 +10,7 @@ from scipy.interpolate import BPoly, CubicSpline
 
 from nspshock.eigensystem import (hermite_table, interior_coefficients,
                                   interior_matrix_coeffs,
-                                  limit_matrix_coeffs, uniform_reader)
+                                  limit_matrix_coeffs)
 from nspshock.evans import (
     ATOL,
     BLOCKS,
@@ -45,7 +45,6 @@ from nspshock.modes import fast_roots
 from nspshock.params import PlasmaParams, solve_rankine_hugoniot
 from nspshock.profile import (DEFAULT_NODES, EFOLDS, default_half_length,
                               solve_profile)
-from nspshock.transversality import build_reduced_system, reduced_tables
 from nspshock.wedge import hodge, lift2, lift3, wedge2, wedge3
 
 from conftest import limit_matrix, make_params
@@ -144,63 +143,56 @@ def _frozen_minus_system(params, end, monkeypatch):
                                       np.zeros(25)]), (161, 1))
     return EvansSystem(
         params=params, end=end, X=40.0, n=161,
-        table=hermite_table(x, stacked, np.zeros_like(stacked)),
+        table=hermite_table(x, stacked, np.zeros_like(stacked),
+                            np.zeros_like(stacked)),
         W0_mid=np.zeros(5), b1_mid=0.0, b2_mid=0.0, disk_radius=1e-3,
         boundary_gap=0.0, closure_residual=float("nan"), stride=1,
         table_error=float("nan"))
 
 
-def _tabulated_systems(profile_grid, esys, stride):
-    """(x, derivatives, reader) of the Evans and the reduced system: the
-    values, slopes and, for Evans, second derivatives the tables are built
-    from, on every stride-th node of the profile grid and on every node of
-    the reduced grid."""
+def _tabulated_evans(profile_grid, esys, stride):
+    """(x, derivatives, reader) of the Evans system: the values, slopes
+    and second derivatives its table is built from, on every stride-th
+    node of the profile grid."""
     params, end = profile_grid.params, profile_grid.end
     kept = slice(None, None, stride)
     vj, pj, sj = profile_grid.state_jets(4)
     A = interior_matrix_coeffs(interior_coefficients(
         profile_grid.x, vj, pj, sj, params, end, order=4))
     coef = np.stack([a.coef for a in A], axis=2).reshape(3, profile_grid.n, 75)
-    grid = solve_profile(params, end, n=3001)
-    At = reduced_tables(grid)
-    rsys = build_reduced_system(grid)
-    return ((profile_grid.x[kept],
-             [coef[0, kept], coef[1, kept], 2.0 * coef[2, kept]],
-             esys.coefficients),
-            (grid.x, [At.value.reshape(grid.n, 9),
-                      At.derivative(1).reshape(grid.n, 9)],
-             uniform_reader(rsys.X, rsys.table, (3, 3))))
+    return (profile_grid.x[kept],
+            [coef[0, kept], coef[1, kept], 2.0 * coef[2, kept]],
+            esys.coefficients)
 
 
 def test_table_slopes_match_spline_derivative(profile_grid, esys):
-    # the jet slopes of A0, A1, A2 and of Atilde are the derivatives of
-    # the tabulated functions: a wrong slope leaves every node value,
-    # and so the closure residual, unchanged.  A spline derivative is only
-    # accurate enough on the fine grid, so every grid node is used
-    for x, (values, slopes, *_), _ in _tabulated_systems(profile_grid, esys,
-                                                         1):
-        ref = CubicSpline(x, values, axis=0).derivative()(x)
-        assert np.max(np.abs(slopes - ref)) <= 1e-8 * np.max(np.abs(slopes))
+    # the jet slopes of A0, A1, A2 are the derivatives of the tabulated
+    # functions: a wrong slope leaves every node value, and so the closure
+    # residual, unchanged.  A spline derivative is only accurate enough on
+    # the fine grid, so every grid node is used
+    x, (values, slopes, _), _ = _tabulated_evans(profile_grid, esys, 1)
+    ref = CubicSpline(x, values, axis=0).derivative()(x)
+    assert np.max(np.abs(slopes - ref)) <= 1e-8 * np.max(np.abs(slopes))
 
 
 def test_uniform_lookup_matches_spline(profile_grid, esys):
-    # the Evans system (quintic cells on every esys.stride-th node) and the
-    # reduced system (cubic cells on every node) read through one lookup:
-    # node values to round-off (a node whose cell index rounds down is
-    # read at the right end of the cell before it), and between the nodes
-    # scipy's Hermite interpolant of the same node derivatives
+    # the Evans system (quintic cells on every esys.stride-th node) reads
+    # through the O(1) lookup: node values to round-off (a node whose cell
+    # index rounds down is read at the right end of the cell before it),
+    # and between the nodes scipy's Hermite interpolant of the same node
+    # derivatives
     assert esys.stride > 1
-    for x, derivs, read in _tabulated_systems(profile_grid, esys, esys.stride):
-        for xi, value in zip(x, derivs[0]):
-            got = read(xi).ravel()
-            assert np.max(np.abs(got - value)) <= 1e-15 * np.max(np.abs(value))
-        hermite = BPoly.from_derivatives(x, np.stack(derivs, axis=1))
-        worst = 0.0
-        for xi in 0.5 * (x[1:] + x[:-1]):
-            ref = hermite(xi)
-            got = read(xi).ravel()
-            worst = max(worst, np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
-        assert worst <= 1e-12
+    x, derivs, read = _tabulated_evans(profile_grid, esys, esys.stride)
+    for xi, value in zip(x, derivs[0]):
+        got = read(xi).ravel()
+        assert np.max(np.abs(got - value)) <= 1e-15 * np.max(np.abs(value))
+    hermite = BPoly.from_derivatives(x, np.stack(derivs, axis=1))
+    worst = 0.0
+    for xi in 0.5 * (x[1:] + x[:-1]):
+        ref = hermite(xi)
+        got = read(xi).ravel()
+        worst = max(worst, np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+    assert worst <= 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -220,7 +212,7 @@ def test_table_error_detects_wrong_curvature(profile_grid, esys, coarse_grid):
     assert coarse.stride == 1 and 0.0 < coarse.table_error <= 1e-8
     assert 0.0 < esys.table_error <= 1e-8
     for grid, stride in ((profile_grid, esys.stride), (coarse_grid, 1)):
-        (x, (values, slopes, curvatures), _), _ = _tabulated_systems(
+        x, (values, slopes, curvatures), _ = _tabulated_evans(
             grid, esys, stride)
         for factor, fails in ((1.0, False), (0.5, True)):
             table = hermite_table(x, values, slopes, factor * curvatures)
@@ -264,7 +256,8 @@ def test_lookup_rejects_nonuniform_grid():
     # the readers assume a uniform grid on [-X, X]
     for x in (np.linspace(-1.0, 1.0, 11) ** 3, np.linspace(-1.0, 0.0, 11)):
         with pytest.raises(ValueError, match="uniform"):
-            hermite_table(x, np.zeros((11, 75)), np.zeros((11, 75)))
+            hermite_table(x, np.zeros((11, 75)), np.zeros((11, 75)),
+                          np.zeros((11, 75)))
 
 
 @pytest.mark.parametrize("m", [1, 5])

@@ -513,16 +513,22 @@ def test_regime_guard_at_fast_root_boundary(tmp_path, capsys, v_plus, status):
 
 
 def test_thread_env_var_seeds_blas_caps():
+    # NSPSHOCK_THREADS sets all four BLAS variables, also over values
+    # already in the environment
+    names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS")
     code = ("import os; os.environ['NSPSHOCK_THREADS']='3'; "
-            "import nspshock; print(os.environ['OMP_NUM_THREADS'])")
-    env = {k: v for k, v in os.environ.items() if "THREAD" not in k}
+            f"import nspshock; print([os.environ[k] for k in {names}])")
     # the child imports the same nspshock, installed or not
     src = os.path.dirname(os.path.dirname(nspshock.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "3"
+    for ambient in ({}, {"OMP_NUM_THREADS": "2", "OPENBLAS_NUM_THREADS": "4"}):
+        env = {k: v for k, v in os.environ.items() if "THREAD" not in k}
+        env.update(ambient)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == str(["3"] * 4), ambient
 
 
 def test_package_imports_no_scipy_solver_modules():

@@ -380,20 +380,6 @@ def test_non_finite_newton_matrix_is_a_typed_failure(monkeypatch):
     assert "defect" in msg
 
 
-def test_jacobian_on_jets_is_the_array_jacobian():
-    # the transversality tables read rhs_jacobian on the grid's jets; its
-    # value part is the Newton solve's array Jacobian, bit for bit, on the
-    # reference grid
-    p = PlasmaParams(T=1.0, nu=1.0, eps=1.0, v_minus=1.0, u_minus=0.0,
-                     v_plus=1.1)
-    end = solve_rankine_hugoniot(p)
-    grid = solve_profile(p, end)
-    J = rhs_jacobian(grid.jets, p, end)
-    assert J.coef.shape == (4, grid.n, 3, 3)
-    y = np.stack([grid.v, grid.phi, grid.psi], axis=-1)
-    assert np.array_equal(J.value, rhs_jacobian(y, p, end))
-
-
 @pytest.mark.parametrize("delta", [0.02, 0.1, 0.19])
 def test_far_rows_are_left_eigenvectors(delta):
     # row k is the left eigenvector of J at its end for the one fast

@@ -12,23 +12,23 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import expm
 
 from nspshock.cli import main
-from nspshock.eigensystem import (background_wave, hermite_table,
-                                  uniform_reader)
+from nspshock.eigensystem import background_wave, cell_values, hermite_table
 from nspshock.modes import fast_roots
 from nspshock.params import PlasmaParams, ShockEndstates, solve_rankine_hugoniot
-from nspshock.profile import far_field_rows, rhs_jacobian, solve_profile
+from nspshock.profile import (far_field_rows, profile_cells, rhs_jacobian,
+                              solve_profile)
 import nspshock.transversality as transversality_module
 from nspshock.transversality import (
     RANK_THRESHOLD,
     TRANSPORT_TOL,
     ReducedSystem,
-    _in_V,
     angle_to_wave,
     bounded_solution_dim,
     build_reduced_system,
     limit_eigenvalues,
     propagator,
     reduced_limit_matrix,
+    reduced_matrix,
     reduced_wave_residual,
 )
 
@@ -37,19 +37,22 @@ from conftest import make_params
 
 def constant_reduced_system(params: PlasmaParams, X: float = 40.0,
                             n: int = 401) -> ReducedSystem:
-    """Degenerate zero-amplitude system: Atilde frozen at A0, with
-    v+ = v-, so that both projection rows are left eigenvectors of A0."""
+    """Degenerate zero-amplitude system: the profile frozen at y- in
+    constant cells, so Atilde is A0, with v+ = v-, so that both projection
+    rows are left eigenvectors of A0."""
     params = replace(params, v_plus=params.v_minus)
     A0 = reduced_limit_matrix(params)
     x = np.linspace(-X, X, n)
     tables = np.broadcast_to(A0, (n, 3, 3)).copy()
+    phi = -np.log(params.v_minus)
     end = ShockEndstates(s=np.sqrt(params.T + 1.0) / params.v_minus,
-                         u_plus=params.u_minus,
-                         phi_minus=-np.log(params.v_minus),
-                         phi_plus=-np.log(params.v_minus))
+                         u_plus=params.u_minus, phi_minus=phi, phi_plus=phi)
+    # (v, u, phi, psi) of profile.profile_cells, constant on every node
+    values = np.tile([params.v_minus, params.u_minus, phi, 0.0], (n, 1))
+    zeros = np.zeros((n, 4))
     return ReducedSystem(
         params=params, end=end, x=x, tables=tables,
-        table=hermite_table(x, tables.reshape(n, 9), np.zeros((n, 9))),
+        cells=hermite_table(x, values, zeros, zeros),
         A0=A0, sigma=limit_eigenvalues(params))
 
 
@@ -145,12 +148,11 @@ def test_wave_solves_reduced_system(systems):
 
 
 def test_reduced_matrix_matches_tables(systems):
+    # the reader at each cell's left node is the matrix of that node
     grid, sys_ = systems[0.1]
-    read = uniform_reader(sys_.X, sys_.table, (3, 3))
-    for idx in (0, grid.n // 2, grid.n - 1):
-        assert np.allclose(
-            read(float(grid.x[idx])), sys_.tables[idx],
-            rtol=0.0, atol=1e-12)
+    read = sys_.reader(slice(None))
+    assert np.allclose(read([0.0])[:, 0], sys_.tables[:-1],
+                       rtol=0.0, atol=1e-12)
 
 
 def test_zero_amplitude_matrix_is_constant_reference():
@@ -159,9 +161,10 @@ def test_zero_amplitude_matrix_is_constant_reference():
     A0 = reduced_limit_matrix(params)
     assert sys0.end.s == np.sqrt(params.T + 1.0) / params.v_minus
     assert np.max(np.abs(sys0.tables - A0)) == 0.0
-    read = uniform_reader(sys0.X, sys0.table, (3, 3))
-    for x in (-17.3, 0.0, 22.1):
-        assert np.max(np.abs(read(x) - A0)) < 1e-13
+    read = sys0.reader(slice(None))
+    assert np.allclose(read([0.0])[:, 0], sys0.tables[:-1],
+                       rtol=0.0, atol=1e-12)
+    assert np.max(np.abs(read([0.0, 0.1, 0.2]) - A0)) < 1e-13
     assert sys0.deviation_sup() == 0.0
 
 
@@ -217,15 +220,15 @@ def test_start_normals_are_the_projection_rows(monkeypatch, delta):
     starts = {}
     propagate = transversality_module._propagate_plane
 
-    def spy(cells, h, normal, backward):
+    def spy(read, h, normal, backward):
         starts["+" if backward else "-"] = normal
-        return propagate(cells, h, normal, backward)
+        return propagate(read, h, normal, backward)
 
     monkeypatch.setattr(transversality_module, "_propagate_plane", spy)
     res = bounded_solution_dim(build_reduced_system(grid))
     assert res.dimension == 1
     rows, ends = far_field_rows(params, end)
-    ends_V = _in_V(rhs_jacobian(ends, params, end), end.s)
+    ends_V = reduced_matrix(ends, params, end)
     for row, M, side in zip(rows, ends_V, "-+"):
         normal = starts[side]
         mapped = row * [-1.0 / end.s, 1.0, 1.0]
@@ -237,6 +240,50 @@ def test_start_normals_are_the_projection_rows(monkeypatch, delta):
         bounded = w.real < 0.0 if side == "+" else w.real > 0.0
         assert np.count_nonzero(bounded) == 2
         assert np.max(np.abs(normal @ V[:, bounded].real)) < 1e-14
+
+
+@pytest.mark.parametrize("delta", [0.02, 0.19])
+def test_magnus_steps_read_the_jacobian_of_the_profile_cells(monkeypatch,
+                                                            delta):
+    # every matrix the Magnus steps read is diag(-s, 1, 1) J diag(-1/s, 1, 1)
+    # of the profile Jacobian J at the (v, phi, psi) of profile.profile_cells,
+    # at the two Gauss points of each step: of the cells right of x = 0 on
+    # the backward side and left of it on the forward one
+    params = make_params(delta)
+    end = solve_rankine_hugoniot(params)
+    grid = solve_profile(params, end)
+    seen = []
+    propagate = transversality_module._propagate_plane
+
+    def spy(read, h, normal, backward):
+        def recording(offsets):
+            A = read(offsets)
+            seen.append((backward, h, np.array(offsets), A.copy()))
+            return A
+        return propagate(recording, h, normal, backward)
+
+    monkeypatch.setattr(transversality_module, "_propagate_plane", spy)
+    res = bounded_solution_dim(build_reduced_system(grid))
+    assert res.dimension == 1 and res.work["substeps"] == 4
+
+    cells, mid = profile_cells(grid), (grid.n - 1) // 2
+    to_V = np.diag([-end.s, 1.0, 1.0]), np.diag([-1.0 / end.s, 1.0, 1.0])
+    gauss = 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0
+    # each side reads 4 steps per cell, then 2 for the check
+    assert [(b, o.size) for b, _, o, _ in seen] == [
+        (True, 8), (True, 4), (False, 8), (False, 4)]
+    for backward, h, offsets, A in seen:
+        assert h == 2.0 * grid.X / (grid.n - 1)
+        steps = offsets.size // 2
+        assert np.allclose(
+            offsets, (h / steps) * (np.arange(steps)[:, None] + gauss).ravel(),
+            rtol=1e-15, atol=0.0)
+        side = cells[:, mid:] if backward else cells[:, :mid]
+        y = cell_values(side, offsets)[..., [0, 2, 3]]
+        ref = to_V[0] @ rhs_jacobian(y, params, end) @ to_V[1]
+        assert A.shape == ref.shape == (mid, offsets.size, 3, 3)
+        scale = np.max(np.abs(ref), axis=(2, 3), keepdims=True)
+        assert np.max(np.abs(A - ref) / scale) <= 1e-14
 
 
 def test_angle_to_wave_resolves_tiny_angles(systems):
@@ -267,7 +314,7 @@ def test_intersection_vector_tracks_wave(systems):
 def _fixed_normals(monkeypatch, n_plus, n_minus):
     """Make _propagate_plane return n_plus backward and n_minus forward,
     with no transport error, in place of the transported normals."""
-    def fixed(cells, h, normal, backward):
+    def fixed(read, h, normal, backward):
         return (n_plus if backward else n_minus), 0.0, 4
 
     monkeypatch.setattr(transversality_module, "_propagate_plane", fixed)
@@ -368,31 +415,36 @@ def test_constant_coefficient_propagator_is_the_exponential(backward):
     params = make_params(0.1)
     A0 = reduced_limit_matrix(params)
     sys0 = constant_reduced_system(params, X=4.0, n=41)
-    P = propagator(sys0.table[:, :20], 0.2, 4, backward)
+    P = propagator(sys0.reader(slice(0, 20)), 0.2, 4, backward)
     exact = expm((1.0 if backward else -1.0) * A0.T * 4.0)
     assert np.max(np.abs(P - exact / np.max(np.abs(exact)))) <= 1e-13
 
 
 @pytest.mark.parametrize("backward", [False, True])
 def test_propagator_converges_at_order_four(backward):
-    # smooth variable coefficients in hermite_table cells of width 0.4;
-    # oracle: DOP853 through the same cells
+    # smooth variable coefficients, read exactly at the offsets of 20 cells
+    # of width 0.4, so only the Magnus steps err; oracle: DOP853 on the
+    # same function
     rng = np.random.default_rng(7)
     C, D = 0.5 * rng.standard_normal((2, 3, 3))
-    x = np.linspace(-4.0, 4.0, 21)
-    t = x[:, None, None]
-    values = reduced_limit_matrix(make_params(0.1)) + np.sin(t) * C \
-        + np.cos(2.0 * t) * D
-    slopes = np.cos(t) * C - 2.0 * np.sin(2.0 * t) * D
-    cells = hermite_table(x, values.reshape(-1, 9), slopes.reshape(-1, 9))
-    read = uniform_reader(4.0, cells, (3, 3))
+    A0 = reduced_limit_matrix(make_params(0.1))
+
+    def coefficients(t):
+        t = np.asarray(t)[..., None, None]
+        return A0 + np.sin(t) * C + np.cos(2.0 * t) * D
+
+    left = np.linspace(-4.0, 3.6, 20)
+
+    def read(offsets):
+        return coefficients(left[:, None] + np.asarray(offsets))
+
     span = (4.0, -4.0) if backward else (-4.0, 4.0)
-    sol = solve_ivp(lambda t, y: (-read(t).T @ y.reshape(3, 3)).ravel(),
-                    span, np.eye(3).ravel(), method="DOP853", rtol=1e-13,
-                    atol=1e-16)
+    sol = solve_ivp(
+        lambda t, y: (-coefficients(t).T @ y.reshape(3, 3)).ravel(),
+        span, np.eye(3).ravel(), method="DOP853", rtol=1e-13, atol=1e-16)
     exact = sol.y[:, -1].reshape(3, 3)
     exact = exact / np.max(np.abs(exact))
-    errors = [np.max(np.abs(propagator(cells, 0.4, k, backward) - exact))
+    errors = [np.max(np.abs(propagator(read, 0.4, k, backward) - exact))
               for k in (1, 2, 4)]
     for coarse, fine in zip(errors, errors[1:]):
         assert 12.0 <= coarse / fine <= 20.0
@@ -434,7 +486,7 @@ def test_reduced_matrix_at_general_parameters(T, nu, eps, v_minus, delta):
     # at y-+ the reduced matrix has the profile's fast rates
     ends = np.array([[params.v_minus, end.phi_minus, 0.0],
                      [params.v_plus, end.phi_plus, 0.0]])
-    for M, r in zip(_in_V(rhs_jacobian(ends, params, end), end.s), roots):
+    for M, r in zip(reduced_matrix(ends, params, end), roots):
         gammas = np.sort([r.gamma1, r.gamma2, r.gamma3])
         eigs = np.sort_complex(np.linalg.eigvals(M))
         assert np.max(np.abs(eigs - gammas)) <= 1e-12 * np.max(np.abs(gammas))
