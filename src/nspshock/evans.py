@@ -758,12 +758,11 @@ class EvansReport:
                 for f in fields(self) if f.name not in ("gamma", "samples")}
 
 
-def evans_report(sys: EvansSystem, rho: Optional[float] = None,
-                 n_circle: int = N_CIRCLE) -> EvansReport:
-    """Windings, derivative at the origin and the factorization check."""
+def evans_report(sys: EvansSystem, n_circle: int = N_CIRCLE) -> EvansReport:
+    """Windings, derivative at the origin and the factorization check,
+    on the circle |lam| = rho of half the disk radius."""
     r = sys.disk_radius
-    if rho is None:
-        rho = 0.5 * r
+    rho = 0.5 * r
     evaluate, store = make_evaluator(sys)
     work0 = dict(sys.work)
 

@@ -38,7 +38,7 @@ from .dispersion import (default_xi_grid, dispersion_curve,
                          write_spectrum_csv, xi0_threshold)
 from . import evans  # the report reads evans.RTOL and ATOL as run
 from .evans import N_CIRCLE, build_evans_system, evans_report, write_evans_csv
-from .modes import default_disk_radius, fast_roots, slow_expansion
+from .modes import fast_roots, slow_expansion
 from .params import (PlasmaParams, finite_number, params_from_dict,
                      solve_rankine_hugoniot)
 from .poisson import (discretize_profile, manufactured_convergence,
@@ -63,25 +63,26 @@ class RunConfig:
     out_dir: str
     X: float | None = None
     n: int | None = None
-    rho: float | None = None
     n_circle: int = N_CIRCLE
     raw: dict | None = None
 
 
 # the top-level keys of a config
 CONFIG_KEYS = ("params", "tasks", "numerics", "out")
-# the kind of value each numerics key takes; null leaves the default
-_NUMERIC_KINDS = {"X": "number", "n": "odd integer >= 3", "rho": "number",
-                  "n_circle": "integer"}
+# the kind of value each numerics key takes; null leaves the default.
+# The winding circle needs three points, the fewest whose polygon
+# encloses the origin
+_NUMERIC_KINDS = {"X": "number", "n": "odd integer >= 3",
+                  "n_circle": "integer >= 3"}
 
 
 def _numeric(key: str, value):
     """numerics.key checked against its kind: a finite number > 0, also
-    integral for the counts, and odd and at least 3 for the node count."""
+    integral and at least 3 for the counts, and odd for the node count."""
     kind = _NUMERIC_KINDS[key]
     if not (finite_number(value) and value > 0
-            and (kind == "number" or value % 1 == 0)
-            and (key != "n" or (value % 2 == 1 and value >= 3))):
+            and (kind == "number" or (value % 1 == 0 and value >= 3))
+            and (key != "n" or value % 2 == 1)):
         raise ConfigError(f"numerics.{key} must be a positive {kind}, "
                           f"got {value!r}")
     return value if kind == "number" else int(value)
@@ -275,7 +276,7 @@ def _profile_grid(config, end, ctx):
 def _task_evans(config, end, ctx, outdir):
     grid = _profile_grid(config, end, ctx)
     esys = build_evans_system(grid)
-    rep = evans_report(esys, rho=config.rho, n_circle=config.n_circle)
+    rep = evans_report(esys, n_circle=config.n_circle)
     ctx["evans"] = rep
     write_evans_csv(rep.samples, outdir / "evans.csv")
     checks = {
@@ -377,8 +378,7 @@ def run(config: RunConfig) -> dict:
     A failing check marks its task failed; an exception inside a task
     is recorded and later tasks still run.  The report carries
     report["passed"] for the overall verdict.  A regime without fast
-    roots, an Evans rho outside the disk or an out directory that cannot
-    be created is a ConfigError.
+    roots or an out directory that cannot be created is a ConfigError.
     """
     try:
         end = solve_rankine_hugoniot(config.params)
@@ -386,14 +386,6 @@ def run(config: RunConfig) -> dict:
             fast_roots(config.params, end, side)  # regime admissibility
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if "evans" in config.tasks and config.rho is not None:
-        try:
-            radius = default_disk_radius(config.params, end)
-        except RuntimeError:
-            radius = math.inf  # the Evans task reports it
-        if config.rho >= radius:
-            raise ConfigError(f"numerics.rho = {config.rho!r} must be below "
-                              f"the disk radius {radius!r}")
 
     outdir = Path(config.out_dir)
     try:

@@ -156,9 +156,6 @@ def default_half_length(params: PlasmaParams, end: ShockEndstates) -> float:
 def initial_guess(x: np.ndarray, params: PlasmaParams, end: ShockEndstates) -> np.ndarray:
     delta = params.delta_s
     mid = 0.5 * (params.v_minus + params.v_plus)
-    if delta == 0.0:
-        v = np.full_like(x, params.v_minus)
-        return np.stack([v, -np.log(v), np.zeros_like(x)], axis=-1)
     kappa = 0.5 * slow_decay_rate(params, end)
     v = mid + 0.5 * delta * np.tanh(kappa * x)
     dv = 0.5 * delta * kappa / np.cosh(kappa * x) ** 2
@@ -400,7 +397,7 @@ class ProfileGrid:
     def h(self) -> float:
         return float(self.x[1] - self.x[0])
 
-    def state_jets(self, order: int = 5, nodes=slice(None)):
+    def state_jets(self, order: int, nodes=slice(None)):
         """Taylor jets of (v, phi, psi), extended through the ODE, at the
         nodes selected by the index `nodes` (all of them by default); each
         node's jet depends on that node alone."""

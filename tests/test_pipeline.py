@@ -16,7 +16,6 @@ import nspshock.profile as profile_module
 import nspshock.transversality as transversality_module
 from nspshock.cli import main
 from nspshock.evans import ATOL, PROBE_ORDER, RTOL
-from nspshock.modes import default_disk_radius
 from nspshock.params import PlasmaParams, solve_rankine_hugoniot
 from nspshock.pipeline import ConfigError, load_config
 from nspshock.poisson import (discretize_profile, richardson,
@@ -101,6 +100,10 @@ def test_dispersion_only_writes_only_spectrum(tmp_path):
     ([32], "numerics"),
     # below three nodes there is no grid
     ({"n": 1}, "numerics.n"),
+    # fewer than three contour points enclose no region: one point winds
+    # zero times and two put a chord midpoint on the zero at lam = 0
+    ({"n_circle": 1}, "numerics.n_circle"),
+    ({"n_circle": 2}, "numerics.n_circle"),
 ])
 def test_bad_numeric_exits_2(tmp_path, capsys, numerics, key):
     cfg = write_config(tmp_path, numerics=numerics)
@@ -121,21 +124,6 @@ def test_uncreatable_out_exits_2(tmp_path, capsys):
     assert "config error: out:" in capsys.readouterr().err
 
 
-def test_rho_outside_the_disk_exits_2(tmp_path, capsys):
-    # rho must lie inside the Evans disk; the check runs before any task
-    # and only when Evans is selected
-    cfg = write_config(tmp_path, numerics={"rho": 1.0})
-    assert main(["run", "--config", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and "numerics.rho = 1.0" in err
-    params = PlasmaParams(**REF_PARAMS)
-    radius = default_disk_radius(params, solve_rankine_hugoniot(params))
-    assert f"disk radius {radius!r}" in err
-    assert not (tmp_path / "out").exists()
-    cfg = write_config(tmp_path, numerics={"rho": 1.0}, tasks=["dispersion"])
-    assert main(["run", "--config", str(cfg)]) == 0
-
-
 @pytest.mark.parametrize("overrides, key, valid", [
     # a misspelt block would otherwise run silently on the defaults
     ({"numeric": {"n": 2001}}, "numeric", "params, tasks, numerics, out"),
@@ -145,7 +133,9 @@ def test_rho_outside_the_disk_exits_2(tmp_path, capsys):
     # the output directory is a path, not str() of any JSON value
     ({"out": None}, "out must be a string, got None", None),
     ({"out": 7}, "out must be a string, got 7", None),
-], ids=["numeric", "vplus", "out-null", "out-number"])
+    # the Evans circle is always half the disk radius; rho is not a setting
+    ({"numerics": {"rho": 0.0004}}, "numerics.rho", "X, n, n_circle"),
+], ids=["numeric", "vplus", "out-null", "out-number", "rho"])
 def test_config_typos_exit_2(tmp_path, monkeypatch, capsys, overrides, key,
                              valid):
     cfg = write_config(tmp_path, tasks=["dispersion"], **overrides)
