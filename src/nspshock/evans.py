@@ -39,10 +39,12 @@ first-round samples (origin, both contours, the Cauchy and difference
 points) in one batch and each winding-refinement round in one more.
 
 Evans reads the profile grid of the other tasks.  Its coefficient
-table keeps every k-th node, k = table_stride(n, X), and each cell is
-the quintic (C^2) Hermite interpolant of the values, slopes and second
-derivatives of A0, A1, A2 in A(x, lam) = A0 + lam A1 + lam^2 A2 at its
-two end nodes, from one jet pass to order PROBE_ORDER at the kept nodes.
+table keeps every k-th node, k = table_stride(n, X, rate), so that no
+cell is wider than TABLE_DECAYS decay lengths of the profile's slow
+rate (k = 8 on every default grid).  Each cell is the quintic (C^2)
+Hermite interpolant of the values, slopes and second derivatives of A0,
+A1, A2 in A(x, lam) = A0 + lam A1 + lam^2 A2 at its two end nodes, from
+one jet pass to order PROBE_ORDER at the kept nodes.
 The smoothness matters: C^1 cubic cells of the same width put kinks at
 the cell ends that spoil DOP853's error control (measured at rtol
 1e-12), and batched D then missed one-lam-at-a-time D by up to 2e-9.
@@ -105,7 +107,7 @@ from .modes import (
 from .jets import Jet
 from .ode import solve_ivp
 from .params import PlasmaParams, ShockEndstates, liu_majda_delta
-from .profile import ProfileGrid
+from .profile import ProfileGrid, slow_decay_rate
 # unused here; kept so that WRAPS in perfbench/tracer.py can patch them
 from .profile import solve_profile  # noqa: F401
 from .wedge import lift3  # noqa: F401
@@ -130,8 +132,11 @@ BLOCKS = {"plus": (-1, "w2"), "minus": (1, "w3"), "fast": (1, "w2")}
 _UNIT = np.eye(25).reshape(25, 5, 5)
 GENERATORS = {"w2": lift2(_UNIT).reshape(25, 100),
               "w3": lift2(dual_matrix(_UNIT)).reshape(25, 100)}
-# widest cell of the Evans coefficient table (see table_stride)
-TABLE_STEP = 0.5
+# widest cell of the Evans coefficient table, in decay lengths of the
+# profile's slow rate (see table_stride): stride 8 on the default grid,
+# the coarsest power of two whose table_error stays under 1% of its 1e-8
+# limit from delta = 0.02 to 0.19 (stride 16 reaches 2.8e-9)
+TABLE_DECAYS = 0.15
 # order of the profile jets at the table's nodes: the closure reads their
 # order-4 part, and table_error carries the profile with all of it from a
 # cell's left node to its midpoint
@@ -243,15 +248,20 @@ class EvansSystem:
         return A0 + lam * A1 + lam * lam * A2
 
 
-def table_stride(n: int, X: float) -> int:
-    """Largest divisor k of (n - 1)/2 with k h <= TABLE_STEP, h = 2X/(n - 1).
+def table_stride(n: int, X: float, rate: float) -> int:
+    """Largest divisor k of (n - 1)/2 with k h rate <= TABLE_DECAYS,
+    h = 2X/(n - 1) and rate the profile's slow decay rate.
 
-    Every k-th node of the grid then includes both ends and x = 0.
+    Every k-th node of the grid then includes both ends and x = 0.  The
+    closure varies on the profile's length scale 1/rate, so the cells are
+    counted in decay lengths; the default grid spans X rate = EFOLDS
+    each way, so its stride is the same at every amplitude.
     """
     half = (n - 1) // 2
-    # k h <= TABLE_STEP is k X <= TABLE_STEP half, exact for integer half
-    for k in range(int(TABLE_STEP * half / X), 1, -1):
-        if half % k == 0 and k * X <= TABLE_STEP * half:
+    # k h rate <= TABLE_DECAYS is k X rate <= TABLE_DECAYS half
+    decays = X * rate
+    for k in range(int(TABLE_DECAYS * half / decays), 1, -1):
+        if half % k == 0 and k * decays <= TABLE_DECAYS * half:
             return k
     return 1
 
@@ -297,7 +307,8 @@ def table_error(grid: ProfileGrid, stride: int, table: np.ndarray,
 def build_evans_system(grid: ProfileGrid) -> EvansSystem:
     """Tabulate the closure coefficients on a solved profile grid.
 
-    The table keeps every k-th node, k = table_stride(n, X).  Raises
+    The table keeps every k-th node, k = table_stride(n, X, rate) with
+    rate the profile's slow decay rate: 8 on every default grid.  Raises
     RuntimeError naming the Evans build when the kept nodes miss an end
     of the grid or x = 0, and RuntimeError when the coefficients at the
     cut ends miss their limits by more than BOUNDARY_GAP_TOL, i.e. when the
@@ -305,7 +316,7 @@ def build_evans_system(grid: ProfileGrid) -> EvansSystem:
     """
     params, end = grid.params, grid.end
     X, n = grid.X, grid.n
-    k = table_stride(n, X)
+    k = table_stride(n, X, slow_decay_rate(params, end))
     kept = slice(None, None, k)
     x = grid.x[kept]
     mid = x.size // 2

@@ -137,9 +137,14 @@ def build_reduced_system(grid: ProfileGrid) -> ReducedSystem:
 
 def reduced_wave_residual(system: ReducedSystem, grid: ProfileGrid) -> float:
     """Relative defect of the wave derivative in the reduced system: the
-    columns (u, phi, phi') of eigensystem.background_wave."""
-    W, dW = background_wave(*grid.jets, grid.params, grid.end)
-    return wave_residual(system.tables, W[:, [1, 3, 4]], dW[:, [1, 3, 4]])
+    columns (u, phi, phi') of eigensystem.background_wave, formed by the
+    same jet operations without its other two."""
+    v, _, psi = grid.jets
+    du = -grid.end.s * v.deriv()
+    W = np.stack([du.value, psi.value, psi.derivative(1)], axis=-1)
+    dW = np.stack([du.derivative(1), psi.derivative(1), psi.derivative(2)],
+                  axis=-1)
+    return wave_residual(system.tables, W, dW)
 
 
 # Magnus steps per profile cell, and the coarser count whose result
@@ -183,19 +188,24 @@ def _expm_stack(omega: np.ndarray) -> np.ndarray:
     stack is scaled by 2^-s so that every infinity norm is at most 1/2,
     where the remainder is below 1e-18; the polynomial is evaluated in
     blocks of four terms (Paterson-Stockmeyer: six matrix products),
-    and the result is squared s times.
+    and the result is squared s times.  I, Z, Z^2, Z^3 share one
+    (4, m, 3, 3) array, and each block is formed only as Horner's rule
+    reaches it, so the peak is about 7 times omega's bytes.
     """
     norm = float(np.max(np.sum(np.abs(omega), axis=-1)))
     squarings = int(np.ceil(np.log2(norm / 0.5))) if norm > 0.5 else 0
-    Z = omega / 2.0**squarings
-    Z2 = Z @ Z
-    powers = np.stack([np.broadcast_to(np.eye(3), Z.shape), Z, Z2, Z2 @ Z])
-    # blocks[j] = sum_i Z^i / (4j + i)!, and exp(Z) = sum_j Z^4j blocks[j]
-    blocks = np.tensordot(_TAYLOR.reshape(4, 4), powers, axes=1)
+    powers = np.empty((4,) + omega.shape)
+    powers[0] = np.eye(3)
+    Z = np.divide(omega, 2.0**squarings, out=powers[1])
+    Z2 = np.matmul(Z, Z, out=powers[2])
+    np.matmul(Z2, Z, out=powers[3])
     Z4 = Z2 @ Z2
-    E = blocks[3]
-    for B in blocks[2::-1]:
-        E = B + Z4 @ E
+    # block j = sum_i Z^i / (4j + i)!, and exp(Z) = sum_j Z^4j block j
+    c = _TAYLOR.reshape(4, 4)
+    E = np.tensordot(c[3], powers, axes=1)
+    for cj in c[2::-1]:
+        E = Z4 @ E
+        E += np.tensordot(cj, powers, axes=1)
     for _ in range(squarings):
         E = E @ E
     return E

@@ -35,7 +35,7 @@ from nspshock.evans import (
     solve_ivp,
     table_error,
     table_stride,
-    TABLE_STEP,
+    TABLE_DECAYS,
     wedge_rhs,
     winding_number,
     write_evans_csv,
@@ -44,7 +44,7 @@ from nspshock import evans as evans_module
 from nspshock.modes import fast_roots
 from nspshock.params import PlasmaParams, solve_rankine_hugoniot
 from nspshock.profile import (DEFAULT_NODES, EFOLDS, default_half_length,
-                              solve_profile)
+                              slow_decay_rate, solve_profile)
 from nspshock.wedge import hodge, lift2, lift3, wedge2, wedge3
 
 from conftest import limit_matrix, make_params
@@ -197,9 +197,9 @@ def test_uniform_lookup_matches_spline(profile_grid, esys):
 
 @pytest.fixture(scope="module")
 def coarse_grid(params_ref, end_ref):
-    # a step of 0.36 is wider than half of TABLE_STEP, so the table keeps
-    # every node, as on the default grid at delta = 0.02 (step 0.64)
-    return solve_profile(params_ref, end_ref, n=801)
+    # a step of 0.09 decay lengths is wider than half of TABLE_DECAYS, so
+    # the table keeps every node
+    return solve_profile(params_ref, end_ref, n=401)
 
 
 def test_table_error_detects_wrong_curvature(profile_grid, esys, coarse_grid):
@@ -207,7 +207,9 @@ def test_table_error_detects_wrong_curvature(profile_grid, esys, coarse_grid):
     # midpoint of every cell; a table built with half the second
     # derivatives keeps every node value and slope, and only this check
     # sees it, also on a table that keeps every node
-    assert table_stride(coarse_grid.n, coarse_grid.X) == 1
+    assert table_stride(coarse_grid.n, coarse_grid.X,
+                        slow_decay_rate(coarse_grid.params,
+                                        coarse_grid.end)) == 1
     coarse = build_evans_system(coarse_grid)
     assert coarse.stride == 1 and 0.0 < coarse.table_error <= 1e-8
     assert 0.0 < esys.table_error <= 1e-8
@@ -227,7 +229,7 @@ def test_thinned_table_keeps_gamma(profile_grid, esys, monkeypatch):
         return gamma_transversality(system, evans_value(system, 0.0)).Gamma
 
     thin = build_evans_system(profile_grid)
-    monkeypatch.setattr(evans_module, "TABLE_STEP", 0.0)
+    monkeypatch.setattr(evans_module, "TABLE_DECAYS", 0.0)
     full = build_evans_system(profile_grid)
     assert full.table_shape["nodes"] == profile_grid.n
     assert 0.0 < full.table_error <= thin.table_error <= 1e-8
@@ -236,18 +238,22 @@ def test_thinned_table_keeps_gamma(profile_grid, esys, monkeypatch):
 
 
 def test_table_stride_keeps_ends_and_origin(profile_grid, monkeypatch):
-    # the largest divisor of (n - 1)/2 with cells at most TABLE_STEP wide
-    assert table_stride(2 * 7220 + 1, 180.4) == 20
-    # 7207 has no divisor from 2 to 20
-    assert table_stride(2 * 7207 + 1, 180.2) == 1
-    assert table_stride(2 * 2800 + 1, 2800 * 0.6) == 1
+    # the largest divisor of (n - 1)/2 with cells at most TABLE_DECAYS
+    # decay lengths wide; only X rate counts
+    assert table_stride(2 * 7220 + 1, 18.0, 1.0) == 38
+    assert table_stride(2 * 7220 + 1, 36.0, 0.5) == 38
+    assert table_stride(DEFAULT_NODES, 180.0, 0.1) == 8
+    assert table_stride(4001, 18.0, 1.0) == 16
+    # 7207 is prime
+    assert table_stride(2 * 7207 + 1, 18.0, 1.0) == 1
+    assert table_stride(2 * 2800 + 1, 2800 * 0.6, 0.2) == 1
     # a stride that misses an end or x = 0 (profile_grid has the default
     # DEFAULT_NODES = 2^k + 1 nodes, so only a stride of 2^k misses x = 0)
     # is a typed build error
     for stride, where in ((3, "end"),
                           (DEFAULT_NODES - 1, "x = 0")):
         monkeypatch.setattr(evans_module, "table_stride",
-                            lambda n, X: stride)
+                            lambda n, X, rate: stride)
         with pytest.raises(RuntimeError, match=f"Evans build: .*{where}"):
             build_evans_system(profile_grid)
 
@@ -368,7 +374,7 @@ def _oracle_grid(params, end):
     corrected."""
     X = 35.0 / EFOLDS * default_half_length(params, end)
     return solve_profile(params, end, X=X,
-                         n=2 * 20 * int(np.ceil(X / TABLE_STEP)) + 1)
+                         n=40 * int(np.ceil(2.0 * X)) + 1)
 
 
 def _gamma_and_derivative(system):
@@ -688,20 +694,25 @@ def agreement_system(request):
     return build_evans_system(solve_profile(params, end))
 
 
-def test_production_table_is_thinned(agreement_system):
-    # the default grid (DEFAULT_NODES = 2049 nodes) keeps x = 0 and every
-    # k-th node, k the largest divisor of 1024 with cells at most
-    # TABLE_STEP wide: 2 at delta = 0.1 (h = 0.14), 4 at delta = 0.17
-    # (h = 0.088); the quintic table takes 6 / (4 k) of the bytes of
-    # cubic cells on every node
-    n, X = agreement_system.n, agreement_system.X
-    k = {0.1: 2, 0.17: 4}[round(agreement_system.params.delta_s, 6)]
-    assert n == DEFAULT_NODES and k * 2.0 * X / (n - 1) <= TABLE_STEP
-    assert agreement_system.table_shape == {
+@pytest.mark.parametrize("delta", [0.02, 0.1, 0.17],
+                         ids=["delta0.02", "delta0.1", "delta0.17"])
+def test_production_table_is_thinned(delta):
+    # the default grid (DEFAULT_NODES = 2049 nodes on EFOLDS decay lengths
+    # each way) has h rate = 36/2048 at every amplitude, so the table keeps
+    # x = 0 and every 8th node, cells 0.14 decay lengths wide, and its
+    # error stays 100 times under the 1e-8 limit; the quintic table
+    # takes 6 / (4 k) of the bytes of cubic cells on every node
+    params = make_params(delta)
+    system = build_evans_system(
+        solve_profile(params, solve_rankine_hugoniot(params)))
+    n, X, k = system.n, system.X, 8
+    rate = slow_decay_rate(system.params, system.end)
+    assert n == DEFAULT_NODES and k * 2.0 * X * rate / (n - 1) <= TABLE_DECAYS
+    assert system.table_shape == {
         "stride": k, "nodes": (n - 1) // k + 1,
         "step": pytest.approx(2.0 * k * X / (n - 1), rel=1e-14)}
-    assert agreement_system.table.nbytes == 6 * (n - 1) // k * 75 * 8
-    assert 0.0 < agreement_system.table_error <= 1e-8
+    assert system.table.nbytes == 6 * (n - 1) // k * 75 * 8
+    assert 0.0 < system.table_error <= 1e-10
 
 
 def test_batched_transport_matches_one_at_a_time(agreement_system):

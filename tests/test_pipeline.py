@@ -309,12 +309,12 @@ def test_reference_run_reports_its_table(reference_report):
     check = evans["checks"]["table_error"]
     assert check["pass"] is True and check["threshold"] == 1e-8
     assert 0.0 < check["value"] < 1e-10
-    # the table keeps every 2nd node of the 2049-node grid (step 0.28);
-    # metrics.n stays the grid's node count
+    # the table keeps every 8th node of the 2049-node grid (step 1.12,
+    # 0.14 decay lengths); metrics.n stays the grid's node count
     metrics = evans["metrics"]
     table = metrics["table"]
-    assert table["stride"] == 2
-    assert table["nodes"] == (metrics["n"] - 1) // 2 + 1 == 1025
+    assert table["stride"] == 8
+    assert table["nodes"] == (metrics["n"] - 1) // 8 + 1 == 257
     assert table["step"] == pytest.approx(
         2.0 * metrics["X"] / (table["nodes"] - 1), rel=1e-14)
     # and the DOP853 tolerances its transport ran at

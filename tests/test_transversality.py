@@ -1,6 +1,7 @@
 """Reduced 3-D system: wave residual, limit rates, bounded-solution count."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -418,6 +419,39 @@ def test_constant_coefficient_propagator_is_the_exponential(backward):
     P = propagator(sys0.reader(slice(0, 20)), 0.2, 4, backward)
     exact = expm((1.0 if backward else -1.0) * A0.T * 4.0)
     assert np.max(np.abs(P - exact / np.max(np.abs(exact)))) <= 1e-13
+
+
+@pytest.mark.parametrize("top", [0.0, 0.5, 1.0, 2.0, 4.0, 8.0])
+def test_expm_stack_matches_scipy(top):
+    # a seeded stack whose infinity norms run evenly from 0 to top, so the
+    # scaling takes 0, 0, 1, 2, 3 and 4 squarings; every matrix against
+    # scipy's Pade exponential, within rounding amplified by the
+    # exponential's condition, up to exp(norm) (reads 3.6e-13 relative at
+    # norm 8, where the bound is 3e-11)
+    rng = np.random.default_rng(11)
+    norms = np.linspace(0.0, top, 64)
+    omega = rng.standard_normal((64, 3, 3))
+    omega *= (norms / np.max(np.sum(np.abs(omega), axis=-1),
+                             axis=-1))[:, None, None]
+    got = transversality_module._expm_stack(omega)
+    for E, Z, norm in zip(got, omega, norms):
+        exact = expm(Z)
+        assert (np.max(np.abs(E - exact))
+                <= 1e-14 * np.exp(norm) * np.max(np.abs(exact)))
+
+
+def test_expm_stack_peak_memory():
+    # the powers of Z share one array and each Paterson-Stockmeyer block is
+    # formed only when Horner's rule reaches it, so exponentiating a
+    # (4096, 3, 3) stack allocates under 9 times the stack's bytes at once
+    omega = 0.1 * np.random.default_rng(5).standard_normal((4096, 3, 3))
+    tracemalloc.start()
+    try:
+        transversality_module._expm_stack(omega)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * omega.nbytes
 
 
 @pytest.mark.parametrize("backward", [False, True])
