@@ -23,8 +23,8 @@ __version__ = "0.1.0"
 
 import os as _os
 
-# honor the thread cap before numpy first loads its BLAS backend; it
-# overrides any ambient BLAS thread variable
+# size the BLAS pools before numpy first loads its backend, over any ambient
+# thread variable; the report is the same at any thread count
 _threads = _os.environ.get("NSPSHOCK_THREADS")
 if _threads is not None:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",

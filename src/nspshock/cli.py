@@ -5,9 +5,8 @@
 Exit status: 0 when every selected check passes, 1 when a task fails
 (the report is still written), 2 on configuration errors.  Set
 NSPSHOCK_THREADS to cap the linear-algebra thread pools; it overrides
-the four BLAS thread variables (OMP_, OPENBLAS_, MKL_, NUMEXPR_NUM_THREADS).
-Reports at different NSPSHOCK_THREADS values still differ in the last
-digits.
+the four BLAS thread variables (OMP_, OPENBLAS_, MKL_, NUMEXPR_NUM_THREADS)
+and only sizes the pools: the report is the same at any thread count.
 """
 
 from __future__ import annotations

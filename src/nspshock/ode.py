@@ -1,10 +1,10 @@
 """The DOP853 step: an explicit Runge-Kutta method of order 8 with
 adaptive step control.
 
-`solve_ivp` is a port of scipy.integrate's DOP853 that takes the same
-steps and right-hand-side calls and keeps only the end state, so the
-package never imports scipy.integrate.  The Evans transport
-(evans.integrate_wedge) is its one caller.
+`solve_ivp` is a port of scipy.integrate's DOP853 for a real state that
+takes the same steps, right-hand-side calls and end-state bits and keeps
+only the end state, so the package never imports scipy.integrate.  The
+Evans transport (evans.integrate_wedge) is its one caller.
 """
 
 from __future__ import annotations
@@ -127,9 +127,9 @@ def _rms(z) -> float:
 
 
 def solve_ivp(fun, t_span, y0, rtol: float, atol: float) -> IvpResult:
-    """Integrate y' = fun(t, y) over t_span by DOP853; y0 may be complex.
+    """Integrate the real system y' = fun(t, y) over t_span by DOP853.
 
-    The steps, right-hand-side calls and end state are those of
+    The steps, right-hand-side calls and end-state bits are those of
     scipy.integrate.solve_ivp(fun, t_span, y0, method="DOP853", rtol=rtol,
     atol=atol): the same initial-step rule (error order 7), combined E5/E3
     error norm and step-factor limits.  Only the end state is kept.  A
@@ -137,15 +137,13 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol: float) -> IvpResult:
     at t ends the integration with success False at the last accepted t.
     """
     t, t_bound = map(float, t_span)
-    y = np.asarray(y0)
-    dtype = complex if np.iscomplexobj(y) else float
-    y = y.astype(dtype, copy=False)
+    y = np.asarray(y0, dtype=float)
     nfev = 0
 
     def f_at(t, y):
         nonlocal nfev
         nfev += 1
-        return np.asarray(fun(t, y), dtype=dtype)
+        return np.asarray(fun(t, y), dtype=float)
 
     direction = np.sign(t_bound - t) if t_bound != t else 1
     f = f_at(t, y)
@@ -163,7 +161,7 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol: float) -> IvpResult:
         h1 = (0.01 / max(d1, d2)) ** (1 / 8)
     h_abs = min(100 * h0, h1, length)
 
-    K = np.empty((13, y.size), dtype=dtype)
+    K = np.empty((13, y.size))
     ts = [t]
     message = ("The solver successfully reached the end of the "
                "integration interval.")

@@ -521,6 +521,31 @@ def test_thread_env_var_seeds_blas_caps():
         assert out.stdout.strip() == str(["3"] * 4), ambient
 
 
+def test_report_is_the_same_at_any_thread_count(tmp_path):
+    # the reference run at one and at two BLAS threads writes the same
+    # report outside its timings and the same evans.csv.  On a runner with
+    # one CPU OpenBLAS runs one thread either way, so there this test
+    # cannot fail
+    cfg = write_config(tmp_path)
+    src = os.path.dirname(os.path.dirname(nspshock.__file__))
+    reports, curves = [], []
+    for threads in ("1", "2"):
+        env = {k: v for k, v in os.environ.items() if "THREAD" not in k}
+        env["NSPSHOCK_THREADS"] = threads
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        out = tmp_path / f"threads{threads}"
+        subprocess.run([sys.executable, "-m", "nspshock.cli", "run",
+                        "--config", str(cfg), "--out", str(out)],
+                       env=env, capture_output=True, check=True)
+        report = json.loads((out / "report.json").read_text())
+        del report["timings"]
+        reports.append(report)
+        curves.append((out / "evans.csv").read_bytes())
+    assert reports[0] == reports[1]
+    assert curves[0] == curves[1]
+
+
 def test_package_imports_no_scipy_solver_modules():
     # numpy is the whole runtime stack: neither the pipeline nor the
     # command line loads scipy or any of its modules
