@@ -47,7 +47,7 @@ from .poisson import (discretize_profile, manufactured_convergence,
 from .profile import solve_profile, verify_profile, write_profile_csv
 from .transversality import (TRANSPORT_TOL, angle_to_wave,
                              bounded_solution_dim, build_reduced_system,
-                             reduced_limit_matrix, reduced_wave_residual)
+                             reduced_wave_residual)
 
 TASKS = ("profile", "dispersion", "evans", "transversality", "poisson")
 
@@ -309,7 +309,7 @@ def _task_transversality(config, end, ctx, outdir):
     wave_res = reduced_wave_residual(rsys, grid)
     result = bounded_solution_dim(rsys)
     sig = np.sort(rsys.sigma)
-    eig = np.sort(np.linalg.eigvals(reduced_limit_matrix(config.params)).real)
+    eig = np.sort(np.linalg.eigvals(rsys.A0).real)
     sig_err = float(np.max(np.abs(sig - eig)))
     checks = {
         "bounded_dimension": _check(result.dimension, "==", 1),

@@ -5,7 +5,7 @@ y = (v, phi, psi) with psi = phi': the integrated momentum balance
 gives v' through the scalar function G (zero at both far-field
 states), and the field equation closes psi'.  The velocity component
 is algebraically slaved, ubar = u_minus - s (vbar - v_minus), which
-makes s vbar' + ubar' = 0 exact at the nodes.
+makes s vbar' + ubar' = 0 exact, and no cell or residual holds it.
 
 Discretization: a mono-implicit Runge-Kutta scheme of order 4 on a
 fixed mesh (Simpson rule with cubic-Hermite midpoint values), solved
@@ -50,10 +50,11 @@ A solved grid is its nodes plus their order-3 Taylor jets
 derivative of the profile is read from jets of the right-hand side
 (`ProfileGrid.state_jets`), never from differencing the computed
 solution; the residual check builds its piecewise-quintic Hermite
-interpolant from them (eigensystem.hermite_table) and reads values and
-slopes at fixed offsets in its cells (eigensystem.cell_values).  That
-interpolant is the profile between the nodes for every reader: the
-transversality transport takes the Jacobian of its values too.
+interpolant of y from them (eigensystem.hermite_table), reads values and
+slopes at fixed offsets in its cells (eigensystem.cell_values) and
+checks every equation of rhs_array, phi' = psi too.  That interpolant
+is the profile between the nodes for every reader: the transversality
+transport takes the Jacobian of its values too.
 """
 
 from __future__ import annotations
@@ -211,24 +212,22 @@ PAIR_COLUMNS = ([3, 4, 5, 0, 1, 2, 9], [0, 1, 2, 6, 7, 8, 9])
 
 
 def _residual(y, h, mid_idx, params, end, far):
-    """Newton residual F and the cells' midpoint states ym, which
-    _cell_blocks reads; far is far_field_rows(...).
+    """Newton residual F = (cells, closing) of y, and the cells' midpoint
+    states ym, which _cell_blocks reads; far is far_field_rows(...).
 
-    F's rows are the left projection row, the cells left of the pinned
-    node, the phase condition, the remaining cells and the right
-    projection row; cell k gives rows 3k + 1 .. 3k + 3, one more from the
-    pinned node on.
+    cells, shape (n - 1, 3), holds cell k's residual in row k; closing
+    holds the left projection row, the phase condition and the right
+    projection row.
     """
     f = rhs_array(y, params, end)
     ym = 0.5 * (y[:-1] + y[1:]) - (h / 8.0) * (f[1:] - f[:-1])
     fm = rhs_array(ym, params, end)
-    res = y[1:] - y[:-1] - (h / 6.0) * (f[:-1] + 4.0 * fm + f[1:])
+    cells = y[1:] - y[:-1] - (h / 6.0) * (f[:-1] + 4.0 * fm + f[1:])
     rows, ends = far
-    phase = y[mid_idx, 0] - 0.5 * (params.v_minus + params.v_plus)
-    F = np.concatenate([[rows[0] @ (y[0] - ends[0])], res[:mid_idx].ravel(),
-                        [phase], res[mid_idx:].ravel(),
-                        [rows[1] @ (y[-1] - ends[1])]])
-    return F, ym
+    closing = np.array([rows[0] @ (y[0] - ends[0]),
+                        y[mid_idx, 0] - 0.5 * (params.v_minus + params.v_plus),
+                        rows[1] @ (y[-1] - ends[1])])
+    return (cells, closing), ym
 
 
 def _cell_blocks(y, h, params, end, ym):
@@ -272,12 +271,12 @@ def _newton_system(y, h, mid_idx, params, end, ym, F):
     W = np.zeros((6, 10, 2, m // 2))
     carry = np.empty((3, 7, 2, m % 2))
     for chain in range(2):
-        node0, row0 = chain * m, 1 + chain * (3 * m + 1)
+        node0 = chain * m
         for a in range(0, m, BLOCK_CELLS):
             b = min(a + BLOCK_CELLS, m)
             L, R = _cell_blocks(y[node0 + a:node0 + b + 1], h, params, end,
                                 ym[node0 + a:node0 + b])
-            rhs = -F[row0 + 3 * a:row0 + 3 * b].reshape(b - a, 3, 1)
+            rhs = -F[0][node0 + a:node0 + b, :, None]
             cells = np.concatenate([L, R, rhs], axis=2).transpose(1, 2, 0)
             _pair_cells(W[:, :, chain], carry[:, :, chain], a, cells)
     return W, carry
@@ -319,10 +318,9 @@ def _newton_step(y, h, mid_idx, params, end, ym, far, F):
     LinAlgError when a triangular factor has a zero diagonal entry or the
     closing 9x9 matrix is singular.
     """
-    m = mid_idx
     W, carry = _newton_system(y, h, mid_idx, params, end, ym, F)
     rows = far[0]
-    ends_rhs = -F[[0, 3 * m + 1, -1]]
+    ends_rhs = -F[1]
     if not all(np.isfinite(a).all() for a in (W, carry, rows, ends_rhs)):
         raise ValueError("the Newton matrix or residual is not finite")
     levels = []
@@ -439,9 +437,9 @@ def solve_profile(params: PlasmaParams, end: ShockEndstates,
     far = far_field_rows(params, end)
 
     def defect(y):
-        # max-norm residual, with the residual and midpoint states
+        # max-norm residual (a nan stays nan), residual, midpoint states
         F, ym = _residual(y, h, mid_idx, params, end, far)
-        return np.max(np.abs(F)), F, ym
+        return np.maximum(np.abs(F[0]).max(), np.abs(F[1]).max()), F, ym
 
     y = initial_guess(x, params, end)
     norm, F, ym = defect(y)
@@ -491,36 +489,29 @@ def solve_profile(params: PlasmaParams, end: ShockEndstates,
 def profile_cells(grid: ProfileGrid) -> np.ndarray:
     """Piecewise quintic (C^2) through the nodes, from order-3 jets.
 
-    Returns its hermite_table cells, shape (6, n - 1, 4).  Components are
-    (v, u, phi, psi); psi gets its own component so that residual checks
-    of the first-order system never differentiate an interpolant twice.
+    Returns its hermite_table cells, shape (6, n - 1, 3), in the state
+    y = (v, phi, psi) of rhs_array.  psi has its own cells, matched to
+    phi' only at the nodes, so that residual checks of the first-order
+    system never differentiate an interpolant twice.
     """
     vj, pj, _ = grid.jets
-    s = grid.end.s
-    dv1, dv2 = vj.derivative(1), vj.derivative(2)
-    values = np.stack([grid.v, grid.u, grid.phi, grid.psi], axis=-1)
-    d1 = np.stack([dv1, -s * dv1, pj.derivative(1), pj.derivative(2)], axis=-1)
-    d2 = np.stack([dv2, -s * dv2, pj.derivative(2), pj.derivative(3)], axis=-1)
+    values = np.stack([grid.v, grid.phi, grid.psi], axis=-1)
+    d1 = np.stack([vj.derivative(1), pj.derivative(1), pj.derivative(2)],
+                  axis=-1)
+    d2 = np.stack([vj.derivative(2), pj.derivative(2), pj.derivative(3)],
+                  axis=-1)
     return hermite_table(grid.x, values, d1, d2)
 
 
 def profile_residual(grid: ProfileGrid) -> np.ndarray:
-    """Max |y' - F(y)| of the interpolant per equation at RESIDUAL_REFINE
-    + 1 equally spaced points of every cell, both ends included."""
+    """Max |y' - F(y)| of the interpolant per equation of rhs_array, v'
+    = f1, phi' = psi and psi' = f3, at RESIDUAL_REFINE + 1 equally spaced
+    points of every cell, both ends included."""
     cells, h = profile_cells(grid), 2.0 * grid.X / (grid.n - 1)
     offsets = np.arange(RESIDUAL_REFINE + 1) * (h / RESIDUAL_REFINE)
-    vals, derivs = (cell_values(cells, offsets, nu) for nu in (0, 1))
-    v, phi, psi = vals[..., 0], vals[..., 2], vals[..., 3]
-    dv, du, dpsi = derivs[..., 0], derivs[..., 1], derivs[..., 3]
-    s = grid.end.s
-
-    f1, f2, f3 = profile_rhs(v, phi, psi, grid.params, grid.end)
-    res_v = dv - f1              # integrated momentum balance
-    res_u = du + s * dv          # mass balance; exact by elimination
-    res_psi = dpsi - f3          # field equation
-    return np.array([np.max(np.abs(res_v)),
-                     np.max(np.abs(res_u)),
-                     np.max(np.abs(res_psi))])
+    y, dy = (cell_values(cells, offsets, nu) for nu in (0, 1))
+    return np.max(np.abs(dy - rhs_array(y, grid.params, grid.end)),
+                  axis=(0, 1))
 
 
 @dataclass(frozen=True)

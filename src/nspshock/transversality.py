@@ -12,8 +12,9 @@ equation of the profile ODE, written in V = (u, phi, phi') =
 with J the Jacobian of the profile right-hand side (profile.rhs_jacobian).
 Eliminating the two relations through the 5x5 closure of eigensystem
 gives the same matrix to 1e-15 relative on the benchmark amplitudes
-0.02-0.19.  Its bounded-solution space is spanned
-by the wave derivative exactly when the connecting orbit is transverse.
+0.02-0.19.  Its bounded-solution space is spanned by the wave
+derivative (-s vbar', psi, psi') (wave_derivative) exactly when the
+connecting orbit is transverse.
 
 The count is computed by subspace propagation: the plane of solutions
 bounded as x -> +inf, carried backward from +X, is intersected at x = 0
@@ -23,8 +24,9 @@ y' = -Atilde^T y; no diagonalizing change of variables or QR frame is
 needed: at x = 0 the planes meet along the cross product of their unit
 normals.  Each normal starts as the profile's projection row at its end
 (profile.far_field_rows), so no end rate is classified here.
-Between the nodes Atilde is read on the profile's own quintic cells
-(profile.profile_cells, which the ode_residual check certifies).
+Between the nodes Atilde is read on the profile's own quintic cells of
+y = (v, phi, psi) (profile.profile_cells); the ode_residual check
+certifies all three equations they hold, phi' = psi included.
 
 The adjoint equation is linear and free of lam, so the normals are not
 integrated step by step: each cell is cut into SUBSTEPS equal steps,
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensystem import background_wave, cell_values, wave_residual
+from .eigensystem import cell_values, wave_residual
 # never called here: re-exported only so that the WRAPS table of
 # perfbench/tracer.py, which patches transversality.interior_coefficients,
 # transversality.interior_matrix_coeffs and transversality.solve_ivp,
@@ -54,7 +56,6 @@ from .eigensystem import background_wave, cell_values, wave_residual
 from .eigensystem import (interior_coefficients,  # noqa: F401
                           interior_matrix_coeffs)
 from .ode import solve_ivp  # noqa: F401
-from .jets import Jet
 from .params import PlasmaParams, ShockEndstates
 from .profile import (ProfileGrid, far_field_rows, profile_cells,
                       rhs_jacobian)
@@ -113,8 +114,8 @@ class ReducedSystem:
         table = self.cells[:, cells]
 
         def read(offsets) -> np.ndarray:
-            y = cell_values(table, offsets)[..., [0, 2, 3]]
-            return reduced_matrix(y, self.params, self.end)
+            return reduced_matrix(cell_values(table, offsets), self.params,
+                                  self.end)
 
         return read
 
@@ -135,16 +136,22 @@ def build_reduced_system(grid: ProfileGrid) -> ReducedSystem:
         sigma=limit_eigenvalues(grid.params))
 
 
-def reduced_wave_residual(system: ReducedSystem, grid: ProfileGrid) -> float:
-    """Relative defect of the wave derivative in the reduced system: the
-    columns (u, phi, phi') of eigensystem.background_wave, formed by the
-    same jet operations without its other two."""
+def wave_derivative(grid: ProfileGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The wave derivative in V, (-s vbar', psi, psi'), and its
+    x-derivative at the nodes, each of shape (n, 3), from the grid's state
+    jets: the columns (u, phi, phi') of eigensystem.background_wave,
+    formed by the same jet operations without its other two."""
     v, _, psi = grid.jets
     du = -grid.end.s * v.deriv()
     W = np.stack([du.value, psi.value, psi.derivative(1)], axis=-1)
     dW = np.stack([du.derivative(1), psi.derivative(1), psi.derivative(2)],
                   axis=-1)
-    return wave_residual(system.tables, W, dW)
+    return W, dW
+
+
+def reduced_wave_residual(system: ReducedSystem, grid: ProfileGrid) -> float:
+    """Relative defect of the wave derivative in the reduced system."""
+    return wave_residual(system.tables, *wave_derivative(grid))
 
 
 # Magnus steps per profile cell, and the coarser count whose result
@@ -332,11 +339,8 @@ def bounded_solution_dim(system: ReducedSystem) -> TransversalityResult:
 
 def angle_to_wave(vector: np.ndarray, grid: ProfileGrid) -> float:
     """Angle in radians between a vector at x = 0 and the wave derivative
-    (ubar', phibar', phibar'')(0), by arctan2 of sine and cosine so that
-    tiny angles are resolved."""
-    # the wave derivative at x = 0 alone: the jets cut to that node
-    Vbar = background_wave(*(Jet(j.coef[:, [grid.n // 2]])
-                             for j in grid.jets),
-                           grid.params, grid.end)[0][0, [1, 3, 4]]
+    (ubar', phibar', phibar'')(0) (wave_derivative), by arctan2 of sine
+    and cosine so that tiny angles are resolved."""
+    Vbar = wave_derivative(grid)[0][grid.n // 2]
     return float(np.arctan2(np.linalg.norm(np.cross(vector, Vbar)),
                             abs(vector @ Vbar)))

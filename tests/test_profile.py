@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -90,8 +91,7 @@ def test_derivative_table_against_finite_differences(grid_ref):
 def test_interpolant_reproduces_nodes(grid_ref):
     # both ends of every cell: the nodes
     ends = cell_values(profile_cells(grid_ref), [0.0, grid_ref.h])
-    stored = np.stack([grid_ref.v, grid_ref.u, grid_ref.phi, grid_ref.psi],
-                      axis=-1)
+    stored = np.stack([grid_ref.v, grid_ref.phi, grid_ref.psi], axis=-1)
     assert np.max(np.abs(ends[:, 0] - stored[:-1])) < 1e-13
     assert np.max(np.abs(ends[:, 1] - stored[1:])) < 1e-13
 
@@ -109,10 +109,36 @@ def test_interpolant_matches_ppoly_of_its_cells(grid_ref):
     for offsets, orders in reads:
         xs = grid_ref.x[:-1, None] + offsets
         for nu in orders:
-            ref = poly(xs.ravel(), nu).reshape(xs.shape + (4,))
+            ref = poly(xs.ravel(), nu).reshape(xs.shape + (3,))
             assert np.all(np.isfinite(ref))
             assert np.max(np.abs(cell_values(cells, offsets, nu) - ref)) \
                 <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_phi_residual_is_the_gap_of_phi_prime_and_psi(grid_ref):
+    # entry 1 of the residual is phi' = psi on the same cells, read by
+    # scipy's piecewise polynomial at the same points; the two reads
+    # differ by rounding alone, about 1e-6 of the residual
+    poly = PPoly(profile_cells(grid_ref), grid_ref.x)
+    offsets = np.arange(RESIDUAL_REFINE + 1) * (grid_ref.h / RESIDUAL_REFINE)
+    xs = (grid_ref.x[:-1, None] + offsets).ravel()
+    gap = np.max(np.abs(poly(xs, 1)[:, 1] - poly(xs)[:, 2]))
+    assert 0.0 < gap <= 1e-8
+    assert profile_residual(grid_ref)[1] == pytest.approx(gap, rel=1e-4)
+
+
+def test_phi_cells_that_miss_psi_show_in_the_residual(grid_ref):
+    # phi moved by +-eps on alternate nodes keeps phi' = psi at the nodes,
+    # but the phi cells then climb 2 eps between them, at a peak slope of
+    # 15/8 of 2 eps / h; only the phi equation's entry sees the whole gap
+    eps = 1e-10
+    bumped = replace(grid_ref,
+                     phi=grid_ref.phi + eps * (-1.0) ** np.arange(grid_ref.n))
+    before = verify_profile(grid_ref).max_residual
+    after = verify_profile(bumped).max_residual
+    assert before[1] <= 1e-12
+    assert after[1] >= 3.0 * eps / grid_ref.h
+    assert np.max(after[[0, 2]]) <= 0.1 * after[1]
 
 
 def test_decay_rate_matches_slow_root(grid_ref):
@@ -214,11 +240,20 @@ def test_solved_grid_carries_its_order_3_jets(grid_ref):
             assert np.array_equal(stored.coef[:shared], own.coef[:shared])
 
 
+def _band_rhs(F, mid):
+    """_residual's F = (cells, closing) as one vector in the row order of
+    _newton_band: the left projection row, the cells left of the pinned
+    node, the phase condition, the remaining cells and the right
+    projection row."""
+    cells, closing = F
+    return np.concatenate([closing[:1], cells[:mid].ravel(), closing[1:2],
+                           cells[mid:].ravel(), closing[2:]])
+
+
 def _newton_band(y, h, mid, p, end, ym, far):
     """The Newton matrix in scipy.linalg.solve_banded's (4, 4) band
     storage, a[row, col] at ab[4 + row - col, col], rows in the order of
-    _residual's F; built from the cells' blocks and the end and phase
-    rows."""
+    _band_rhs; built from the cells' blocks and the end and phase rows."""
     L, R = _cell_blocks(y, h, p, end, ym)
     rows = far[0]
     size = y.size
@@ -275,16 +310,17 @@ def small_system():
 def test_band_matrix_is_the_jacobian_of_its_residual(small_system):
     # oracle: central differences of the residual
     p, end, y, h, mid, far = small_system
-    F, ym = _residual(y, h, mid, p, end, far)
+    _, ym = _residual(y, h, mid, p, end, far)
     dense = _dense_from_band(_newton_band(y, h, mid, p, end, ym, far), 4)
 
     def residual(flat):
-        return _residual(flat.reshape(y.shape), h, mid, p, end, far)[0]
+        return _band_rhs(_residual(flat.reshape(y.shape), h, mid, p, end,
+                                   far)[0], mid)
 
     step = 1e-6
     fd = np.empty_like(dense)
-    for k in range(F.size):
-        e = np.zeros(F.size)
+    for k in range(y.size):
+        e = np.zeros(y.size)
         e[k] = step
         fd[:, k] = (residual(y.ravel() + e) - residual(y.ravel() - e)) / (2 * step)
     assert np.max(np.abs(dense - fd)) <= 1e-6 * np.max(np.abs(fd))
@@ -310,7 +346,8 @@ def test_band_solve_matches_solve_banded(monkeypatch):
                  (0.1, 4001, None), (0.19, 4001, None)):
         p, end, y, h, mid, far, F, ym = _first_newton_system(*case)
         band = _newton_band(y, h, mid, p, end, ym, far)
-        expected = solve_banded((4, 4), band, -F).reshape(y.shape)
+        expected = solve_banded((4, 4), band,
+                                -_band_rhs(F, mid)).reshape(y.shape)
         step = _newton_step(y, h, mid, p, end, ym, far, F)
         assert (np.max(np.abs(step - expected))
                 <= 1e-13 * np.max(np.abs(expected))), case
