@@ -12,12 +12,11 @@ representatives.  Each transported row is divided there by its norm, a
 positive real factor kept as a log scale and multiplied back, so the
 computed value stays the analytic determinant.
 
-One transport carries a whole batch of lam, and on a batch that holds
-lam = 0 Gamma's fast pair at -inf rides along: `integrate_wedge` carries
-all rows as one real state in one DOP853 solve over a pseudo-time t in
-[0, X].  The shifts keep every row O(1) on the way (|log scale| at x = 0
-is at most 2.01 from delta = 0.02 to 0.182), so nothing is renormalized
-in between.  The DOP853 step is ode.solve_ivp, imported here by name, so
+One transport carries a whole batch of lam, two rows per lam:
+`integrate_wedge` carries them as one real state in one DOP853 solve over
+a pseudo-time t in [0, X].  The shifts keep every row O(1) on the way
+(|log scale| at x = 0 is at most 2.01 from delta = 0.02 to 0.182), so
+nothing is renormalized in between.  The DOP853 step is ode.solve_ivp, imported here by name, so
 that replacing evans.solve_ivp replaces the transport's solver.  Its
 step control bounds the RMS error over the batch instead of each wedge's
 own; tests/test_evans.py holds batched D to one-lam-at-a-time D within
@@ -55,8 +54,8 @@ GENERATORS, built at import: a right-hand-side call forms the generators
 of each side's coefficients in one product with it and lifts nothing
 (wedge_rhs).  The starting eigenvectors of a batch come from one stacked
 eigen-decomposition per side, labelled in one step from lam = 0
-(modes.analytic_eigenpairs).  Gamma reads the wedges and the fast pair
-of the lam = 0 sample and transports nothing of its own.
+(modes.analytic_eigenpairs).  Gamma reads the two wedges of the lam = 0
+sample, its fast pair at -inf included, and transports nothing of its own.
 
 Initial data at the cut ends come from the analytically continued
 eigenvectors of the limit matrices, so D inherits analyticity in lam
@@ -82,7 +81,7 @@ meaningful, not their absolute scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -111,20 +110,19 @@ from .profile import ProfileGrid, slow_decay_rate
 # unused here; kept so that WRAPS in perfbench/tracer.py can patch them
 from .profile import solve_profile  # noqa: F401
 from .wedge import lift3  # noqa: F401
-from .wedge import (dual_matrix, hodge, lift2, skew, solve_wedge_factor,
-                    wedge2, wedge3)
+from .wedge import (dual_matrix, hodge, interior, lift2, skew,
+                    solve_wedge_factor, wedge2, wedge3)
 
 # branch columns of ModePath used for the decaying bundles
 PLUS_PAIR = (0, 1)        # gamma1+, gamma2+ decay as x -> +inf
 MINUS_TRIPLE = (0, 2, 4)  # gamma1-, gamma3-, slow branch decay as x -> -inf
-MINUS_FAST = (0, 2)       # the two fast columns of the minus bundle
 # counters kept by integrate_wedge; EvansSystem.work adds the evaluator
 # rounds and the lam they carried (see make_evaluator)
 WORK_COUNTS = ("transports", "rhs_calls", "steps")
 # the blocks of a transport: the end each starts from (-1: +X, at
 # x = X - t; +1: -X, at x = t - X) and what its rows hold ("w2":
 # 2-wedges, "w3": duals of 3-wedges)
-BLOCKS = {"plus": (-1, "w2"), "minus": (1, "w3"), "fast": (1, "w2")}
+BLOCKS = {"plus": (-1, "w2"), "minus": (1, "w3")}
 # vec(A) -> vec(G(A)) for each kind of row, G the generator that moves it:
 # lift2(A) for 2-wedges, lift2(dual_matrix(A)) for duals of 3-wedges.
 # Both are linear in A, so one (25, 100) map per kind, the lifts of the 25
@@ -159,6 +157,9 @@ N_ARC, N_INNER, N_SEG = 24, 16, 10
 # most MAX_ROUNDS rounds; Gamma's wedge factors must fit to FACTOR_TOL
 PHASE_TOL, MAX_ROUNDS = 0.25 * np.pi, 14
 FACTOR_TOL = 1e-6
+# step of the five-point difference for D'(0) over rho: its h^4 truncation
+# sets derivative_agreement, up to 3.3e-9 here and 8.4e-7 at rho/10
+DIFF_STEP = 1.0 / 40.0
 
 
 @dataclass(frozen=True)
@@ -380,43 +381,34 @@ def wedge_rhs(sys: EvansSystem, blocks: dict):
     per block, in the order of the rows.  A block from -d X sits at
     x = d (t - X) and its rows follow y' = d (G(A(x, lam)) y - shift y),
     G the block's GENERATORS.  A(x, lam) = A0 + lam A1 + lam^2 A2 and all
-    of it is linear, so each call reads each side's coefficients once and
-    forms the generators of every kind of row there in one product with
-    the fixed maps; nothing is lifted per call.  y and the result are real,
-    the float view of the transposed (10, rows) complex state: columns 2 r
+    of it is linear, so each call reads each block's coefficients once and
+    forms their generators in one product with the block's fixed map;
+    nothing is lifted per call.  y and the result are real, the float view of the transposed (10, rows) complex state: columns 2 r
     and 2 r + 1 of y.reshape(10, -1) are row r's real and imaginary parts.
     The generators act on a block's columns in one real matrix product, and
     one Horner evaluation on the complex view combines them per lam.
     """
     X = sys.X
-    terms, sides, start = [], {}, 0
+    terms, start = [], 0
     for name, (lams, _) in blocks.items():
         d, which = BLOCKS[name]
-        kinds = sides.setdefault(d, [])
-        if which not in kinds:
-            kinds.append(which)
-        # the block's columns of the transposed state, viewed as reals
+        # the block's columns of the transposed state, viewed as reals,
+        # and its map vec(A) -> vec(d G(A))
         cols = slice(2 * start, 2 * (start + lams.size))
         start += lams.size
-        terms.append((d, kinds.index(which), cols))
+        terms.append((d, d * GENERATORS[which], cols))
     lam = np.concatenate([lams for lams, _ in blocks.values()])
     shift = np.concatenate([BLOCKS[name][0] * shifts
                             for name, (_, shifts) in blocks.items()])
-    # vec(A) -> vec(d G(A)) for each kind of row on side d
-    maps = {d: d * np.stack([GENERATORS[k] for k in kinds])
-            for d, kinds in sides.items()}
     # G(d A0), G(d A1), G(d A2) times the transposed state (10, rows)
     Z = np.empty((3, 10, start), dtype=complex)
     Zf = Z.view(float).reshape(30, 2 * start)
 
     def rhs(t, y):
         Yf = y.reshape(10, 2 * start)
-        G = {}
-        for d, M in maps.items():
+        for d, M, cols in terms:
             A = sys.coefficients(_side_x(d, t, X)).reshape(3, 25)
-            G[d] = (A @ M).reshape(-1, 30, 10)
-        for d, k, cols in terms:
-            np.matmul(G[d][k], Yf[:, cols], out=Zf[:, cols])
+            np.matmul((A @ M).reshape(30, 10), Yf[:, cols], out=Zf[:, cols])
         dY = Z[0] + lam * (Z[1] + lam * Z[2]) - shift * Yf.view(complex)
         return dY.view(float).ravel()
 
@@ -427,9 +419,9 @@ def integrate_wedge(sys: EvansSystem, **blocks):
     """Carry blocks of shifted wedges to x = 0 in one transport.
 
     Each keyword names a block of BLOCKS ("plus": 2-wedges from +X,
-    "minus": duals of 3-wedges from -X, "fast": 2-wedges from -X) and gives
-    (lams, y0, shifts): m values of lam, the (m, 10) wedges at the block's
-    end and one shift per lam.  All rows travel as one DOP853 state over
+    "minus": duals of 3-wedges from -X) and gives (lams, y0, shifts): m
+    values of lam, the (m, 10) wedges at the block's end and one shift per
+    lam.  All rows travel as one DOP853 state over
     the pseudo-time t in [0, X] (see wedge_rhs) in one solve_ivp call: the
     shifts keep every row O(1) along the way, so nothing is renormalized
     in between.  At x = 0 every row is divided by its norm, whose log is
@@ -496,9 +488,6 @@ class EvansSample:
     # the Hodge dual hodge(w3) of the unit 3-wedge: D = w2 . w3 exp(scale)
     w3: np.ndarray = field(repr=False, compare=False)
     log3: float = field(repr=False, compare=False)
-    # Gamma's fast pair at -inf, carried only at lam = 0
-    wf: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    logf: Optional[float] = field(default=None, repr=False, compare=False)
 
 
 def corrected_start(sys: EvansSystem, name: str, lams: np.ndarray,
@@ -540,14 +529,13 @@ def corrected_start(sys: EvansSystem, name: str, lams: np.ndarray,
 def evans_value(sys: EvansSystem, lam):
     """D at a scalar lam, or a list of samples for an array of lam.
 
-    The unit 2-wedges w2 decaying at +inf, the duals z = hodge(w3) of
-    the unit 3-wedges decaying at -inf and, at lam = 0, the fast pair at
-    -inf are all carried to x = 0 in one transport (integrate_wedge);
+    The unit 2-wedges w2 decaying at +inf and the duals z = hodge(w3) of
+    the unit 3-wedges decaying at -inf are carried to x = 0 in one
+    transport (integrate_wedge), the same two rows for every lam;
     D = w2 . z.  Each block starts from its limit rows with the tail-gap
     correction of corrected_start.
     """
     lams = np.atleast_1d(np.asarray(lam, dtype=complex))
-    zero = np.flatnonzero(lams == 0)
     mu_p, V_p = _side_modes(sys, "plus", lams)
     mu_m, V_m = _side_modes(sys, "minus", lams)
     i, j = PLUS_PAIR
@@ -557,21 +545,14 @@ def evans_value(sys: EvansSystem, lam):
     blocks["minus"] = (lams,
                        hodge(wedge3(V_m[:, :, i], V_m[:, :, j], V_m[:, :, k])),
                        mu_m[:, i] + mu_m[:, j] + mu_m[:, k])
-    if zero.size:
-        i, j = MINUS_FAST
-        blocks["fast"] = (lams[zero],
-                          wedge2(V_m[zero, :, i], V_m[zero, :, j]),
-                          mu_m[zero, i] + mu_m[zero, j])
     out = integrate_wedge(sys, **{
         name: (z, corrected_start(sys, name, z, y0, shifts), shifts)
         for name, (z, y0, shifts) in blocks.items()})
     (w2, log2), (z, log3) = out["plus"], out["minus"]
-    fast = dict(zip(zero.tolist(), zip(*out["fast"]))) if zero.size else {}
     scale = log2 + log3
     D = np.sum(w2 * z, -1) * np.exp(scale)
     samples = [EvansSample(complex(point), complex(D[k]), float(scale[k]),
-                           w2[k], float(log2[k]), z[k], float(log3[k]),
-                           *fast.get(k, (None, None)))
+                           w2[k], float(log2[k]), z[k], float(log3[k]))
                for k, point in enumerate(lams)]
     return samples[0] if np.ndim(lam) == 0 else samples
 
@@ -649,8 +630,8 @@ def winding_number(evaluate: Callable, contour: Contour):
 
 def derivative_points(rho: float, n_quad: int = N_CIRCLE) -> np.ndarray:
     """The n_quad Cauchy nodes on |lam| = rho (circle_contour's points),
-    then 2h, h, -h, -2h."""
-    h = rho / 10.0
+    then 2h, h, -h, -2h with h = DIFF_STEP rho."""
+    h = DIFF_STEP * rho
     return np.concatenate([circle_contour(rho, n_quad).points,
                            [2 * h, h, -h, -2 * h]])
 
@@ -661,14 +642,14 @@ def evans_derivative_origin(evaluate: Callable, rho: float,
 
     For analytic D with D(0) = 0 the trapezoid sum (1/n) sum D(l_k)/l_k
     over the n-th roots of unity scaled by rho converges spectrally;
-    the five-point central difference at rho/10 is the independent
-    cross-check.  All points go to evaluate in one array.
+    the five-point central difference at h = DIFF_STEP rho is the
+    independent cross-check.  All points go to evaluate in one array.
     """
     pts = derivative_points(rho, n_quad)
     vals = evaluate(pts)
     cauchy = complex(np.sum(vals[:n_quad] / pts[:n_quad]) / n_quad)
     d2h, dh, dmh, dm2h = vals[n_quad:]
-    h = rho / 10.0
+    h = DIFF_STEP * rho
     fd = complex((-d2h + 8 * dh - 8 * dmh + dm2h) / (12.0 * h))
     return cauchy, fd
 
@@ -688,16 +669,21 @@ def gamma_transversality(sys: EvansSystem,
     """Connection coefficient Gamma from the lam = 0 bundles.
 
     origin is the sample of D at lam = 0, e.g. evans_value(sys, 0.0);
-    its bundles and the fast pair at -inf that rode along in its
-    transport are reused, so nothing is transported here.
+    its two bundles are reused, so nothing is transported here.
+
+    The fast 2-plane at -inf is the slice s v + u = 0 of the minus
+    3-plane: l = (s, 1, 0, 0, 0) has l A(x, 0) = 0, since the closure's
+    first row is (s v + u)' = lam v, and vanishes on both fast
+    eigenvectors, so i_l w3 = l(rtilde2) wf with rtilde2 the slow column
+    and wf the fast 2-wedge in the normalization of D.
 
     The wave derivative W0 lies in both bundles; the least-squares
     factors phi2+ (completing W0 in the 2-plane decaying at +inf) and
     phi4- (completing W0 in the fast 2-plane at -inf) are extracted
-    from the transported wedges, mapped by the flux rows, and combined
-    into the 3x3 determinant weighted by a2- / det R(0).  Everything is
-    computed with the same basis normalization used for D, so the
-    factorization of D'(0) can be checked without free constants.
+    from the wedges, mapped by the flux rows, and combined into the 3x3
+    determinant weighted by a2- / det R(0).  Everything is computed with
+    the same basis normalization used for D, so the factorization of
+    D'(0) can be checked without free constants.
     """
     if sys.params.delta_s == 0.0:
         raise ValueError("zero-amplitude wave has no connection coefficient")
@@ -705,11 +691,13 @@ def gamma_transversality(sys: EvansSystem,
         raise ValueError(f"Gamma needs the sample at lam = 0, got {origin.lam}")
 
     w2, log2, z = origin.w2, origin.log2, origin.w3
-    wf, logf = origin.wf, origin.logf
+    slow = slow_expansion(sys.params, sys.end, "minus")
+    ell = np.array([sys.end.s, 1.0, 0.0, 0.0, 0.0])
+    wf = interior(ell, z) * (np.exp(origin.log3) / (ell @ slow.rtilde[1]))
 
     W0 = sys.W0_mid
     phi2, res2 = solve_wedge_factor(W0, w2 * np.exp(log2))
-    phi4, res4 = solve_wedge_factor(W0, wf * np.exp(logf))
+    phi4, res4 = solve_wedge_factor(W0, wf)
     if max(res2, res4) > FACTOR_TOL:
         raise RuntimeError(
             "wave derivative is not contained in the transported planes "
@@ -732,13 +720,12 @@ def gamma_transversality(sys: EvansSystem,
     cols = np.stack([flux_rows(phi2), flux_rows(W0.astype(complex)),
                      flux_rows(phi4)], axis=1)
     det3 = np.linalg.det(cols)
-    a2 = slow_expansion(sys.params, sys.end, "minus").a2
-    gamma = a2 / det_R0 * det3
+    gamma = slow.a2 / det_R0 * det3
     if abs(gamma.imag) > 1e-8 * max(1.0, abs(gamma.real)):
         raise RuntimeError("connection coefficient has a spurious "
                            f"imaginary part {gamma.imag:.3e}")
     return GammaResult(
-        Gamma=float(gamma.real), det_R0=float(det_R0), a2_minus=float(a2),
+        Gamma=float(gamma.real), det_R0=float(det_R0), a2_minus=float(slow.a2),
         factor_residual_plus=float(res2), factor_residual_fast=float(res4),
         containment_minus=contain)
 

@@ -297,6 +297,8 @@ def _task_evans(config, end, ctx, outdir):
         "tolerance": {"rtol": evans.RTOL, "atol": evans.ATOL},
         "det_R0": rep.gamma.det_R0, "a2_minus": rep.gamma.a2_minus,
         "containment_minus": rep.gamma.containment_minus,
+        "factor_residual_plus": rep.gamma.factor_residual_plus,
+        "factor_residual_fast": rep.gamma.factor_residual_fast,
         "modes": _mode_metrics(config.params, end),
         "newton": _newton(grid),
     })

@@ -8,7 +8,7 @@ derivation lift2(A), a constant map applied to vec(A) (lifting is
 linear), and on duals as hodge lift3(A) hodge^-1 = tr(A) I - lift2(A)^T,
 the lift2 of dual_matrix(A) = tr(A)/2 I - A^T.  lift3 and wedge3 work
 in Lambda^3 itself.  Partial wedges give containment tests and column
-factors via least squares.
+factors via least squares; interior slices a 3-plane by a covector.
 """
 
 from __future__ import annotations
@@ -120,6 +120,14 @@ def skew(w2) -> np.ndarray:
     W[..., _I2, _J2] = w2
     W[..., _J2, _I2] = -w2
     return W
+
+
+def interior(l, z):
+    """l(a) b^c - l(b) a^c + l(c) a^b, the interior product of the covector
+    l with w3 = a^b^c given by its dual z = hodge(w3): hodge(l ^ z)."""
+    l, Z = np.asarray(l), skew(z)
+    return hodge(l[_I3] * Z[..., _J3, _K3] - l[_J3] * Z[..., _I3, _K3]
+                 + l[_K3] * Z[..., _I3, _J3])
 
 
 def solve_wedge_factor(a, w2):

@@ -14,7 +14,6 @@ from nspshock.eigensystem import (hermite_table, interior_coefficients,
 from nspshock.evans import (
     ATOL,
     BLOCKS,
-    MINUS_FAST,
     MINUS_TRIPLE,
     PLUS_PAIR,
     PROBE_ORDER,
@@ -41,11 +40,11 @@ from nspshock.evans import (
     write_evans_csv,
 )
 from nspshock import evans as evans_module
-from nspshock.modes import fast_roots
+from nspshock.modes import fast_roots, slow_expansion
 from nspshock.params import PlasmaParams, solve_rankine_hugoniot
 from nspshock.profile import (DEFAULT_NODES, EFOLDS, default_half_length,
                               slow_decay_rate, solve_profile)
-from nspshock.wedge import hodge, lift2, lift3, wedge2, wedge3
+from nspshock.wedge import hodge, interior, lift2, lift3, wedge2, wedge3
 
 from conftest import limit_matrix, make_params
 
@@ -280,11 +279,13 @@ def test_wedge_rhs_is_lifted_polynomial(esys, rng, m):
               for name in BLOCKS}
     rhs = wedge_rhs(esys, blocks)
     dual = [BLOCKS[name][1] == "w3" for name in blocks]
+    rows = len(BLOCKS) * m
     for t in (0.0, 3.7, X - 12.05, X - 3.7, X):
-        Y = (rng.standard_normal((3 * m, 10))
-             + 1j * rng.standard_normal((3 * m, 10)))
+        Y = (rng.standard_normal((rows, 10))
+             + 1j * rng.standard_normal((rows, 10)))
         state = np.concatenate([hodge(Y[b * m:(b + 1) * m]) if dual[b]
-                                else Y[b * m:(b + 1) * m] for b in range(3)])
+                                else Y[b * m:(b + 1) * m]
+                                for b in range(len(BLOCKS))])
         # the real layout of wedge_rhs: the float view of the transposed
         # rows, in and out
         packed = state.T.copy().view(float).ravel()
@@ -312,7 +313,7 @@ def test_wedge_rhs_lifts_nothing_per_call(esys, monkeypatch):
     blocks = {name: (np.array([1e-3 + 1e-3j]), np.array([0.1]))
               for name in BLOCKS}
     rhs = wedge_rhs(esys, blocks)
-    rhs(1.0, np.ones(2 * 3 * 10))
+    rhs(1.0, np.ones(2 * len(BLOCKS) * 10))
     assert lifted == []
 
 
@@ -348,10 +349,6 @@ def test_frozen_coefficients_need_no_start_correction(params_ref, end_ref,
     shifts = mu[:, i] + mu[:, j] + mu[:, k]
     assert np.array_equal(corrected_start(frozen, "minus", lams, y0, shifts),
                           y0)
-    i, j = MINUS_FAST
-    y0 = wedge2(V[:1, :, i], V[:1, :, j])
-    assert np.array_equal(corrected_start(frozen, "fast", lams[:1], y0,
-                                          mu[:1, i] + mu[:1, j]), y0)
     mu, V = evans_module._side_modes(frozen, "plus", lams)
     i, j = PLUS_PAIR
     y0 = wedge2(V[:, :, i], V[:, :, j])
@@ -416,15 +413,14 @@ def test_transport_failures_name_segment_and_lambda(params_ref, end_ref,
             r"normalization broke down at x = 0\.0 for lam = "
             r"\[0\.0003\+0j\] \(minus block\): norms")):
         integrate_wedge(frozen, minus=(lams, y0, np.zeros(3)))
-    # zero rows in the plus and the fast block of one transport: each
+    # zero rows in the plus and the minus block of one transport: each
     # block is named with x = 0 in its own frame and its lam
     with pytest.raises(RuntimeError, match=(
             r"broke down at x = 0\.0 for lam = \[0\.0003\+0j\] "
             r"\(plus block\); normalization broke down at x = 0\.0 for "
-            r"lam = \[0\+0j\] \(fast block\)")):
+            r"lam = \[0\+0j\] \(minus block\)")):
         integrate_wedge(frozen, plus=(lams, y0, np.zeros(3)),
-                        minus=(lams, np.ones((3, 10)), np.zeros(3)),
-                        fast=(0.0, np.zeros(10), 0.0))
+                        minus=(0.0, np.zeros(10), 0.0))
     # a non-finite coefficient table from x = -10 on stalls the solver
     # there; the error names the x of its last accepted step
     frozen.table[:, 60:, 0] = np.nan
@@ -449,7 +445,7 @@ def test_transport_failures_name_segment_and_lambda(params_ref, end_ref,
 
 
 def test_each_transport_is_one_solve(esys, monkeypatch):
-    # the plus, minus and fast rows of a batch travel over the whole
+    # the plus and minus rows of a batch travel over the whole
     # pseudo-time [0, X] in one DOP853 solve, with nothing restarted
     spans = []
 
@@ -478,8 +474,7 @@ def test_shifted_wedges_stay_order_one(delta):
                            derivative_points(rho, 16)])
     samples = evans_value(system, np.unique(lams[lams.imag >= 0]))
     logs = [s.log2 for s in samples] + [s.log3 for s in samples]
-    logs += [s.logf for s in samples if s.lam == 0]
-    assert len(logs) == 2 * len(samples) + 1
+    assert len(logs) == 2 * len(samples)
     assert np.max(np.abs(logs)) <= 5.0
 
 
@@ -530,7 +525,7 @@ def test_transport_meets_the_error_budget(config, monkeypatch):
     # circle_max for D(0) (origin_zero allows 1e-8), and 1e-9 relative for
     # Gamma, the Cauchy D'(0) and every sample D against max |D|
     # (guarantee 10 and derivative_agreement allow 1e-6).  D(0) binds:
-    # at RTOL = 1e-8 it moves 9.6e-12 of circle_max at v+ = 1.18
+    # at RTOL = 1e-8 it moves 9.9e-12 of circle_max at v+ = 1.18
     params = PlasmaParams(**config)
     grid = solve_profile(params, solve_rankine_hugoniot(params))
     run = evans_report(build_evans_system(grid))
@@ -756,63 +751,77 @@ def _transport_alone(system, which, lams, y0, shifts, x_from):
     return Y / norm[:, None], np.log(norm)
 
 
-def _start3(system, lams, w3, shifts):
-    """corrected_start of the minus block worked in Lambda^3 with lift3."""
+def _start_minus(system, lifter, lams, w, shifts):
+    """corrected_start at -X worked with lifter: lift3 for 3-wedges in
+    Lambda^3, lift2 for a 2-wedge there."""
     L0, L1 = limit_matrix_coeffs(system.params, system.end, "minus")
     A_inf = L0 + lams[:, None, None] * L1
     g = fast_roots(system.params, system.end, "minus").gamma1
-    M = lift3(A_inf) - (shifts + g)[:, None, None] * np.eye(10)
-    gap = lift3(system.coefficient_matrix(-system.X, lams) - A_inf)
-    return w3 + np.linalg.solve(M, -(gap @ w3[:, :, None]))[:, :, 0]
+    M = lifter(A_inf) - (shifts + g)[:, None, None] * np.eye(10)
+    gap = lifter(system.coefficient_matrix(-system.X, lams) - A_inf)
+    return w + np.linalg.solve(M, -(gap @ w[:, :, None]))[:, :, 0]
 
 
 def _per_side_samples(system, lams):
-    """Evans samples from three separate transports: the plus 2-wedges
-    backward from +X, the minus 3-wedges in Lambda^3 and the fast pair at
-    lam = 0 forward from -X, each from its corrected start.  The samples
-    hold the minus bundle as hodge(w3), as evans_value's do."""
+    """Evans samples from separate transports: the plus 2-wedges backward
+    from +X and the minus 3-wedges in Lambda^3 forward from -X, each from
+    its corrected start; the samples hold the minus bundle as hodge(w3),
+    as evans_value's do.  Also returns the fast pair at -inf at lam = 0,
+    the minus columns (0, 2), carried forward as a 2-wedge by a third
+    transport from its own corrected start, times exp of its log scale."""
     mu_p, V_p = evans_module._side_modes(system, "plus", lams)
     mu_m, V_m = evans_module._side_modes(system, "minus", lams)
 
-    def alone(name, lams, y0, shifts):
-        d, which = BLOCKS[name]
-        start = (_start3(system, lams, y0, shifts) if which == "w3" else
-                 corrected_start(system, name, lams, y0, shifts))
-        return _transport_alone(system, which, lams, start, shifts,
-                                -d * system.X)
-
     i, j = PLUS_PAIR
-    w2, log2 = alone("plus", lams, wedge2(V_p[:, :, i], V_p[:, :, j]),
-                     mu_p[:, i] + mu_p[:, j])
+    y0, shifts = wedge2(V_p[:, :, i], V_p[:, :, j]), mu_p[:, i] + mu_p[:, j]
+    w2, log2 = _transport_alone(
+        system, "w2", lams, corrected_start(system, "plus", lams, y0, shifts),
+        shifts, system.X)
     i, j, k = MINUS_TRIPLE
-    w3, log3 = alone("minus", lams,
-                     wedge3(V_m[:, :, i], V_m[:, :, j], V_m[:, :, k]),
-                     mu_m[:, i] + mu_m[:, j] + mu_m[:, k])
-    i, j = MINUS_FAST
-    wf, logf = alone("fast", lams[:1], wedge2(V_m[:1, :, i], V_m[:1, :, j]),
-                     mu_m[:1, i] + mu_m[:1, j])
+    y0 = wedge3(V_m[:, :, i], V_m[:, :, j], V_m[:, :, k])
+    shifts = mu_m[:, i] + mu_m[:, j] + mu_m[:, k]
+    w3, log3 = _transport_alone(system, "w3", lams,
+                                _start_minus(system, lift3, lams, y0, shifts),
+                                shifts, -system.X)
+    # the fast columns gamma1-, gamma3- of the minus bundle at lam = 0
+    zero = np.flatnonzero(lams == 0)[:1]
+    i, j = 0, 2
+    y0 = wedge2(V_m[zero, :, i], V_m[zero, :, j])
+    shifts = mu_m[zero, i] + mu_m[zero, j]
+    wf, logf = _transport_alone(
+        system, "w2", lams[zero],
+        _start_minus(system, lift2, lams[zero], y0, shifts), shifts, -system.X)
     z3 = hodge(w3)
     D = np.sum(w2 * z3, axis=-1) * np.exp(log2 + log3)
-    return [EvansSample(complex(z), complex(D[n]), float(log2[n] + log3[n]),
-                        w2[n], float(log2[n]), z3[n], float(log3[n]),
-                        wf[0] if n == 0 else None,
-                        float(logf[0]) if n == 0 else None)
-            for n, z in enumerate(lams)]
+    samples = [EvansSample(complex(z), complex(D[n]),
+                           float(log2[n] + log3[n]), w2[n], float(log2[n]),
+                           z3[n], float(log3[n]))
+               for n, z in enumerate(lams)]
+    return samples, wf[0] * np.exp(logf[0])
 
 
 def test_fused_transport_matches_per_side_transports(agreement_system):
-    # one transport over the pseudo-time carries the plus, minus and fast
-    # rows; each side carried by its own transport in x is the reference
+    # one transport over the pseudo-time carries the plus and minus rows;
+    # each side carried by its own transport in x is the reference.  At
+    # lam = 0 the slice s v + u = 0 of the minus 3-plane over the slow
+    # column's l(rtilde2), the fast plane Gamma reads, is the fast pair
+    # carried on its own: they agree to 1.0e-11 at delta = 0.1 and 3.3e-11
+    # at 0.17, and to 2.6e-13 with both transports at RTOL/100
     rho = 0.5 * agreement_system.disk_radius
     lams = np.concatenate([[0.0], rho * np.exp(2j * np.pi * np.arange(5) / 9)])
     fused = evans_value(agreement_system, lams)
-    alone = _per_side_samples(agreement_system, lams)
+    alone, fast = _per_side_samples(agreement_system, lams)
     for got, ref in zip(fused[1:], alone[1:]):
         assert abs(got.D - ref.D) <= 1e-10 * abs(ref.D)
     for got, ref in zip(fused, alone):
         for a, b in ((got.log2, ref.log2), (got.log3, ref.log3)):
             assert abs(a - b) <= 1e-10 * max(1.0, abs(b))
-    assert abs(fused[0].logf - alone[0].logf) <= 1e-10 * abs(alone[0].logf)
+    end = agreement_system.end
+    ell = np.array([end.s, 1.0, 0.0, 0.0, 0.0])
+    rtilde2 = slow_expansion(agreement_system.params, end, "minus").rtilde[1]
+    sliced = (interior(ell, alone[0].w3) * np.exp(alone[0].log3)
+              / (ell @ rtilde2))
+    assert np.linalg.norm(sliced - fast) <= 1e-10 * np.linalg.norm(fast)
     got = gamma_transversality(agreement_system, fused[0]).Gamma
     ref = gamma_transversality(agreement_system, alone[0]).Gamma
     assert abs(got - ref) <= 1e-10 * abs(ref)
@@ -848,8 +857,8 @@ def test_report_counts_its_transport_work(report):
     assert list(work) == ["transports", "rhs_calls", "steps", "samples",
                           "rounds", "transported"]
     assert work["samples"] == len(report.samples)
-    # one transport per evaluator round carries every row, Gamma's fast
-    # pair included, and only the points with Im lam >= 0 travel
+    # one transport per evaluator round carries every row, and only the
+    # points with Im lam >= 0 travel
     assert work["transports"] == work["rounds"] >= 1
     assert work["rhs_calls"] > work["steps"] > 0
     assert work["transported"] == sum(s.lam.imag >= 0 for s in report.samples)

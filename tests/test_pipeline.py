@@ -304,6 +304,16 @@ def test_reference_run_reports_closure_residual(reference_report):
     assert check["value"] < 1e-10
 
 
+def test_reference_run_reports_gamma_factor_residuals(reference_report):
+    # how well W0 fits each plane Gamma reads: the 2-plane decaying at
+    # +inf and the fast 2-plane cut from the minus 3-plane (both read
+    # about 5e-11), beside the 3-plane's own containment_minus
+    metrics = reference_report["tasks"]["evans"]["metrics"]
+    for key in ("factor_residual_plus", "factor_residual_fast",
+                "containment_minus"):
+        assert 0.0 < metrics[key] <= 1e-8
+
+
 def test_reference_run_reports_its_table(reference_report):
     evans = reference_report["tasks"]["evans"]
     check = evans["checks"]["table_error"]

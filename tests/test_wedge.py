@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from nspshock.wedge import (
     DIM,
@@ -9,6 +12,7 @@ from nspshock.wedge import (
     TRIPLES,
     dual_matrix,
     hodge,
+    interior,
     lift2,
     lift3,
     skew,
@@ -169,3 +173,22 @@ def test_solve_wedge_factor_roundtrip(vecs):
     # mismatch is reported when the vector is outside the plane
     _, bad = solve_wedge_factor(vecs[2], w)
     assert bad > 1e-2
+
+
+
+@settings(max_examples=60, deadline=None)
+@given(vecs=arrays(float, (4, 2, DIM),
+                   elements=st.floats(-4.0, 4.0, allow_nan=False)))
+def test_interior_contracts_the_first_slot(vecs):
+    # i_l (a ^ b ^ c) = l(a) b^c - l(b) a^c + l(c) a^b, read through the
+    # dual: rows a, b, c complex and l real, as Gamma uses it; batched over
+    # the dual, one triple per row
+    l = vecs[3, 0]
+    a, b, c = vecs[:3, 0] + 1j * vecs[:3, 1]
+    for a, b, c in ((a, b, c), (np.stack([a, c]), np.stack([b, a]),
+                                np.stack([c, b]))):
+        got = interior(l, hodge(wedge3(a, b, c)))
+        ref = ((a @ l)[..., None] * wedge2(b, c)
+               - (b @ l)[..., None] * wedge2(a, c)
+               + (c @ l)[..., None] * wedge2(a, b))
+        assert np.max(np.abs(got - ref)) <= 1e-13 * 4.0 ** 4
